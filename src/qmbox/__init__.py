@@ -18,7 +18,7 @@ from .hamiltonian import (ConstantMass, InverseMassAnticommutator,
 from .lattice import (GridMemoryError, Lattice1D, Lattice2D, make_lattice,
                       make_lattice_2d, points_to_m)
 from .operators import (GridValueError, OperatorMatrix, diagonal_from_function,
-                        embed_2d, exp_ialpha_p, momentum_ip, momentum_matrix,
+                        exp_ialpha_p, momentum_ip, momentum_matrix,
                         momentum_squared_matrix)
 from .problems import (BUILTIN_IDS, CONSTANTS, PhysicalConstants,
                        ReferenceSpectrum, builtin_problem,
@@ -38,7 +38,7 @@ __all__ = [
     "ReferenceSpectrum", "SolverError", "Spectrum", "VonRoos",
     "build_hamiltonian", "build_kinetic", "builtin_problem", "classify_parity",
     "compare_to_reference", "completeness_error", "constant_reduced_mass",
-    "convergence_scan", "diagonal_from_function", "diagonalize", "embed_2d",
+    "convergence_scan", "diagonal_from_function", "diagonalize",
     "evaluate", "exp_ialpha_p", "exponential_fit", "labeled_levels",
     "make_lattice", "make_lattice_2d", "momentum_ip", "momentum_matrix",
     "momentum_squared_matrix", "morse_exact_level", "morse_potential",

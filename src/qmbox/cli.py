@@ -40,6 +40,38 @@ class ConfigError(ValueError):
     pass
 
 
+def _openblas_thread_setters() -> list:
+    """``set_num_threads`` of each OpenBLAS bundled with numpy and scipy.
+
+    The libraries are found next to the packages without importing them and
+    opened through ctypes; the dynamic loader hands numpy and scipy the same
+    copies, so the count set here is the one their LAPACK calls use.
+    """
+    import ctypes
+    import glob
+    import importlib.util
+
+    setters = []
+    for package in ("numpy", "scipy"):
+        spec = importlib.util.find_spec(package)
+        if spec is None or not spec.submodule_search_locations:
+            continue
+        site = os.path.dirname(spec.submodule_search_locations[0])
+        for path in sorted(glob.glob(os.path.join(site, package + ".libs", "*openblas*"))):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                           "openblas_set_num_threads64_", "openblas_set_num_threads"):
+                setter = getattr(lib, symbol, None)
+                if setter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setters.append(setter)
+                    break
+    return setters
+
+
 def _apply_thread_cap():
     cap = os.environ.get("QMBOX_MAX_THREADS")
     if not cap:
@@ -48,12 +80,14 @@ def _apply_thread_cap():
         limit = int(cap)
     except ValueError:
         raise ConfigError(f"QMBOX_MAX_THREADS must be an integer, got {cap!r}")
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=limit)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(limit)
+    if limit < 1:
+        raise ConfigError(f"QMBOX_MAX_THREADS must be at least 1, got {limit}")
+    setters = _openblas_thread_setters()
+    if not setters:
+        print("warning: QMBOX_MAX_THREADS ignored: no bundled OpenBLAS found in numpy or scipy",
+              file=sys.stderr)
+    for setter in setters:
+        setter(limit)
 
 
 # --- Config-file problems ----------------------------------------------------

@@ -7,16 +7,26 @@ everything else goes through the general dense solver and keeps whatever
 imaginary parts the matrix produces.  A real non-symmetric matrix therefore
 yields an exactly real spectrum whenever its eigenvalues are real, while a
 genuinely complex matrix shows its round-off imaginaries honestly.
+
+A Hamiltonian may also arrive as mirror-parity blocks (see
+``hamiltonian.hamiltonian_blocks``): a 2D potential that equals its mirror
+image bitwise along an axis splits H exactly into an even and an odd block
+of about half the size.  ``diagonalize_blocks`` sends each block through the
+same solver choice, merges the lowest levels, and scatters the vectors back
+onto the full grid, so the Spectrum has the same layout, normalization and
+residual definition as one dense decomposition; ``Spectrum.mirror_axes``
+records which axes were folded.  A single whole matrix is the one-block case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
 from .lattice import Lattice1D, Lattice2D
-from .operators import OperatorMatrix
+from .operators import EVEN, MirrorBlock, OperatorMatrix, mirror_unfold
 
 
 class SolverError(RuntimeError):
@@ -39,6 +49,7 @@ class Spectrum:
     grid: Lattice1D | Lattice2D
     parity: tuple[str, ...] | None = None         # "s" | "a" | "none" per state
     labels: tuple[str, ...] | None = None         # "0s", "0a", ... or plain index
+    mirror_axes: tuple[str, ...] = ()             # 2D axes folded by mirror symmetry
 
     @property
     def n_states(self) -> int:
@@ -64,61 +75,104 @@ def diagonalize(op: OperatorMatrix, grid: Lattice1D | Lattice2D,
     decomposition to the lowest eigenpairs, which is much cheaper for big 2D
     grids; the general path always computes everything and truncates.
     """
-    H = op.matrix
-    if H.shape[0] != (grid.size if isinstance(grid, Lattice2D) else grid.N):
+    if op.dim != _grid_size(grid):
         raise ValueError("operator dimension does not match the grid")
-    if not np.all(np.isfinite(H.real)) or (np.iscomplexobj(H) and not np.all(np.isfinite(H.imag))):
-        raise SolverError("Hamiltonian contains non-finite entries")
-    if n_states is not None and not 1 <= n_states <= H.shape[0]:
-        raise ValueError(f"n_states must be in 1..{H.shape[0]}, got {n_states}")
+    return diagonalize_blocks([MirrorBlock(op)], grid, n_states)
 
+
+def diagonalize_blocks(blocks: Iterable[MirrorBlock], grid: Lattice1D | Lattice2D,
+                       n_states: int | None = None) -> Spectrum:
+    """Eigendecomposition of a Hamiltonian given as mirror-parity blocks.
+
+    Each block goes through the solver choice of ``diagonalize`` for its
+    lowest min(n_states, block size) pairs and is released before the next
+    one is drawn.  The lowest ``n_states`` across blocks are kept in (Re, Im)
+    order, their vectors are scattered back onto the full grid, and the
+    residuals are divided by sqrt(sum ||H_b||_F^2) = ||H||_F, so the result
+    is laid out exactly as the decomposition of the assembled H would be.
+    """
+    size = _grid_size(grid)
+    if n_states is not None and not 1 <= n_states <= size:
+        raise ValueError(f"n_states must be in 1..{size}, got {n_states}")
+    weight = grid.cell if isinstance(grid, Lattice2D) else grid.a
+    parts, norm_sq, folded, hermitian = [], 0.0, set(), True
+    for block in blocks:
+        H = block.op.matrix
+        if not np.all(np.isfinite(H.real)) or (np.iscomplexobj(H) and not np.all(np.isfinite(H.imag))):
+            raise SolverError("Hamiltonian contains non-finite entries")
+        count = H.shape[0] if n_states is None else min(n_states, H.shape[0])
+        w, v = _eigenpairs(H, block.op.hermitian_hint, count)
+        v = v / np.sqrt(weight * np.sum(np.abs(v) ** 2, axis=0))
+        parts.append((w, v, np.linalg.norm(H @ v - v * w[None, :], axis=0), block.parity))
+        norm_sq += np.linalg.norm(H) ** 2
+        folded.update(axis for axis, p in zip("xy", block.parity) if p)
+        hermitian = hermitian and block.op.hermitian_hint
+        del H, block   # free this block before the next one is assembled
+
+    if len(parts) == 1:   # already in order: nothing to merge, no copy
+        w, vectors, residuals, parity = parts[0]
+        vectors = _unfold(vectors, parity, grid)
+    else:
+        w = np.concatenate([part[0] for part in parts])
+        order = np.lexsort((w.imag, w.real))[:n_states]
+        owner = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])[order]
+        w, residuals = w[order], np.concatenate([part[2] for part in parts])[order]
+        vectors = np.empty((size, len(order)), dtype=np.result_type(*(part[1] for part in parts)))
+        for b, (_, v, _, parity) in enumerate(parts):
+            columns = np.flatnonzero(owner == b)   # a block's picks are its lowest pairs
+            vectors[:, columns] = _unfold(v[:, :len(columns)], parity, grid)
+    return Spectrum(eigenvalues=w, eigenvectors=vectors, residuals=residuals / np.sqrt(norm_sq),
+                    hermitian_path=hermitian, grid=grid,
+                    mirror_axes=tuple(a for a in "xy" if a in folded))
+
+
+def _grid_size(grid: Lattice1D | Lattice2D) -> int:
+    return grid.size if isinstance(grid, Lattice2D) else grid.N
+
+
+def _eigenpairs(H: np.ndarray, hermitian: bool, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` lowest eigenpairs of H in (Re, Im) order, columns of unit 2-norm."""
     try:
-        if op.hermitian_hint:
-            if n_states is not None and n_states < H.shape[0]:
+        if hermitian:
+            if count < H.shape[0]:
                 from scipy.linalg import eigh
-                w, v = eigh(H, subset_by_index=(0, n_states - 1))
-            else:
-                w, v = np.linalg.eigh(H)
-        else:
-            w, v = np.linalg.eig(H)
-            order = np.lexsort((w.imag, w.real))
-            w, v = w[order], v[:, order]
-            if n_states is not None:
-                w, v = w[:n_states], v[:, :n_states]
+                return eigh(H, subset_by_index=(0, count - 1))
+            return np.linalg.eigh(H)
+        w, v = np.linalg.eig(H)
+        order = np.lexsort((w.imag, w.real))[:count]
+        return w[order], v[:, order]
     except np.linalg.LinAlgError as err:
         raise SolverError(f"eigensolver did not converge: {err}") from None
 
-    weight = grid.cell if isinstance(grid, Lattice2D) else grid.a
-    norms = np.sqrt(weight * np.sum(np.abs(v) ** 2, axis=0))
-    v = v / norms
-    residuals = _residuals(H, w, v)
-    return Spectrum(eigenvalues=w, eigenvectors=v, residuals=residuals,
-                    hermitian_path=op.hermitian_hint, grid=grid)
 
-
-def _residuals(H: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    R = H @ v - v * w[None, :]
-    return np.linalg.norm(R, axis=0) / np.linalg.norm(H)
+def _unfold(v: np.ndarray, parity: tuple[int, ...], grid: Lattice1D | Lattice2D) -> np.ndarray:
+    """Block eigenvector columns as full-grid columns (x fastest)."""
+    if not any(parity):
+        return v
+    px, py = parity
+    nx = grid.lx.N if not px else grid.lx.M + (px == EVEN)
+    c = v.reshape(-1, nx, v.shape[1])
+    return mirror_unfold(mirror_unfold(c, px, axis=1), py, axis=0).reshape(grid.size, -1)
 
 
 def phase_fix(spectrum: Spectrum) -> Spectrum:
-    """Rotate each eigenvector so its largest-|.| component is real positive.
+    """Rotate each eigenvector so its largest-|.| component is real positive
+    (for complex vectors, the first component within 1e-12 of the largest).
 
     Deterministic and idempotent; keeps real arrays real (a sign flip).
     """
-    v = spectrum.eigenvectors.copy()
+    v = spectrum.eigenvectors
     cols = np.arange(v.shape[1])
-    pivots = np.argmax(np.abs(v), axis=0)
+    size = np.abs(v)
+    if not np.iscomplexobj(v):
+        lead = v[np.argmax(size, axis=0), cols]
+        return replace(spectrum, eigenvectors=v * np.where(lead != 0, np.sign(lead), 1.0)[None, :])
+    # A rotation moves |.| by round-off, which can reorder exact ties such as
+    # mirror-image sites; the first near-maximal site is a stable pivot.
+    pivots = np.argmax(size >= (1.0 - 1e-12) * size.max(axis=0), axis=0)
     lead = v[pivots, cols]
-    magnitude = np.abs(lead)
-    if np.iscomplexobj(v):
-        scale = np.where(magnitude > 0, np.conj(lead) / np.where(magnitude > 0, magnitude, 1.0), 1.0)
-        v = v * scale[None, :]
-        # pin the pivot exactly real so a second application is a no-op
-        v[pivots, cols] = np.where(magnitude > 0, magnitude, v[pivots, cols].real)
-    else:
-        scale = np.where(lead != 0, np.sign(lead), 1.0)
-        v = v * scale[None, :]
+    v = v * np.exp(-1j * np.angle(lead))[None, :]   # exactly 1 once the pivot is real positive
+    v[pivots, cols] = np.abs(lead)                  # and pinned exactly real here
     return replace(spectrum, eigenvectors=v)
 
 

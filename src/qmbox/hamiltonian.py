@@ -18,13 +18,16 @@ the one-sided orderings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from itertools import product
+from typing import Iterator, Union
 
 import numpy as np
 
 from .lattice import Lattice1D, Lattice2D
-from .operators import (GridFunction, GridValueError, OperatorMatrix,
-                        grid_values, momentum_ip, momentum_squared_matrix)
+from .operators import (EVEN, ODD, GridFunction, GridValueError, MirrorBlock,
+                        OperatorMatrix, grid_values, kronecker_sum,
+                        mirror_fold, mirror_sites, momentum_ip,
+                        momentum_squared_matrix)
 
 
 # --- Kinetic orderings -------------------------------------------------------
@@ -179,7 +182,7 @@ def build_kinetic(problem: ProblemDefinition) -> OperatorMatrix:
     constant-mass tensor sum (2D)."""
     grid = problem.grid
     if isinstance(grid, Lattice2D):
-        return _build_kinetic_2d(problem, grid)
+        return OperatorMatrix(kronecker_sum(*_axis_kinetics(problem)), hermitian_hint=True)
 
     ordering = problem.ordering
     if isinstance(ordering, ConstantMass):
@@ -211,28 +214,22 @@ def build_kinetic(problem: ProblemDefinition) -> OperatorMatrix:
     raise TypeError(f"unsupported ordering {ordering!r}")
 
 
-def _build_kinetic_2d(problem: ProblemDefinition, grid: Lattice2D) -> OperatorMatrix:
+def _axis_kinetics(problem: ProblemDefinition) -> tuple[np.ndarray, np.ndarray]:
+    """The 1D kinetic matrices p^2/(2 mu) of the x and y axes of a 2D problem."""
     ordering = problem.ordering
     if not isinstance(ordering, ConstantMass):
         raise GridValueError(
             "2D problems support the constant-mass kinetic term only; "
             f"got ordering {ordering_label(ordering)}")
-    nx, ny = grid.lx.N, grid.ly.N
-    tx = momentum_squared_matrix(grid.lx).matrix / (2.0 * ordering.mu)
-    ty = momentum_squared_matrix(grid.ly).matrix / (2.0 * ordering.mu)
-    # Accumulate kron(eye(ny), tx) + kron(ty, eye(nx)) block-wise in place,
-    # avoiding a second size^2 temporary.
-    T = np.zeros((grid.size, grid.size))
-    T4 = T.reshape(ny, nx, ny, nx)
-    rows = np.arange(ny)
-    T4[rows, :, rows, :] += tx
-    for i1 in range(nx):
-        T4[:, i1, :, i1] += ty
-    return OperatorMatrix(T, hermitian_hint=True)
+    return tuple(momentum_squared_matrix(axis).matrix / (2.0 * ordering.mu)
+                 for axis in (problem.grid.lx, problem.grid.ly))
 
 
 def build_hamiltonian(problem: ProblemDefinition) -> OperatorMatrix:
     """H = T + diag(V_real) + i diag(V_imag) on the problem's grid."""
+    if isinstance(problem.grid, Lattice2D):
+        (block,) = hamiltonian_blocks(problem, fold=False)
+        return block.op
     kinetic = build_kinetic(problem)
     points = _coordinate_arrays(problem.grid)
     v_real = grid_values(problem.potential_real, points, what="potential").ravel()
@@ -246,6 +243,39 @@ def build_hamiltonian(problem: ProblemDefinition) -> OperatorMatrix:
         H[np.diag_indices_from(H)] += 1j * v_imag
         hermitian = False
     return OperatorMatrix(H, hermitian_hint=hermitian)
+
+
+def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterator[MirrorBlock]:
+    """The 2D Hamiltonian as mirror-parity blocks, assembled one at a time.
+
+    The kinetic term T_x (x) I + I (x) T_y commutes with both axis
+    reflections on the symmetric grid, so H splits wherever the sampled
+    potential does too.  An axis is folded when ``fold`` is set and the
+    potential arrays (V_real, and V_imag when present) equal their mirror
+    image along it bitwise: an exact property of the input, with no
+    tolerance.  That gives 1, 2 or 4 blocks, each the Kronecker sum of the
+    folded or whole axis kinetics plus the potential on the block's sites;
+    the odd block of a one-site axis is empty and skipped.  With ``fold``
+    off, the one block is the full dense H of ``build_hamiltonian``.
+    """
+    grid = problem.grid
+    kinetics = _axis_kinetics(problem)
+    points = _coordinate_arrays(grid)
+    v = grid_values(problem.potential_real, points, what="potential")
+    hermitian = problem.potential_imag is None
+    if not hermitian:
+        v = v + 1j * grid_values(problem.potential_imag, points, what="imaginary potential")
+    choices = []
+    for t, array_axis in zip(kinetics, (1, 0)):   # V is indexed [y, x]
+        if fold and np.array_equal(v, np.flip(v, array_axis)):
+            choices.append([(EVEN, mirror_fold(t, EVEN)), (ODD, mirror_fold(t, ODD))])
+        else:
+            choices.append([(0, t)])
+    for (px, tx), (py, ty) in product(*choices):
+        if tx.size and ty.size:
+            v_block = v[mirror_sites(grid.ly.M, py), mirror_sites(grid.lx.M, px)]
+            yield MirrorBlock(OperatorMatrix(kronecker_sum(tx, ty, v_block), hermitian),
+                              parity=(px, py))
 
 
 def reversal_matrix(N: int) -> np.ndarray:

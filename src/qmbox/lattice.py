@@ -63,19 +63,6 @@ class Lattice2D:
         """Area weight of one site, the 2D analogue of the spacing a."""
         return self.lx.a * self.ly.a
 
-    def compound_index(self, i1: int, i2: int) -> int:
-        """1-based compound index of 1-based site (i1, i2)."""
-        if not (1 <= i1 <= self.lx.N and 1 <= i2 <= self.ly.N):
-            raise IndexError(f"site ({i1}, {i2}) outside {self.lx.N} x {self.ly.N} grid")
-        return i1 + (i2 - 1) * self.lx.N
-
-    def site(self, index: int) -> tuple[int, int]:
-        """Inverse of compound_index (1-based both ways)."""
-        if not 1 <= index <= self.size:
-            raise IndexError(f"compound index {index} outside 1..{self.size}")
-        i2, i1 = divmod(index - 1, self.lx.N)
-        return i1 + 1, i2 + 1
-
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) arrays of shape (Ny, Nx); ravel() matches the compound index."""
         return np.meshgrid(self.lx.x, self.ly.x, indexing="xy")

@@ -17,7 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .expr import Expression
-from .lattice import Lattice1D, Lattice2D
+from .lattice import Lattice1D
 
 GridFunction = Union[Expression, Callable, float, int]
 
@@ -133,20 +133,84 @@ def diagonal_from_function(grid: Lattice1D, f: GridFunction) -> OperatorMatrix:
     return OperatorMatrix(np.diag(grid_values(f, {"x": grid.x})), hermitian_hint=True)
 
 
-def embed_2d(op: OperatorMatrix, axis: str, grid2: Lattice2D) -> OperatorMatrix:
-    """Embed a 1D operator into the tensor-product state space.
+#: Parity of a mirror block along one axis; 0 marks an axis kept whole.
+EVEN, ODD = 1, -1
 
-    With compound index I = i1 + (i2-1)*Nx (x fastest), an x-axis operator
-    becomes kron(eye(Ny), A) and a y-axis operator kron(A, eye(Nx)).
+
+@dataclass(frozen=True, eq=False)
+class MirrorBlock:
+    """An operator restricted to one mirror-parity sector of its grid.
+
+    ``parity`` holds one entry per axis (x, then y): EVEN or ODD for an axis
+    folded onto its half-axis sites (see ``mirror_sites``), 0 for an axis
+    kept whole.  The empty default means nothing is folded.
     """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    target = grid2.lx if axis == "x" else grid2.ly
-    if op.dim != target.N:
-        raise ValueError(
-            f"operator dimension {op.dim} does not match {axis}-axis size {target.N}")
-    if axis == "x":
-        big = np.kron(np.eye(grid2.ly.N, dtype=op.matrix.dtype), op.matrix)
-    else:
-        big = np.kron(op.matrix, np.eye(grid2.lx.N, dtype=op.matrix.dtype))
-    return OperatorMatrix(big, hermitian_hint=op.hermitian_hint)
+
+    op: OperatorMatrix
+    parity: tuple[int, ...] = ()
+
+
+def mirror_sites(M: int, parity: int) -> slice:
+    """Sites of the symmetric N = 2M+1 axis that index a block's basis.
+
+    The even basis is the centre site x_M and the pairs
+    (|x_{M+k}> + |x_{M-k}>)/sqrt2, the odd basis the pairs
+    (|x_{M+k}> - |x_{M-k}>)/sqrt2, k = 1..M; a function even along the
+    axis is diagonal in both, with its value at x_{M+k}.
+    """
+    if parity == EVEN:
+        return slice(M, None)
+    if parity == ODD:
+        return slice(M + 1, None)
+    return slice(None)
+
+
+def mirror_fold(t: np.ndarray, parity: int) -> np.ndarray:
+    """Block of a 1D matrix in the even or odd mirror basis.
+
+    Exact when ``t`` commutes with the index reversal, t[::-1, ::-1] == t,
+    as every symmetric Toeplitz matrix does (the closed-form p^2 among them).
+    """
+    M = t.shape[0] // 2
+    near, far = t[M:, M:], t[M:, M::-1]    # columns x_{M+l} and x_{M-l}, l = 0..M
+    if parity == ODD:
+        return (near - far)[1:, 1:]
+    scale = np.ones(M + 1)
+    scale[0] = np.sqrt(0.5)                # the centre site is not a pair
+    return scale[:, None] * (near + far) * scale[None, :]
+
+
+def mirror_unfold(c: np.ndarray, parity: int, axis: int) -> np.ndarray:
+    """Inverse of the fold for coefficient arrays: scatter the half axis
+    ``axis`` of ``c`` back onto all 2M+1 sites, c on the centre site and
+    +-c/sqrt2 on each mirrored pair.  An isometry, so norms carry over."""
+    if not parity:
+        return c
+    c = np.moveaxis(c, axis, 0)
+    pairs = np.sqrt(0.5) * (c[1:] if parity == EVEN else c)
+    M = pairs.shape[0]
+    out = np.zeros((2 * M + 1,) + c.shape[1:], dtype=c.dtype)
+    out[M + 1:] = pairs
+    out[:M] = parity * pairs[::-1]
+    if parity == EVEN:
+        out[M] = c[0]
+    return np.moveaxis(out, 0, axis)
+
+
+def kronecker_sum(tx: np.ndarray, ty: np.ndarray,
+                  diagonal: np.ndarray | None = None) -> np.ndarray:
+    """kron(I_ny, tx) + kron(ty, I_nx) + diag(diagonal) on the x-fastest grid.
+
+    ``diagonal`` holds one value per site as a (ny, nx) array; a complex one
+    makes the result complex.  The terms are accumulated block-wise in one
+    (nx*ny)^2 buffer, with no Kronecker-product temporaries.
+    """
+    nx, ny = tx.shape[0], ty.shape[0]
+    parts = (tx, ty) if diagonal is None else (tx, ty, diagonal)
+    H = np.zeros((nx * ny, nx * ny), dtype=np.result_type(*parts))
+    H4 = H.reshape(ny, nx, ny, nx)
+    H4[np.arange(ny), :, np.arange(ny), :] += tx
+    H4[:, np.arange(nx), :, np.arange(nx)] += ty
+    if diagonal is not None:
+        H[np.diag_indices_from(H)] += np.ravel(diagonal)
+    return H

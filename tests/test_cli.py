@@ -249,13 +249,52 @@ class TestBench:
         assert "[FAIL]" in out
 
     def test_thread_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QMBOX_MAX_THREADS", "1")
-        code, _, _ = run(["solve", "--problem", "morse", "--states", "1"], capsys)
-        assert code == 0
+        controls = _openblas_thread_controls()
+        if not controls:
+            pytest.skip("neither numpy's nor scipy's OpenBLAS exports set_num_threads")
+        before = [get() for get, _ in controls]
+        try:
+            monkeypatch.setenv("QMBOX_MAX_THREADS", "1")
+            code, _, _ = run(["solve", "--problem", "morse", "--states", "1"], capsys)
+            assert code == 0
+            assert [get() for get, _ in controls] == [1] * len(controls)
+        finally:
+            for (_, set_threads), count in zip(controls, before):
+                set_threads(count)
         monkeypatch.setenv("QMBOX_MAX_THREADS", "lots")
         code, _, err = run(["solve", "--problem", "morse", "--states", "1"], capsys)
         assert code == 1
         assert "QMBOX_MAX_THREADS" in err
+        monkeypatch.setenv("QMBOX_MAX_THREADS", "0")
+        code, _, err = run(["solve", "--problem", "morse", "--states", "1"], capsys)
+        assert code == 1
+        assert "QMBOX_MAX_THREADS" in err
+
+
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of each OpenBLAS bundled with numpy
+    and scipy, read independently of the CLI's own lookup."""
+    import ctypes
+    import glob
+    import os
+
+    import scipy
+    controls = []
+    for package in (np, scipy):
+        libdir = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                              package.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+            lib = ctypes.CDLL(path)
+            for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                                   ("openblas", "64_"), ("openblas", "")):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+    return controls
 
 
 class TestConverge:

@@ -194,6 +194,29 @@ class TestPhaseFix:
         twice = phase_fix(once)
         np.testing.assert_array_equal(once.eigenvectors, twice.eigenvectors)
 
+    def test_idempotent_on_many_complex_vectors(self):
+        rng = np.random.default_rng(11)
+        grid = make_lattice(5.0, 2)
+        for _ in range(200):
+            v = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+            s = Spectrum(eigenvalues=np.arange(3, dtype=float), eigenvectors=v,
+                         residuals=np.zeros(3), hermitian_path=False, grid=grid)
+            once = phase_fix(s)
+            np.testing.assert_array_equal(phase_fix(once).eigenvectors, once.eigenvectors)
+
+    def test_idempotent_with_tied_magnitudes(self):
+        # mirror-image sites of a symmetric state have exactly equal |psi|
+        rng = np.random.default_rng(5)
+        grid = make_lattice(3.0, 1)
+        for _ in range(200):
+            c, d = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            v = np.array([[c], [0.1 * abs(c) * d / abs(d)], [-c]])
+            s = Spectrum(eigenvalues=np.zeros(1), eigenvectors=v, residuals=np.zeros(1),
+                         hermitian_path=False, grid=grid)
+            once = phase_fix(s)
+            assert once.eigenvectors[0, 0].imag == 0.0 and once.eigenvectors[0, 0].real > 0
+            np.testing.assert_array_equal(phase_fix(once).eigenvectors, once.eigenvectors)
+
     def test_keeps_real_arrays_real(self):
         s = solve(builtin_problem("morse"))
         assert not np.iscomplexobj(s.eigenvectors)

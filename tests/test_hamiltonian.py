@@ -181,14 +181,14 @@ class TestHamiltonian2D:
         np.testing.assert_allclose(w2, sums, atol=1e-8)
 
     def test_2d_kinetic_matches_embed_composition(self):
-        from qmbox.operators import embed_2d, momentum_squared_matrix
+        from qmbox.operators import momentum_squared_matrix
         grid2 = make_lattice_2d(8.0, 4, 6.0, 3)
         problem = ProblemDefinition(name="t", grid=grid2, ordering=ConstantMass(2.0),
                                     potential_real=0.0)
         T = build_kinetic(problem).matrix
-        tx = momentum_squared_matrix(grid2.lx)
-        ty = momentum_squared_matrix(grid2.ly)
-        want = (embed_2d(tx, "x", grid2).matrix + embed_2d(ty, "y", grid2).matrix) / 4.0
+        tx = momentum_squared_matrix(grid2.lx).matrix
+        ty = momentum_squared_matrix(grid2.ly).matrix
+        want = (np.kron(np.eye(grid2.ly.N), tx) + np.kron(ty, np.eye(grid2.lx.N))) / 4.0
         np.testing.assert_allclose(T, want, atol=1e-14 * np.abs(want).max())
 
     def test_2d_potential_follows_compound_index(self):
@@ -198,10 +198,10 @@ class TestHamiltonian2D:
         H = build_hamiltonian(problem).matrix
         T = build_kinetic(problem).matrix
         V = np.diag(H - T)
-        for i1 in range(1, grid2.lx.N + 1):
-            for i2 in range(1, grid2.ly.N + 1):
-                k = grid2.compound_index(i1, i2) - 1
-                assert V[k] == pytest.approx(grid2.lx.x[i1 - 1] + 10 * grid2.ly.x[i2 - 1])
+        for i1 in range(grid2.lx.N):
+            for i2 in range(grid2.ly.N):
+                k = i1 + i2 * grid2.lx.N   # x index runs fastest
+                assert V[k] == pytest.approx(grid2.lx.x[i1] + 10 * grid2.ly.x[i2])
 
     def test_2d_rejects_position_dependent_mass(self):
         grid2 = make_lattice_2d(4.0, 2, 4.0, 2)

@@ -75,27 +75,9 @@ class TestLattice1D:
 
 
 class TestLattice2D:
-    def test_compound_index_corner(self):
-        grid = make_lattice_2d(3.0, 1, 3.0, 1)
-        assert grid.compound_index(1, 1) == 1
-
-    def test_compound_index_formula(self):
-        grid = make_lattice_2d(20.0, 30, 20.0, 30)  # 61 x 61
-        assert grid.compound_index(2, 3) == 2 + 2 * 61  # = 124
-
     def test_state_space_dimension(self):
         grid = make_lattice_2d(20.0, 30, 20.0, 30)
         assert grid.size == 61 * 61 == 3721
-
-    def test_index_bijection(self):
-        grid = make_lattice_2d(5.0, 2, 7.0, 3)
-        seen = set()
-        for i2 in range(1, grid.ly.N + 1):
-            for i1 in range(1, grid.lx.N + 1):
-                idx = grid.compound_index(i1, i2)
-                assert grid.site(idx) == (i1, i2)
-                seen.add(idx)
-        assert seen == set(range(1, grid.size + 1))
 
     def test_meshgrid_matches_compound_order(self):
         grid = make_lattice_2d(5.0, 2, 7.0, 3)
@@ -103,7 +85,7 @@ class TestLattice2D:
         xf, yf = X.ravel(), Y.ravel()
         for i2 in range(1, grid.ly.N + 1):
             for i1 in range(1, grid.lx.N + 1):
-                k = grid.compound_index(i1, i2) - 1
+                k = (i1 - 1) + (i2 - 1) * grid.lx.N   # I = i1 + (i2-1)*Nx, 1-based
                 assert xf[k] == grid.lx.x[i1 - 1]
                 assert yf[k] == grid.ly.x[i2 - 1]
 

@@ -4,8 +4,8 @@ import pytest
 from qmbox.expr import parse
 from qmbox.lattice import make_lattice, make_lattice_2d
 from qmbox.operators import (GridValueError, OperatorMatrix,
-                             diagonal_from_function, embed_2d, exp_ialpha_p,
-                             momentum_ip, momentum_matrix,
+                             diagonal_from_function, exp_ialpha_p,
+                             kronecker_sum, momentum_ip, momentum_matrix,
                              momentum_squared_matrix)
 
 LATTICES = [(3.0, 1), (2 * np.pi, 1), (2.7, 5), (10.0, 12), (25.0, 15)]
@@ -163,41 +163,36 @@ class TestDiagonal:
 
 
 class TestEmbed2D:
+    """kronecker_sum embeds x- and y-axis operators in the tensor-product space."""
+
     def test_identity_embeds_to_identity(self):
         grid = make_lattice_2d(3.0, 1, 5.0, 2)
-        eye_x = OperatorMatrix(np.eye(grid.lx.N), hermitian_hint=True)
-        eye_y = OperatorMatrix(np.eye(grid.ly.N), hermitian_hint=True)
-        for op, axis in [(eye_x, "x"), (eye_y, "y")]:
-            big = embed_2d(op, axis, grid).matrix
-            np.testing.assert_array_equal(big, np.eye(grid.size))
+        nx, ny = grid.lx.N, grid.ly.N
+        for tx, ty in [(np.eye(nx), np.zeros((ny, ny))), (np.zeros((nx, nx)), np.eye(ny))]:
+            np.testing.assert_array_equal(kronecker_sum(tx, ty), np.eye(grid.size))
 
     def test_different_axes_commute(self):
         grid = make_lattice_2d(4.0, 3, 4.0, 3)
-        px2 = embed_2d(momentum_squared_matrix(grid.lx), "x", grid).matrix
-        y_diag = OperatorMatrix(np.diag(grid.ly.x), hermitian_hint=True)
-        Y = embed_2d(y_diag, "y", grid).matrix
+        nx, ny = grid.lx.N, grid.ly.N
+        px2 = kronecker_sum(momentum_squared_matrix(grid.lx).matrix, np.zeros((ny, ny)))
+        Y = kronecker_sum(np.zeros((nx, nx)), np.diag(grid.ly.x))
         assert frob(px2 @ Y - Y @ px2) <= 1e-12 * max(frob(px2 @ Y), 1.0)
 
     def test_block_structure_follows_compound_index(self):
         grid = make_lattice_2d(4.0, 2, 6.0, 1)
         P = momentum_squared_matrix(grid.lx).matrix
-        big = embed_2d(momentum_squared_matrix(grid.lx), "x", grid).matrix
-        for i2 in range(1, grid.ly.N + 1):
-            for k2 in range(1, grid.ly.N + 1):
-                for i1 in range(1, grid.lx.N + 1):
-                    for k1 in range(1, grid.lx.N + 1):
-                        I = grid.compound_index(i1, i2) - 1
-                        K = grid.compound_index(k1, k2) - 1
-                        want = P[i1 - 1, k1 - 1] if i2 == k2 else 0.0
+        big = kronecker_sum(P, np.zeros((grid.ly.N, grid.ly.N)))
+        for i2 in range(grid.ly.N):
+            for k2 in range(grid.ly.N):
+                for i1 in range(grid.lx.N):
+                    for k1 in range(grid.lx.N):
+                        I = i1 + i2 * grid.lx.N
+                        K = k1 + k2 * grid.lx.N
+                        want = P[i1, k1] if i2 == k2 else 0.0
                         assert big[I, K] == want
 
     def test_dimension_mismatch(self):
         grid = make_lattice_2d(3.0, 1, 5.0, 2)
-        wrong = OperatorMatrix(np.eye(grid.ly.N))
-        with pytest.raises(ValueError, match="dimension"):
-            embed_2d(wrong, "x", grid)
-
-    def test_bad_axis(self):
-        grid = make_lattice_2d(3.0, 1, 5.0, 2)
-        with pytest.raises(ValueError, match="axis"):
-            embed_2d(OperatorMatrix(np.eye(3)), "z", grid)
+        tx, ty = np.eye(grid.lx.N), np.eye(grid.ly.N)
+        with pytest.raises(ValueError):
+            kronecker_sum(tx, ty, np.zeros(grid.size + 1))
