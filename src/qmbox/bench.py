@@ -1,6 +1,10 @@
 """End-to-end benchmark gate: every built-in with a reference is re-solved
 and checked at its documented tolerance.  Used by the CLI ``bench``
-subcommand as a CI gate (nonzero exit on any failure)."""
+subcommand as a CI gate (nonzero exit on any failure).
+
+Each ``check_*`` function returns ``(ok, detail)`` and is the one home of its
+tolerances: acceptance criteria 01-06 call these.
+"""
 
 from __future__ import annotations
 
@@ -10,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import compare_to_reference, completeness_error, labeled_levels
-from .hamiltonian import (ConstantMass, InverseMassAnticommutator, MassLeft,
-                          MassRight, MassSandwich)
+from .hamiltonian import ConstantMass, ordering_from_name
 from .problems import (CONSTANTS, builtin_problem, constant_reduced_mass,
                        morse_exact_level, non_pt_exact_level, pt_exact_level,
                        reference_spectrum)
@@ -35,7 +38,7 @@ def _run(name, fn, results):
     results.append(BenchResult(name, passed, detail, time.perf_counter() - t0))
 
 
-def _check_nh3_benchmark():
+def check_nh3_benchmark():
     spectrum = solve(builtin_problem("nh3"))
     report = compare_to_reference(spectrum, reference_spectrum("nh3.benchmark"))
     worst = report.max_abs_dev
@@ -44,13 +47,10 @@ def _check_nh3_benchmark():
     return ok, f"max |dev| {worst:.4f} cm-1 (tol 0.01), 0a dev {dev_0a:.4f} (tol 0.005)"
 
 
-def _check_nh3_orderings():
-    orderings = {
-        "nh3.mass-sandwich": MassSandwich(),
-        "nh3.inverse-mass-anticommutator": InverseMassAnticommutator(),
-        "nh3.mass-left": MassLeft(),
-        "nh3.mass-right": MassRight(),
-    }
+def check_nh3_orderings():
+    orderings = {f"nh3.{name}": ordering_from_name(name)
+                 for name in ("mass-sandwich", "inverse-mass-anticommutator",
+                              "mass-left", "mass-right")}
     worst = 0.0
     level_0a = {}
     spectra = {}
@@ -70,7 +70,7 @@ def _check_nh3_orderings():
                 f"(tol 0.005), left-right {one_sided:.2e} (tol 0.005)")
 
 
-def _check_nd3():
+def check_nd3():
     pdm = solve(builtin_problem("nd3"))
     rep_pdm = compare_to_reference(pdm, reference_spectrum("nd3.pdm"))
     mu = constant_reduced_mass(CONSTANTS.m_D, CONSTANTS.m_N)
@@ -87,7 +87,7 @@ def _check_nd3():
                 f"{100 * rel_exp:.2f}% (tol 0.7%)")
 
 
-def _check_morse():
+def check_morse():
     ref = reference_spectrum("morse.benchmark")
     narrow = solve(builtin_problem("morse"))
     dev_table = max(abs(narrow.eigenvalues[n].real - ref.values[str(n)])
@@ -102,7 +102,7 @@ def _check_morse():
                 f"{dev_exact:.2e} (tol 1e-10)")
 
 
-def _check_completeness():
+def check_completeness():
     spectrum = solve(builtin_problem("morse", N=301, L=140, r_e=-60.0))
     curve = completeness_error(spectrum)
     eps5 = curve[5]
@@ -114,7 +114,7 @@ def _check_completeness():
                 f"(tol 1e-14), monotone above 1e-13: {monotone}")
 
 
-def _check_pt_spectra():
+def check_pt_spectra():
     n = np.arange(45)
     pt = solve(builtin_problem("pt_oscillator"))
     exact_pt = np.array([pt_exact_level(k).real for k in n])
@@ -132,10 +132,10 @@ def _check_pt_spectra():
 def run_benchmarks() -> list[BenchResult]:
     """Run the full reference gate; order matches the documented tables."""
     results: list[BenchResult] = []
-    _run("nh3-levels", _check_nh3_benchmark, results)
-    _run("nh3-orderings", _check_nh3_orderings, results)
-    _run("nd3-levels", _check_nd3, results)
-    _run("morse-levels", _check_morse, results)
-    _run("morse-completeness", _check_completeness, results)
-    _run("complex-spectra", _check_pt_spectra, results)
+    _run("nh3-levels", check_nh3_benchmark, results)
+    _run("nh3-orderings", check_nh3_orderings, results)
+    _run("nd3-levels", check_nd3, results)
+    _run("morse-levels", check_morse, results)
+    _run("morse-completeness", check_completeness, results)
+    _run("complex-spectra", check_pt_spectra, results)
     return results

@@ -25,7 +25,8 @@ import numpy as np
 from . import analysis, expr
 from .bench import run_benchmarks
 from .eig import SolverError, Spectrum
-from .hamiltonian import ConstantMass, ProblemDefinition, ordering_from_name
+from .hamiltonian import (ConstantMass, KineticOrdering, ProblemDefinition,
+                          ordering_from_name)
 from .lattice import (GridMemoryError, Lattice2D, make_lattice,
                       make_lattice_2d, points_to_m)
 from .operators import GridValueError
@@ -158,10 +159,9 @@ def load_config(path: str) -> ProblemDefinition:
         except ValueError:
             mass = parse_expr("mass")
     if ordering_spec:
-        parts = ordering_spec.replace(",", " ").split()
         try:
-            ordering = ordering_from_name(parts[0], *map(float, parts[1:]))
-        except ValueError as err:
+            ordering = _parse_ordering(ordering_spec)
+        except ConfigError as err:
             raise ConfigError(f"{path}: key 'ordering': {err}")
     elif isinstance(mass, float):
         ordering, mass = ConstantMass(mass), None
@@ -180,6 +180,17 @@ def load_config(path: str) -> ProblemDefinition:
         potential_imag=parse_expr("potential_imag") if "potential_imag" in entries else None,
         energy_unit=entries.get("unit", "model"),
     )
+
+
+def _parse_ordering(spec: str) -> KineticOrdering:
+    """An ordering from its spelling with parameters, e.g. 'von-roos -1, 0'."""
+    parts = spec.replace(",", " ").split()
+    if not parts:
+        raise ConfigError(f"empty ordering spec {spec!r}")
+    try:
+        return ordering_from_name(parts[0], *map(float, parts[1:]))
+    except ValueError as err:
+        raise ConfigError(str(err))
 
 
 def _config_float(path, entries, key) -> float:
@@ -271,8 +282,7 @@ def _make_problem(args) -> ProblemDefinition:
     if getattr(args, "Ly", None):
         overrides["Ly"] = args.Ly
     if args.ordering:
-        parts = args.ordering.replace(",", " ").split()
-        overrides["ordering"] = ordering_from_name(parts[0], *map(float, parts[1:]))
+        overrides["ordering"] = _parse_ordering(args.ordering)
     try:
         return builtin_problem(args.problem, **overrides)
     except ValueError as err:

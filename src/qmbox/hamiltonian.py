@@ -1,18 +1,19 @@
-"""Hamiltonian assembly: kinetic-ordering variants plus diagonal potentials.
+"""Hamiltonian assembly: kinetic orderings plus diagonal potentials.
 
-With a position-dependent mass the kinetic term p^2/2m is ambiguous; the
-orderings below cover the standard Hermitian two-parameter family
+With a position-dependent mass the kinetic term p^2/2m is ambiguous.  Every
+ordering here is a point of the von Roos family
 
     T = 1/4 (m^alpha p m^beta p m^gamma + m^gamma p m^beta p m^alpha),
     alpha + beta + gamma = -1,
 
-its two named members (the mass sandwich alpha=gamma=0 and the inverse-mass
-anticommutator alpha=-1, gamma=0), and the two one-sided non-Hermitian
-forms (1/2m) p^2 and p^2 (1/2m).  All of these have *real* matrix
-representations on the lattice: i*p is real antisymmetric, so products with
-an even number of p factors never produce imaginary round-off.  Keeping the
-real path real is what lets the eigensolver report exactly real spectra for
-the one-sided orderings.
+or, unsymmetrized, T = 1/2 m^alpha p m^beta p m^gamma: the one-sided
+non-Hermitian forms (1/2m) p^2 and p^2 (1/2m).  The CLI names the mass
+sandwich (0, 0), the inverse-mass anticommutator (-1, 0) and the two
+one-sided forms; ``ConstantMass`` is the only other ordering.  All of these
+have *real* matrix representations on the lattice: i*p is real
+antisymmetric, so products with an even number of p factors never produce
+imaginary round-off.  Keeping the real path real is what lets the
+eigensolver report exactly real spectra for the one-sided orderings.
 """
 
 from __future__ import annotations
@@ -34,33 +35,18 @@ from .operators import (EVEN, ODD, GridFunction, GridValueError, MirrorBlock,
 
 @dataclass(frozen=True)
 class VonRoos:
-    """Symmetrized ordering with exponents (alpha, beta, gamma), beta implied."""
+    """T = 1/4 (m^alpha p m^beta p m^gamma + h.c.) with beta = -1 - alpha - gamma.
+
+    With ``symmetric`` off, T = 1/2 m^alpha p m^beta p m^gamma alone: real
+    but not Hermitian, e.g. (1/2m) p^2 for (alpha, gamma) = (-1, 0).
+    """
     alpha: float
     gamma: float
+    symmetric: bool = True
 
     @property
     def beta(self) -> float:
         return -1.0 - self.alpha - self.gamma
-
-
-@dataclass(frozen=True)
-class MassSandwich:
-    """T = 1/2 p (1/m) p; equals VonRoos(0, 0)."""
-
-
-@dataclass(frozen=True)
-class InverseMassAnticommutator:
-    """T = 1/4 (1/m p^2 + p^2 1/m); equals VonRoos(-1, 0) after symmetrizing."""
-
-
-@dataclass(frozen=True)
-class MassLeft:
-    """T = (1/2m) p^2, non-Hermitian but real; no first derivative appears."""
-
-
-@dataclass(frozen=True)
-class MassRight:
-    """T = p^2 (1/2m), the transpose of MassLeft (identical spectrum)."""
 
 
 @dataclass(frozen=True)
@@ -69,15 +55,15 @@ class ConstantMass:
     mu: float = 1.0
 
 
-KineticOrdering = Union[VonRoos, MassSandwich, InverseMassAnticommutator,
-                        MassLeft, MassRight, ConstantMass]
+KineticOrdering = Union[VonRoos, ConstantMass]
 
-#: CLI / config spelling of each ordering.
+#: CLI / config spelling of each ordering: a fixed ordering, or the type
+#: whose parameters follow the name.
 ORDERING_NAMES = {
-    "mass-sandwich": MassSandwich,
-    "inverse-mass-anticommutator": InverseMassAnticommutator,
-    "mass-left": MassLeft,
-    "mass-right": MassRight,
+    "mass-sandwich": VonRoos(0.0, 0.0),
+    "inverse-mass-anticommutator": VonRoos(-1.0, 0.0),
+    "mass-left": VonRoos(-1.0, 0.0, symmetric=False),
+    "mass-right": VonRoos(0.0, -1.0, symmetric=False),
     "constant-mass": ConstantMass,
     "von-roos": VonRoos,
 }
@@ -88,29 +74,18 @@ def ordering_from_name(name: str, *params: float) -> KineticOrdering:
     key = name.strip().lower().replace("_", "-")
     if key not in ORDERING_NAMES:
         raise ValueError(f"unknown ordering {name!r}; known: {', '.join(sorted(ORDERING_NAMES))}")
-    cls = ORDERING_NAMES[key]
-    if cls is VonRoos:
+    spelling = ORDERING_NAMES[key]
+    if spelling is VonRoos:
         if len(params) != 2:
             raise ValueError("von-roos ordering needs two parameters: alpha gamma")
         return VonRoos(float(params[0]), float(params[1]))
-    if cls is ConstantMass:
+    if spelling is ConstantMass:
         if len(params) > 1:
             raise ValueError("constant-mass ordering takes at most one parameter: mu")
         return ConstantMass(float(params[0])) if params else ConstantMass()
     if params:
         raise ValueError(f"ordering {name!r} takes no parameters")
-    return cls()
-
-
-def ordering_label(ordering: KineticOrdering) -> str:
-    for name, cls in ORDERING_NAMES.items():
-        if type(ordering) is cls:
-            if isinstance(ordering, VonRoos):
-                return f"{name}({ordering.alpha:g},{ordering.gamma:g})"
-            if isinstance(ordering, ConstantMass):
-                return f"{name}({ordering.mu:g})"
-            return name
-    return type(ordering).__name__
+    return spelling
 
 
 # --- Problem definition ------------------------------------------------------
@@ -152,9 +127,8 @@ def _coordinate_arrays(grid) -> dict[str, np.ndarray]:
 
 def _mass_values(problem: ProblemDefinition, grid: Lattice1D) -> np.ndarray:
     if problem.mass is None:
-        raise GridValueError(
-            f"problem {problem.name!r}: ordering {ordering_label(problem.ordering)} "
-            "needs a mass function")
+        raise ValueError(
+            f"problem {problem.name!r}: ordering {problem.ordering!r} needs a mass function")
     return grid_values(problem.mass, {"x": grid.x}, what="mass function")
 
 
@@ -190,37 +164,28 @@ def build_kinetic(problem: ProblemDefinition) -> OperatorMatrix:
         return OperatorMatrix(psq / (2.0 * ordering.mu), hermitian_hint=True)
 
     m = _mass_values(problem, grid)
-    if isinstance(ordering, (MassSandwich,)):
-        ordering = VonRoos(0.0, 0.0)
-    if isinstance(ordering, VonRoos):
+    ma = _mass_power(m, ordering.alpha)
+    mg = _mass_power(m, ordering.gamma)
+    if ordering.beta == 0.0:
+        # the closed-form p^2 costs O(N^2), the product below O(N^3)
+        pbp = momentum_squared_matrix(grid).matrix
+    else:
+        # p m^beta p = -(A m^beta A) since p = -i A and A is real
         A = momentum_ip(grid)
-        ma = _mass_power(m, ordering.alpha)
-        mb = _mass_power(m, ordering.beta)
-        mg = _mass_power(m, ordering.gamma)
-        # m^a p m^b p m^g = -(D_a A D_b A D_g) since p = -i A and A is real
-        X = ma[:, None] * (A @ (mb[:, None] * A)) * mg[None, :]
-        T = -0.25 * (X + X.T)
-        return OperatorMatrix(T, hermitian_hint=True)
-
-    psq = momentum_squared_matrix(grid).matrix
-    if isinstance(ordering, InverseMassAnticommutator):
-        inv_m = 1.0 / m
-        T = 0.25 * (inv_m[:, None] * psq + psq * inv_m[None, :])
-        return OperatorMatrix(T, hermitian_hint=True)
-    if isinstance(ordering, MassLeft):
-        return OperatorMatrix((0.5 / m)[:, None] * psq, hermitian_hint=False)
-    if isinstance(ordering, MassRight):
-        return OperatorMatrix(psq * (0.5 / m)[None, :], hermitian_hint=False)
-    raise TypeError(f"unsupported ordering {ordering!r}")
+        pbp = -(A @ (_mass_power(m, ordering.beta)[:, None] * A))
+    X = ma[:, None] * pbp * mg[None, :]            # m^alpha p m^beta p m^gamma
+    if ordering.symmetric:
+        return OperatorMatrix(0.25 * (X + X.T), hermitian_hint=True)
+    return OperatorMatrix(0.5 * X, hermitian_hint=False)
 
 
 def _axis_kinetics(problem: ProblemDefinition) -> tuple[np.ndarray, np.ndarray]:
     """The 1D kinetic matrices p^2/(2 mu) of the x and y axes of a 2D problem."""
     ordering = problem.ordering
     if not isinstance(ordering, ConstantMass):
-        raise GridValueError(
+        raise ValueError(
             "2D problems support the constant-mass kinetic term only; "
-            f"got ordering {ordering_label(ordering)}")
+            f"got ordering {ordering!r}")
     return tuple(momentum_squared_matrix(axis).matrix / (2.0 * ordering.mu)
                  for axis in (problem.grid.lx, problem.grid.ly))
 
@@ -276,8 +241,3 @@ def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterato
             v_block = v[mirror_sites(grid.ly.M, py), mirror_sites(grid.lx.M, px)]
             yield MirrorBlock(OperatorMatrix(kronecker_sum(tx, ty, v_block), hermitian),
                               parity=(px, py))
-
-
-def reversal_matrix(N: int) -> np.ndarray:
-    """Index-reversal (parity) matrix; commutes with H when V and m are even."""
-    return np.eye(N)[::-1].copy()

@@ -128,11 +128,6 @@ def grid_values(f: GridFunction, point_arrays: dict[str, np.ndarray],
     return values
 
 
-def diagonal_from_function(grid: Lattice1D, f: GridFunction) -> OperatorMatrix:
-    """Diagonal matrix with entries f(x_i); f must be finite on every site."""
-    return OperatorMatrix(np.diag(grid_values(f, {"x": grid.x})), hermitian_hint=True)
-
-
 #: Parity of a mirror block along one axis; 0 marks an axis kept whole.
 EVEN, ODD = 1, -1
 

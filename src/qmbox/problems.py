@@ -26,8 +26,7 @@ from importlib import resources
 
 import numpy as np
 
-from .hamiltonian import (ConstantMass, MassLeft, MassSandwich,
-                          ProblemDefinition)
+from .hamiltonian import ConstantMass, ProblemDefinition, ordering_from_name
 from .lattice import make_lattice, make_lattice_2d, points_to_m
 
 
@@ -75,20 +74,6 @@ def nh3_potential(x):
     return acc
 
 
-def nh3_barrier_height_cm(samples: int = 200001) -> float:
-    """Barrier V(0) - min V in cm^-1, with the minimum located off-grid."""
-    xs = np.linspace(0.0, 1.5, samples)
-    v = nh3_potential(xs)
-    k = int(np.argmin(v))
-    # parabolic refinement around the sampled minimum
-    x0, x1, x2 = xs[k - 1: k + 2]
-    v0, v1, v2 = v[k - 1: k + 2]
-    denom = (v0 - 2 * v1 + v2)
-    xmin = x1 if denom == 0 else x1 - 0.5 * (x2 - x0) / 2 * (v2 - v0) / denom
-    vmin = float(nh3_potential(xmin))
-    return (float(nh3_potential(0.0)) - vmin) * CONSTANTS.hartree_to_cm
-
-
 def nh3_mass(x, m_amu: float = CONSTANTS.m_H, M_amu: float = CONSTANTS.m_N):
     """Position-dependent reduced mass of the umbrella mode, in a.u.
 
@@ -131,11 +116,6 @@ def morse_exact_level(n: int, D_e: float = 1.0, alpha: float = 0.24,
     if n < 0 or (n + 0.5) * two_pi_nu0 >= 2 * D_e:
         raise ValueError(f"n = {n} is beyond the last Morse bound state")
     return two_pi_nu0 * (n + 0.5) - two_pi_nu0**2 / (4 * D_e) * (n + 0.5) ** 2
-
-
-def morse_bound_count(D_e: float = 1.0, alpha: float = 0.24, mu: float = 1.0) -> int:
-    two_pi_nu0 = alpha * math.sqrt(2 * D_e / mu)
-    return int(math.ceil(2 * D_e / two_pi_nu0 - 0.5))
 
 
 # --- Reference spectra -------------------------------------------------------
@@ -205,10 +185,6 @@ def reference_spectrum(key: str) -> ReferenceSpectrum:
     return tables[key]
 
 
-def reference_keys() -> tuple[str, ...]:
-    return tuple(sorted(_load_reference_tables()))
-
-
 # --- Built-in problem factory ------------------------------------------------
 
 BUILTIN_IDS = ("nh3", "nd3", "morse", "pdm_ho_1", "pdm_ho_2",
@@ -241,7 +217,7 @@ def builtin_problem(problem_id: str, **overrides) -> ProblemDefinition:
         problem = ProblemDefinition(
             name=problem_id,
             grid=grid,
-            ordering=ordering if ordering is not None else MassLeft(),
+            ordering=ordering if ordering is not None else ordering_from_name("mass-left"),
             potential_real=nh3_potential,
             mass=lambda x, m_amu=m_amu: nh3_mass(x, m_amu, CONSTANTS.m_N),
             energy_unit="hartree",
@@ -270,7 +246,7 @@ def builtin_problem(problem_id: str, **overrides) -> ProblemDefinition:
         problem = ProblemDefinition(
             name=problem_id,
             grid=grid,
-            ordering=ordering if ordering is not None else MassSandwich(),
+            ordering=ordering if ordering is not None else ordering_from_name("mass-sandwich"),
             potential_real=lambda x: 0.5 * x**2,
             mass=mass,
             energy_unit="model",

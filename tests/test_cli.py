@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmbox.cli import load_config, main
-from qmbox.hamiltonian import ConstantMass, MassSandwich
+from qmbox.hamiltonian import ConstantMass, VonRoos
 from qmbox.problems import BUILTIN_IDS, builtin_problem
 from qmbox.solve import solve
 
@@ -116,6 +116,18 @@ class TestSolve:
         code, _, _ = run(["solve", "--no-such-flag"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("spec", [" ", ","])
+    def test_blank_ordering_exit_code(self, capsys, spec):
+        code, _, err = run(["solve", "--problem", "nh3", "--ordering", spec], capsys)
+        assert code == 1
+        assert "empty ordering" in err
+
+    def test_2d_position_dependent_mass_exit_code(self, capsys):
+        code, _, err = run(["solve", "--problem", "henon_heiles", "--ordering", "mass-left"],
+                           capsys)
+        assert code == 1
+        assert "constant-mass" in err
+
 
 class TestConfig:
     def write(self, tmp_path, text):
@@ -146,7 +158,7 @@ class TestConfig:
             potential_real = 0.5*x^2   # same spec as the built-in
         """)
         problem = load_config(cfg)
-        assert problem.ordering == MassSandwich()
+        assert problem.ordering == VonRoos(0.0, 0.0)
         w_config = solve(problem).eigenvalues
         w_builtin = solve(builtin_problem("pdm_ho_1")).eigenvalues
         np.testing.assert_array_equal(w_config, w_builtin)
@@ -218,6 +230,20 @@ class TestConfig:
         code, _, err = run(["solve", "--config", cfg], capsys)
         assert code == 1
         assert "duplicate" in err
+
+    def test_blank_ordering_rejected(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "dimension = 1\nN = 41\nL = 10\nmass = 1\n"
+                                   "ordering = ,\npotential_real = x^2\n")
+        code, _, err = run(["solve", "--config", cfg], capsys)
+        assert code == 1
+        assert "'ordering'" in err and "empty ordering" in err
+
+    def test_ordering_without_mass_exit_code(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "dimension = 1\nN = 41\nL = 10\n"
+                                   "ordering = mass-left\npotential_real = x^2\n")
+        code, _, err = run(["solve", "--config", cfg], capsys)
+        assert code == 1
+        assert "needs a mass function" in err
 
     def test_grid_flags_rejected_with_config(self, tmp_path, capsys):
         cfg = self.write(tmp_path, """

@@ -137,11 +137,9 @@ class TestHermitianHintHonesty:
     def test_hint_implies_hermitian_entries(self):
         # structural flag never lies: max|A - A^H| <= 1e-12 max|A|
         from qmbox.hamiltonian import build_hamiltonian
-        from qmbox.operators import (diagonal_from_function, momentum_matrix,
-                                     momentum_squared_matrix)
+        from qmbox.operators import momentum_matrix, momentum_squared_matrix
         grid = make_lattice(20.0, 30)
-        candidates = [momentum_matrix(grid), momentum_squared_matrix(grid),
-                      diagonal_from_function(grid, lambda x: x**2)]
+        candidates = [momentum_matrix(grid), momentum_squared_matrix(grid)]
         for problem_id in ("nh3", "morse", "pdm_ho_1", "pt_oscillator"):
             candidates.append(build_hamiltonian(builtin_problem(problem_id)))
         for op in candidates:

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from qmbox.eig import diagonalize
-from qmbox.hamiltonian import (ConstantMass, InverseMassAnticommutator,
-                               MassLeft, MassRight, MassSandwich,
-                               ProblemDefinition, VonRoos, build_hamiltonian,
-                               build_kinetic, ordering_from_name,
-                               reversal_matrix)
+from qmbox.hamiltonian import (ORDERING_NAMES, ConstantMass, ProblemDefinition,
+                               VonRoos, build_hamiltonian, build_kinetic,
+                               ordering_from_name)
 from qmbox.lattice import make_lattice, make_lattice_2d
-from qmbox.operators import GridValueError, momentum_matrix
+from qmbox.operators import GridValueError, momentum_ip, momentum_matrix
 from qmbox.problems import builtin_problem, nh3_mass, nh3_potential
+
+#: The fixed named orderings and the von Roos points they stand for.
+NAMED = {
+    "mass-sandwich": VonRoos(0.0, 0.0),
+    "inverse-mass-anticommutator": VonRoos(-1.0, 0.0),
+    "mass-left": VonRoos(-1.0, 0.0, symmetric=False),
+    "mass-right": VonRoos(0.0, -1.0, symmetric=False),
+}
 
 
 def frob(A):
@@ -30,37 +36,52 @@ class TestOrderings:
         grid = make_lattice(10.0, 10)
         reference = None
         for ordering in [VonRoos(0.0, 0.0), VonRoos(-1.0, 0.0), VonRoos(0.3, -0.9),
-                         MassSandwich(), InverseMassAnticommutator(),
-                         MassLeft(), MassRight(), ConstantMass(1.0)]:
+                         *NAMED.values(), ConstantMass(1.0)]:
             T = build_kinetic(problem_1d(grid, ordering, 0.0, mass=1.0)).matrix
             if reference is None:
                 reference = T
             assert frob(T - reference) <= 1e-12 * frob(reference)
 
     def test_sandwich_equals_von_roos_00(self):
+        # the named spelling, the parametrized spelling and the explicit
+        # value all build one matrix on a position-dependent mass
         grid = make_lattice(20.0, 40)
         pdm = lambda x: 1.0 + x**2
-        T1 = build_kinetic(problem_1d(grid, MassSandwich(), 0.0, mass=pdm)).matrix
+        T1 = build_kinetic(problem_1d(grid, ordering_from_name("mass-sandwich"), 0.0,
+                                      mass=pdm)).matrix
         T2 = build_kinetic(problem_1d(grid, VonRoos(0.0, 0.0), 0.0, mass=pdm)).matrix
+        T3 = build_kinetic(problem_1d(grid, ordering_from_name("von-roos", 0, 0), 0.0,
+                                      mass=pdm)).matrix
         assert frob(T1 - T2) <= 1e-12 * frob(T1)
+        assert frob(T3 - T2) <= 1e-12 * frob(T2)
 
-    def test_anticommutator_equals_von_roos_m10(self):
-        grid = make_lattice(4.0, 30)
-        mass = lambda x: nh3_mass(x)
-        T1 = build_kinetic(problem_1d(grid, InverseMassAnticommutator(), 0.0, mass=mass)).matrix
-        T2 = build_kinetic(problem_1d(grid, VonRoos(-1.0, 0.0), 0.0, mass=mass)).matrix
-        assert frob(T1 - T2) <= 1e-12 * frob(T1)
-
-    def test_sandwich_matches_explicit_product(self):
-        # 1/2 p (1/m) p built from the complex momentum matrix directly
+    @pytest.mark.parametrize("name", list(NAMED))
+    def test_named_ordering_matches_explicit_product(self, name):
+        # built from the complex momentum matrix directly
         grid = make_lattice(20.0, 30)
-        T = build_kinetic(problem_1d(grid, MassSandwich(), 0.0,
+        T = build_kinetic(problem_1d(grid, ordering_from_name(name), 0.0,
                                      mass=lambda x: 1.0 + x**2)).matrix
         p = momentum_matrix(grid).matrix
-        D = np.diag(1.0 / (1.0 + grid.x**2))
-        explicit = 0.5 * p @ D @ p
+        inv_m = np.diag(1.0 / (1.0 + grid.x**2))
+        explicit = {
+            "mass-sandwich": 0.5 * p @ inv_m @ p,
+            "inverse-mass-anticommutator": 0.25 * (inv_m @ p @ p + p @ p @ inv_m),
+            "mass-left": 0.5 * inv_m @ p @ p,
+            "mass-right": 0.5 * p @ p @ inv_m,
+        }[name]
         assert np.abs(explicit.imag).max() <= 1e-12 * np.abs(explicit.real).max()
-        np.testing.assert_allclose(T, explicit.real, atol=1e-12 * np.abs(T).max())
+        assert frob(T - explicit.real) <= 1e-12 * frob(T)
+
+    @pytest.mark.parametrize("alpha,gamma", [(-1.0, 0.0), (-0.5, -0.5), (0.25, -1.25)])
+    def test_beta_zero_closed_form_matches_product(self, alpha, gamma):
+        grid = make_lattice(20.0, 30)
+        m = 1.0 + grid.x**2
+        A = momentum_ip(grid)
+        X = -(m**alpha)[:, None] * (A @ A) * (m**gamma)[None, :]
+        want = 0.25 * (X + X.T)
+        T = build_kinetic(problem_1d(grid, VonRoos(alpha, gamma), 0.0,
+                                     mass=lambda x: 1.0 + x**2)).matrix
+        assert frob(T - want) <= 1e-12 * frob(want)
 
     @pytest.mark.parametrize("alpha,gamma", [(0.0, 0.0), (-1.0, 0.0), (0.25, 0.25), (1.0, -0.5)])
     def test_von_roos_builds_hermitian(self, alpha, gamma):
@@ -71,16 +92,16 @@ class TestOrderings:
 
     def test_one_sided_difference_is_antihermitian(self):
         grid = make_lattice(4.0, 55)
-        left = build_kinetic(problem_1d(grid, MassLeft(), 0.0, mass=nh3_mass)).matrix
-        right = build_kinetic(problem_1d(grid, MassRight(), 0.0, mass=nh3_mass)).matrix
+        left = build_kinetic(problem_1d(grid, NAMED["mass-left"], 0.0, mass=nh3_mass)).matrix
+        right = build_kinetic(problem_1d(grid, NAMED["mass-right"], 0.0, mass=nh3_mass)).matrix
         diff = left - right
         assert np.abs(diff).max() > 0
         np.testing.assert_allclose(diff, -diff.conj().T, atol=1e-12 * np.abs(diff).max())
 
     def test_one_sided_are_transposes(self):
         grid = make_lattice(4.0, 20)
-        left = build_kinetic(problem_1d(grid, MassLeft(), 0.0, mass=nh3_mass)).matrix
-        right = build_kinetic(problem_1d(grid, MassRight(), 0.0, mass=nh3_mass)).matrix
+        left = build_kinetic(problem_1d(grid, NAMED["mass-left"], 0.0, mass=nh3_mass)).matrix
+        right = build_kinetic(problem_1d(grid, NAMED["mass-right"], 0.0, mass=nh3_mass)).matrix
         np.testing.assert_array_equal(left.T, right)
 
     def test_hermitian_hints(self):
@@ -88,20 +109,22 @@ class TestOrderings:
         pdm = lambda x: 1.0 + x**2
         hints = {
             VonRoos(0.1, -0.3): True,
-            MassSandwich(): True,
-            InverseMassAnticommutator(): True,
+            NAMED["mass-sandwich"]: True,
+            NAMED["inverse-mass-anticommutator"]: True,
             ConstantMass(2.0): True,
-            MassLeft(): False,
-            MassRight(): False,
+            NAMED["mass-left"]: False,
+            NAMED["mass-right"]: False,
         }
         for ordering, expected in hints.items():
             op = build_kinetic(problem_1d(grid, ordering, 0.0, mass=pdm))
             assert op.hermitian_hint is expected, ordering
 
     def test_missing_mass_raises(self):
+        # a configuration mistake, not a numerical failure
         grid = make_lattice(10.0, 10)
-        with pytest.raises(GridValueError, match="mass"):
-            build_kinetic(problem_1d(grid, MassSandwich(), 0.0))
+        with pytest.raises(ValueError, match="needs a mass function") as err:
+            build_kinetic(problem_1d(grid, NAMED["mass-sandwich"], 0.0))
+        assert err.type is ValueError
 
     def test_fractional_power_of_negative_mass_raises(self):
         grid = make_lattice(10.0, 10)
@@ -110,14 +133,21 @@ class TestOrderings:
                                      mass=lambda x: x))  # negative for x < 0
 
     def test_ordering_from_name(self):
-        assert ordering_from_name("mass-left") == MassLeft()
-        assert ordering_from_name("MASS_SANDWICH") == MassSandwich()
+        assert set(ORDERING_NAMES) == set(NAMED) | {"von-roos", "constant-mass"}
+        for name, ordering in NAMED.items():
+            assert ordering_from_name(name) == ordering
+            assert ordering_from_name(f" {name.upper().replace('-', '_')} ") == ordering
+            with pytest.raises(ValueError, match="takes no parameters"):
+                ordering_from_name(name, 1.0)
         assert ordering_from_name("von-roos", -1, 0) == VonRoos(-1.0, 0.0)
         assert ordering_from_name("constant-mass", 2.5) == ConstantMass(2.5)
+        assert ordering_from_name("constant-mass") == ConstantMass()
         with pytest.raises(ValueError, match="unknown ordering"):
             ordering_from_name("banana")
         with pytest.raises(ValueError, match="two parameters"):
             ordering_from_name("von-roos", 1.0)
+        with pytest.raises(ValueError, match="at most one parameter"):
+            ordering_from_name("constant-mass", 1.0, 2.0)
 
 
 class TestHamiltonian1D:
@@ -132,9 +162,7 @@ class TestHamiltonian1D:
         # symmetric V and m: H commutes with index reversal
         problem = builtin_problem("nh3")
         H = build_hamiltonian(problem).matrix
-        P = reversal_matrix(problem.grid.N)
-        comm = H @ P - P @ H
-        assert frob(comm) <= 1e-12 * frob(H)
+        assert frob(H - H[::-1, ::-1]) <= 1e-12 * frob(H)
 
     def test_complex_potential_drops_hermitian_hint(self):
         grid = make_lattice(25.0, 50)
@@ -160,7 +188,8 @@ class TestHamiltonian1D:
         r0 = CONSTANTS.r0_au
         grid = make_lattice(111 * (r0 / 50), 55)  # site 50 lands on r0
         with pytest.raises(ZeroDivisionError, match="pole"):
-            build_hamiltonian(problem_1d(grid, MassLeft(), nh3_potential, mass=nh3_mass))
+            build_hamiltonian(problem_1d(grid, NAMED["mass-left"], nh3_potential,
+                                         mass=nh3_mass))
 
 
 class TestHamiltonian2D:
@@ -205,7 +234,8 @@ class TestHamiltonian2D:
 
     def test_2d_rejects_position_dependent_mass(self):
         grid2 = make_lattice_2d(4.0, 2, 4.0, 2)
-        problem = ProblemDefinition(name="t", grid=grid2, ordering=MassSandwich(),
+        problem = ProblemDefinition(name="t", grid=grid2, ordering=NAMED["mass-sandwich"],
                                     potential_real=0.0, mass=lambda x, y: 1.0 + x**2)
-        with pytest.raises(GridValueError, match="constant-mass"):
+        with pytest.raises(ValueError, match="constant-mass") as err:
             build_kinetic(problem)
+        assert err.type is ValueError

@@ -3,10 +3,9 @@ import pytest
 
 from qmbox.expr import parse
 from qmbox.lattice import make_lattice, make_lattice_2d
-from qmbox.operators import (GridValueError, OperatorMatrix,
-                             diagonal_from_function, exp_ialpha_p,
-                             kronecker_sum, momentum_ip, momentum_matrix,
-                             momentum_squared_matrix)
+from qmbox.operators import (GridValueError, OperatorMatrix, exp_ialpha_p,
+                             grid_values, kronecker_sum, momentum_ip,
+                             momentum_matrix, momentum_squared_matrix)
 
 LATTICES = [(3.0, 1), (2 * np.pi, 1), (2.7, 5), (10.0, 12), (25.0, 15)]
 
@@ -138,28 +137,26 @@ class TestTranslation:
 class TestDiagonal:
     def test_square_on_three_points(self):
         lat = make_lattice(3.0, 1)
-        D = diagonal_from_function(lat, lambda x: x**2).matrix
-        np.testing.assert_array_equal(D, np.diag([1.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(grid_values(lambda x: x**2, {"x": lat.x}),
+                                      [1.0, 0.0, 1.0])
 
     def test_inverse_mass_factor_at_origin(self):
         lat = make_lattice(3.0, 1)
-        D = diagonal_from_function(lat, lambda x: 1.0 / (1.0 + x**2)).matrix
-        assert D[1, 1] == 1.0
+        assert grid_values(lambda x: 1.0 / (1.0 + x**2), {"x": lat.x})[1] == 1.0
 
     def test_accepts_expression(self):
         lat = make_lattice(4.0, 3)
-        D = diagonal_from_function(lat, parse("x^2/2", {"x"})).matrix
-        np.testing.assert_allclose(np.diag(D), lat.x**2 / 2)
+        np.testing.assert_allclose(grid_values(parse("x^2/2", {"x"}), {"x": lat.x}),
+                                   lat.x**2 / 2)
 
     def test_accepts_constant(self):
         lat = make_lattice(4.0, 3)
-        D = diagonal_from_function(lat, 2.5).matrix
-        np.testing.assert_array_equal(np.diag(D), np.full(lat.N, 2.5))
+        np.testing.assert_array_equal(grid_values(2.5, {"x": lat.x}), np.full(lat.N, 2.5))
 
     def test_nonfinite_reports_grid_point(self):
         lat = make_lattice(3.0, 1)
         with pytest.raises(GridValueError, match="x=0"):
-            diagonal_from_function(lat, lambda x: 1.0 / x)
+            grid_values(lambda x: 1.0 / x, {"x": lat.x})
 
 
 class TestEmbed2D:

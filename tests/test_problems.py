@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qmbox.hamiltonian import ConstantMass, MassLeft, MassSandwich
+from qmbox.hamiltonian import ConstantMass, VonRoos
 from qmbox.lattice import Lattice2D
 from qmbox.problems import (BUILTIN_IDS, CONSTANTS, NH3_POTENTIAL_COEFFS,
                             builtin_problem, constant_reduced_mass,
-                            morse_bound_count, morse_exact_level,
-                            morse_potential, nh3_barrier_height_cm, nh3_mass,
+                            morse_exact_level, morse_potential, nh3_mass,
                             nh3_potential, non_pt_exact_level, pt_exact_level,
-                            reference_keys, reference_spectrum)
+                            reference_spectrum)
 
 
 class TestConstants:
@@ -44,7 +43,9 @@ class TestNh3Potential:
         np.testing.assert_array_equal(nh3_potential(x), nh3_potential(-x))
 
     def test_barrier_height(self):
-        assert nh3_barrier_height_cm() == pytest.approx(2013.5, abs=0.5)
+        xs = np.linspace(0.0, 1.5, 200001)
+        barrier = nh3_potential(0.0) - nh3_potential(xs).min()
+        assert barrier * CONSTANTS.hartree_to_cm == pytest.approx(2013.5, abs=0.5)
 
     def test_matches_plain_polynomial(self):
         # Horner against naive power evaluation
@@ -108,7 +109,6 @@ class TestMorse:
         assert morse_exact_level(n) == pytest.approx(value, abs=0.5e-10)
 
     def test_six_bound_states(self):
-        assert morse_bound_count() == 6
         morse_exact_level(5)
         with pytest.raises(ValueError, match="beyond"):
             morse_exact_level(6)
@@ -137,7 +137,7 @@ class TestBuiltinProblems:
         problem = builtin_problem("nh3")
         assert problem.grid.N == 111
         assert problem.grid.L == 4.0
-        assert problem.ordering == MassLeft()
+        assert problem.ordering == VonRoos(-1.0, 0.0, symmetric=False)
         assert problem.energy_unit == "hartree"
 
     def test_nh3_nd3_share_potential_object(self):
@@ -156,7 +156,7 @@ class TestBuiltinProblems:
     def test_pdm_defaults(self):
         problem = builtin_problem("pdm_ho_1")
         assert (problem.grid.L, problem.grid.N) == (20.0, 201)
-        assert problem.ordering == MassSandwich()
+        assert problem.ordering == VonRoos(0.0, 0.0)
         assert problem.mass(0.0) == 1.0
         assert builtin_problem("pdm_ho_2").mass(0.0) == 4.0  # ((2+0)/(1+0))^2
 
@@ -205,12 +205,11 @@ class TestBuiltinProblems:
 
 class TestReferenceSpectra:
     def test_known_tables(self):
-        keys = reference_keys()
-        for expected in ("nh3.benchmark", "nh3.experiment", "nd3.pdm",
-                         "nd3.constant-mass", "nd3.experiment", "morse.benchmark",
-                         "nh3.mass-sandwich", "nh3.inverse-mass-anticommutator",
-                         "nh3.mass-left", "nh3.mass-right"):
-            assert expected in keys
+        for key in ("nh3.benchmark", "nh3.experiment", "nd3.pdm",
+                    "nd3.constant-mass", "nd3.experiment", "morse.benchmark",
+                    "nh3.mass-sandwich", "nh3.inverse-mass-anticommutator",
+                    "nh3.mass-left", "nh3.mass-right"):
+            assert reference_spectrum(key).values
 
     def test_nh3_benchmark_table(self):
         ref = reference_spectrum("nh3.benchmark")
