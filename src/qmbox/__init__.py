@@ -9,7 +9,8 @@ non-Hermitian, and complex-potential forms in one and two dimensions.
 from .analysis import (ComparisonReport, ConvergenceScan, compare_to_reference,
                        completeness_error, convergence_scan, exponential_fit,
                        labeled_levels, shift_to_ground, to_wavenumbers)
-from .eig import SolverError, Spectrum, classify_parity, diagonalize, phase_fix
+from .eig import (SolverError, Spectrum, classify_parity, diagonalize,
+                  eigenvalues, phase_fix)
 from .expr import Expression, ExpressionError, evaluate, parse, unparse
 from .hamiltonian import (ConstantMass, KineticOrdering, ProblemDefinition,
                           VonRoos, build_hamiltonian, build_kinetic,
@@ -39,7 +40,7 @@ __all__ = [
     "ReferenceSpectrum", "SolverError", "Spectrum", "VonRoos",
     "build_hamiltonian", "build_kinetic", "builtin_problem", "classify_parity",
     "compare_to_reference", "completeness_error", "constant_reduced_mass",
-    "convergence_scan", "diagonalize", "evaluate", "exp_ialpha_p",
+    "convergence_scan", "diagonalize", "eigenvalues", "evaluate", "exp_ialpha_p",
     "exponential_fit", "labeled_levels", "make_lattice", "make_lattice_2d",
     "momentum_ip", "momentum_matrix", "momentum_squared_matrix",
     "morse_exact_level", "morse_potential", "nh3_mass", "nh3_potential",

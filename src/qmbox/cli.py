@@ -164,7 +164,10 @@ def load_config(path: str) -> ProblemDefinition:
         except ConfigError as err:
             raise ConfigError(f"{path}: key 'ordering': {err}")
     elif isinstance(mass, float):
-        ordering, mass = ConstantMass(mass), None
+        try:
+            ordering, mass = ConstantMass(mass), None
+        except ValueError as err:
+            raise ConfigError(f"{path}: key 'mass': {err}")
     elif mass is not None:
         ordering = ordering_from_name("mass-sandwich")
     else:

@@ -16,6 +16,9 @@ same solver choice, merges the lowest levels, and scatters the vectors back
 onto the full grid, so the Spectrum has the same layout, normalization and
 residual definition as one dense decomposition; ``Spectrum.mirror_axes``
 records which axes were folded.  A single whole matrix is the one-block case.
+
+``eigenvalues`` runs the same solver choice without eigenvectors, for callers
+that read the eigenvalues alone, such as convergence scans.
 """
 
 from __future__ import annotations
@@ -98,8 +101,6 @@ def diagonalize_blocks(blocks: Iterable[MirrorBlock], grid: Lattice1D | Lattice2
     parts, norm_sq, folded, hermitian = [], 0.0, set(), True
     for block in blocks:
         H = block.op.matrix
-        if not np.all(np.isfinite(H.real)) or (np.iscomplexobj(H) and not np.all(np.isfinite(H.imag))):
-            raise SolverError("Hamiltonian contains non-finite entries")
         count = H.shape[0] if n_states is None else min(n_states, H.shape[0])
         w, v = _eigenpairs(H, block.op.hermitian_hint, count)
         v = v / np.sqrt(weight * np.sum(np.abs(v) ** 2, axis=0))
@@ -130,17 +131,35 @@ def _grid_size(grid: Lattice1D | Lattice2D) -> int:
     return grid.size if isinstance(grid, Lattice2D) else grid.N
 
 
+def eigenvalues(op: OperatorMatrix) -> np.ndarray:
+    """All eigenvalues of a built Hamiltonian, without eigenvectors, in the
+    order and dtype of ``diagonalize``: ascending and real on the Hermitian
+    hint, otherwise sorted by (Re, Im)."""
+    if op.hermitian_hint:
+        return _lapack(np.linalg.eigvalsh, op.matrix)
+    w = _lapack(np.linalg.eigvals, op.matrix)
+    return w[np.lexsort((w.imag, w.real))]
+
+
 def _eigenpairs(H: np.ndarray, hermitian: bool, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``count`` lowest eigenpairs of H in (Re, Im) order, columns of unit 2-norm."""
+    if hermitian:
+        if count < H.shape[0]:
+            from scipy.linalg import eigh
+            return _lapack(eigh, H, subset_by_index=(0, count - 1))
+        return _lapack(np.linalg.eigh, H)
+    w, v = _lapack(np.linalg.eig, H)
+    order = np.lexsort((w.imag, w.real))[:count]
+    return w[order], v[:, order]
+
+
+def _lapack(solver, H: np.ndarray, **options):
+    """``solver(H, **options)``, with non-finite input and a LAPACK failure
+    to converge raised as SolverError."""
+    if not np.all(np.isfinite(H.real)) or (np.iscomplexobj(H) and not np.all(np.isfinite(H.imag))):
+        raise SolverError("Hamiltonian contains non-finite entries")
     try:
-        if hermitian:
-            if count < H.shape[0]:
-                from scipy.linalg import eigh
-                return eigh(H, subset_by_index=(0, count - 1))
-            return np.linalg.eigh(H)
-        w, v = np.linalg.eig(H)
-        order = np.lexsort((w.imag, w.real))[:count]
-        return w[order], v[:, order]
+        return solver(H, **options)
     except np.linalg.LinAlgError as err:
         raise SolverError(f"eigensolver did not converge: {err}") from None
 
@@ -151,7 +170,7 @@ def _unfold(v: np.ndarray, parity: tuple[int, ...], grid: Lattice1D | Lattice2D)
         return v
     px, py = parity
     nx = grid.lx.N if not px else grid.lx.M + (px == EVEN)
-    c = v.reshape(-1, nx, v.shape[1])
+    c = v.reshape(v.shape[0] // nx, nx, v.shape[1])   # no -1: a block may give 0 columns
     return mirror_unfold(mirror_unfold(c, px, axis=1), py, axis=0).reshape(grid.size, -1)
 
 

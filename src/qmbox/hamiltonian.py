@@ -18,6 +18,7 @@ eigensolver report exactly real spectra for the one-sided orderings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Union
@@ -44,6 +45,10 @@ class VonRoos:
     gamma: float
     symmetric: bool = True
 
+    def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.gamma)):
+            raise ValueError(f"{self!r}: alpha and gamma must be finite")
+
     @property
     def beta(self) -> float:
         return -1.0 - self.alpha - self.gamma
@@ -53,6 +58,10 @@ class VonRoos:
 class ConstantMass:
     """T = p^2 / (2 mu) with a fixed scalar mass (atomic units)."""
     mu: float = 1.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"{self!r}: mu must be finite and positive")
 
 
 KineticOrdering = Union[VonRoos, ConstantMass]

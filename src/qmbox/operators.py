@@ -7,6 +7,13 @@ stencil error.  Everything that can stay real does stay real: the workhorse
 is the real antisymmetric matrix for i*p, and Hamiltonian builders combine
 it with diagonal matrices without ever leaving float64 unless a complex
 potential forces them to.
+
+The lattice operators are Toeplitz: an entry depends on the index offset
+j = i - k alone.  Each closed form is therefore evaluated once per offset,
+on 2N-1 values rather than N^2, and the vector is expanded into the matrix
+by one strided copy; every entry is the same float it would be if evaluated
+in place (these are the Fourier-grid DVR matrices of Colbert & Miller,
+J. Chem. Phys. 96, 1982 (1992)).
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .expr import Expression
 from .lattice import Lattice1D
@@ -49,18 +57,24 @@ class OperatorMatrix:
 
 
 def _signed_offsets(N: int) -> np.ndarray:
-    """Index-difference matrix j = i - k."""
-    i = np.arange(N)
-    return i[:, None] - i[None, :]
+    """The 2N-1 index differences j = i - k of an N x N matrix, -(N-1)..N-1."""
+    return np.arange(1 - N, N)
+
+
+def _toeplitz(c: np.ndarray) -> np.ndarray:
+    """The N x N matrix [i, k] = c[i - k + N - 1] of the offset values c,
+    expanded by one strided copy."""
+    N = (len(c) + 1) // 2
+    return sliding_window_view(c, N)[:, ::-1].copy()
 
 
 def momentum_ip(grid: Lattice1D) -> np.ndarray:
     """Real antisymmetric matrix of i*p; entries (pi/L)(-1)^j / sin(pi j/N)."""
     j = _signed_offsets(grid.N)
     with np.errstate(divide="ignore", invalid="ignore"):
-        A = (np.pi / grid.L) * (-1.0) ** j / np.sin(np.pi * j / grid.N)
-    np.fill_diagonal(A, 0.0)
-    return A
+        c = (np.pi / grid.L) * (-1.0) ** j / np.sin(np.pi * j / grid.N)
+    c[grid.N - 1] = 0.0
+    return _toeplitz(c)
 
 
 def momentum_matrix(grid: Lattice1D) -> OperatorMatrix:
@@ -76,10 +90,10 @@ def momentum_squared_matrix(grid: Lattice1D) -> OperatorMatrix:
     """
     j = _signed_offsets(grid.N)
     with np.errstate(divide="ignore", invalid="ignore"):
-        P = ((2 * np.pi**2 / grid.L**2) * (-1.0) ** j
+        c = ((2 * np.pi**2 / grid.L**2) * (-1.0) ** j
              * np.cos(np.pi * j / grid.N) / np.sin(np.pi * j / grid.N) ** 2)
-    np.fill_diagonal(P, np.pi**2 / (3 * grid.a**2) * (1 - grid.a**2 / grid.L**2))
-    return OperatorMatrix(P, hermitian_hint=True)
+    c[grid.N - 1] = np.pi**2 / (3 * grid.a**2) * (1 - grid.a**2 / grid.L**2)
+    return OperatorMatrix(_toeplitz(c), hermitian_hint=True)
 
 
 def exp_ialpha_p(grid: Lattice1D, alpha: float) -> OperatorMatrix:
@@ -92,9 +106,9 @@ def exp_ialpha_p(grid: Lattice1D, alpha: float) -> OperatorMatrix:
     j = _signed_offsets(grid.N)
     arg = (alpha + j * grid.a) / grid.L
     with np.errstate(divide="ignore", invalid="ignore"):
-        E = (-1.0) ** j / grid.N * np.sin(np.pi * alpha / grid.a) / np.sin(np.pi * arg)
-    singular = np.abs(arg - np.round(arg)) < 1e-9
-    return OperatorMatrix(np.where(singular, 1.0, E), hermitian_hint=False)
+        c = (-1.0) ** j / grid.N * np.sin(np.pi * alpha / grid.a) / np.sin(np.pi * arg)
+    c[np.abs(arg - np.round(arg)) < 1e-9] = 1.0
+    return OperatorMatrix(_toeplitz(c), hermitian_hint=False)
 
 
 def grid_values(f: GridFunction, point_arrays: dict[str, np.ndarray],

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qmbox import eig
 from qmbox.analysis import (compare_to_reference, completeness_error,
                             convergence_scan, exponential_fit, labeled_levels,
                             shift_to_ground, to_wavenumbers)
-from qmbox.hamiltonian import ConstantMass, ProblemDefinition
-from qmbox.lattice import make_lattice
+from qmbox.hamiltonian import ConstantMass, ProblemDefinition, ordering_from_name
+from qmbox.lattice import make_lattice, points_to_m
 from qmbox.problems import CONSTANTS, builtin_problem, reference_spectrum
 from qmbox.solve import solve
 
@@ -131,6 +134,44 @@ class TestConvergenceScan:
         assert scan.rel_errors[-1, 0] <= 1e-10
         slope, corr, npts = exponential_fit(scan, 0)
         assert slope < 0 and corr < -0.95 and npts >= 6
+
+
+#: Criterion 09's Hermitian nh3 scan, a real non-symmetric and a complex one.
+SCANS = {
+    "nh3 anticommutator": (lambda: builtin_problem(
+        "nh3", ordering=ordering_from_name("inverse-mass-anticommutator"), L=4.5),
+        "fixed_L_vary_N", (0, 7, 19)),
+    "nh3 mass-left": (lambda: builtin_problem(
+        "nh3", ordering=ordering_from_name("mass-left")), "fixed_L_vary_N", (0, 1, 2)),
+    "pt oscillator": (lambda: builtin_problem("pt_oscillator"), "fixed_a_vary_N", (0, 4)),
+}
+
+
+class TestScanEigenvaluesOnly:
+    @pytest.mark.parametrize("name", list(SCANS))
+    def test_energies_match_solve_on_each_grid(self, name):
+        make, mode, states = SCANS[name]
+        problem = make()
+        n_list = list(range(33, 80, 4))
+        scan = convergence_scan(problem, mode, n_list, states)
+        for n, energies in zip(n_list, scan.energies):
+            L = problem.grid.L if mode == "fixed_L_vary_N" else problem.grid.a * n
+            solved = solve(replace(problem, grid=make_lattice(L, points_to_m(n)))).eigenvalues
+            # Without eigenvectors LAPACK takes another route to the values:
+            # both are exact to round-off of the largest level, so a level far
+            # below it may differ by more than 1e-13 of itself (nh3 state 19
+            # at N = 33: 1.7e-13 relative, 2e-17 of the largest level).
+            scale = np.abs(solved).max()
+            np.testing.assert_allclose(energies, solved[list(states)].real,
+                                       rtol=1e-13, atol=1e-15 * scale)
+
+    def test_computes_no_eigenvectors(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scan asked for eigenvectors")
+        monkeypatch.setattr(eig, "_eigenpairs", refuse)
+        make, mode, states = SCANS["nh3 anticommutator"]
+        scan = convergence_scan(make(), mode, list(range(21, 46, 2)), states)
+        assert np.all(np.isfinite(scan.energies))
 
 
 class TestCompareToReference:

@@ -15,6 +15,16 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+#: Ordering specs with a parameter out of range, and the complaint each gets.
+INVALID_ORDERINGS = [
+    ("von-roos inf 0", "alpha and gamma must be finite"),
+    ("von-roos nan 0", "alpha and gamma must be finite"),
+    ("constant-mass -1", "mu must be finite and positive"),
+    ("constant-mass inf", "mu must be finite and positive"),
+    ("constant-mass 0", "mu must be finite and positive"),
+]
+
+
 class TestList:
     def test_lists_all_builtin_ids(self, capsys):
         code, out, _ = run(["list"], capsys)
@@ -121,6 +131,13 @@ class TestSolve:
         code, _, err = run(["solve", "--problem", "nh3", "--ordering", spec], capsys)
         assert code == 1
         assert "empty ordering" in err
+
+    @pytest.mark.parametrize("spec,message", INVALID_ORDERINGS)
+    def test_invalid_ordering_parameters_exit_code(self, capsys, spec, message):
+        code, out, err = run(["solve", "--problem", "nh3", "--ordering", spec], capsys)
+        assert code == 1
+        assert message in err
+        assert out == ""
 
     def test_2d_position_dependent_mass_exit_code(self, capsys):
         code, _, err = run(["solve", "--problem", "henon_heiles", "--ordering", "mass-left"],
@@ -237,6 +254,24 @@ class TestConfig:
         code, _, err = run(["solve", "--config", cfg], capsys)
         assert code == 1
         assert "'ordering'" in err and "empty ordering" in err
+
+    @pytest.mark.parametrize("spec,message", INVALID_ORDERINGS)
+    def test_invalid_ordering_parameters_rejected(self, tmp_path, capsys, spec, message):
+        cfg = self.write(tmp_path, "dimension = 1\nN = 41\nL = 10\nmass = 1 + 0.1*x^2\n"
+                                   f"ordering = {spec}\npotential_real = x^2\n")
+        code, out, err = run(["solve", "--config", cfg], capsys)
+        assert code == 1
+        assert "'ordering'" in err and message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("mass", ["0", "-1", "inf"])
+    def test_invalid_constant_mass_rejected(self, tmp_path, capsys, mass):
+        cfg = self.write(tmp_path, f"dimension = 1\nN = 41\nL = 10\nmass = {mass}\n"
+                                   "potential_real = x^2\n")
+        code, out, err = run(["solve", "--config", cfg], capsys)
+        assert code == 1
+        assert "'mass'" in err and "mu must be finite and positive" in err
+        assert out == ""
 
     def test_ordering_without_mass_exit_code(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "dimension = 1\nN = 41\nL = 10\n"

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from qmbox.eig import (SolverError, Spectrum, classify_parity, diagonalize,
-                       phase_fix)
-from qmbox.hamiltonian import ConstantMass, ProblemDefinition, build_hamiltonian
+                       eigenvalues, phase_fix)
+from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, build_hamiltonian,
+                               ordering_from_name)
 from qmbox.lattice import make_lattice
 from qmbox.operators import OperatorMatrix
 from qmbox.problems import builtin_problem
@@ -119,6 +120,35 @@ class TestDiagonalize:
         assert part.n_states == 12
         np.testing.assert_allclose(part.eigenvalues, full.eigenvalues[:12], rtol=1e-12)
         assert part.residuals.max() <= 1e-9
+
+
+class TestEigenvaluesOnly:
+    @pytest.mark.parametrize("make", [
+        lambda: builtin_problem("morse"),
+        lambda: builtin_problem("nh3", ordering=ordering_from_name("mass-left")),
+        lambda: builtin_problem("pt_oscillator"),
+    ], ids=["hermitian", "real-nonsymmetric", "complex"])
+    def test_matches_diagonalize(self, make):
+        problem = make()
+        op = build_hamiltonian(problem)
+        w = eigenvalues(op)
+        full = diagonalize(op, problem.grid)
+        assert w.dtype == full.eigenvalues.dtype
+        np.testing.assert_allclose(w, full.eigenvalues, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_nonfinite_input_rejected(self, hermitian):
+        A = np.diag([1.0, np.nan, 2.0])
+        with pytest.raises(SolverError, match="non-finite"):
+            eigenvalues(OperatorMatrix(A, hermitian_hint=hermitian))
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_no_convergence_is_solver_error(self, hermitian, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+        monkeypatch.setattr(np.linalg, "eigvalsh" if hermitian else "eigvals", fail)
+        with pytest.raises(SolverError, match="did not converge"):
+            eigenvalues(OperatorMatrix(np.eye(3), hermitian_hint=hermitian))
 
 
 class TestComplexSpectraExamples:

@@ -32,6 +32,8 @@ def problem_2d(potential, Nx=15, Ny=15, L=12.0, potential_imag=None, mu=1.0):
 CASES = {
     "henon-heiles, even in x": (
         lambda: builtin_problem("henon_heiles", N=15, L=12.0), None, ("x",)),
+    "one state, the odd block contributes none": (
+        lambda: builtin_problem("henon_heiles", N=15, L=12.0), 1, ("x",)),
     "even in y only": (
         lambda: problem_2d(lambda x, y: 0.5 * (x**2 + y**2) + LAM * (y**2 * x - x**3 / 3.0)),
         None, ("y",)),

@@ -134,6 +134,57 @@ class TestTranslation:
         assert np.abs(via_p.imag).max() < 1e-11
 
 
+class TestToeplitzBuild:
+    """Each operator is built from its 2N-1 offset values; every entry must be
+    the float the closed form gives when evaluated on the full N x N offset
+    matrix j = i - k, as written below."""
+
+    WIDTHS = [2 * np.pi, 4.5, 25.0]
+
+    @staticmethod
+    def offsets(lat):
+        i = np.arange(lat.N)
+        return i[:, None] - i[None, :]
+
+    @pytest.mark.parametrize("L", WIDTHS)
+    @pytest.mark.parametrize("N", [1, 3, 31, 101])
+    def test_momentum_ip_entrywise(self, N, L):
+        lat = make_lattice(L, (N - 1) // 2)
+        j = self.offsets(lat)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            A = (np.pi / lat.L) * (-1.0) ** j / np.sin(np.pi * j / lat.N)
+        np.fill_diagonal(A, 0.0)
+        assert np.array_equal(momentum_ip(lat), A)
+
+    @pytest.mark.parametrize("L", WIDTHS)
+    @pytest.mark.parametrize("N", [1, 3, 31, 101])
+    def test_momentum_squared_entrywise(self, N, L):
+        lat = make_lattice(L, (N - 1) // 2)
+        j = self.offsets(lat)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            P = ((2 * np.pi**2 / lat.L**2) * (-1.0) ** j
+                 * np.cos(np.pi * j / lat.N) / np.sin(np.pi * j / lat.N) ** 2)
+        np.fill_diagonal(P, np.pi**2 / (3 * lat.a**2) * (1 - lat.a**2 / lat.L**2))
+        assert np.array_equal(momentum_squared_matrix(lat).matrix, P)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.37, 1.0, -2.0, "L"])
+    @pytest.mark.parametrize("L", WIDTHS)
+    @pytest.mark.parametrize("N", [1, 3, 31, 101])
+    def test_translation_entrywise(self, N, L, shift):
+        # shifts of whole sites (0, a, -2a) and alpha = L hit the removable
+        # singularity alpha + j a = 0 mod L
+        lat = make_lattice(L, (N - 1) // 2)
+        alpha = lat.L if shift == "L" else shift * lat.a
+        j = self.offsets(lat)
+        arg = (alpha + j * lat.a) / lat.L
+        with np.errstate(divide="ignore", invalid="ignore"):
+            E = (-1.0) ** j / lat.N * np.sin(np.pi * alpha / lat.a) / np.sin(np.pi * arg)
+        E = np.where(np.abs(arg - np.round(arg)) < 1e-9, 1.0, E)
+        U = exp_ialpha_p(lat, alpha).matrix
+        assert np.array_equal(U, E)
+        assert U.flags.c_contiguous
+
+
 class TestDiagonal:
     def test_square_on_three_points(self):
         lat = make_lattice(3.0, 1)
