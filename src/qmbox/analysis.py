@@ -6,8 +6,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eig import Spectrum, eigenvalues
-from .hamiltonian import ProblemDefinition, build_hamiltonian
+from .eig import Spectrum, block_eigenvalues
+from .hamiltonian import ProblemDefinition, hamiltonian_blocks
 from .lattice import Lattice2D, make_lattice, points_to_m
 from .problems import CONSTANTS, ReferenceSpectrum
 
@@ -100,7 +100,7 @@ def convergence_scan(problem: ProblemDefinition, mode: str, n_list,
     for i, n in enumerate(n_list):
         L = fixed if mode == "fixed_L_vary_N" else fixed * n
         grid = make_lattice(L, points_to_m(n))
-        values = eigenvalues(build_hamiltonian(replace(problem, grid=grid)))
+        values = block_eigenvalues(hamiltonian_blocks(replace(problem, grid=grid)))
         energies[i] = values[list(state_indices)].real
 
     converged = energies[-10:].mean(axis=0)
@@ -151,6 +151,8 @@ def completeness_error(spectrum: Spectrum, ground: int = 0,
     n_states = spectrum.n_states
     if spectrum.eigenvectors.shape[1] != n_states or n_states != spectrum.grid.N:
         raise ValueError("completeness check needs the full spectrum")
+    if not 0 <= ground <= n_states - 1:
+        raise ValueError(f"ground must be in 0..{n_states - 1}, got {ground}")
     if n_max is not None and not 0 <= n_max <= n_states - 1:
         raise ValueError(f"n_max must be in 0..{n_states - 1}, got {n_max}")
     a = spectrum.weight

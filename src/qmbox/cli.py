@@ -265,26 +265,16 @@ def _format_cell(value) -> str:
 def _make_problem(args) -> ProblemDefinition:
     if bool(args.problem) == bool(args.config):
         raise ConfigError("provide exactly one of --problem or --config")
+    # "is not None" throughout: --N 0 or --L 0 is an invalid grid, not an absent flag
+    grid = {key: getattr(args, key, None) for key in ("N", "L", "Nx", "Ny", "Lx", "Ly")}
+    overrides = {key: value for key, value in grid.items() if value is not None}
     if args.config:
         problem = load_config(args.config)
-        if args.N or args.L or args.ordering:
+        if overrides or args.ordering is not None:
             raise ConfigError("grid/ordering overrides apply to built-ins only; "
                               "edit the config file instead")
         return problem
-    overrides = {}
-    if args.N:
-        overrides["N"] = args.N
-    if args.L:
-        overrides["L"] = args.L
-    if getattr(args, "Nx", None):
-        overrides["Nx"] = args.Nx
-    if getattr(args, "Ny", None):
-        overrides["Ny"] = args.Ny
-    if getattr(args, "Lx", None):
-        overrides["Lx"] = args.Lx
-    if getattr(args, "Ly", None):
-        overrides["Ly"] = args.Ly
-    if args.ordering:
+    if args.ordering is not None:
         overrides["ordering"] = _parse_ordering(args.ordering)
     try:
         return builtin_problem(args.problem, **overrides)
@@ -301,6 +291,8 @@ def _default_unit(problem: ProblemDefinition, requested: str) -> str:
 # --- Subcommands -------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
+    if args.states < 1:
+        raise ConfigError(f"--states must be at least 1, got {args.states}")
     problem = _make_problem(args)
     spectrum = solve_problem(problem)
     unit = _default_unit(problem, args.unit)

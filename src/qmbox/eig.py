@@ -9,16 +9,20 @@ yields an exactly real spectrum whenever its eigenvalues are real, while a
 genuinely complex matrix shows its round-off imaginaries honestly.
 
 A Hamiltonian may also arrive as mirror-parity blocks (see
-``hamiltonian.hamiltonian_blocks``): a 2D potential that equals its mirror
-image bitwise along an axis splits H exactly into an even and an odd block
-of about half the size.  ``diagonalize_blocks`` sends each block through the
-same solver choice, merges the lowest levels, and scatters the vectors back
-onto the full grid, so the Spectrum has the same layout, normalization and
-residual definition as one dense decomposition; ``Spectrum.mirror_axes``
-records which axes were folded.  A single whole matrix is the one-block case.
+``hamiltonian.hamiltonian_blocks``): a problem whose grid functions equal
+their mirror image bitwise along an axis splits H exactly into an even and
+an odd block of about half the size.  ``diagonalize_blocks`` sends each
+block through the same solver choice, merges the lowest levels, and scatters
+the vectors back onto the full grid (a 1D block's sites run from the box
+edge inward, see ``operators.edge_first``), so the Spectrum has the same
+layout, normalization and residual definition as one dense decomposition;
+``Spectrum.mirror_axes`` records which axes were folded.  A single whole
+matrix is the one-block case.
 
-``eigenvalues`` runs the same solver choice without eigenvectors, for callers
-that read the eigenvalues alone, such as convergence scans.
+``block_eigenvalues`` runs the same solver choice without eigenvectors and
+merges the blocks' levels in the same order, for callers that read the
+eigenvalues alone, such as convergence scans; ``eigenvalues`` is its
+one-block case.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from .lattice import Lattice1D, Lattice2D
-from .operators import EVEN, MirrorBlock, OperatorMatrix, mirror_unfold
+from .operators import EVEN, MirrorBlock, OperatorMatrix, edge_first, mirror_unfold
 
 
 class SolverError(RuntimeError):
@@ -52,7 +56,7 @@ class Spectrum:
     grid: Lattice1D | Lattice2D
     parity: tuple[str, ...] | None = None         # "s" | "a" | "none" per state
     labels: tuple[str, ...] | None = None         # "0s", "0a", ... or plain index
-    mirror_axes: tuple[str, ...] = ()             # 2D axes folded by mirror symmetry
+    mirror_axes: tuple[str, ...] = ()             # axes folded by mirror symmetry
 
     @property
     def n_states(self) -> int:
@@ -114,8 +118,8 @@ def diagonalize_blocks(blocks: Iterable[MirrorBlock], grid: Lattice1D | Lattice2
         w, vectors, residuals, parity = parts[0]
         vectors = _unfold(vectors, parity, grid)
     else:
-        w = np.concatenate([part[0] for part in parts])
-        order = np.lexsort((w.imag, w.real))[:n_states]
+        w, order = _merged([part[0] for part in parts])
+        order = order[:n_states]
         owner = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])[order]
         w, residuals = w[order], np.concatenate([part[2] for part in parts])[order]
         vectors = np.empty((size, len(order)), dtype=np.result_type(*(part[1] for part in parts)))
@@ -135,10 +139,23 @@ def eigenvalues(op: OperatorMatrix) -> np.ndarray:
     """All eigenvalues of a built Hamiltonian, without eigenvectors, in the
     order and dtype of ``diagonalize``: ascending and real on the Hermitian
     hint, otherwise sorted by (Re, Im)."""
-    if op.hermitian_hint:
-        return _lapack(np.linalg.eigvalsh, op.matrix)
-    w = _lapack(np.linalg.eigvals, op.matrix)
-    return w[np.lexsort((w.imag, w.real))]
+    return block_eigenvalues([MirrorBlock(op)])
+
+
+def block_eigenvalues(blocks: Iterable[MirrorBlock]) -> np.ndarray:
+    """All eigenvalues of a Hamiltonian given as mirror-parity blocks, without
+    eigenvectors, merged in the order and dtype of ``diagonalize_blocks``."""
+    solved = [_lapack(np.linalg.eigvalsh if block.op.hermitian_hint else np.linalg.eigvals,
+                      block.op.matrix) for block in blocks]
+    w, order = _merged(solved)
+    return w[order]
+
+
+def _merged(values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks' eigenvalues concatenated, and the permutation that sorts
+    them by (Re, Im)."""
+    w = np.concatenate(values)
+    return w, np.lexsort((w.imag, w.real))
 
 
 def _eigenpairs(H: np.ndarray, hermitian: bool, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,6 +185,8 @@ def _unfold(v: np.ndarray, parity: tuple[int, ...], grid: Lattice1D | Lattice2D)
     """Block eigenvector columns as full-grid columns (x fastest)."""
     if not any(parity):
         return v
+    if len(parity) == 1:
+        return mirror_unfold(edge_first(v, 0), parity[0], axis=0)
     px, py = parity
     nx = grid.lx.N if not px else grid.lx.M + (px == EVEN)
     c = v.reshape(v.shape[0] // nx, nx, v.shape[1])   # no -1: a block may give 0 columns

@@ -310,7 +310,11 @@ def _eval(node: Node, point: Mapping[str, float]):
     # power: reject fractional exponents of negative bases
     if np.any((np.asarray(left) < 0) & (np.asarray(right) != np.round(right))):
         raise ExpressionError("fractional power of a negative base")
-    return np.power(left, right)
+    # |b|^n, negated for odd integer n: exactly even or odd in b, which
+    # np.power(b, n) is not for every n; unchanged for b >= 0
+    magnitude = np.power(np.abs(left), right)
+    odd = np.abs(np.fmod(right, 2)) == 1
+    return np.where(odd, np.copysign(magnitude, left), magnitude)[()]
 
 
 # --- Pretty printer --------------------------------------------------------

@@ -14,6 +14,13 @@ have *real* matrix representations on the lattice: i*p is real
 antisymmetric, so products with an even number of p factors never produce
 imaginary round-off.  Keeping the real path real is what lets the
 eigensolver report exactly real spectra for the one-sided orderings.
+
+Every ordering commutes with the reflection x -> -x of the symmetric grid
+when the mass is even, so ``hamiltonian_blocks`` splits H into exact
+mirror-parity blocks whenever the sampled mass and potentials are even, in
+1D as in 2D; ``build_hamiltonian`` is the unfolded one-block case.  The fold
+is decided on the sampled functions, not on H: the beta != 0 product
+A (m^beta A) makes H mirror-symmetric only to round-off.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 
 from .lattice import Lattice1D, Lattice2D
 from .operators import (EVEN, ODD, GridFunction, GridValueError, MirrorBlock,
-                        OperatorMatrix, grid_values, kronecker_sum,
+                        OperatorMatrix, edge_first, grid_values, kronecker_sum,
                         mirror_fold, mirror_sites, momentum_ip,
                         momentum_squared_matrix)
 
@@ -134,11 +141,14 @@ def _coordinate_arrays(grid) -> dict[str, np.ndarray]:
     return {"x": grid.x}
 
 
-def _mass_values(problem: ProblemDefinition, grid: Lattice1D) -> np.ndarray:
+def _mass_values(problem: ProblemDefinition) -> np.ndarray | None:
+    """The mass sampled on the 1D grid, or None for a constant-mass ordering."""
+    if isinstance(problem.ordering, ConstantMass):
+        return None
     if problem.mass is None:
         raise ValueError(
             f"problem {problem.name!r}: ordering {problem.ordering!r} needs a mass function")
-    return grid_values(problem.mass, {"x": grid.x}, what="mass function")
+    return grid_values(problem.mass, {"x": problem.grid.x}, what="mass function")
 
 
 def _mass_power(m: np.ndarray, s: float) -> np.ndarray:
@@ -163,16 +173,18 @@ def _mass_power(m: np.ndarray, s: float) -> np.ndarray:
 def build_kinetic(problem: ProblemDefinition) -> OperatorMatrix:
     """Kinetic-energy matrix for the problem's ordering (1D) or the
     constant-mass tensor sum (2D)."""
-    grid = problem.grid
-    if isinstance(grid, Lattice2D):
+    if isinstance(problem.grid, Lattice2D):
         return OperatorMatrix(kronecker_sum(*_axis_kinetics(problem)), hermitian_hint=True)
+    return _kinetic_1d(problem.grid, problem.ordering, _mass_values(problem))
 
-    ordering = problem.ordering
+
+def _kinetic_1d(grid: Lattice1D, ordering: KineticOrdering,
+                m: np.ndarray | None) -> OperatorMatrix:
+    """The 1D kinetic matrix of ``ordering`` from the sampled mass ``m``."""
     if isinstance(ordering, ConstantMass):
         psq = momentum_squared_matrix(grid).matrix
         return OperatorMatrix(psq / (2.0 * ordering.mu), hermitian_hint=True)
 
-    m = _mass_values(problem, grid)
     ma = _mass_power(m, ordering.alpha)
     mg = _mass_power(m, ordering.gamma)
     if ordering.beta == 0.0:
@@ -200,45 +212,66 @@ def _axis_kinetics(problem: ProblemDefinition) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_hamiltonian(problem: ProblemDefinition) -> OperatorMatrix:
-    """H = T + diag(V_real) + i diag(V_imag) on the problem's grid."""
-    if isinstance(problem.grid, Lattice2D):
-        (block,) = hamiltonian_blocks(problem, fold=False)
-        return block.op
-    kinetic = build_kinetic(problem)
-    points = _coordinate_arrays(problem.grid)
-    v_real = grid_values(problem.potential_real, points, what="potential").ravel()
-    H = kinetic.matrix.copy()
-    H[np.diag_indices_from(H)] += v_real
-    hermitian = kinetic.hermitian_hint
-    if problem.potential_imag is not None:
-        v_imag = grid_values(problem.potential_imag, points,
-                             what="imaginary potential").ravel()
-        H = H.astype(complex)
-        H[np.diag_indices_from(H)] += 1j * v_imag
-        hermitian = False
-    return OperatorMatrix(H, hermitian_hint=hermitian)
+    """H = T + diag(V_real) + i diag(V_imag) on the problem's grid, as one
+    dense matrix: the unfolded case of ``hamiltonian_blocks``."""
+    (block,) = hamiltonian_blocks(problem, fold=False)
+    return block.op
 
 
 def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterator[MirrorBlock]:
-    """The 2D Hamiltonian as mirror-parity blocks, assembled one at a time.
+    """The Hamiltonian as mirror-parity blocks, assembled one at a time.
 
-    The kinetic term T_x (x) I + I (x) T_y commutes with both axis
-    reflections on the symmetric grid, so H splits wherever the sampled
-    potential does too.  An axis is folded when ``fold`` is set and the
-    potential arrays (V_real, and V_imag when present) equal their mirror
-    image along it bitwise: an exact property of the input, with no
-    tolerance.  That gives 1, 2 or 4 blocks, each the Kronecker sum of the
-    folded or whole axis kinetics plus the potential on the block's sites;
-    the odd block of a one-site axis is empty and skipped.  With ``fold``
-    off, the one block is the full dense H of ``build_hamiltonian``.
+    On the symmetric grid the kinetic term commutes with the reflection of
+    an axis whenever the mass does, so H splits exactly into an even and an
+    odd block wherever the sampled grid functions are mirror-even.  An axis
+    is folded when ``fold`` is set and every sampled array equals its mirror
+    image along it bitwise (V_real, V_imag when present, and in 1D the mass
+    of a von Roos ordering): an exact property of the input, with no
+    tolerance.  The arrays are sampled once and build the blocks too.  With
+    ``fold`` off, or nothing mirror-even, the one block is the full dense H.
+
+    1D gives 1 or 2 blocks, the folded H with its sites ordered from the box
+    edge inward (``edge_first``).  2D gives 1, 2 or 4 blocks, each the
+    Kronecker sum of the folded or whole axis kinetics plus the potential
+    on the block's sites.  The odd block of a one-site axis is empty and
+    skipped.
     """
+    if isinstance(problem.grid, Lattice2D):
+        return _blocks_2d(problem, fold)
+    return _blocks_1d(problem, fold)
+
+
+def _potential(problem: ProblemDefinition) -> np.ndarray:
+    """V_real + i V_imag sampled on the grid; real when there is no V_imag."""
+    points = _coordinate_arrays(problem.grid)
+    v = grid_values(problem.potential_real, points, what="potential")
+    if problem.potential_imag is not None:
+        v = v + 1j * grid_values(problem.potential_imag, points, what="imaginary potential")
+    return v
+
+
+def _blocks_1d(problem: ProblemDefinition, fold: bool) -> Iterator[MirrorBlock]:
+    m = _mass_values(problem)
+    kinetic = _kinetic_1d(problem.grid, problem.ordering, m)
+    v = _potential(problem)
+    H = kinetic.matrix.astype(v.dtype, copy=False)   # a fresh matrix: add V in place
+    H[np.diag_indices_from(H)] += v
+    hermitian = kinetic.hermitian_hint and problem.potential_imag is None
+    if not (fold and all(f is None or np.array_equal(f, f[::-1]) for f in (v, m))):
+        yield MirrorBlock(OperatorMatrix(H, hermitian))
+        return
+    for parity in (EVEN, ODD):
+        block = mirror_fold(H, parity)
+        if block.size:
+            yield MirrorBlock(OperatorMatrix(edge_first(block, (0, 1)), hermitian),
+                              parity=(parity,))
+
+
+def _blocks_2d(problem: ProblemDefinition, fold: bool) -> Iterator[MirrorBlock]:
     grid = problem.grid
     kinetics = _axis_kinetics(problem)
-    points = _coordinate_arrays(grid)
-    v = grid_values(problem.potential_real, points, what="potential")
+    v = _potential(problem)
     hermitian = problem.potential_imag is None
-    if not hermitian:
-        v = v + 1j * grid_values(problem.potential_imag, points, what="imaginary potential")
     choices = []
     for t, array_axis in zip(kinetics, (1, 0)):   # V is indexed [y, x]
         if fold and np.array_equal(v, np.flip(v, array_axis)):

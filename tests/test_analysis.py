@@ -69,6 +69,11 @@ class TestCompleteness:
         with pytest.raises(ValueError, match="n_max"):
             completeness_error(morse_wide, n_max=301)
 
+    @pytest.mark.parametrize("ground", [-1, 301, 500])
+    def test_ground_out_of_range(self, morse_wide, ground):
+        with pytest.raises(ValueError, match="ground must be in 0..300"):
+            completeness_error(morse_wide, ground=ground)
+
     def test_partial_spectrum_rejected(self):
         s = solve(builtin_problem("morse"), n_states=20)
         with pytest.raises(ValueError, match="full spectrum"):

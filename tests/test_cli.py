@@ -139,6 +139,26 @@ class TestSolve:
         assert message in err
         assert out == ""
 
+    @pytest.mark.parametrize("flags", [["--problem", "nh3", "--N", "0"],
+                                       ["--problem", "nh3", "--L", "0"],
+                                       ["--problem", "henon_heiles", "--Nx", "0"],
+                                       ["--problem", "henon_heiles", "--Ny", "0"],
+                                       ["--problem", "henon_heiles", "--Lx", "0"],
+                                       ["--problem", "henon_heiles", "--Ly", "0"]],
+                             ids=["N", "L", "Nx", "Ny", "Lx", "Ly"])
+    def test_zero_grid_override_exit_code(self, capsys, flags):
+        code, out, err = run(["solve", *flags], capsys)
+        assert code == 1
+        assert "must be" in err and "positive" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("states", ["0", "-2"])
+    def test_nonpositive_states_exit_code(self, capsys, states):
+        code, out, err = run(["solve", "--problem", "nh3", "--states", states], capsys)
+        assert code == 1
+        assert f"--states must be at least 1, got {states}" in err
+        assert out == ""
+
     def test_2d_position_dependent_mass_exit_code(self, capsys):
         code, _, err = run(["solve", "--problem", "henon_heiles", "--ordering", "mass-left"],
                            capsys)
@@ -291,6 +311,21 @@ class TestConfig:
         code, _, err = run(["solve", "--config", cfg, "--N", "61"], capsys)
         assert code == 1
         assert "built-ins" in err
+        code, _, err = run(["solve", "--config", cfg, "--L", "0"], capsys)
+        assert code == 1
+        assert "built-ins" in err
+
+    def test_quartic_double_well_folds(self, tmp_path):
+        cfg = self.write(tmp_path, """
+            dimension = 1
+            N = 121
+            L = 25
+            mass = 1
+            potential_real = x^4 - 2*x^2
+        """)
+        spectrum = solve(load_config(cfg))
+        assert spectrum.mirror_axes == ("x",)
+        assert spectrum.labels[:4] == ("0s", "0a", "1s", "1a")
 
 
 class TestBench:
@@ -397,3 +432,10 @@ class TestCompleteness:
         assert len(lines) == 152
         last = float(lines[-1].split(",")[1])
         assert last <= 1e-12
+
+    @pytest.mark.parametrize("ground", ["500", "-1"])
+    def test_ground_out_of_range_exit_code(self, capsys, ground):
+        code, out, err = run(["completeness", "--problem", "morse", "--ground", ground], capsys)
+        assert code == 1
+        assert f"ground must be in 0..110, got {ground}" in err
+        assert out == ""

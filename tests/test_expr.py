@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qmbox.expr import (BinOp, Call, ExpressionError, Expression, Neg, Num,
                         Var, evaluate, parse, unparse)
+from qmbox.lattice import make_lattice
 
 
 class TestEvaluation:
@@ -59,6 +60,28 @@ class TestEvaluation:
 
     def test_negative_base_integer_power_ok(self):
         assert parse("x^3", {"x"})(x=-2.0) == -8.0
+
+    @pytest.mark.parametrize("L,M", [(25.0, 60), (140.0, 150)])
+    def test_integer_powers_are_exactly_odd_or_even(self, L, M):
+        x = make_lattice(L, M).x
+        cube, fourth, sixth = (parse(f"x^{n}", {"x"})(x=x) for n in (3, 4, 6))
+        np.testing.assert_array_equal(cube, -cube[::-1])
+        np.testing.assert_array_equal(fourth, fourth[::-1])
+        np.testing.assert_array_equal(sixth, sixth[::-1])
+
+    def test_power_of_a_nonnegative_base_is_numpy_power(self):
+        x = make_lattice(140.0, 150).x
+        x = x[x >= 0]
+        for n in (2, 3, 4, 5, 6, -1, 0.5, 2.5):
+            with np.errstate(divide="ignore"):   # 0^-1
+                expected = np.power(x, n)
+            np.testing.assert_array_equal(parse(f"x^({n})", {"x"})(x=x), expected)
+
+    def test_power_keeps_scalars_scalar(self):
+        value = parse("x^3", {"x"})(x=-2.0)
+        assert value == -8.0 and np.ndim(value) == 0 and not isinstance(value, np.ndarray)
+        np.testing.assert_array_equal(parse("(0-2)^x", {"x"})(x=np.array([1.0, 2.0, 3.0])),
+                                      [-2.0, 4.0, -8.0])
 
     def test_missing_binding(self):
         e = parse("x+1", {"x"})

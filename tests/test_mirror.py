@@ -1,8 +1,9 @@
-"""Mirror-parity block solves of 2D problems against the dense oracle.
+"""Mirror-parity block solves of 1D and 2D problems against the dense oracle.
 
-``solve`` folds every axis along which the sampled potential equals its
-mirror image and diagonalizes the blocks; ``diagonalize(build_hamiltonian(p))``
-is the one dense matrix it must reproduce.
+``solve`` folds every axis along which the sampled grid functions equal
+their mirror image and diagonalizes the blocks;
+``diagonalize(build_hamiltonian(p))`` is the one dense matrix it must
+reproduce.
 """
 
 import math
@@ -10,13 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from qmbox.eig import diagonalize, phase_fix
-from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, build_hamiltonian,
-                               hamiltonian_blocks)
+from qmbox.eig import classify_parity, diagonalize, phase_fix
+from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, VonRoos,
+                               build_hamiltonian, hamiltonian_blocks,
+                               ordering_from_name)
 from qmbox.lattice import make_lattice, make_lattice_2d
 from qmbox.operators import (EVEN, ODD, mirror_fold, mirror_unfold,
                              momentum_squared_matrix)
-from qmbox.problems import builtin_problem
+from qmbox.problems import BUILTIN_IDS, builtin_problem
 from qmbox.solve import solve
 
 LAM = 1.0 / math.sqrt(80.0)
@@ -29,7 +31,37 @@ def problem_2d(potential, Nx=15, Ny=15, L=12.0, potential_imag=None, mu=1.0):
                              energy_unit="model")
 
 
+def problem_1d(potential, N=41, L=12.0, mass=None, ordering=ConstantMass(1.0),
+               potential_imag=None):
+    return ProblemDefinition(name="mirror", grid=make_lattice(L, (N - 1) // 2),
+                             ordering=ordering, potential_real=potential, mass=mass,
+                             potential_imag=potential_imag, energy_unit="model")
+
+
+def builtin(problem_id, ordering=None, **overrides):
+    if ordering is not None:
+        name, *params = ordering.split()
+        overrides["ordering"] = ordering_from_name(name, *map(float, params))
+    return lambda: builtin_problem(problem_id, **overrides)
+
+
 CASES = {
+    **{f"1D nh3 {o}": (builtin("nh3", o), None, ("x",))
+       for o in ("mass-left", "mass-right", "mass-sandwich", "inverse-mass-anticommutator")},
+    "1D nd3": (builtin("nd3"), None, ("x",)),
+    "1D pdm_ho_1": (builtin("pdm_ho_1"), None, ("x",)),
+    "1D pdm_ho_2": (builtin("pdm_ho_2"), None, ("x",)),
+    "1D pdm_ho_1 von-roos -0.25 -0.25": (builtin("pdm_ho_1", "von-roos -0.25 -0.25"), None, ("x",)),
+    "1D complex, mirror-even imaginary part": (
+        lambda: problem_1d(lambda x: x**2, potential_imag=lambda x: 0.1 * x**2 - 0.3), 20, ("x",)),
+    "1D even potential, asymmetric mass, one block": (
+        lambda: problem_1d(lambda x: 0.5 * x**2, mass=lambda x: 1.0 + 0.1 * (x + 0.3)**2,
+                           ordering=VonRoos(0.0, 0.0)), None, ()),
+    "1D one site": (lambda: problem_1d(lambda x: 0.5 * x**2 + 1.0, N=1), None, ("x",)),
+    "1D three sites": (lambda: problem_1d(lambda x: 0.5 * x**2, N=3, L=3.0), None, ("x",)),
+    "1D more states than the largest block": (
+        lambda: problem_1d(lambda x: 0.5 * x**2, N=21, mass=lambda x: 1.0 + x**2,
+                           ordering=VonRoos(-1.0, 0.0, symmetric=False)), 15, ("x",)),
     "henon-heiles, even in x": (
         lambda: builtin_problem("henon_heiles", N=15, L=12.0), None, ("x",)),
     "one state, the odd block contributes none": (
@@ -98,10 +130,15 @@ def test_block_solve_matches_dense_oracle(name):
     np.testing.assert_array_equal(once.eigenvectors, spectrum.eigenvectors)
     np.testing.assert_array_equal(phase_fix(once).eigenvectors, once.eigenvectors)
     assert once.mirror_axes == axes
+    if problem.dim == 1:
+        labelled = classify_parity(phase_fix(dense))
+        assert spectrum.parity == labelled.parity
+        assert spectrum.labels == labelled.labels
 
 
 @pytest.mark.parametrize("name", ["even in both, four blocks", "one-site x axis",
-                                  "complex, mirror-even imaginary part"])
+                                  "complex, mirror-even imaginary part", "1D nd3",
+                                  "1D complex, mirror-even imaginary part"])
 def test_block_norms_add_up_to_dense_norm(name):
     problem = CASES[name][0]()
     blocks = list(hamiltonian_blocks(problem))
@@ -115,6 +152,8 @@ def test_one_site_axis_has_no_odd_block():
     problem = CASES["one-site x axis"][0]()
     parities = [b.parity for b in hamiltonian_blocks(problem)]
     assert parities == [(EVEN, EVEN), (EVEN, ODD)]
+    problem = CASES["1D one site"][0]()
+    assert [b.parity for b in hamiltonian_blocks(problem)] == [(EVEN,)]
 
 
 @pytest.mark.parametrize("M", [0, 1, 4])
@@ -131,3 +170,57 @@ def test_fold_is_an_orthogonal_change_of_basis(M):
     np.testing.assert_allclose(folded[M + 1:, M + 1:], mirror_fold(P, ODD),
                                rtol=0, atol=1e-14 * scale)
     np.testing.assert_allclose(folded[:M + 1, M + 1:], 0.0, rtol=0, atol=1e-14 * scale)
+
+
+def test_1d_blocks_run_from_the_box_edge():
+    problem = builtin_problem("nd3")
+    H = build_hamiltonian(problem).matrix
+    even, odd = (b.op.matrix for b in hamiltonian_blocks(problem))
+    M = problem.grid.M
+    assert even.shape == (M + 1, M + 1) and odd.shape == (M, M)
+    assert even[0, 0] == H[-1, -1] + H[-1, 0]    # row 0 is the edge pair
+    assert odd[0, 0] == H[-1, -1] - H[-1, 0]
+    assert even[-1, -1] == pytest.approx(H[M, M], rel=1e-15)   # the centre site comes last
+
+
+def test_graded_nh3_grid_keeps_its_low_levels():
+    """Criterion 09's widest fixed-a grid: the kinetic entries grow to ~1e6
+    towards the box edge, and the low levels must keep their digits.  The
+    reference is the long-double Rayleigh quotient of each dense eigenvector,
+    which does not depend on how the eigensolver orders the sites."""
+    N = 211
+    problem = builtin_problem("nh3", N=N, L=4.5 * N / 151,
+                              ordering=ordering_from_name("inverse-mass-anticommutator"))
+    H = build_hamiltonian(problem)
+    v = diagonalize(H, problem.grid).eigenvectors[:, :10].astype(np.longdouble)
+    Hv = H.matrix.astype(np.longdouble) @ v
+    reference = (np.sum(v * Hv, axis=0) / np.sum(v * v, axis=0)).astype(float)
+    w = solve(problem).eigenvalues[:10]
+    rel = np.abs(w - reference) / np.abs(reference)
+    assert rel[0] <= 1e-13
+    assert rel.max() <= 1e-12
+
+
+MIRROR_EVEN_BUILTINS = ("nh3", "nd3", "pdm_ho_1", "pdm_ho_2", "henon_heiles")
+
+
+@pytest.mark.parametrize("problem_id", BUILTIN_IDS)
+def test_every_mirror_even_builtin_folds(problem_id):
+    """An axis along which every grid function is even to round-off must be
+    folded: the exact test may not miss a symmetric built-in."""
+    overrides = {"N": 15, "L": 12.0} if problem_id == "henon_heiles" else {}
+    problem = builtin_problem(problem_id, **overrides)
+    functions = [problem.potential_real, problem.potential_imag]
+    if isinstance(problem.ordering, VonRoos):
+        functions.append(problem.mass)
+    if problem.dim == 1:
+        x = problem.grid.x
+        mirrors = {"x": ((x,), (-x,))}
+    else:
+        X, Y = problem.grid.meshgrid()
+        mirrors = {"x": ((X, Y), (-X, Y)), "y": ((X, Y), (X, -Y))}
+    even = tuple(axis for axis, (points, mirrored) in mirrors.items()
+                 if all(np.allclose(f(*points), f(*mirrored), rtol=1e-13, atol=0)
+                        for f in functions if f is not None))
+    assert even == (("x",) if problem_id in MIRROR_EVEN_BUILTINS else ())
+    assert solve(problem, 1).mirror_axes == even
