@@ -50,12 +50,6 @@ class ConvergenceScan:
             for j, s in enumerate(self.state_indices):
                 yield n, s, self.energies[i, j], self.rel_errors[i, j]
 
-    def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("N,state,energy,rel_error\n")
-            for n, s, e, r in self.rows():
-                fh.write(f"{n},{s},{e:.15e},{r:.6e}\n")
-
     def write_gnuplot(self, path, state: int):
         """Two-column (N, rel_error) file for one tracked state."""
         j = self.state_indices.index(state)
@@ -189,11 +183,6 @@ class ComparisonReport:
     def max_abs_dev(self) -> float:
         return max(r.abs_dev for r in self.rows)
 
-    @property
-    def max_rel_dev(self) -> float:
-        rels = [r.rel_dev for r in self.rows if r.rel_dev is not None]
-        return max(rels) if rels else 0.0
-
     def max_rel_dev_above(self, min_reference: float) -> float:
         """Worst relative deviation over states whose reference magnitude is
         at least ``min_reference`` — relative errors against values quoted
@@ -201,16 +190,6 @@ class ComparisonReport:
         rels = [r.rel_dev for r in self.rows
                 if r.rel_dev is not None and abs(r.reference) >= min_reference]
         return max(rels) if rels else 0.0
-
-    def format_table(self) -> str:
-        lines = [f"# {self.problem} vs {self.reference.citation} ({self.reference.unit})",
-                 f"{'state':>6} {'computed':>16} {'reference':>16} {'abs dev':>12} {'rel dev':>12}"]
-        for r in self.rows:
-            rel = f"{r.rel_dev:.3e}" if r.rel_dev is not None else "-"
-            lines.append(f"{r.label:>6} {r.computed:16.6f} {r.reference:16.6f} "
-                         f"{r.abs_dev:12.3e} {rel:>12}")
-        lines.append(f"# max abs dev {self.max_abs_dev:.3e}, max rel dev {self.max_rel_dev:.3e}")
-        return "\n".join(lines)
 
 
 def labeled_levels(spectrum: Spectrum, unit: str = "model", shifted: bool = False,

@@ -13,11 +13,11 @@ A Hamiltonian may also arrive as mirror-parity blocks (see
 their mirror image bitwise along an axis splits H exactly into an even and
 an odd block of about half the size.  ``diagonalize_blocks`` sends each
 block through the same solver choice, merges the lowest levels, and scatters
-the vectors back onto the full grid (a 1D block's sites run from the box
-edge inward, see ``operators.edge_first``), so the Spectrum has the same
-layout, normalization and residual definition as one dense decomposition;
-``Spectrum.mirror_axes`` records which axes were folded.  A single whole
-matrix is the one-block case.
+the vectors back onto the full grid one axis at a time (a folded axis runs
+from the box edge inward in 1D and 2D alike, see ``operators.mirror_sites``),
+so the Spectrum has the same layout, normalization and residual definition
+as one dense decomposition; ``Spectrum.mirror_axes`` records which axes were
+folded.  A single whole matrix is the one-block case.
 
 ``block_eigenvalues`` runs the same solver choice without eigenvectors and
 merges the blocks' levels in the same order, for callers that read the
@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from .lattice import Lattice1D, Lattice2D
-from .operators import EVEN, MirrorBlock, OperatorMatrix, edge_first, mirror_unfold
+from .operators import EVEN, MirrorBlock, OperatorMatrix, mirror_unfold
 
 
 class SolverError(RuntimeError):
@@ -64,7 +64,7 @@ class Spectrum:
 
     @property
     def weight(self) -> float:
-        return self.grid.cell if isinstance(self.grid, Lattice2D) else self.grid.a
+        return self.grid.cell
 
     def state_label(self, n: int) -> str:
         if self.labels is not None:
@@ -82,7 +82,7 @@ def diagonalize(op: OperatorMatrix, grid: Lattice1D | Lattice2D,
     decomposition to the lowest eigenpairs, which is much cheaper for big 2D
     grids; the general path always computes everything and truncates.
     """
-    if op.dim != _grid_size(grid):
+    if op.dim != grid.size:
         raise ValueError("operator dimension does not match the grid")
     return diagonalize_blocks([MirrorBlock(op)], grid, n_states)
 
@@ -98,41 +98,33 @@ def diagonalize_blocks(blocks: Iterable[MirrorBlock], grid: Lattice1D | Lattice2
     residuals are divided by sqrt(sum ||H_b||_F^2) = ||H||_F, so the result
     is laid out exactly as the decomposition of the assembled H would be.
     """
-    size = _grid_size(grid)
-    if n_states is not None and not 1 <= n_states <= size:
-        raise ValueError(f"n_states must be in 1..{size}, got {n_states}")
-    weight = grid.cell if isinstance(grid, Lattice2D) else grid.a
+    if n_states is not None and not 1 <= n_states <= grid.size:
+        raise ValueError(f"n_states must be in 1..{grid.size}, got {n_states}")
     parts, norm_sq, folded, hermitian = [], 0.0, set(), True
     for block in blocks:
         H = block.op.matrix
         count = H.shape[0] if n_states is None else min(n_states, H.shape[0])
         w, v = _eigenpairs(H, block.op.hermitian_hint, count)
-        v = v / np.sqrt(weight * np.sum(np.abs(v) ** 2, axis=0))
+        v = v / np.sqrt(grid.cell * np.sum(np.abs(v) ** 2, axis=0))
         parts.append((w, v, np.linalg.norm(H @ v - v * w[None, :], axis=0), block.parity))
         norm_sq += np.linalg.norm(H) ** 2
         folded.update(axis for axis, p in zip("xy", block.parity) if p)
         hermitian = hermitian and block.op.hermitian_hint
         del H, block   # free this block before the next one is assembled
 
-    if len(parts) == 1:   # already in order: nothing to merge, no copy
-        w, vectors, residuals, parity = parts[0]
-        vectors = _unfold(vectors, parity, grid)
-    else:
-        w, order = _merged([part[0] for part in parts])
-        order = order[:n_states]
-        owner = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])[order]
-        w, residuals = w[order], np.concatenate([part[2] for part in parts])[order]
-        vectors = np.empty((size, len(order)), dtype=np.result_type(*(part[1] for part in parts)))
-        for b, (_, v, _, parity) in enumerate(parts):
-            columns = np.flatnonzero(owner == b)   # a block's picks are its lowest pairs
-            vectors[:, columns] = _unfold(v[:, :len(columns)], parity, grid)
-    return Spectrum(eigenvalues=w, eigenvectors=vectors, residuals=residuals / np.sqrt(norm_sq),
+    w, order = _merged([part[0] for part in parts])
+    order = order[:n_states]
+    owner = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])[order]
+    w, residuals = w[order], np.concatenate([part[2] for part in parts])[order]
+    vectors = np.empty((grid.size, len(order)), dtype=np.result_type(*(part[1] for part in parts)))
+    for b, (_, v, _, parity) in enumerate(parts):
+        columns = np.flatnonzero(owner == b)   # a block's picks are its lowest pairs
+        vectors[:, columns] = _unfold(v[:, :len(columns)], parity, grid)
+    if norm_sq:   # H = 0 leaves every pair exact, with residual 0
+        residuals = residuals / np.sqrt(norm_sq)
+    return Spectrum(eigenvalues=w, eigenvectors=vectors, residuals=residuals,
                     hermitian_path=hermitian, grid=grid,
                     mirror_axes=tuple(a for a in "xy" if a in folded))
-
-
-def _grid_size(grid: Lattice1D | Lattice2D) -> int:
-    return grid.size if isinstance(grid, Lattice2D) else grid.N
 
 
 def eigenvalues(op: OperatorMatrix) -> np.ndarray:
@@ -185,12 +177,13 @@ def _unfold(v: np.ndarray, parity: tuple[int, ...], grid: Lattice1D | Lattice2D)
     """Block eigenvector columns as full-grid columns (x fastest)."""
     if not any(parity):
         return v
-    if len(parity) == 1:
-        return mirror_unfold(edge_first(v, 0), parity[0], axis=0)
-    px, py = parity
-    nx = grid.lx.N if not px else grid.lx.M + (px == EVEN)
-    c = v.reshape(v.shape[0] // nx, nx, v.shape[1])   # no -1: a block may give 0 columns
-    return mirror_unfold(mirror_unfold(c, px, axis=1), py, axis=0).reshape(grid.size, -1)
+    # the block's sites per axis, reversed to the [y, x] order of x-fastest
+    # arrays; no -1, as a block may give 0 columns
+    shape = [axis.N if not p else axis.M + (p == EVEN) for axis, p in zip(grid.axes, parity)]
+    c = v.reshape(shape[::-1] + [v.shape[1]])
+    for array_axis, p in zip(reversed(range(len(shape))), parity):
+        c = mirror_unfold(c, p, axis=array_axis)
+    return c.reshape(grid.size, -1)
 
 
 def phase_fix(spectrum: Spectrum) -> Spectrum:

@@ -20,7 +20,9 @@ when the mass is even, so ``hamiltonian_blocks`` splits H into exact
 mirror-parity blocks whenever the sampled mass and potentials are even, in
 1D as in 2D; ``build_hamiltonian`` is the unfolded one-block case.  The fold
 is decided on the sampled functions, not on H: the beta != 0 product
-A (m^beta A) makes H mirror-symmetric only to round-off.
+A (m^beta A) makes H mirror-symmetric only to round-off.  Each axis is
+folded the same way, its half-axis numbered from the box edge inward, and
+the potential is added after the fold, on the block's sites.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ import numpy as np
 
 from .lattice import Lattice1D, Lattice2D
 from .operators import (EVEN, ODD, GridFunction, GridValueError, MirrorBlock,
-                        OperatorMatrix, edge_first, grid_values, kronecker_sum,
-                        mirror_fold, mirror_sites, momentum_ip,
-                        momentum_squared_matrix)
+                        OperatorMatrix, grid_values, kronecker_sum, mirror_fold,
+                        mirror_sites, momentum_ip, momentum_squared_matrix)
 
 
 # --- Kinetic orderings -------------------------------------------------------
@@ -123,15 +124,14 @@ class ProblemDefinition:
     mass: GridFunction | None = None
     potential_imag: GridFunction | None = None
     energy_unit: str = "hartree"
-    reference_key: str | None = None
 
     @property
     def dim(self) -> int:
-        return 2 if isinstance(self.grid, Lattice2D) else 1
+        return len(self.grid.axes)
 
     @property
     def size(self) -> int:
-        return self.grid.size if isinstance(self.grid, Lattice2D) else self.grid.N
+        return self.grid.size
 
 
 def _coordinate_arrays(grid) -> dict[str, np.ndarray]:
@@ -145,6 +145,10 @@ def _mass_values(problem: ProblemDefinition) -> np.ndarray | None:
     """The mass sampled on the 1D grid, or None for a constant-mass ordering."""
     if isinstance(problem.ordering, ConstantMass):
         return None
+    if problem.dim != 1:
+        raise ValueError(
+            "2D problems support the constant-mass kinetic term only; "
+            f"got ordering {problem.ordering!r}")
     if problem.mass is None:
         raise ValueError(
             f"problem {problem.name!r}: ordering {problem.ordering!r} needs a mass function")
@@ -173,9 +177,11 @@ def _mass_power(m: np.ndarray, s: float) -> np.ndarray:
 def build_kinetic(problem: ProblemDefinition) -> OperatorMatrix:
     """Kinetic-energy matrix for the problem's ordering (1D) or the
     constant-mass tensor sum (2D)."""
-    if isinstance(problem.grid, Lattice2D):
-        return OperatorMatrix(kronecker_sum(*_axis_kinetics(problem)), hermitian_hint=True)
-    return _kinetic_1d(problem.grid, problem.ordering, _mass_values(problem))
+    m = _mass_values(problem)
+    kinetics = [_kinetic_1d(axis, problem.ordering, m) for axis in problem.grid.axes]
+    if len(kinetics) == 1:
+        return kinetics[0]
+    return OperatorMatrix(kronecker_sum(*(t.matrix for t in kinetics)), hermitian_hint=True)
 
 
 def _kinetic_1d(grid: Lattice1D, ordering: KineticOrdering,
@@ -200,17 +206,6 @@ def _kinetic_1d(grid: Lattice1D, ordering: KineticOrdering,
     return OperatorMatrix(0.5 * X, hermitian_hint=False)
 
 
-def _axis_kinetics(problem: ProblemDefinition) -> tuple[np.ndarray, np.ndarray]:
-    """The 1D kinetic matrices p^2/(2 mu) of the x and y axes of a 2D problem."""
-    ordering = problem.ordering
-    if not isinstance(ordering, ConstantMass):
-        raise ValueError(
-            "2D problems support the constant-mass kinetic term only; "
-            f"got ordering {ordering!r}")
-    return tuple(momentum_squared_matrix(axis).matrix / (2.0 * ordering.mu)
-                 for axis in (problem.grid.lx, problem.grid.ly))
-
-
 def build_hamiltonian(problem: ProblemDefinition) -> OperatorMatrix:
     """H = T + diag(V_real) + i diag(V_imag) on the problem's grid, as one
     dense matrix: the unfolded case of ``hamiltonian_blocks``."""
@@ -230,15 +225,32 @@ def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterato
     tolerance.  The arrays are sampled once and build the blocks too.  With
     ``fold`` off, or nothing mirror-even, the one block is the full dense H.
 
-    1D gives 1 or 2 blocks, the folded H with its sites ordered from the box
-    edge inward (``edge_first``).  2D gives 1, 2 or 4 blocks, each the
-    Kronecker sum of the folded or whole axis kinetics plus the potential
-    on the block's sites.  The odd block of a one-site axis is empty and
-    skipped.
+    Each block is the folded or whole kinetic matrix of every axis plus the
+    potential on the block's sites, numbered from the box edge inward along
+    a folded axis (``mirror_sites``): 1 or 2 blocks in 1D, 1, 2 or 4 in 2D.
+    The odd block of a one-site axis is empty and skipped.
     """
-    if isinstance(problem.grid, Lattice2D):
-        return _blocks_2d(problem, fold)
-    return _blocks_1d(problem, fold)
+    grid = problem.grid
+    m = _mass_values(problem)
+    v = _potential(problem)
+    sampled = [f for f in (v, m) if f is not None]
+    hermitian = problem.potential_imag is None
+    choices = []
+    for axis, flip in zip(grid.axes, reversed(range(v.ndim))):   # V is indexed [y, x]
+        kinetic = _kinetic_1d(axis, problem.ordering, m)
+        hermitian = hermitian and kinetic.hermitian_hint
+        if fold and all(np.array_equal(f, np.flip(f, flip)) for f in sampled):
+            choices.append([(p, mirror_fold(kinetic.matrix, p)) for p in (EVEN, ODD)])
+        else:
+            choices.append([(0, kinetic.matrix)])
+    del kinetic   # a folded axis keeps only its blocks
+    for combo in product(*choices):
+        parity = tuple(p for p, _ in combo)
+        axis_matrices = [t for _, t in combo]
+        if all(t.size for t in axis_matrices):
+            sites = tuple(mirror_sites(axis.M, p) for axis, p in zip(grid.axes, parity))
+            yield MirrorBlock(OperatorMatrix(_with_potential(axis_matrices, v[sites[::-1]]),
+                                             hermitian), parity)
 
 
 def _potential(problem: ProblemDefinition) -> np.ndarray:
@@ -250,36 +262,12 @@ def _potential(problem: ProblemDefinition) -> np.ndarray:
     return v
 
 
-def _blocks_1d(problem: ProblemDefinition, fold: bool) -> Iterator[MirrorBlock]:
-    m = _mass_values(problem)
-    kinetic = _kinetic_1d(problem.grid, problem.ordering, m)
-    v = _potential(problem)
-    H = kinetic.matrix.astype(v.dtype, copy=False)   # a fresh matrix: add V in place
+def _with_potential(axis_matrices: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """The block matrix: the Kronecker sum of the axis matrices and diag(v),
+    or in 1D the one axis matrix, fresh from the build or the fold, with v
+    added to its diagonal in place."""
+    if len(axis_matrices) > 1:
+        return kronecker_sum(*axis_matrices, v)
+    H = axis_matrices[0].astype(v.dtype, copy=False)
     H[np.diag_indices_from(H)] += v
-    hermitian = kinetic.hermitian_hint and problem.potential_imag is None
-    if not (fold and all(f is None or np.array_equal(f, f[::-1]) for f in (v, m))):
-        yield MirrorBlock(OperatorMatrix(H, hermitian))
-        return
-    for parity in (EVEN, ODD):
-        block = mirror_fold(H, parity)
-        if block.size:
-            yield MirrorBlock(OperatorMatrix(edge_first(block, (0, 1)), hermitian),
-                              parity=(parity,))
-
-
-def _blocks_2d(problem: ProblemDefinition, fold: bool) -> Iterator[MirrorBlock]:
-    grid = problem.grid
-    kinetics = _axis_kinetics(problem)
-    v = _potential(problem)
-    hermitian = problem.potential_imag is None
-    choices = []
-    for t, array_axis in zip(kinetics, (1, 0)):   # V is indexed [y, x]
-        if fold and np.array_equal(v, np.flip(v, array_axis)):
-            choices.append([(EVEN, mirror_fold(t, EVEN)), (ODD, mirror_fold(t, ODD))])
-        else:
-            choices.append([(0, t)])
-    for (px, tx), (py, ty) in product(*choices):
-        if tx.size and ty.size:
-            v_block = v[mirror_sites(grid.ly.M, py), mirror_sites(grid.lx.M, px)]
-            yield MirrorBlock(OperatorMatrix(kronecker_sum(tx, ty, v_block), hermitian),
-                              parity=(px, py))
+    return H

@@ -4,6 +4,10 @@ A 1D grid always has an odd number of points N = 2M+1, spacing a = L/N,
 sites x_i = a*(i-M) for i = 0..N-1 (so x = 0 sits exactly in the middle)
 and conjugate momenta p_k = (2*pi/L)*(k-M).  Odd N is structural: the
 closed forms for the momentum matrices assume it.
+
+Both lattices present one grid interface to the solver: ``size`` (the number
+of sites), ``cell`` (the weight of one site in the discrete norm) and
+``axes`` (the 1D lattices the grid is the tensor product of, x first).
 """
 
 from __future__ import annotations
@@ -41,6 +45,18 @@ class Lattice1D:
         self.x.setflags(write=False)
         self.p.setflags(write=False)
 
+    @property
+    def size(self) -> int:
+        return self.N
+
+    @property
+    def cell(self) -> float:
+        return self.a
+
+    @property
+    def axes(self) -> tuple[Lattice1D, ...]:
+        return (self,)
+
 
 @dataclass(frozen=True, eq=False)
 class Lattice2D:
@@ -62,6 +78,10 @@ class Lattice2D:
     def cell(self) -> float:
         """Area weight of one site, the 2D analogue of the spacing a."""
         return self.lx.a * self.ly.a
+
+    @property
+    def axes(self) -> tuple[Lattice1D, ...]:
+        return (self.lx, self.ly)
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) arrays of shape (Ny, Nx); ravel() matches the compound index."""

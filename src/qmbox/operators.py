@@ -14,6 +14,12 @@ on 2N-1 values rather than N^2, and the vector is expanded into the matrix
 by one strided copy; every entry is the same float it would be if evaluated
 in place (these are the Fourier-grid DVR matrices of Colbert & Miller,
 J. Chem. Phys. 96, 1982 (1992)).
+
+An operator that commutes with the reflection of a symmetric axis splits
+into an even and an odd mirror block (``mirror_fold``); the inverse map
+scatters block vectors back onto the whole axis (``mirror_unfold``).  One
+convention serves 1D and 2D alike: a folded axis is numbered from the box
+edge inward, with the centre site last in the even block (``mirror_sites``).
 """
 
 from __future__ import annotations
@@ -151,8 +157,9 @@ class MirrorBlock:
     """An operator restricted to one mirror-parity sector of its grid.
 
     ``parity`` holds one entry per axis (x, then y): EVEN or ODD for an axis
-    folded onto its half-axis sites (see ``mirror_sites``), 0 for an axis
-    kept whole.  The empty default means nothing is folded.
+    folded onto its half-axis sites, numbered from the box edge inward (see
+    ``mirror_sites``), 0 for an axis kept whole.  The empty default means
+    nothing is folded.
     """
 
     op: OperatorMatrix
@@ -162,65 +169,58 @@ class MirrorBlock:
 def mirror_sites(M: int, parity: int) -> slice:
     """Sites of the symmetric N = 2M+1 axis that index a block's basis.
 
-    The even basis is the centre site x_M and the pairs
-    (|x_{M+k}> + |x_{M-k}>)/sqrt2, the odd basis the pairs
-    (|x_{M+k}> - |x_{M-k}>)/sqrt2, k = 1..M; a function even along the
-    axis is diagonal in both, with its value at x_{M+k}.
+    The basis runs from the box edge inward: sites 0..M-1 are the pairs
+    (|x_k> +- |x_{N-1-k}>)/sqrt2, + in the even block and - in the odd one,
+    and the centre site x_M comes last, in the even block only.  A function
+    even along the axis is diagonal in both, with its value at x_k.
+
+    The edge-first order is the orientation of the dense H, and it matters
+    for precision: where the entries grow by orders of magnitude towards the
+    edge, as near the mass pole of nh3, the symmetric eigensolver keeps the
+    low levels in this orientation and loses digits in the reverse one.  On
+    criterion 09's widest grid (N = 211) the ground state is off by 3e-14
+    relative edge-first and by 3e-11 centre-first.
     """
     if parity == EVEN:
-        return slice(M, None)
+        return slice(M + 1)
     if parity == ODD:
-        return slice(M + 1, None)
+        return slice(M)
     return slice(None)
 
 
 def mirror_fold(t: np.ndarray, parity: int) -> np.ndarray:
-    """Block of a 1D matrix in the even or odd mirror basis.
+    """Block of a 1D matrix in the even or odd mirror basis, read off the
+    rows of the left half-axis.
 
     Exact when ``t`` commutes with the index reversal, t[::-1, ::-1] == t,
     as every symmetric Toeplitz matrix does (the closed-form p^2 among them)
-    and so does a 1D Hamiltonian, Hermitian or not, whose mass and potential
-    are mirror-even.
+    and so does a 1D kinetic matrix, Hermitian or not, whose mass is
+    mirror-even.
     """
     M = t.shape[0] // 2
-    near, far = t[M:, M:], t[M:, M::-1]    # columns x_{M+l} and x_{M-l}, l = 0..M
+    near, far = t[:M + 1, :M + 1], t[:M + 1, ::-1][:, :M + 1]   # columns x_k and x_{N-1-k}
     if parity == ODD:
-        return (near - far)[1:, 1:]
+        return near[:M, :M] - far[:M, :M]
     scale = np.ones(M + 1)
-    scale[0] = np.sqrt(0.5)                # the centre site is not a pair
+    scale[M] = np.sqrt(0.5)                # the centre site is not a pair
     return scale[:, None] * (near + far) * scale[None, :]
 
 
 def mirror_unfold(c: np.ndarray, parity: int, axis: int) -> np.ndarray:
     """Inverse of the fold for coefficient arrays: scatter the half axis
-    ``axis`` of ``c`` back onto all 2M+1 sites, c on the centre site and
-    +-c/sqrt2 on each mirrored pair.  An isometry, so norms carry over."""
+    ``axis`` of ``c`` back onto all 2M+1 sites, +-c/sqrt2 on each mirrored
+    pair and c on the centre site.  An isometry, so norms carry over."""
     if not parity:
         return c
     c = np.moveaxis(c, axis, 0)
-    pairs = np.sqrt(0.5) * (c[1:] if parity == EVEN else c)
+    pairs = np.sqrt(0.5) * (c[:-1] if parity == EVEN else c)
     M = pairs.shape[0]
     out = np.zeros((2 * M + 1,) + c.shape[1:], dtype=c.dtype)
-    out[M + 1:] = pairs
-    out[:M] = parity * pairs[::-1]
+    out[:M] = pairs
+    out[M + 1:] = parity * pairs[::-1]
     if parity == EVEN:
-        out[M] = c[0]
+        out[M] = c[-1]
     return np.moveaxis(out, 0, axis)
-
-
-def edge_first(a: np.ndarray, axes: int | tuple[int, ...]) -> np.ndarray:
-    """Reverse the half-axis index of a 1D mirror block along ``axes``, as a
-    contiguous copy; its own inverse.
-
-    The fold numbers a block's basis from the centre site outward (see
-    ``mirror_sites``); a 1D block is solved from the box edge inward, the
-    orientation of the dense H.  Where the entries grow by orders of
-    magnitude towards the edge, as near the mass pole of nh3, the symmetric
-    eigensolver keeps the low levels in this orientation and loses digits
-    in the other: on criterion 09's widest grid (N = 211) the ground state
-    is off by 3e-14 relative edge-first and by 3e-11 centre-first.
-    """
-    return np.ascontiguousarray(np.flip(a, axes))
 
 
 def kronecker_sum(tx: np.ndarray, ty: np.ndarray,

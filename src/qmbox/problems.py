@@ -221,7 +221,6 @@ def builtin_problem(problem_id: str, **overrides) -> ProblemDefinition:
             potential_real=nh3_potential,
             mass=lambda x, m_amu=m_amu: nh3_mass(x, m_amu, CONSTANTS.m_N),
             energy_unit="hartree",
-            reference_key=f"{problem_id}.benchmark" if problem_id == "nh3" else "nd3.pdm",
         )
     elif problem_id == "morse":
         d_e = float(ov.pop("d_e", 1.0))
@@ -235,7 +234,6 @@ def builtin_problem(problem_id: str, **overrides) -> ProblemDefinition:
             ordering=ordering if ordering is not None else ConstantMass(mu),
             potential_real=lambda x: morse_potential(x, d_e, alpha, r_e),
             energy_unit="model",
-            reference_key="morse.benchmark" if (r_e, grid.N, grid.L) == (-35.0, 111, 90.0) else None,
         )
     elif problem_id in ("pdm_ho_1", "pdm_ho_2"):
         grid = _grid_1d((20.0, 201), ov)

@@ -8,7 +8,9 @@ mass) is bitwise equal to its mirror image is folded into an even and an
 odd half, so H is diagonalized as 1 or 2 blocks in 1D and 1, 2 or 4 in 2D
 instead of one dense matrix, with the same spectrum.  The functions are
 tested as sampled, with no tolerance; an asymmetric problem is the one-block
-case.  1D spectra also get their s/a parity labels.
+case.  Every folded axis is numbered from the box edge inward, in 1D as in
+2D, and the same per-axis unfold maps each block's vectors back onto the
+grid.  1D spectra also get their s/a parity labels.
 """
 
 from __future__ import annotations

@@ -103,12 +103,7 @@ class TestConvergenceScan:
         assert ho_scan.converged[0] == pytest.approx(0.5, abs=1e-12)
         assert ho_scan.converged[1] == pytest.approx(3.5, abs=1e-9)
 
-    def test_csv_and_gnuplot_outputs(self, ho_scan, tmp_path):
-        csv = tmp_path / "scan.csv"
-        ho_scan.write_csv(csv)
-        lines = csv.read_text().splitlines()
-        assert lines[0] == "N,state,energy,rel_error"
-        assert len(lines) == 27
+    def test_gnuplot_output(self, ho_scan, tmp_path):
         dat = tmp_path / "scan.dat"
         ho_scan.write_gnuplot(dat, state=0)
         body = [l for l in dat.read_text().splitlines() if not l.startswith("#")]
@@ -189,7 +184,6 @@ class TestCompareToReference:
                              values={k: computed[k] for k in ref.values})
         report = compare_to_reference(s, fake)
         assert report.max_abs_dev == 0.0
-        assert report.max_rel_dev == 0.0
 
     def test_nh3_against_benchmark(self):
         report = compare_to_reference(solve(builtin_problem("nh3")),
@@ -214,9 +208,3 @@ class TestCompareToReference:
         ref = reference_spectrum("nh3.benchmark")  # parity labels, absent here
         with pytest.raises(KeyError, match="0s"):
             compare_to_reference(s, ref)
-
-    def test_report_table_format(self):
-        report = compare_to_reference(solve(builtin_problem("nh3")),
-                                      reference_spectrum("nh3.benchmark"))
-        table = report.format_table()
-        assert "0a" in table and "max abs dev" in table

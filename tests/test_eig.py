@@ -113,6 +113,12 @@ class TestDiagonalize:
         with pytest.raises(SolverError, match="non-finite"):
             diagonalize(OperatorMatrix(A, hermitian_hint=True), grid)
 
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_zero_hamiltonian_has_zero_residuals(self, hermitian):
+        # ||H||_F = 0: every pair is exact, and the relative residual must not be 0/0
+        s = diagonalize(OperatorMatrix(np.zeros((1, 1)), hermitian), make_lattice(1.0, 0))
+        assert s.residuals.tolist() == [0.0]
+
     def test_partial_decomposition_matches_full(self):
         problem = builtin_problem("pdm_ho_2")
         full = solve(problem)

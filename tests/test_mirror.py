@@ -172,15 +172,22 @@ def test_fold_is_an_orthogonal_change_of_basis(M):
     np.testing.assert_allclose(folded[:M + 1, M + 1:], 0.0, rtol=0, atol=1e-14 * scale)
 
 
-def test_1d_blocks_run_from_the_box_edge():
-    problem = builtin_problem("nd3")
+@pytest.mark.parametrize("problem_id, overrides", [("nd3", {}),
+                                                   ("henon_heiles", {"N": 15, "L": 12.0})],
+                         ids=["nd3", "henon_heiles"])
+def test_folded_blocks_run_from_the_box_edge(problem_id, overrides):
+    """Both problems fold x alone; a block's x index runs fastest."""
+    problem = builtin_problem(problem_id, **overrides)
     H = build_hamiltonian(problem).matrix
     even, odd = (b.op.matrix for b in hamiltonian_blocks(problem))
-    M = problem.grid.M
-    assert even.shape == (M + 1, M + 1) and odd.shape == (M, M)
-    assert even[0, 0] == H[-1, -1] + H[-1, 0]    # row 0 is the edge pair
-    assert odd[0, 0] == H[-1, -1] - H[-1, 0]
-    assert even[-1, -1] == pytest.approx(H[M, M], rel=1e-15)   # the centre site comes last
+    lx = problem.grid.axes[0]
+    rows = problem.size // lx.N
+    assert even.shape[0] == (lx.M + 1) * rows and odd.shape[0] == lx.M * rows
+    edge = lx.N - 1                                    # the mirror image of site 0
+    assert even[0, 0] == pytest.approx(H[0, 0] + H[0, edge], rel=1e-15)   # row 0 is the edge pair
+    assert odd[0, 0] == pytest.approx(H[0, 0] - H[0, edge], rel=1e-15)
+    centre = problem.size - 1 - lx.M                   # x = 0 on the last row
+    assert even[-1, -1] == pytest.approx(H[centre, centre], rel=1e-15)   # the centre site comes last
 
 
 def test_graded_nh3_grid_keeps_its_low_levels():
