@@ -175,8 +175,6 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    problem: str
-    reference: ReferenceSpectrum
     rows: tuple[ComparisonRow, ...]
 
     @property
@@ -220,4 +218,4 @@ def compare_to_reference(spectrum: Spectrum, ref: ReferenceSpectrum) -> Comparis
         rel_dev = abs_dev / abs(ref_value) if ref_value != 0 else None
         rows.append(ComparisonRow(label=label, computed=ours, reference=ref_value,
                                   abs_dev=abs_dev, rel_dev=rel_dev))
-    return ComparisonReport(problem=ref.problem, reference=ref, rows=tuple(rows))
+    return ComparisonReport(rows=tuple(rows))

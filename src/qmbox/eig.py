@@ -8,6 +8,15 @@ imaginary parts the matrix produces.  A real non-symmetric matrix therefore
 yields an exactly real spectrum whenever its eigenvalues are real, while a
 genuinely complex matrix shows its round-off imaginaries honestly.
 
+The general path has one real form: a complex H of odd size that is
+PT-symmetric bitwise, H[::-1, ::-1] == conj(H) (P reverses the site index,
+T conjugates), is similar to a real matrix of the same size built from its
+mirror folds (``_pt_real_form``).  That matrix goes through the real general
+solver in place of the complex one, so an unbroken-PT level comes out with
+an imaginary part of exactly 0 and a broken-PT pair as an exact conjugate
+pair, and the vectors are mapped back onto the grid.  The test is made on H
+itself, so every caller of the general path takes the same route.
+
 A Hamiltonian may also arrive as mirror-parity blocks (see
 ``hamiltonian.hamiltonian_blocks``): a problem whose grid functions equal
 their mirror image bitwise along an axis splits H exactly into an even and
@@ -33,7 +42,8 @@ from typing import Iterable
 import numpy as np
 
 from .lattice import Lattice1D, Lattice2D
-from .operators import EVEN, MirrorBlock, OperatorMatrix, mirror_unfold
+from .operators import (EVEN, ODD, MirrorBlock, OperatorMatrix, mirror_cross_fold,
+                        mirror_fold, mirror_unfold)
 
 
 class SolverError(RuntimeError):
@@ -137,10 +147,18 @@ def eigenvalues(op: OperatorMatrix) -> np.ndarray:
 def block_eigenvalues(blocks: Iterable[MirrorBlock]) -> np.ndarray:
     """All eigenvalues of a Hamiltonian given as mirror-parity blocks, without
     eigenvectors, merged in the order and dtype of ``diagonalize_blocks``."""
-    solved = [_lapack(np.linalg.eigvalsh if block.op.hermitian_hint else np.linalg.eigvals,
-                      block.op.matrix) for block in blocks]
-    w, order = _merged(solved)
+    w, order = _merged([_eigvals(block.op) for block in blocks])
     return w[order]
+
+
+def _eigvals(op: OperatorMatrix) -> np.ndarray:
+    """The eigenvalues of one block by the solver choice of ``_eigenpairs``."""
+    if op.hermitian_hint:
+        return _lapack(np.linalg.eigvalsh, op.matrix)
+    R = _pt_real_form(op.matrix)
+    if R is None:
+        return _lapack(np.linalg.eigvals, op.matrix)
+    return _lapack(np.linalg.eigvals, R).astype(complex)
 
 
 def _merged(values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -157,9 +175,46 @@ def _eigenpairs(H: np.ndarray, hermitian: bool, count: int) -> tuple[np.ndarray,
             from scipy.linalg import eigh
             return _lapack(eigh, H, subset_by_index=(0, count - 1))
         return _lapack(np.linalg.eigh, H)
-    w, v = _lapack(np.linalg.eig, H)
+    R = _pt_real_form(H)
+    w, v = _lapack(np.linalg.eig, H if R is None else R)
     order = np.lexsort((w.imag, w.real))[:count]
-    return w[order], v[:, order]
+    w, v = w[order], v[:, order]
+    if R is None:
+        return w, v
+    M = H.shape[0] // 2   # psi = Q_e u_e + i Q_o u_o
+    return w.astype(complex), (mirror_unfold(v[:M + 1], EVEN, axis=0)
+                               + 1j * mirror_unfold(v[M + 1:], ODD, axis=0))
+
+
+def _pt_real_form(H: np.ndarray) -> np.ndarray | None:
+    """The real matrix similar to a PT-symmetric H, or None for any other H.
+
+    H is PT-symmetric here when it has odd size and H[::-1, ::-1] == conj(H)
+    bitwise: P reverses the site index, T conjugates.  Then the reversal J
+    commutes with H_r = Re H and anticommutes with H_i = Im H, so in the
+    mirror basis of ``mirror_sites`` H_r is block-diagonal and H_i couples
+    the even block only to the odd one, and the similarity diag(I, i I)
+    takes H exactly to
+
+        R = [[A, -B_eo], [B_oe, C]],
+
+    A and C the even and odd folds of H_r, B_eo and B_oe the cross folds of
+    H_i.  R's eigenvectors (u_e, u_o) are H's as Q_e u_e + i Q_o u_o; a level
+    real in R is exactly real, and a broken-PT pair is an exact conjugate
+    pair (Bender & Boettcher, PRL 80, 5243 (1998); Mostafazadeh, J. Math.
+    Phys. 43, 205 (2002)).  The test reads H through its real and imaginary
+    views and the upper half rows, which the reversal maps onto the rest.
+    """
+    N = H.shape[0]
+    if not np.iscomplexobj(H) or N % 2 == 0:
+        return None
+    top, mirrored = H[:N // 2 + 1], H[::-1, ::-1][:N // 2 + 1]
+    if not (np.array_equal(top.real, mirrored.real)
+            and np.array_equal(top.imag, -mirrored.imag)):
+        return None
+    re, im = H.real, H.imag
+    return np.block([[mirror_fold(re, EVEN), -mirror_cross_fold(im, EVEN)],
+                     [mirror_cross_fold(im, ODD), mirror_fold(re, ODD)]])
 
 
 def _lapack(solver, H: np.ndarray, **options):

@@ -240,17 +240,22 @@ def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterato
         kinetic = _kinetic_1d(axis, problem.ordering, m)
         hermitian = hermitian and kinetic.hermitian_hint
         if fold and all(np.array_equal(f, np.flip(f, flip)) for f in sampled):
-            choices.append([(p, mirror_fold(kinetic.matrix, p)) for p in (EVEN, ODD)])
+            choices.append({p: mirror_fold(kinetic.matrix, p) for p in (EVEN, ODD)})
         else:
-            choices.append([(0, kinetic.matrix)])
+            choices.append({0: kinetic.matrix})
     del kinetic   # a folded axis keeps only its blocks
-    for combo in product(*choices):
-        parity = tuple(p for p, _ in combo)
-        axis_matrices = [t for _, t in combo]
+    for parity in product(*choices):   # the parities of each axis
+        axis_matrices = [axis[p] for axis, p in zip(choices, parity)]
+        if len(choices) == 1:
+            # a 1D block uses its axis matrix once, and V goes into it or
+            # into a complex copy of it: drop it so the block holds H alone
+            del choices[0][parity[0]]
         if all(t.size for t in axis_matrices):
             sites = tuple(mirror_sites(axis.M, p) for axis, p in zip(grid.axes, parity))
-            yield MirrorBlock(OperatorMatrix(_with_potential(axis_matrices, v[sites[::-1]]),
-                                             hermitian), parity)
+            H = _with_potential(axis_matrices, v[sites[::-1]])
+            del axis_matrices
+            yield MirrorBlock(OperatorMatrix(H, hermitian), parity)
+            del H
 
 
 def _potential(problem: ProblemDefinition) -> np.ndarray:

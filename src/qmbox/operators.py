@@ -20,6 +20,8 @@ into an even and an odd mirror block (``mirror_fold``); the inverse map
 scatters block vectors back onto the whole axis (``mirror_unfold``).  One
 convention serves 1D and 2D alike: a folded axis is numbered from the box
 edge inward, with the centre site last in the even block (``mirror_sites``).
+An operator that anticommutes with the reflection couples the two blocks
+only; ``mirror_cross_fold`` reads off those off-diagonal blocks.
 """
 
 from __future__ import annotations
@@ -197,13 +199,27 @@ def mirror_fold(t: np.ndarray, parity: int) -> np.ndarray:
     and so does a 1D kinetic matrix, Hermitian or not, whose mass is
     mirror-even.
     """
+    return _fold(t, parity, parity)
+
+
+def mirror_cross_fold(t: np.ndarray, parity: int) -> np.ndarray:
+    """Block <parity| t |-parity> of a matrix that anticommutes with the
+    index reversal, t[::-1, ::-1] == -t, read off the left half-axis rows
+    as near - far (even rows) or near + far (odd rows); such a t, the
+    imaginary part of a PT-symmetric H among them, only couples the even
+    and the odd mirror block."""
+    return _fold(t, parity, -parity)
+
+
+def _fold(t: np.ndarray, rows: int, columns: int) -> np.ndarray:
+    """<rows| t |columns> in the mirror basis of ``mirror_sites``, for a t
+    with t[::-1, ::-1] == rows * columns * t."""
     M = t.shape[0] // 2
     near, far = t[:M + 1, :M + 1], t[:M + 1, ::-1][:, :M + 1]   # columns x_k and x_{N-1-k}
-    if parity == ODD:
-        return near[:M, :M] - far[:M, :M]
+    r, c = mirror_sites(M, rows), mirror_sites(M, columns)
     scale = np.ones(M + 1)
     scale[M] = np.sqrt(0.5)                # the centre site is not a pair
-    return scale[:, None] * (near + far) * scale[None, :]
+    return scale[r, None] * (near + far if columns == EVEN else near - far)[r, c] * scale[None, c]
 
 
 def mirror_unfold(c: np.ndarray, parity: int, axis: int) -> np.ndarray:

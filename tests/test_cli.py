@@ -83,6 +83,15 @@ class TestSolve:
         assert rows[0]["state"] == "0"
         assert rows[0]["energy"] == pytest.approx(0.1625056275, abs=1e-9)
 
+    def test_pt_levels_are_exactly_real(self, tmp_path, capsys):
+        out = tmp_path / "pt.json"
+        code, _, _ = run(["solve", "--problem", "pt_oscillator", "--states", "10",
+                          "--format", "json", "--output", str(out)], capsys)
+        assert code == 0
+        rows = json.loads(out.read_text())
+        assert len(rows) == 10
+        assert all(row["imag"] == 0.0 for row in rows)
+
     def test_wavefunction_dump(self, tmp_path, capsys):
         dump = tmp_path / "psi.dat"
         code, _, _ = run(["solve", "--problem", "morse", "--states", "2",

@@ -5,9 +5,9 @@ from qmbox.eig import (SolverError, Spectrum, classify_parity, diagonalize,
                        eigenvalues, phase_fix)
 from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, build_hamiltonian,
                                ordering_from_name)
-from qmbox.lattice import make_lattice
+from qmbox.lattice import make_lattice, make_lattice_2d
 from qmbox.operators import OperatorMatrix
-from qmbox.problems import builtin_problem
+from qmbox.problems import builtin_problem, pt_exact_level
 from qmbox.solve import solve
 
 
@@ -133,7 +133,8 @@ class TestEigenvaluesOnly:
         lambda: builtin_problem("morse"),
         lambda: builtin_problem("nh3", ordering=ordering_from_name("mass-left")),
         lambda: builtin_problem("pt_oscillator"),
-    ], ids=["hermitian", "real-nonsymmetric", "complex"])
+        lambda: builtin_problem("non_pt_oscillator"),
+    ], ids=["hermitian", "real-nonsymmetric", "complex-pt", "complex"])
     def test_matches_diagonalize(self, make):
         problem = make()
         op = build_hamiltonian(problem)
@@ -167,6 +168,122 @@ class TestComplexSpectraExamples:
         w0 = solve(builtin_problem("pt_oscillator")).eigenvalues[0]
         assert w0.real == pytest.approx(1.25, abs=1e-12)
         assert abs(w0.imag) <= 1e-9
+
+
+def oracle(H):
+    """``np.linalg.eig`` on the complex H itself, sorted by (Re, Im)."""
+    w, v = np.linalg.eig(H)
+    order = np.lexsort((w.imag, w.real))
+    return w[order], v[:, order]
+
+
+def pt_matrix(N, imag_scale, seed):
+    """A random dense H with H[::-1, ::-1] == conj(H) bitwise and a full,
+    non-symmetric imaginary part, so the cross blocks are not transposes."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((N, N)) + 1j * imag_scale * rng.standard_normal((N, N))
+    return (G + np.conj(G)[::-1, ::-1]) / 2
+
+
+def nearest(values, targets):
+    """For each target, the entry of ``values`` closest to it."""
+    return values[np.argmin(np.abs(values[:, None] - targets[None, :]), axis=0)]
+
+
+class TestPTRealForm:
+    """A PT-symmetric H (odd size, H[::-1, ::-1] == conj(H) bitwise) is
+    diagonalized as a real matrix of its size; the oracle is the complex
+    eigensolver on H itself."""
+
+    @pytest.mark.parametrize("N", [101, 111, 121, 201])
+    def test_pt_oscillator_levels_are_exactly_real(self, N):
+        problem = builtin_problem("pt_oscillator", N=N)
+        w = solve(problem).eigenvalues
+        assert w.dtype == np.complex128
+        assert np.all(w[:45].imag == 0.0)
+        exact = np.array([pt_exact_level(n).real for n in range(45)])
+        assert np.max(np.abs(w[:45].real - exact) / exact) < 1e-12
+
+    @pytest.mark.parametrize("N", [101, 121, 201])
+    def test_levels_match_the_complex_oracle(self, N):
+        problem = builtin_problem("pt_oscillator", N=N)
+        H = build_hamiltonian(problem).matrix
+        s = diagonalize(OperatorMatrix(H), problem.grid)
+        w, v = s.eigenvalues, s.eigenvectors
+        reference = oracle(H)[0]
+        real = np.flatnonzero(w.imag == 0)
+        assert len(real) >= 45
+        # the oracle is itself off by about kappa eps ||H|| on the levels
+        # near PT breaking, where kappa = ||v||^2 / |v^T v| (H = H^T) reaches 1e4
+        kappa = np.sum(np.abs(v[:, real]) ** 2, axis=0) / np.abs(np.sum(v[:, real] ** 2, axis=0))
+        allowed = np.maximum(1e-12 * np.abs(w[real]),
+                             kappa * np.finfo(float).eps * np.linalg.norm(H, 2))
+        assert np.all(np.abs(nearest(reference, w[real]) - w[real]) <= allowed)
+        assert np.max(np.abs(nearest(reference, w[real[:45]]) - w[real[:45]])
+                      / np.abs(w[real[:45]])) < 1e-12
+        broken = w[w.imag != 0]
+        assert len(broken) % 2 == 0
+        assert np.array_equal(broken[0::2], np.conj(broken[1::2]))   # exact pairs, Im < 0 first
+
+    def test_vectors_match_the_oracle_up_to_a_phase(self):
+        problem = builtin_problem("pt_oscillator")
+        H = build_hamiltonian(problem).matrix
+        s = diagonalize(OperatorMatrix(H), problem.grid)
+        w_ref, v_ref = oracle(H)
+        v = s.eigenvectors[:, :45] / np.linalg.norm(s.eigenvectors[:, :45], axis=0)
+        u = v_ref[:, :45] / np.linalg.norm(v_ref[:, :45], axis=0)
+        np.testing.assert_allclose(w_ref[:45].real, s.eigenvalues[:45].real, rtol=1e-12)
+        overlap = np.sum(np.conj(u) * v, axis=0)
+        np.testing.assert_allclose(np.abs(overlap), 1.0, rtol=0, atol=1e-12)
+        assert np.max(np.abs(v - u * (overlap / np.abs(overlap))[None, :])) <= 1e-10
+        residuals = (np.linalg.norm(H @ v - v * s.eigenvalues[None, :45], axis=0)
+                     / np.linalg.norm(H))
+        assert residuals.max() <= 1e-14
+        assert s.residuals.max() <= 1e-14
+
+    @pytest.mark.parametrize("imag_scale", [0.05, 1.0], ids=["mostly-real", "mostly-pairs"])
+    def test_random_dense_pt_matrix(self, imag_scale):
+        H = pt_matrix(41, imag_scale, seed=17)
+        assert not np.array_equal(H.imag, H.imag.T)
+        s = diagonalize(OperatorMatrix(H), make_lattice(41.0, 20))
+        w, v = s.eigenvalues, s.eigenvectors
+        scale = np.linalg.norm(H, 2)
+        reference = oracle(H)[0]
+        np.testing.assert_allclose(nearest(reference, w), w, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(nearest(w, reference), reference, rtol=0, atol=1e-12 * scale)
+        assert np.any(w.imag == 0.0) and np.all(w.imag[np.abs(reference.imag) < 1e-9] == 0.0)
+        assert np.linalg.norm(H @ v - v * w[None, :], axis=0).max() <= 1e-13 * scale
+        np.testing.assert_allclose(eigenvalues(OperatorMatrix(H)), w, rtol=1e-13, atol=1e-14 * scale)
+
+    def test_single_block_2d(self):
+        grid = make_lattice_2d(12.0, 10, 12.0, 10)
+        problem = ProblemDefinition(name="pt-2d", grid=grid, ordering=ConstantMass(1.0),
+                                    potential_real=lambda x, y: 0.5 * (x**2 + y**2),
+                                    potential_imag=lambda x, y: 0.3 * (x + y),
+                                    energy_unit="model")
+        s = solve(problem, 40)
+        assert s.mirror_axes == ()
+        assert np.all(s.eigenvalues.imag == 0.0)
+        reference = oracle(build_hamiltonian(problem).matrix)[0][:40]
+        np.testing.assert_allclose(s.eigenvalues, reference, rtol=0, atol=2e-13)
+
+    def test_perturbed_and_non_pt_matrices_stay_complex(self):
+        def round_off_imag(H):
+            w = diagonalize(OperatorMatrix(H), make_lattice(1.0, (H.shape[0] - 1) // 2)).eigenvalues
+            real_like = w[np.abs(w.imag) < 1e-8]
+            return len(real_like) > 0 and np.any(real_like.imag != 0.0)
+
+        H = build_hamiltonian(builtin_problem("pt_oscillator")).matrix
+        assert not round_off_imag(H)
+        H[0, 1] += 1e-14 * abs(H[0, 1])
+        assert round_off_imag(H)
+        w = solve(builtin_problem("non_pt_oscillator")).eigenvalues[:45]
+        assert np.any(w.imag != 0.5) and np.abs(w.imag - 0.5).max() <= 1e-10
+        assert not round_off_imag(pt_matrix(41, 0.05, seed=3))
+        even = pt_matrix(40, 0.05, seed=3)
+        assert np.array_equal(even[::-1, ::-1], np.conj(even))
+        w = eigenvalues(OperatorMatrix(even))   # no odd grid has 40 sites
+        assert np.any((w.imag != 0) & (np.abs(w.imag) < 1e-8))
 
 
 class TestHermitianHintHonesty:

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qmbox.eig import diagonalize
 from qmbox.hamiltonian import (ORDERING_NAMES, ConstantMass, ProblemDefinition,
                                VonRoos, build_hamiltonian, build_kinetic,
-                               ordering_from_name)
+                               hamiltonian_blocks, ordering_from_name)
 from qmbox.lattice import make_lattice, make_lattice_2d
 from qmbox.operators import GridValueError, momentum_ip, momentum_matrix
 from qmbox.problems import builtin_problem, nh3_mass, nh3_potential
@@ -170,6 +172,21 @@ class TestHamiltonian1D:
                                           lambda x: x**2, V_imag=lambda x: x))
         assert np.iscomplexobj(op.matrix)
         assert op.hermitian_hint is False
+
+    @pytest.mark.parametrize("problem_id", ["pt_oscillator", "morse"])
+    def test_a_block_in_hand_holds_its_matrix_alone(self, problem_id):
+        # an unfolded 1D H is the real kinetic matrix with V added in place
+        # (morse) or a complex copy of it (pt_oscillator); the real one must
+        # not stay alive beside the copy while the block is being solved
+        problem = builtin_problem(problem_id, N=601)
+        tracemalloc.start()
+        try:
+            blocks = hamiltonian_blocks(problem)
+            block = next(blocks)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= block.op.matrix.nbytes + 0.5 * 2**20
 
     def test_real_paths_stay_real(self):
         for problem_id in ("nh3", "nd3", "morse", "pdm_ho_1", "pdm_ho_2"):

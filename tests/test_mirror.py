@@ -16,7 +16,7 @@ from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, VonRoos,
                                build_hamiltonian, hamiltonian_blocks,
                                ordering_from_name)
 from qmbox.lattice import make_lattice, make_lattice_2d
-from qmbox.operators import (EVEN, ODD, mirror_fold, mirror_unfold,
+from qmbox.operators import (EVEN, ODD, mirror_cross_fold, mirror_fold, mirror_unfold,
                              momentum_squared_matrix)
 from qmbox.problems import BUILTIN_IDS, builtin_problem
 from qmbox.solve import solve
@@ -170,6 +170,25 @@ def test_fold_is_an_orthogonal_change_of_basis(M):
     np.testing.assert_allclose(folded[M + 1:, M + 1:], mirror_fold(P, ODD),
                                rtol=0, atol=1e-14 * scale)
     np.testing.assert_allclose(folded[:M + 1, M + 1:], 0.0, rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("M", [0, 1, 4])
+def test_cross_fold_is_the_off_diagonal_block(M):
+    """A matrix that anticommutes with the reversal, such as the imaginary
+    part of a PT-symmetric H, has only even-odd blocks; a non-symmetric one
+    has <e|t|o> != <o|t|e>^T."""
+    N = 2 * M + 1
+    X = np.random.default_rng(M).standard_normal((N, N))
+    t = X - X[::-1, ::-1]
+    Q = np.hstack([mirror_unfold(np.eye(M + 1), EVEN, axis=0),
+                   mirror_unfold(np.eye(M), ODD, axis=0)])
+    folded = Q.T @ t @ Q
+    np.testing.assert_allclose(folded[:M + 1, M + 1:], mirror_cross_fold(t, EVEN),
+                               rtol=0, atol=1e-14 * np.abs(t).max())
+    np.testing.assert_allclose(folded[M + 1:, :M + 1], mirror_cross_fold(t, ODD),
+                               rtol=0, atol=1e-14 * np.abs(t).max())
+    np.testing.assert_allclose(folded[:M + 1, :M + 1], 0.0, rtol=0, atol=1e-14 * np.abs(t).max())
+    np.testing.assert_allclose(folded[M + 1:, M + 1:], 0.0, rtol=0, atol=1e-14 * np.abs(t).max())
 
 
 @pytest.mark.parametrize("problem_id, overrides", [("nd3", {}),
