@@ -11,7 +11,7 @@ from .analysis import (ComparisonReport, ConvergenceScan, compare_to_reference,
                        labeled_levels, shift_to_ground, to_wavenumbers)
 from .eig import (SolverError, Spectrum, classify_parity, diagonalize,
                   eigenvalues, phase_fix)
-from .expr import Expression, ExpressionError, evaluate, parse, unparse
+from .expr import Expression, ExpressionError, parse, unparse
 from .hamiltonian import (ConstantMass, KineticOrdering, ProblemDefinition,
                           VonRoos, build_hamiltonian, build_kinetic,
                           ordering_from_name)
@@ -40,7 +40,7 @@ __all__ = [
     "ReferenceSpectrum", "SolverError", "Spectrum", "VonRoos",
     "build_hamiltonian", "build_kinetic", "builtin_problem", "classify_parity",
     "compare_to_reference", "completeness_error", "constant_reduced_mass",
-    "convergence_scan", "diagonalize", "eigenvalues", "evaluate", "exp_ialpha_p",
+    "convergence_scan", "diagonalize", "eigenvalues", "exp_ialpha_p",
     "exponential_fit", "labeled_levels", "make_lattice", "make_lattice_2d",
     "momentum_ip", "momentum_matrix", "momentum_squared_matrix",
     "morse_exact_level", "morse_potential", "nh3_mass", "nh3_potential",

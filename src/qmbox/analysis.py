@@ -105,23 +105,23 @@ def convergence_scan(problem: ProblemDefinition, mode: str, n_list,
                            rel_errors=rel_errors)
 
 
-def exponential_fit(scan: ConvergenceScan, state: int, floor: float = 1e-11):
+def exponential_fit(scan: ConvergenceScan, state: int):
     """Least-squares fit of log10(rel error) vs N over the pre-plateau region.
 
     The pre-plateau region is the leading run of grids whose error still
-    exceeds ``floor``; once the error first dips below it the scan has hit
-    the round-off plateau and later points carry no slope information.
+    exceeds 1e-11; once the error first dips below it the scan has hit the
+    round-off plateau and later points carry no slope information.
     Returns (slope, correlation, n_points).
     """
     j = scan.state_indices.index(state)
     errs = scan.rel_errors[:, j]
     leading = 0
-    while leading < len(errs) and errs[leading] > floor:
+    while leading < len(errs) and errs[leading] > 1e-11:
         leading += 1
     ns = np.asarray(scan.n_list[:leading], dtype=float)
     logs = np.log10(errs[:leading])
     if len(ns) < 2:
-        raise ValueError("fewer than 2 pre-plateau grids; lower the floor")
+        raise ValueError("fewer than 2 grids above 1e-11")
     slope, _ = np.polyfit(ns, logs, 1)
     if len(ns) == 2:
         corr = -1.0 if slope < 0 else 1.0  # two points correlate exactly
@@ -132,13 +132,12 @@ def exponential_fit(scan: ConvergenceScan, state: int, floor: float = 1e-11):
 
 # --- Completeness of the discretized spectrum --------------------------------
 
-def completeness_error(spectrum: Spectrum, ground: int = 0,
-                       n_max: int | None = None):
-    """Relative truncation error of sum_n <0|x|n><n|x|0> against <0|x^2|0>.
+def completeness_error(spectrum: Spectrum, ground: int = 0) -> np.ndarray:
+    """Relative truncation error of sum_n <0|x|n><n|x|0> against <0|x^2|0>,
+    as the whole curve over n_max = 0..N-1.
 
     Needs the full spectrum: the identity only resolves once the discretized
-    continuum states are included.  With ``n_max=None`` the whole curve is
-    returned as an array over n_max = 0..N-1, otherwise a single float.
+    continuum states are included.
     """
     if isinstance(spectrum.grid, Lattice2D):
         raise ValueError("completeness check is defined for 1D spectra")
@@ -147,8 +146,6 @@ def completeness_error(spectrum: Spectrum, ground: int = 0,
         raise ValueError("completeness check needs the full spectrum")
     if not 0 <= ground <= n_states - 1:
         raise ValueError(f"ground must be in 0..{n_states - 1}, got {ground}")
-    if n_max is not None and not 0 <= n_max <= n_states - 1:
-        raise ValueError(f"n_max must be in 0..{n_states - 1}, got {n_max}")
     a = spectrum.weight
     x = spectrum.grid.x
     psi0 = spectrum.eigenvectors[:, ground]
@@ -156,10 +153,7 @@ def completeness_error(spectrum: Spectrum, ground: int = 0,
     # <0|x|n> with conjugation on the bra; generic for complex eigenvectors
     amps = a * (spectrum.eigenvectors.conj().T @ (x * psi0))
     partial = np.cumsum(np.abs(amps) ** 2)
-    curve = np.abs(x2_expect - partial) / x2_expect
-    if n_max is None:
-        return curve
-    return float(curve[n_max])
+    return np.abs(x2_expect - partial) / x2_expect
 
 
 # --- Reference comparison ----------------------------------------------------

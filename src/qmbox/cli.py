@@ -216,8 +216,7 @@ def _config_int(path, entries, key) -> int:
 
 # --- Output helpers ----------------------------------------------------------
 
-def _spectrum_rows(problem: ProblemDefinition, spectrum: Spectrum, n_states: int,
-                   unit: str, shift: bool):
+def _spectrum_rows(spectrum: Spectrum, n_states: int, unit: str, shift: bool):
     values = spectrum.eigenvalues
     real = values.real.copy()
     imag = values.imag.copy()
@@ -238,22 +237,25 @@ def _spectrum_rows(problem: ProblemDefinition, spectrum: Spectrum, n_states: int
 
 
 def _emit(rows, header, args):
-    fmt = getattr(args, "format", "csv")
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            if fmt == "json":
-                json.dump(rows, fh, indent=2)
-                fh.write("\n")
-            else:
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(_format_cell(row[h]) for h in header) + "\n")
-    else:
+    """The rows as ``--format`` (CSV or JSON) to ``--output`` or stdout.
+    Without ``--format``, a file gets CSV and stdout an aligned table."""
+    if not args.output and args.format is None:
         widths = {h: max(len(h), 18) for h in header}
         print("  ".join(h.rjust(widths[h]) for h in header))
         for row in rows:
             print("  ".join(_format_cell(row[h]).rjust(widths[h]) for h in header))
+        return
+    if args.format == "json":
+        text = json.dumps(rows, indent=2) + "\n"
+    else:
+        lines = [",".join(header)] + [",".join(_format_cell(row[h]) for h in header)
+                                      for row in rows]
+        text = "\n".join(lines) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _format_cell(value) -> str:
@@ -296,7 +298,7 @@ def _cmd_solve(args) -> int:
     problem = _make_problem(args)
     spectrum = solve_problem(problem)
     unit = _default_unit(problem, args.unit)
-    rows = _spectrum_rows(problem, spectrum, args.states, unit, args.shift)
+    rows = _spectrum_rows(spectrum, args.states, unit, args.shift)
     _emit(rows, ["state", "energy", "imag", "residual"], args)
     if args.dump_wavefunctions:
         _dump_wavefunctions(problem, spectrum, args)
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--shift", action="store_true",
                          help="report energies relative to the ground state")
     p_solve.add_argument("--output", help="write rows to this file")
-    p_solve.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_solve.add_argument("--format", choices=["csv", "json"])
     p_solve.add_argument("--dump-wavefunctions", metavar="PATH",
                          help="write grid-sampled eigenfunctions to PATH")
     p_solve.set_defaults(fn=_cmd_solve)
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated ascending odd N values (>= 12)")
     p_conv.add_argument("--track", default="0", help="comma-separated state indices")
     p_conv.add_argument("--output", help="write CSV rows to this file")
-    p_conv.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_conv.add_argument("--format", choices=["csv", "json"])
     p_conv.add_argument("--gnuplot-prefix",
                         help="also write two-column error files per state")
     p_conv.set_defaults(fn=_cmd_converge)
@@ -418,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_problem_args(p_comp)
     p_comp.add_argument("--ground", type=int, default=0)
     p_comp.add_argument("--output", help="write rows to this file")
-    p_comp.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_comp.add_argument("--format", choices=["csv", "json"])
     p_comp.set_defaults(fn=_cmd_completeness)
 
     p_bench = sub.add_parser("bench", help="run the full reference gate")

@@ -42,8 +42,8 @@ from typing import Iterable
 import numpy as np
 
 from .lattice import Lattice1D, Lattice2D
-from .operators import (EVEN, ODD, MirrorBlock, OperatorMatrix, mirror_cross_fold,
-                        mirror_fold, mirror_unfold)
+from .operators import (EVEN, ODD, OperatorMatrix, mirror_cross_fold, mirror_fold,
+                        mirror_unfold)
 
 
 class SolverError(RuntimeError):
@@ -94,10 +94,10 @@ def diagonalize(op: OperatorMatrix, grid: Lattice1D | Lattice2D,
     """
     if op.dim != grid.size:
         raise ValueError("operator dimension does not match the grid")
-    return diagonalize_blocks([MirrorBlock(op)], grid, n_states)
+    return diagonalize_blocks([op], grid, n_states)
 
 
-def diagonalize_blocks(blocks: Iterable[MirrorBlock], grid: Lattice1D | Lattice2D,
+def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Lattice2D,
                        n_states: int | None = None) -> Spectrum:
     """Eigendecomposition of a Hamiltonian given as mirror-parity blocks.
 
@@ -112,14 +112,14 @@ def diagonalize_blocks(blocks: Iterable[MirrorBlock], grid: Lattice1D | Lattice2
         raise ValueError(f"n_states must be in 1..{grid.size}, got {n_states}")
     parts, norm_sq, folded, hermitian = [], 0.0, set(), True
     for block in blocks:
-        H = block.op.matrix
+        H = block.matrix
         count = H.shape[0] if n_states is None else min(n_states, H.shape[0])
-        w, v = _eigenpairs(H, block.op.hermitian_hint, count)
+        w, v = _eigenpairs(H, block.hermitian_hint, count)
         v = v / np.sqrt(grid.cell * np.sum(np.abs(v) ** 2, axis=0))
         parts.append((w, v, np.linalg.norm(H @ v - v * w[None, :], axis=0), block.parity))
         norm_sq += np.linalg.norm(H) ** 2
         folded.update(axis for axis, p in zip("xy", block.parity) if p)
-        hermitian = hermitian and block.op.hermitian_hint
+        hermitian = hermitian and block.hermitian_hint
         del H, block   # free this block before the next one is assembled
 
     w, order = _merged([part[0] for part in parts])
@@ -141,13 +141,13 @@ def eigenvalues(op: OperatorMatrix) -> np.ndarray:
     """All eigenvalues of a built Hamiltonian, without eigenvectors, in the
     order and dtype of ``diagonalize``: ascending and real on the Hermitian
     hint, otherwise sorted by (Re, Im)."""
-    return block_eigenvalues([MirrorBlock(op)])
+    return block_eigenvalues([op])
 
 
-def block_eigenvalues(blocks: Iterable[MirrorBlock]) -> np.ndarray:
+def block_eigenvalues(blocks: Iterable[OperatorMatrix]) -> np.ndarray:
     """All eigenvalues of a Hamiltonian given as mirror-parity blocks, without
     eigenvectors, merged in the order and dtype of ``diagonalize_blocks``."""
-    w, order = _merged([_eigvals(block.op) for block in blocks])
+    w, order = _merged([_eigvals(block) for block in blocks])
     return w[order]
 
 
@@ -262,14 +262,14 @@ def phase_fix(spectrum: Spectrum) -> Spectrum:
     return replace(spectrum, eigenvectors=v)
 
 
-def classify_parity(spectrum: Spectrum, threshold: float = 0.9) -> Spectrum:
+def classify_parity(spectrum: Spectrum) -> Spectrum:
     """Label 1D states s/a/none by their overlap with the index-reversed self.
 
     The overlap o = a * sum_i psi(-x_i) psi(x_i)* is +1 for an even state and
     -1 for an odd one on a symmetric grid; states of a non-symmetric problem
-    land in between and are labeled "none".  Each parity class also gets its
-    own quantum number counted upward in energy order, giving the familiar
-    doublet labels 0s, 0a, 1s, ...
+    land in between and are labeled "none" when |o| <= 0.9.  Each parity
+    class also gets its own quantum number counted upward in energy order,
+    giving the familiar doublet labels 0s, 0a, 1s, ...
     """
     if isinstance(spectrum.grid, Lattice2D):
         raise ValueError("parity classification is defined for 1D spectra only")
@@ -277,7 +277,7 @@ def classify_parity(spectrum: Spectrum, threshold: float = 0.9) -> Spectrum:
     overlaps = spectrum.weight * np.sum(v[::-1, :] * np.conj(v), axis=0)
     parity = []
     for o in overlaps.real:
-        parity.append("s" if o > threshold else "a" if o < -threshold else "none")
+        parity.append("s" if o > 0.9 else "a" if o < -0.9 else "none")
     counters = {"s": 0, "a": 0}
     labels = []
     for n, p in enumerate(parity):

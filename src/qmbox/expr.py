@@ -83,10 +83,18 @@ class Expression:
     variables: frozenset[str]
 
     def __call__(self, **bindings):
-        return evaluate(self, bindings)
+        """Evaluate with scalars or numpy arrays bound to the variables.
 
-    def evaluate(self, point: Mapping[str, float]):
-        return evaluate(self, point)
+        IEEE double semantics: division by zero and domain errors propagate
+        as non-finite values and are flagged by the caller.  The one
+        exception is a fractional power of a negative base, which raises
+        instead of silently producing a complex branch.
+        """
+        missing = self.variables - set(bindings)
+        if missing:
+            raise ExpressionError(f"missing variable binding for {sorted(missing)}")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _eval(self.root, bindings)
 
     def __str__(self) -> str:
         return unparse(self)
@@ -272,21 +280,6 @@ def _collect_vars(node: Node) -> frozenset[str]:
 
 
 # --- Evaluation ------------------------------------------------------------
-
-def evaluate(expression: Expression, point: Mapping[str, float]):
-    """Evaluate at ``point`` (scalars or numpy arrays per variable).
-
-    IEEE double semantics: division by zero and domain errors propagate as
-    non-finite values and are flagged by the caller.  The one exception is a
-    fractional power of a negative base, which raises instead of silently
-    producing a complex branch.
-    """
-    missing = expression.variables - set(point)
-    if missing:
-        raise ExpressionError(f"missing variable binding for {sorted(missing)}")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _eval(expression.root, point)
-
 
 def _eval(node: Node, point: Mapping[str, float]):
     if isinstance(node, Num):

@@ -35,9 +35,9 @@ from typing import Iterator, Union
 import numpy as np
 
 from .lattice import Lattice1D, Lattice2D
-from .operators import (EVEN, ODD, GridFunction, GridValueError, MirrorBlock,
-                        OperatorMatrix, grid_values, kronecker_sum, mirror_fold,
-                        mirror_sites, momentum_ip, momentum_squared_matrix)
+from .operators import (EVEN, ODD, GridFunction, GridValueError, OperatorMatrix,
+                        grid_values, kronecker_sum, mirror_fold, mirror_sites,
+                        momentum_ip, momentum_squared_matrix)
 
 
 # --- Kinetic orderings -------------------------------------------------------
@@ -210,10 +210,10 @@ def build_hamiltonian(problem: ProblemDefinition) -> OperatorMatrix:
     """H = T + diag(V_real) + i diag(V_imag) on the problem's grid, as one
     dense matrix: the unfolded case of ``hamiltonian_blocks``."""
     (block,) = hamiltonian_blocks(problem, fold=False)
-    return block.op
+    return block
 
 
-def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterator[MirrorBlock]:
+def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterator[OperatorMatrix]:
     """The Hamiltonian as mirror-parity blocks, assembled one at a time.
 
     On the symmetric grid the kinetic term commutes with the reflection of
@@ -254,7 +254,7 @@ def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterato
             sites = tuple(mirror_sites(axis.M, p) for axis, p in zip(grid.axes, parity))
             H = _with_potential(axis_matrices, v[sites[::-1]])
             del axis_matrices
-            yield MirrorBlock(OperatorMatrix(H, hermitian), parity)
+            yield OperatorMatrix(H, hermitian, parity)
             del H
 
 

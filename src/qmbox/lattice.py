@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Default cap on a single dense operator allocation (bytes, complex128).
-DEFAULT_MEMORY_CAP = 4 * 2**30
+#: Cap on a single dense operator allocation (bytes, complex128).
+MEMORY_CAP = 4 * 2**30
 
 _COMPLEX_ITEMSIZE = 16
 
 
 class GridMemoryError(MemoryError):
-    """Requested grid implies a dense matrix beyond the configured cap."""
+    """Requested grid implies a dense matrix beyond ``MEMORY_CAP``."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,31 +88,29 @@ class Lattice2D:
         return np.meshgrid(self.lx.x, self.ly.x, indexing="xy")
 
 
-def _check_cap(dim: int, memory_cap: int | None, what: str):
-    cap = DEFAULT_MEMORY_CAP if memory_cap is None else memory_cap
+def _check_cap(dim: int, what: str):
     need = dim * dim * _COMPLEX_ITEMSIZE
-    if need > cap:
+    if need > MEMORY_CAP:
         raise GridMemoryError(
             f"{what}: dense {dim}x{dim} operator needs {need / 2**30:.2f} GiB, "
-            f"cap is {cap / 2**30:.2f} GiB")
+            f"cap is {MEMORY_CAP / 2**30:.2f} GiB")
 
 
-def make_lattice(L: float, M: int, memory_cap: int | None = None) -> Lattice1D:
+def make_lattice(L: float, M: int) -> Lattice1D:
     """Build the odd-N symmetric periodic grid of width L with N = 2M+1 points."""
     if not L > 0:
         raise ValueError(f"width L must be positive, got {L}")
     if M < 0 or int(M) != M:
         raise ValueError(f"M must be a non-negative integer, got {M}")
-    _check_cap(2 * int(M) + 1, memory_cap, "make_lattice")
+    _check_cap(2 * int(M) + 1, "make_lattice")
     return Lattice1D(M=int(M), L=float(L))
 
 
-def make_lattice_2d(Lx: float, Mx: int, Ly: float, My: int,
-                    memory_cap: int | None = None) -> Lattice2D:
+def make_lattice_2d(Lx: float, Mx: int, Ly: float, My: int) -> Lattice2D:
     """Tensor-product grid; the state space has Nx*Ny sites."""
-    lx = make_lattice(Lx, Mx, memory_cap=memory_cap)
-    ly = make_lattice(Ly, My, memory_cap=memory_cap)
-    _check_cap(lx.N * ly.N, memory_cap, "make_lattice_2d")
+    lx = make_lattice(Lx, Mx)
+    ly = make_lattice(Ly, My)
+    _check_cap(lx.N * ly.N, "make_lattice_2d")
     return Lattice2D(lx=lx, ly=ly)
 
 

@@ -49,10 +49,17 @@ class OperatorMatrix:
     ``hermitian_hint`` is structural: constructors set it when the build
     recipe guarantees Hermiticity, and the eigensolver trusts it to pick
     the symmetric fast path.  It is never inferred by numeric sniffing.
+
+    ``parity`` names the mirror-parity sector of the grid the operator is
+    restricted to, one entry per axis (x, then y): EVEN or ODD for an axis
+    folded onto its half-axis sites, numbered from the box edge inward (see
+    ``mirror_sites``), 0 for an axis kept whole.  The empty default means
+    nothing is folded: the operator acts on the whole grid.
     """
 
     matrix: np.ndarray
     hermitian_hint: bool = False
+    parity: tuple[int, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -135,7 +142,7 @@ def grid_values(f: GridFunction, point_arrays: dict[str, np.ndarray],
             extra = f.variables - set(names)
             if extra:
                 raise GridValueError(f"{what} uses undeclared variables {sorted(extra)}")
-            values = f.evaluate(point_arrays)
+            values = f(**point_arrays)
         elif callable(f):
             values = f(*(point_arrays[n] for n in names))
         else:
@@ -152,20 +159,6 @@ def grid_values(f: GridFunction, point_arrays: dict[str, np.ndarray],
 
 #: Parity of a mirror block along one axis; 0 marks an axis kept whole.
 EVEN, ODD = 1, -1
-
-
-@dataclass(frozen=True, eq=False)
-class MirrorBlock:
-    """An operator restricted to one mirror-parity sector of its grid.
-
-    ``parity`` holds one entry per axis (x, then y): EVEN or ODD for an axis
-    folded onto its half-axis sites, numbered from the box edge inward (see
-    ``mirror_sites``), 0 for an axis kept whole.  The empty default means
-    nothing is folded.
-    """
-
-    op: OperatorMatrix
-    parity: tuple[int, ...] = ()
 
 
 def mirror_sites(M: int, parity: int) -> slice:

@@ -20,6 +20,8 @@ reference spectra carry their own unit annotations.
 
 from __future__ import annotations
 
+import configparser
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -130,51 +132,27 @@ class ReferenceSpectrum:
     values: dict[str, float]  # state label -> value
 
 
-_REFERENCE_CACHE: dict[str, ReferenceSpectrum] | None = None
+_META_FIELDS = ("source", "unit", "shifted", "citation")
 
 
+@functools.cache
 def _load_reference_tables() -> dict[str, ReferenceSpectrum]:
-    global _REFERENCE_CACHE
-    if _REFERENCE_CACHE is not None:
-        return _REFERENCE_CACHE
-    text = resources.files("qmbox.data").joinpath("reference_spectra.txt").read_text()
-    tables: dict[str, ReferenceSpectrum] = {}
-    key = None
-    meta: dict[str, str] = {}
-    values: dict[str, float] = {}
-
-    def flush():
-        if key is None:
-            return
-        tables[key] = ReferenceSpectrum(
+    parser = configparser.ConfigParser(delimiters=("=",), inline_comment_prefixes=("#",),
+                                       interpolation=None)
+    parser.optionxform = str   # keep labels as written; the default lower-cases them
+    parser.read_string(resources.files("qmbox.data").joinpath("reference_spectra.txt").read_text())
+    return {
+        key: ReferenceSpectrum(
             problem=key.split(".")[0],
-            source=meta.get("source", "published-table"),
-            unit=meta.get("unit", "model"),
-            shifted=meta.get("shifted", "false") == "true",
-            citation=meta.get("citation", ""),
-            values=dict(values),
+            source=table.get("source", "published-table"),
+            unit=table.get("unit", "model"),
+            shifted=table.get("shifted", "false") == "true",
+            citation=table.get("citation", ""),
+            values={label: float(value) for label, value in table.items()
+                    if label not in _META_FIELDS},
         )
-
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            flush()
-            key = line[1:-1].strip()
-            meta, values = {}, {}
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed reference-spectrum line: {raw!r}")
-        field, _, val = line.partition("=")
-        field, val = field.strip(), val.strip()
-        if field in ("source", "unit", "shifted", "citation"):
-            meta[field] = val
-        else:
-            values[field] = float(val)
-    flush()
-    _REFERENCE_CACHE = tables
-    return tables
+        for key, table in parser.items() if key != parser.default_section
+    }
 
 
 def reference_spectrum(key: str) -> ReferenceSpectrum:
@@ -187,10 +165,11 @@ def reference_spectrum(key: str) -> ReferenceSpectrum:
 
 # --- Built-in problem factory ------------------------------------------------
 
+#: Henon-Heiles coupling of the paper's benchmark.
+_HH_LAMBDA = 1.0 / math.sqrt(80.0)
+
 BUILTIN_IDS = ("nh3", "nd3", "morse", "pdm_ho_1", "pdm_ho_2",
                "pt_oscillator", "non_pt_oscillator", "henon_heiles")
-
-_GRID_OVERRIDES = {"N", "L", "Nx", "Ny", "Lx", "Ly", "ordering"}
 
 
 def _grid_1d(defaults: tuple[float, int], overrides: dict):
@@ -202,8 +181,8 @@ def _grid_1d(defaults: tuple[float, int], overrides: dict):
 def builtin_problem(problem_id: str, **overrides) -> ProblemDefinition:
     """Instantiate a built-in problem, optionally overriding grid/ordering.
 
-    Generic overrides: N, L (1D), Nx/Ny/Lx/Ly (2D), ordering.  Problem-
-    specific ones: d_e, alpha, r_e, mu (morse); lam (henon_heiles).
+    Generic overrides: N, L (1D), Nx/Ny/Lx/Ly (2D), ordering.  The one
+    problem-specific override is r_e (morse), which moves the well.
     Unknown ids or overrides raise ValueError.
     """
     if problem_id not in BUILTIN_IDS:
@@ -223,16 +202,13 @@ def builtin_problem(problem_id: str, **overrides) -> ProblemDefinition:
             energy_unit="hartree",
         )
     elif problem_id == "morse":
-        d_e = float(ov.pop("d_e", 1.0))
-        alpha = float(ov.pop("alpha", 0.24))
         r_e = float(ov.pop("r_e", -35.0))
-        mu = float(ov.pop("mu", 1.0))
         grid = _grid_1d((90.0, 111), ov)
         problem = ProblemDefinition(
             name=problem_id,
             grid=grid,
-            ordering=ordering if ordering is not None else ConstantMass(mu),
-            potential_real=lambda x: morse_potential(x, d_e, alpha, r_e),
+            ordering=ordering if ordering is not None else ConstantMass(1.0),
+            potential_real=lambda x: morse_potential(x, R_e=r_e),
             energy_unit="model",
         )
     elif problem_id in ("pdm_ho_1", "pdm_ho_2"):
@@ -265,7 +241,6 @@ def builtin_problem(problem_id: str, **overrides) -> ProblemDefinition:
             energy_unit="model",
         )
     else:  # henon_heiles
-        lam = float(ov.pop("lam", 1.0 / math.sqrt(80.0)))
         Lx = float(ov.pop("Lx", ov.pop("L", 20.0)))
         Ly = float(ov.pop("Ly", Lx))
         Nx = int(ov.pop("Nx", ov.pop("N", 61)))
@@ -275,7 +250,7 @@ def builtin_problem(problem_id: str, **overrides) -> ProblemDefinition:
             name=problem_id,
             grid=grid,
             ordering=ordering if ordering is not None else ConstantMass(1.0),
-            potential_real=lambda x, y: 0.5 * (x**2 + y**2) + lam * (x**2 * y - y**3 / 3.0),
+            potential_real=lambda x, y: 0.5 * (x**2 + y**2) + _HH_LAMBDA * (x**2 * y - y**3 / 3.0),
             energy_unit="model",
         )
 
@@ -294,7 +269,7 @@ def non_pt_exact_level(n: int) -> complex:
     return 2.0 * n + 1.0 + 0.5j
 
 
-def henon_heiles_well_radius_sq(lam: float = 1.0 / math.sqrt(80.0)) -> float:
+def henon_heiles_well_radius_sq(lam: float = _HH_LAMBDA) -> float:
     """Squared saddle-point distance 1/(4 lam^2); <r^2> beyond it marks a
     box-localized artifact state rather than a metastable well state."""
     return 1.0 / (4.0 * lam**2)

@@ -56,18 +56,10 @@ class TestCompleteness:
         curve = completeness_error(morse_wide)
         assert curve[-1] <= 1e-14
 
-    def test_single_value_matches_curve(self, morse_wide):
-        curve = completeness_error(morse_wide)
-        assert completeness_error(morse_wide, n_max=5) == curve[5]
-
     def test_monotone_down_to_noise(self, morse_wide):
         curve = completeness_error(morse_wide)
         above = curve[:-1] > 1e-13
         assert np.all(np.diff(curve)[above] <= 0)
-
-    def test_n_max_out_of_range(self, morse_wide):
-        with pytest.raises(ValueError, match="n_max"):
-            completeness_error(morse_wide, n_max=301)
 
     @pytest.mark.parametrize("ground", [-1, 301, 500])
     def test_ground_out_of_range(self, morse_wide, ground):

@@ -448,3 +448,28 @@ class TestCompleteness:
         assert code == 1
         assert f"ground must be in 0..110, got {ground}" in err
         assert out == ""
+
+
+#: A short run of each row-printing subcommand, and the header of its rows.
+ROW_COMMANDS = {
+    "solve": (["solve", "--problem", "pt_oscillator", "--states", "3"],
+              "state,energy,imag,residual"),
+    "converge": (["converge", "--problem", "pdm_ho_1", "--track", "0",
+                  "--N-list", ",".join(str(n) for n in range(19, 44, 2))],
+                 "N,state,energy,rel_error"),
+    "completeness": (["completeness", "--problem", "morse", "--N", "51", "--L", "140"],
+                     "n_max,epsilon"),
+}
+
+
+@pytest.mark.parametrize("command", list(ROW_COMMANDS))
+def test_format_applies_to_stdout(capsys, command):
+    argv, header = ROW_COMMANDS[command]
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    assert rows and list(rows[0]) == header.split(",")
+    code, out, _ = run(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == header and len(lines) == len(rows) + 1

@@ -186,7 +186,7 @@ class TestHamiltonian1D:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held <= block.op.matrix.nbytes + 0.5 * 2**20
+        assert held <= block.matrix.nbytes + 0.5 * 2**20
 
     def test_real_paths_stay_real(self):
         for problem_id in ("nh3", "nd3", "morse", "pdm_ho_1", "pdm_ho_2"):

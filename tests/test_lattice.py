@@ -63,9 +63,6 @@ class TestLattice1D:
     def test_memory_cap_signals(self):
         with pytest.raises(GridMemoryError):
             make_lattice(1.0, 9000)  # N^2 complex entries > 4 GiB
-        # a custom cap tightens the limit
-        with pytest.raises(GridMemoryError):
-            make_lattice(1.0, 100, memory_cap=100_000)
 
     def test_points_to_m(self):
         assert points_to_m(111) == 55

@@ -142,8 +142,8 @@ def test_block_solve_matches_dense_oracle(name):
 def test_block_norms_add_up_to_dense_norm(name):
     problem = CASES[name][0]()
     blocks = list(hamiltonian_blocks(problem))
-    assert sum(b.op.dim for b in blocks) == problem.size
-    block_norm_sq = sum(np.linalg.norm(b.op.matrix) ** 2 for b in blocks)
+    assert sum(b.dim for b in blocks) == problem.size
+    block_norm_sq = sum(np.linalg.norm(b.matrix) ** 2 for b in blocks)
     dense_norm = np.linalg.norm(build_hamiltonian(problem).matrix)
     assert math.sqrt(block_norm_sq) == pytest.approx(dense_norm, rel=1e-14)
 
@@ -198,7 +198,7 @@ def test_folded_blocks_run_from_the_box_edge(problem_id, overrides):
     """Both problems fold x alone; a block's x index runs fastest."""
     problem = builtin_problem(problem_id, **overrides)
     H = build_hamiltonian(problem).matrix
-    even, odd = (b.op.matrix for b in hamiltonian_blocks(problem))
+    even, odd = (b.matrix for b in hamiltonian_blocks(problem))
     lx = problem.grid.axes[0]
     rows = problem.size // lx.N
     assert even.shape[0] == (lx.M + 1) * rows and odd.shape[0] == lx.M * rows

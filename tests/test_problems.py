@@ -198,6 +198,15 @@ class TestBuiltinProblems:
         with pytest.raises(ValueError, match="invalid override"):
             builtin_problem("nh3", Nx=5)
 
+    @pytest.mark.parametrize("problem_id,name,value", [
+        ("morse", "mu", 2.0), ("morse", "d_e", 2.0), ("morse", "alpha", 0.3),
+        ("henon_heiles", "lam", 0.2)])
+    def test_paper_constants_are_fixed(self, problem_id, name, value):
+        # the exact levels and the gates assume the paper's D_e, alpha, mu
+        # and lambda, so a built-in does not take other values
+        with pytest.raises(ValueError, match=f"invalid override.*{name}"):
+            builtin_problem(problem_id, **{name: value})
+
     def test_even_point_count_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             builtin_problem("nh3", N=110)
