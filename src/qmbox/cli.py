@@ -16,6 +16,7 @@ The environment variable QMBOX_MAX_THREADS caps BLAS/LAPACK threads.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -252,10 +253,20 @@ def _emit(rows, header, args):
                                       for row in rows]
         text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _writing(args.output), open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """A file the command cannot write is a configuration error, as an
+    unreadable config file is."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}")
 
 
 def _format_cell(value) -> str:
@@ -308,7 +319,7 @@ def _cmd_solve(args) -> int:
 def _dump_wavefunctions(problem, spectrum, args):
     path = args.dump_wavefunctions
     n = min(args.states, spectrum.n_states)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
         if isinstance(problem.grid, Lattice2D):
             X, Y = problem.grid.meshgrid()
             coords = np.column_stack([X.ravel(), Y.ravel()])
@@ -335,7 +346,9 @@ def _cmd_converge(args) -> int:
     _emit(rows, ["N", "state", "energy", "rel_error"], args)
     if args.gnuplot_prefix:
         for s in states:
-            scan.write_gnuplot(f"{args.gnuplot_prefix}.state{s}.dat", s)
+            path = f"{args.gnuplot_prefix}.state{s}.dat"
+            with _writing(path):
+                scan.write_gnuplot(path, s)
     for s in states:
         slope, corr, npts = analysis.exponential_fit(scan, s)
         print(f"# state {s}: log10(err) slope {slope:.4f}/point over {npts} "

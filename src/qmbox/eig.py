@@ -45,6 +45,25 @@ from .lattice import Lattice1D, Lattice2D
 from .operators import (EVEN, ODD, OperatorMatrix, mirror_cross_fold, mirror_fold,
                         mirror_unfold)
 
+#: Entries per pass (2 MiB of float64) when vectors are normalized, residuals
+#: formed, vectors unfolded or phases fixed: each pass works on a slice of
+#: whole columns, so no temporary is the size of a large eigenvector matrix,
+#: while a matrix that fits (every 1D grid up to 511 points) is one pass over
+#: contiguous memory, which strided slices are not.
+_CHUNK_ENTRIES = 2**18
+
+#: The smallest Hermitian block whose lowest levels come from LAPACK's subset
+#: driver (?syevr) rather than from the full decomposition (?syevd).  The
+#: subset drivers lose relative digits on the low levels of strongly graded
+#: blocks: nh3 with the inverse-mass anticommutator at N = 211 comes out up to
+#: 2.8e-7 off, where the full driver keeps round-off (and so do ?syevx and a
+#: tiny abstol, so no driver option mends it).  Below this size the full
+#: decomposition takes at most about 0.25 s on two cores, two to three times
+#: the subset's, so a 1D grid keeps full precision up to 2047 points, while
+#: the large 2D blocks the subset is for (1485 sites and up on 55^2
+#: Henon-Heiles) keep their speed.
+_SUBSET_MIN_SIZE = 1024
+
 
 class SolverError(RuntimeError):
     """Eigensolver failed to converge or received non-finite input."""
@@ -89,8 +108,9 @@ def diagonalize(op: OperatorMatrix, grid: Lattice1D | Lattice2D,
     Hermitian-path eigenvalues come back as a real array, so their imaginary
     parts are identically zero; the general path returns complex eigenvalues
     sorted by (Re, Im).  On the Hermitian path ``n_states`` restricts the
-    decomposition to the lowest eigenpairs, which is much cheaper for big 2D
-    grids; the general path always computes everything and truncates.
+    decomposition of a block of at least ``_SUBSET_MIN_SIZE`` sites to the
+    lowest eigenpairs, which is much cheaper for big 2D grids; smaller blocks
+    and the general path compute everything and truncate.
     """
     if op.dim != grid.size:
         raise ValueError("operator dimension does not match the grid")
@@ -110,29 +130,42 @@ def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Latti
     """
     if n_states is not None and not 1 <= n_states <= grid.size:
         raise ValueError(f"n_states must be in 1..{grid.size}, got {n_states}")
-    parts, norm_sq, folded, hermitian = [], 0.0, set(), True
+    values, vectors, residuals, parities = [], [], [], []
+    norm_sq, folded, hermitian = 0.0, set(), True
     for block in blocks:
         H = block.matrix
         count = H.shape[0] if n_states is None else min(n_states, H.shape[0])
         w, v = _eigenpairs(H, block.hermitian_hint, count)
-        v = v / np.sqrt(grid.cell * np.sum(np.abs(v) ** 2, axis=0))
-        parts.append((w, v, np.linalg.norm(H @ v - v * w[None, :], axis=0), block.parity))
+        for c in _column_chunks(*v.shape):
+            v[:, c] /= np.sqrt(grid.cell * np.sum(np.abs(v[:, c]) ** 2, axis=0))
+        # H v as one product (BLAS rounds a product of a column slice
+        # differently), then H v - w v and its norms chunk by chunk in place
+        Hv, r = H @ v, np.empty(len(w))
+        for c in _column_chunks(*v.shape):
+            Hv[:, c] -= v[:, c] * w[c]
+            r[c] = np.linalg.norm(Hv[:, c], axis=0)
+        values.append(w)
+        vectors.append(v)
+        residuals.append(r)
+        parities.append(block.parity)
         norm_sq += np.linalg.norm(H) ** 2
         folded.update(axis for axis, p in zip("xy", block.parity) if p)
         hermitian = hermitian and block.hermitian_hint
-        del H, block   # free this block before the next one is assembled
+        del H, Hv, block, v   # free this block before the next one is assembled
 
-    w, order = _merged([part[0] for part in parts])
+    w, order = _merged(values)
     order = order[:n_states]
-    owner = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])[order]
-    w, residuals = w[order], np.concatenate([part[2] for part in parts])[order]
-    vectors = np.empty((grid.size, len(order)), dtype=np.result_type(*(part[1] for part in parts)))
-    for b, (_, v, _, parity) in enumerate(parts):
+    owner = np.repeat(np.arange(len(values)), [len(part) for part in values])[order]
+    w, residuals = w[order], np.concatenate(residuals)[order]
+    out = np.empty((grid.size, len(order)), dtype=np.result_type(*vectors))
+    for b, parity in enumerate(parities):
         columns = np.flatnonzero(owner == b)   # a block's picks are its lowest pairs
-        vectors[:, columns] = _unfold(v[:, :len(columns)], parity, grid)
+        for c in _column_chunks(grid.size, len(columns)):
+            out[:, columns[c]] = _unfold(vectors[b][:, c], parity, grid)
+        vectors[b] = None   # scattered: release the block's vectors
     if norm_sq:   # H = 0 leaves every pair exact, with residual 0
         residuals = residuals / np.sqrt(norm_sq)
-    return Spectrum(eigenvalues=w, eigenvectors=vectors, residuals=residuals,
+    return Spectrum(eigenvalues=w, eigenvectors=out, residuals=residuals,
                     hermitian_path=hermitian, grid=grid,
                     mirror_axes=tuple(a for a in "xy" if a in folded))
 
@@ -171,10 +204,11 @@ def _merged(values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 def _eigenpairs(H: np.ndarray, hermitian: bool, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``count`` lowest eigenpairs of H in (Re, Im) order, columns of unit 2-norm."""
     if hermitian:
-        if count < H.shape[0]:
+        if count < H.shape[0] and H.shape[0] >= _SUBSET_MIN_SIZE:
             from scipy.linalg import eigh
             return _lapack(eigh, H, subset_by_index=(0, count - 1))
-        return _lapack(np.linalg.eigh, H)
+        w, v = _lapack(np.linalg.eigh, H)
+        return w[:count], v[:, :count]
     R = _pt_real_form(H)
     w, v = _lapack(np.linalg.eig, H if R is None else R)
     order = np.lexsort((w.imag, w.real))[:count]
@@ -241,25 +275,49 @@ def _unfold(v: np.ndarray, parity: tuple[int, ...], grid: Lattice1D | Lattice2D)
     return c.reshape(grid.size, -1)
 
 
+def _column_chunks(n_rows: int, n_columns: int) -> list[slice]:
+    """Consecutive column slices covering 0..n_columns, each of at most
+    ``_CHUNK_ENTRIES`` entries (at least one column) of n_rows."""
+    width = max(1, _CHUNK_ENTRIES // max(n_rows, 1))
+    return [slice(j, min(j + width, n_columns)) for j in range(0, n_columns, width)]
+
+
 def phase_fix(spectrum: Spectrum) -> Spectrum:
     """Rotate each eigenvector so its largest-|.| component is real positive
-    (for complex vectors, the first component within 1e-12 of the largest).
+    (for real vectors the first site of largest |.|; for complex vectors,
+    the first component within 1e-12 of the largest).
 
-    Deterministic and idempotent; keeps real arrays real (a sign flip).
+    Deterministic and idempotent; keeps real arrays real (a sign flip) and
+    leaves the input spectrum's array unchanged.
     """
-    v = spectrum.eigenvectors
-    cols = np.arange(v.shape[1])
-    size = np.abs(v)
-    if not np.iscomplexobj(v):
-        lead = v[np.argmax(size, axis=0), cols]
-        return replace(spectrum, eigenvectors=v * np.where(lead != 0, np.sign(lead), 1.0)[None, :])
-    # A rotation moves |.| by round-off, which can reorder exact ties such as
-    # mirror-image sites; the first near-maximal site is a stable pivot.
-    pivots = np.argmax(size >= (1.0 - 1e-12) * size.max(axis=0), axis=0)
-    lead = v[pivots, cols]
-    v = v * np.exp(-1j * np.angle(lead))[None, :]   # exactly 1 once the pivot is real positive
-    v[pivots, cols] = np.abs(lead)                  # and pinned exactly real here
-    return replace(spectrum, eigenvectors=v)
+    vectors = spectrum.eigenvectors.copy()
+    _fix_phases(vectors)
+    return replace(spectrum, eigenvectors=vectors)
+
+
+def _fix_phases(v: np.ndarray) -> None:
+    """``phase_fix`` in place on the columns of v, one column chunk at a time."""
+    for c in _column_chunks(*v.shape):
+        chunk = v[:, c]
+        cols = np.arange(chunk.shape[1])
+        if not np.iscomplexobj(v):
+            # the first site of largest |v|, from the extremes without an |v| array:
+            # +a and -a tie, and the first of their sites wins, as in argmax(|v|);
+            # one transposed copy makes both scans contiguous
+            sites = np.ascontiguousarray(chunk.T)
+            top, bottom = sites.argmax(axis=1), sites.argmin(axis=1)
+            high, low = sites[cols, top], -sites[cols, bottom]
+            pivots = np.where(high == low, np.minimum(top, bottom), np.where(high > low, top, bottom))
+            lead = chunk[pivots, cols]
+            chunk *= np.where(lead != 0, np.sign(lead), 1.0)
+            continue
+        # A rotation moves |.| by round-off, which can reorder exact ties such as
+        # mirror-image sites; the first near-maximal site is a stable pivot.
+        size = np.abs(chunk)
+        pivots = np.argmax(size >= (1.0 - 1e-12) * size.max(axis=0), axis=0)
+        lead = chunk[pivots, cols]
+        chunk *= np.exp(-1j * np.angle(lead))   # exactly 1 once the pivot is real positive
+        chunk[pivots, cols] = np.abs(lead)      # and pinned exactly real here
 
 
 def classify_parity(spectrum: Spectrum) -> Spectrum:

@@ -15,6 +15,7 @@ can be shared freely between threads and grids.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
@@ -93,7 +94,7 @@ class Expression:
         missing = self.variables - set(bindings)
         if missing:
             raise ExpressionError(f"missing variable binding for {sorted(missing)}")
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"), _depth_guard():
             return _eval(self.root, bindings)
 
     def __str__(self) -> str:
@@ -263,8 +264,19 @@ def parse(source: str, allowed_vars) -> Expression:
     if not isinstance(source, str) or not source.strip():
         raise ExpressionError("empty expression")
     allowed = frozenset(allowed_vars)
-    root = _Parser(source, allowed).parse()
-    return Expression(root=root, source=source, variables=_collect_vars(root))
+    with _depth_guard():
+        root = _Parser(source, allowed).parse()
+        return Expression(root=root, source=source, variables=_collect_vars(root))
+
+
+@contextlib.contextmanager
+def _depth_guard():
+    """Parser and evaluator recurse once per nesting level; an expression
+    nested beyond Python's recursion limit is an ExpressionError."""
+    try:
+        yield
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
 
 
 def _collect_vars(node: Node) -> frozenset[str]:

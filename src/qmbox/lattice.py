@@ -12,6 +12,7 @@ of sites), ``cell`` (the weight of one site in the discrete norm) and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,10 +99,14 @@ def _check_cap(dim: int, what: str):
 
 def make_lattice(L: float, M: int) -> Lattice1D:
     """Build the odd-N symmetric periodic grid of width L with N = 2M+1 points."""
-    if not L > 0:
-        raise ValueError(f"width L must be positive, got {L}")
+    if not 0 < L < math.inf:
+        raise ValueError(f"width L must be positive and finite, got {L}")
     if M < 0 or int(M) != M:
         raise ValueError(f"M must be a non-negative integer, got {M}")
+    # the spacing L/N and the momentum step 2 pi/L must both be representable
+    if not (L / (2 * M + 1) > 0 and 2 * math.pi / L < math.inf):
+        raise ValueError(f"width L = {L} gives no finite, nonzero spacing and "
+                         f"momentum step on {2 * M + 1} points")
     _check_cap(2 * int(M) + 1, "make_lattice")
     return Lattice1D(M=int(M), L=float(L))
 

@@ -15,17 +15,19 @@ grid.  1D spectra also get their s/a parity labels.
 
 from __future__ import annotations
 
-from .eig import Spectrum, classify_parity, diagonalize_blocks, phase_fix
+from .eig import Spectrum, _fix_phases, classify_parity, diagonalize_blocks
 from .hamiltonian import ProblemDefinition, hamiltonian_blocks
 
 
 def solve(problem: ProblemDefinition, n_states: int | None = None) -> Spectrum:
     """Spectrum of a problem, phase-fixed and naming its folded mirror axes;
-    1D states also carry parity labels.
+    1D states also carry parity labels.  Each eigenvector column is written
+    once, into the one output array.
 
     ``n_states`` limits a Hermitian decomposition to the lowest eigenpairs
     (the completeness machinery needs the full spectrum, so leave it None
     there).
     """
-    spectrum = phase_fix(diagonalize_blocks(hamiltonian_blocks(problem), problem.grid, n_states))
+    spectrum = diagonalize_blocks(hamiltonian_blocks(problem), problem.grid, n_states)
+    _fix_phases(spectrum.eigenvectors)   # as phase_fix, on the fresh array in place
     return classify_parity(spectrum) if problem.dim == 1 else spectrum

@@ -168,6 +168,23 @@ class TestSolve:
         assert f"--states must be at least 1, got {states}" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag", ["--output", "--dump-wavefunctions"])
+    def test_unwritable_path_exit_code(self, tmp_path, capsys, flag):
+        path = tmp_path / "missing" / "levels.txt"
+        code, _, err = run(["solve", "--problem", "morse", "--states", "2", flag, str(path)],
+                           capsys)
+        assert code == 1
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("width", ["inf", "1e-320"])
+    def test_unrepresentable_width_exit_code(self, capsys, width):
+        code, out, err = run(["solve", "--problem", "morse", "--L", width], capsys)
+        assert code == 1
+        assert "width L" in err and "Warning" not in err
+        assert len(err.splitlines()) == 1
+        assert out == ""
+
     def test_2d_position_dependent_mass_exit_code(self, capsys):
         code, _, err = run(["solve", "--problem", "henon_heiles", "--ordering", "mass-left"],
                            capsys)
@@ -260,6 +277,14 @@ class TestConfig:
         code, _, err = run(["solve", "--config", cfg], capsys)
         assert code == 1
         assert "potential_real" in err and "position" in err
+
+    def test_deeply_nested_expression_exit_code(self, tmp_path, capsys):
+        deep = "(" * 2000 + "x^2" + ")" * 2000
+        cfg = self.write(tmp_path, f"dimension = 1\nN = 41\nL = 10\nmass = 1\npotential_real = {deep}\n")
+        code, _, err = run(["solve", "--config", cfg], capsys)
+        assert code == 1
+        assert "nested too deeply" in err
+        assert len(err.splitlines()) == 1
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "dimension = 1\nwidth = 10\n")
@@ -423,6 +448,15 @@ class TestConverge:
         assert code == 0
         for s in (0, 2):
             assert (tmp_path / f"conv.state{s}.dat").exists()
+
+    def test_unwritable_gnuplot_prefix_exit_code(self, tmp_path, capsys):
+        prefix = tmp_path / "missing" / "conv"
+        n_list = ",".join(str(n) for n in range(19, 44, 2))
+        code, _, err = run(["converge", "--problem", "pdm_ho_1", "--N-list", n_list,
+                            "--gnuplot-prefix", str(prefix), "--output", str(tmp_path / "s.csv")],
+                           capsys)
+        assert code == 1
+        assert f"error: cannot write {prefix}.state0.dat: " in err
 
     def test_bad_n_list(self, capsys):
         code, _, err = run(["converge", "--problem", "nh3", "--N-list", "21,23"],

@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qmbox.eig import (SolverError, Spectrum, classify_parity, diagonalize,
-                       eigenvalues, phase_fix)
+                       diagonalize_blocks, eigenvalues, phase_fix)
 from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, build_hamiltonian,
-                               ordering_from_name)
+                               hamiltonian_blocks, ordering_from_name)
 from qmbox.lattice import make_lattice, make_lattice_2d
 from qmbox.operators import OperatorMatrix
-from qmbox.problems import builtin_problem, pt_exact_level
+from qmbox.problems import BUILTIN_IDS, builtin_problem, pt_exact_level
 from qmbox.solve import solve
 
 
@@ -126,6 +128,52 @@ class TestDiagonalize:
         assert part.n_states == 12
         np.testing.assert_allclose(part.eigenvalues, full.eigenvalues[:12], rtol=1e-12)
         assert part.residuals.max() <= 1e-9
+
+    def test_graded_1d_subset_keeps_full_precision(self):
+        # nh3's inverse-mass anticommutator on criterion 09's widest grid: the
+        # entries grow by orders of magnitude towards the mass pole
+        N = 211
+        problem = builtin_problem("nh3", N=N, L=4.5 * N / 151,
+                                  ordering=ordering_from_name("inverse-mass-anticommutator"))
+        part = solve(problem, 10).eigenvalues
+        np.testing.assert_allclose(part, solve(problem).eigenvalues[:10], rtol=1e-12, atol=0)
+
+    def test_large_blocks_keep_the_subset_driver(self, monkeypatch):
+        # 1485 sites: the smallest block of a 55^2 Henon-Heiles solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("a large block took the full decomposition")
+        rng = np.random.default_rng(2)
+        A = rng.standard_normal((1485, 1485))
+        A += A.T
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        s = diagonalize(OperatorMatrix(A, hermitian_hint=True), make_lattice(1485.0, 742), 10)
+        assert s.n_states == 10
+
+
+class TestVectorsWrittenOnce:
+    @pytest.mark.parametrize("problem_id", BUILTIN_IDS)
+    def test_solve_is_phase_fixed_block_decomposition(self, problem_id):
+        # Henon-Heiles on 41^2: blocks of 861 and 820 sites take several passes each
+        overrides = {"N": 41} if problem_id == "henon_heiles" else {}
+        problem = builtin_problem(problem_id, **overrides)
+        spectrum = solve(problem)
+        reference = phase_fix(diagonalize_blocks(hamiltonian_blocks(problem), problem.grid))
+        for name in ("eigenvalues", "eigenvectors", "residuals"):
+            got, want = getattr(spectrum, name), getattr(reference, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_full_2d_solve_peaks_below_twice_the_vectors(self):
+        # the eigenvector matrix is the largest object of a full 2D spectrum;
+        # written once, nothing else of its size is alive at the peak
+        problem = builtin_problem("henon_heiles", N=41)
+        tracemalloc.start()
+        try:
+            spectrum = solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * spectrum.eigenvectors.nbytes
 
 
 class TestEigenvaluesOnly:
@@ -367,6 +415,45 @@ class TestPhaseFix:
             once = phase_fix(s)
             assert once.eigenvectors[0, 0].imag == 0.0 and once.eigenvectors[0, 0].real > 0
             np.testing.assert_array_equal(phase_fix(once).eigenvectors, once.eigenvectors)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_leaves_input_unchanged(self, dtype):
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal((5, 3)).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.standard_normal((5, 3))
+        before = v.copy()
+        s = self._spectrum(v)
+        fixed = phase_fix(s)
+        np.testing.assert_array_equal(s.eigenvectors, before)
+        assert not np.shares_memory(fixed.eigenvectors, v)
+
+    def test_real_pivot_tie_takes_first_site(self):
+        # +a and -a tie for the largest |v|; the first of their sites is the
+        # pivot, as np.argmax(np.abs(v)) picks it
+        v = np.array([[0.1, 0.5], [-0.5, 0.2], [0.5, -0.5], [0.3, 0.1], [0.0, -0.5]])
+        fixed = phase_fix(self._spectrum(v)).eigenvectors
+        np.testing.assert_array_equal(fixed[:, 0], -v[:, 0])
+        np.testing.assert_array_equal(fixed[:, 1], v[:, 1])
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_many_columns_match_whole_array_rule(self, dtype):
+        # more columns than one pass takes, with exact ties among them
+        rng = np.random.default_rng(13)
+        v = np.round(rng.standard_normal((7, 301)), 1).astype(dtype)
+        if dtype is complex:
+            v += 1j * np.round(rng.standard_normal((7, 301)), 1)
+        cols = np.arange(v.shape[1])
+        size = np.abs(v)
+        if dtype is float:
+            lead = v[np.argmax(size, axis=0), cols]
+            want = v * np.where(lead != 0, np.sign(lead), 1.0)
+        else:
+            pivots = np.argmax(size >= (1.0 - 1e-12) * size.max(axis=0), axis=0)
+            lead = v[pivots, cols]
+            want = v * np.exp(-1j * np.angle(lead))
+            want[pivots, cols] = np.abs(lead)
+        np.testing.assert_array_equal(phase_fix(self._spectrum(v)).eigenvectors, want)
 
     def test_keeps_real_arrays_real(self):
         s = solve(builtin_problem("morse"))

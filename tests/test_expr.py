@@ -126,6 +126,18 @@ class TestParseErrors:
         with pytest.raises(ExpressionError, match="unknown identifier"):
             parse("x*y", {"x"})
 
+    def test_deep_nesting_is_expression_error(self):
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            parse("(" * 2000 + "x" + ")" * 2000, {"x"})
+
+    def test_deep_tree_evaluation_is_expression_error(self):
+        root = Var("x")
+        for _ in range(5000):
+            root = Neg(root)
+        deep = Expression(root=root, source="-" * 5000 + "x", variables=frozenset({"x"}))
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            deep(x=1.0)
+
 
 # --- Property tests ----------------------------------------------------------
 

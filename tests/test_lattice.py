@@ -56,6 +56,17 @@ class TestLattice1D:
         with pytest.raises(ValueError, match="positive"):
             make_lattice(-2.0, 5)
 
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_rejects_nonfinite_width(self, L):
+        with pytest.raises(ValueError, match="finite"):
+            make_lattice(L, 5)
+
+    @pytest.mark.parametrize("L", [1e-320, 5e-324])
+    def test_rejects_width_without_representable_steps(self, L):
+        # 2 pi / L overflows; at 5e-324 the spacing L / N is 0 as well
+        with pytest.raises(ValueError, match="spacing"):
+            make_lattice(L, 5)
+
     def test_rejects_negative_m(self):
         with pytest.raises(ValueError):
             make_lattice(1.0, -1)
