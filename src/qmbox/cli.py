@@ -307,7 +307,7 @@ def _cmd_solve(args) -> int:
     if args.states < 1:
         raise ConfigError(f"--states must be at least 1, got {args.states}")
     problem = _make_problem(args)
-    spectrum = solve_problem(problem)
+    spectrum = solve_problem(problem, min(args.states, problem.size))
     unit = _default_unit(problem, args.unit)
     rows = _spectrum_rows(spectrum, args.states, unit, args.shift)
     _emit(rows, ["state", "energy", "imag", "residual"], args)

@@ -1,12 +1,31 @@
 """Diagonalization and spectrum packaging.
 
-Two solver paths, chosen by the builder's structural hermitian_hint rather
-than by sniffing the matrix: Hermitian input goes through the symmetric
-solver and reports exactly real eigenvalues with orthonormal eigenvectors;
-everything else goes through the general dense solver and keeps whatever
-imaginary parts the matrix produces.  A real non-symmetric matrix therefore
-yields an exactly real spectrum whenever its eigenvalues are real, while a
-genuinely complex matrix shows its round-off imaginaries honestly.
+Three solver paths, chosen from the structure of each block rather than by
+sniffing the matrix.  Hermitian input (the builder's structural
+hermitian_hint) goes through the symmetric solver and reports exactly real
+eigenvalues with orthonormal eigenvectors; everything else goes through the
+general dense solver and keeps whatever imaginary parts the matrix
+produces.  A real non-symmetric matrix therefore yields an exactly real
+spectrum whenever its eigenvalues are real, while a genuinely complex matrix
+shows its round-off imaginaries honestly.
+
+The third path is the contracted solve (``_contracted_pairs``): a Hermitian
+2D block of at least ``_SUBSET_MIN_SIZE`` sites, given by its Kronecker-sum
+factors (see ``OperatorMatrix``), of which only the lowest ``n_states``
+levels are asked for, is solved in a basis of 1D eigenstates of its long
+axis, one set per site of its short axis (sequential diagonalization-
+truncation, Bacic & Light, Annu. Rev. Phys. Chem. 40, 469 (1989), on the
+Fourier-grid DVR of Colbert & Miller, J. Chem. Phys. 96, 1982 (1992)).  The
+basis grows on a fixed ladder until the lowest levels stop moving; the
+dense block is never assembled, and the residuals are the full block's,
+formed matrix-free.  The levels agree with the dense path to about 4e-14
+relative, while the vectors of the upper levels carry residuals of up to
+about 1e-9 of ||H||_F (4e-10 on Henon-Heiles) where the dense path reaches
+1e-16: convergence in the basis size is algebraic, so residuals at the
+dense level are out of reach.
+Should the ladder end unconverged, the blocks are assembled once and go
+through the dense subset path.  Full spectra, 1D, non-Hermitian and smaller
+blocks, and a bare dense matrix stay on the dense paths.
 
 The general path has one real form: a complex H of odd size that is
 PT-symmetric bitwise, H[::-1, ::-1] == conj(H) (P reverses the site index,
@@ -53,7 +72,8 @@ from .operators import (EVEN, ODD, OperatorMatrix, mirror_cross_fold, mirror_fol
 _CHUNK_ENTRIES = 2**18
 
 #: The smallest Hermitian block whose lowest levels come from LAPACK's subset
-#: driver (?syevr) rather than from the full decomposition (?syevd).  The
+#: driver (?syevr), or for a 2D block given by its factors from the
+#: contracted solve, rather than from the full decomposition (?syevd).  The
 #: subset drivers lose relative digits on the low levels of strongly graded
 #: blocks: nh3 with the inverse-mass anticommutator at N = 211 comes out up to
 #: 2.8e-7 off, where the full driver keeps round-off (and so do ?syevx and a
@@ -63,6 +83,20 @@ _CHUNK_ENTRIES = 2**18
 #: the large 2D blocks the subset is for (1485 sites and up on 55^2
 #: Henon-Heiles) keep their speed.
 _SUBSET_MIN_SIZE = 1024
+
+#: Basis functions per site of a block's short axis on each rung of the
+#: contracted solve (``_contracted_pairs``).  Convergence in this number is
+#: algebraic, so a stop rule on residuals at the dense path's level (~1e-16)
+#: is never met: the upper states of 60 on 81^2 Henon-Heiles plateau near
+#: 1e-11 even at 56, while their eigenvalues agree with the dense path to
+#: 1e-14 from 24 on.
+_CONTRACTION_LADDER = (16, 20, 24, 28, 32)
+
+#: The contracted solve stops when no kept level moves by more than this many
+#: eps * ||H_c||_2 between two rungs.  32 sits on eigvalsh's round-off floor
+#: (3.6e-13 to 1.1e-12 absolute on the 81^2 Henon-Heiles blocks), so the
+#: unfolded 81^2 block never stopped and fell back to the dense path.
+_CONTRACTION_TOL = 64
 
 
 class SolverError(RuntimeError):
@@ -109,8 +143,10 @@ def diagonalize(op: OperatorMatrix, grid: Lattice1D | Lattice2D,
     parts are identically zero; the general path returns complex eigenvalues
     sorted by (Re, Im).  On the Hermitian path ``n_states`` restricts the
     decomposition of a block of at least ``_SUBSET_MIN_SIZE`` sites to the
-    lowest eigenpairs, which is much cheaper for big 2D grids; smaller blocks
-    and the general path compute everything and truncate.
+    lowest eigenpairs, which is much cheaper for big 2D grids: a block given
+    by its factors takes the contracted solve, a dense one the subset
+    driver.  Smaller blocks and the general path compute everything and
+    truncate.
     """
     if op.dim != grid.size:
         raise ValueError("operator dimension does not match the grid")
@@ -122,37 +158,39 @@ def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Latti
     """Eigendecomposition of a Hamiltonian given as mirror-parity blocks.
 
     Each block goes through the solver choice of ``diagonalize`` for its
-    lowest min(n_states, block size) pairs and is released before the next
-    one is drawn.  The lowest ``n_states`` across blocks are kept in (Re, Im)
-    order, their vectors are scattered back onto the full grid, and the
-    residuals are divided by sqrt(sum ||H_b||_F^2) = ||H||_F, so the result
-    is laid out exactly as the decomposition of the assembled H would be.
+    lowest min(n_states, block size) pairs.  A dense block is solved and
+    released before the next one is drawn; the blocks that the contracted
+    solve takes (``_contracts``) are held as factors and solved together
+    once every block is drawn.  The lowest ``n_states`` across blocks are
+    kept in (Re, Im) order, their vectors are scattered back onto the full
+    grid, and the residuals are divided by sqrt(sum ||H_b||_F^2) = ||H||_F,
+    so the result is laid out exactly as the decomposition of the assembled
+    H would be.
     """
     if n_states is not None and not 1 <= n_states <= grid.size:
         raise ValueError(f"n_states must be in 1..{grid.size}, got {n_states}")
-    values, vectors, residuals, parities = [], [], [], []
-    norm_sq, folded, hermitian = 0.0, set(), True
+    parts, pending, parities = [], [], []
+    folded, hermitian = set(), True
     for block in blocks:
-        H = block.matrix
-        count = H.shape[0] if n_states is None else min(n_states, H.shape[0])
-        w, v = _eigenpairs(H, block.hermitian_hint, count)
-        for c in _column_chunks(*v.shape):
-            v[:, c] /= np.sqrt(grid.cell * np.sum(np.abs(v[:, c]) ** 2, axis=0))
-        # H v as one product (BLAS rounds a product of a column slice
-        # differently), then H v - w v and its norms chunk by chunk in place
-        Hv, r = H @ v, np.empty(len(w))
-        for c in _column_chunks(*v.shape):
-            Hv[:, c] -= v[:, c] * w[c]
-            r[c] = np.linalg.norm(Hv[:, c], axis=0)
-        values.append(w)
-        vectors.append(v)
-        residuals.append(r)
         parities.append(block.parity)
-        norm_sq += np.linalg.norm(H) ** 2
         folded.update(axis for axis, p in zip("xy", block.parity) if p)
         hermitian = hermitian and block.hermitian_hint
-        del H, Hv, block, v   # free this block before the next one is assembled
+        if _contracts(block, n_states):
+            pending.append(len(parts))
+            parts.append(block)   # its factors, a few 1D matrices
+        else:
+            parts.append(_dense_pairs(block, n_states, grid.cell))
+        del block   # free a dense block before the next one is drawn
+    if pending:
+        fixed = [part[0] for i, part in enumerate(parts) if i not in pending]
+        solved = _contracted_pairs([parts[i] for i in pending], n_states, grid.cell, fixed)
+        if solved is None:   # not converged: the dense path, one assembled block at a time
+            solved = (_dense_pairs(parts[i], n_states, grid.cell) for i in pending)
+        for i, part in zip(pending, solved):
+            parts[i] = part
 
+    values, vectors, residuals, norms_sq = (list(column) for column in zip(*parts))
+    del parts
     w, order = _merged(values)
     order = order[:n_states]
     owner = np.repeat(np.arange(len(values)), [len(part) for part in values])[order]
@@ -163,11 +201,194 @@ def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Latti
         for c in _column_chunks(grid.size, len(columns)):
             out[:, columns[c]] = _unfold(vectors[b][:, c], parity, grid)
         vectors[b] = None   # scattered: release the block's vectors
+    norm_sq = sum(norms_sq)
     if norm_sq:   # H = 0 leaves every pair exact, with residual 0
         residuals = residuals / np.sqrt(norm_sq)
     return Spectrum(eigenvalues=w, eigenvectors=out, residuals=residuals,
                     hermitian_path=hermitian, grid=grid,
                     mirror_axes=tuple(a for a in "xy" if a in folded))
+
+
+def _dense_pairs(block: OperatorMatrix, n_states: int | None, cell: float):
+    """(w, v, r, ||H||_F^2) of one block from its dense matrix: the lowest
+    min(n_states, size) eigenpairs, the vectors normalized on the grid, and
+    the residual norms ||H v - w v||_2."""
+    H = block.matrix
+    count = H.shape[0] if n_states is None else min(n_states, H.shape[0])
+    w, v = _eigenpairs(H, block.hermitian_hint, count)
+    _normalize(v, cell)
+    # H v as one product (BLAS rounds a product of a column slice
+    # differently), then H v - w v and its norms chunk by chunk in place
+    Hv, r = H @ v, np.empty(len(w))
+    for c in _column_chunks(*v.shape):
+        Hv[:, c] -= v[:, c] * w[c]
+        r[c] = np.linalg.norm(Hv[:, c], axis=0)
+    return w, v, r, np.linalg.norm(H) ** 2
+
+
+def _normalize(v: np.ndarray, cell: float) -> None:
+    """Scale the columns of v in place to cell * sum |v_i|^2 = 1."""
+    for c in _column_chunks(*v.shape):
+        v[:, c] /= np.sqrt(cell * np.sum(np.abs(v[:, c]) ** 2, axis=0))
+
+
+def _contracts(block: OperatorMatrix, n_states: int | None) -> bool:
+    """Whether a block takes the contracted solve: a Hermitian block given
+    by its Kronecker-sum factors, of at least ``_SUBSET_MIN_SIZE`` sites,
+    of which only the lowest ``n_states`` < size levels are asked for (the
+    blocks that the dense path sends to the subset driver)."""
+    return (block.factors is not None and block.hermitian_hint and n_states is not None
+            and _SUBSET_MIN_SIZE <= block.dim and n_states < block.dim
+            and not any(np.iscomplexobj(f) for f in block.factors))
+
+
+def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
+                      fixed: list[np.ndarray]):
+    """(w, v, r, ||H||_F^2) per block, as ``_dense_pairs`` gives them, from
+    a sequential diagonalization-truncation of each block's factors; None
+    when the ladder ends unconverged.
+
+    The blocks climb ``_CONTRACTION_LADDER`` in lockstep.  Each rung's
+    contracted matrix, a leading submatrix of the next rung's, is built from
+    the 1D bases and reduced to tridiagonal form once, in place.  Its lowest
+    ``n_states`` levels from all blocks, merged with the ``fixed`` levels of
+    blocks solved densely, are compared with the last rung's; the contracted
+    spaces nest, so these Ritz values only fall.  The solve stops when none
+    moved by more than ``_CONTRACTION_TOL`` eps ||H_c||_2, the largest
+    2-norm of the rung's contracted matrices, and the same reductions give
+    the vectors of that rung.  A rung too small to hold ``n_states`` levels
+    is skipped.
+
+    Every BLAS and LAPACK call here goes to scipy's OpenBLAS.  numpy bundles
+    a second copy with its own thread pool, and alternating between the two
+    pools kept them competing for the cores: an 81^2 Henon-Heiles solve took
+    0.95 s that way, against 0.62 to 0.71 s on scipy's alone (2 cores).
+    """
+    lines = [_line_basis(*block.factors) for block in blocks]
+    previous = None
+    for n_c in _CONTRACTION_LADDER:
+        kept = [min(n_c, U.shape[2]) for _, _, U, _ in lines]
+        if min(k * U.shape[0] for k, (_, _, U, _) in zip(kept, lines)) < n_states:
+            continue
+        rungs = None   # release the last rung's reductions before the next ones
+        rungs = [_tridiagonal(_contracted_matrix(*line[:3], k)) for line, k in zip(lines, kept)]
+        scale = max(max(abs(w[0]), abs(w[-1])) for w, _ in rungs)
+        merged = np.sort(np.concatenate(fixed + [w[:n_states] for w, _ in rungs]))[:n_states]
+        if (previous is not None and np.max(np.abs(merged - previous))
+                <= _CONTRACTION_TOL * np.finfo(float).eps * scale):
+            break
+        previous = merged
+    else:
+        return None
+    pairs = []
+    for b, (block, (_, _, U, x_short), k) in enumerate(zip(blocks, lines, kept)):
+        w, c = _lowest_vectors(*rungs[b][1], n_states)
+        rungs[b] = None
+        c = c.reshape(k, U.shape[0], n_states).transpose(1, 0, 2)   # [short, k, state]
+        psi = np.matmul(U[:, :, :k], c)   # psi[i] = U_i c_i, as [short, long, state]
+        psi = (psi.transpose(1, 0, 2) if x_short else psi).reshape(-1, n_states)
+        tx, ty, v = block.factors
+        _normalize(psi, cell)
+        pairs.append((w, psi, _kronecker_residuals(tx, ty, v, w, psi), _kronecker_norm_sq(tx, ty, v)))
+    return pairs
+
+
+def _line_basis(tx: np.ndarray, ty: np.ndarray, v: np.ndarray):
+    """(T_short, E, U, x_short) of the block kron(I, tx) + kron(ty, I) +
+    diag(v): for each site i of the shorter axis, E[i] and U[i] are the
+    levels and eigenvectors of T_long + diag(v at site i), the lowest of
+    them up to the top of the ladder; x_short says whether x is that axis."""
+    from scipy.linalg import lapack
+    _require_finite(tx, ty, v)
+    x_short = tx.shape[0] <= ty.shape[0]
+    t_short, t_long, v_lines = (tx, ty, v.T) if x_short else (ty, tx, v)
+    n_s, n_l = v_lines.shape
+    top = min(_CONTRACTION_LADDER[-1], n_l)
+    E, U = np.empty((n_s, top)), np.empty((n_s, n_l, top))
+    for i in range(n_s):
+        line = t_long + np.diag(v_lines[i])
+        w, z, info = lapack.dsyevd(line.T, lower=1, overwrite_a=1)   # line.T is line
+        if info:
+            raise SolverError(f"eigensolver did not converge: ?syevd info {info}")
+        E[i], U[i] = w[:top], z[:, :top]
+    return t_short, E, U, x_short
+
+
+def _contracted_matrix(t_short: np.ndarray, E: np.ndarray, U: np.ndarray,
+                       kept: int) -> np.ndarray:
+    """H in the basis |i> (x) U_i[:, k], k < kept, numbered k-major so that
+    a smaller ``kept`` gives a leading submatrix:
+    H_c[(k, i), (l, j)] = T_short[i, j] (U_i^T U_j)[k, l] + delta_ij delta_kl E_i[k]
+    (Bacic & Light, Annu. Rev. Phys. Chem. 40, 469 (1989)).  Returned in
+    Fortran order with its lower triangle set, as ``_tridiagonal`` reads it."""
+    from scipy.linalg import blas
+    n_s, n_l, _ = U.shape
+    n = kept * n_s
+    basis = U[:, :, :kept].transpose(1, 2, 0).reshape(n_l, n)   # column k n_s + i
+    H_c = blas.dsyrk(1.0, basis.T, c=np.zeros((n, n), order="F"), lower=1, overwrite_c=1)
+    rows = H_c.T   # the same memory in C order, so its reshape is a view
+    rows.reshape(kept, n_s, kept, n_s)[...] *= t_short[None, :, None, :]
+    rows[np.diag_indices(n)] += E[:, :kept].T.ravel()
+    return H_c
+
+
+def _tridiagonal(H: np.ndarray):
+    """(levels, reduction) of a symmetric H given by its lower triangle in
+    Fortran order, which is overwritten: ?sytrd reduces H to tridiagonal
+    form T = Q^T H Q in H's own memory, and ?sterf gives all of T's levels,
+    as ``np.linalg.eigvalsh`` would.  ``reduction`` = (Householder vectors,
+    diagonal, off-diagonal, tau) keeps what ``_lowest_vectors`` needs for
+    eigenvectors of H without a second reduction."""
+    from scipy.linalg import lapack
+    work, _ = lapack.dsytrd_lwork(H.shape[0], lower=1)
+    q, d, e, tau, info = lapack.dsytrd(H, lower=1, lwork=int(work), overwrite_a=1)
+    w, info_sterf = lapack.dsterf(d, e)
+    if info or info_sterf:
+        raise SolverError(f"eigensolver did not converge: ?sytrd/?sterf info {info}/{info_sterf}")
+    return w, (q, d, e, tau)
+
+
+def _lowest_vectors(q: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray,
+                    count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` lowest eigenpairs of the H that ``_tridiagonal``
+    reduced: those of the tridiagonal T, the vectors taken back through the
+    Householder reflectors below q's subdiagonal (?ormtr's lower case, which
+    is ?ormqr on rows 1.. of q and of the vectors)."""
+    from scipy.linalg import eigh_tridiagonal, lapack
+    try:
+        w, z = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
+    except np.linalg.LinAlgError as err:
+        raise SolverError(f"eigensolver did not converge: {err}") from None
+    z[1:], _, info = lapack.dormqr("L", "N", q[1:, :-1], tau, z[1:], lwork=64 * count)
+    if info:
+        raise SolverError(f"eigensolver did not converge: ?ormqr info {info}")
+    return w, z
+
+
+def _kronecker_residuals(tx: np.ndarray, ty: np.ndarray, v: np.ndarray,
+                         w: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """||H psi - w psi||_2 per column for H = kron(I, tx) + kron(ty, I) +
+    diag(v), matrix-free: on psi as a [y, x] array, H psi = ty psi + psi
+    tx^T + v psi."""
+    from scipy.linalg import blas
+    ny, nx = v.shape
+    psi = vectors.reshape(ny, nx, -1)
+    # ty psi as (psi^T ty^T)^T, so that every operand is already in Fortran order
+    r = blas.dgemm(1.0, psi.reshape(ny, -1).T, ty.T).T.reshape(psi.shape)
+    r += np.matmul(tx, psi)
+    r += (v[:, :, None] - w) * psi
+    return np.linalg.norm(r.reshape(ny * nx, -1), axis=0)
+
+
+def _kronecker_norm_sq(tx: np.ndarray, ty: np.ndarray, v: np.ndarray) -> float:
+    """||kron(I, tx) + kron(ty, I) + diag(v)||_F^2 in closed form: the
+    off-diagonal entries of tx repeat once per y site and those of ty once
+    per x site, and the diagonal is tx_xx + ty_yy + v_yx."""
+    ny, nx = v.shape
+    dx, dy = np.diag(tx), np.diag(ty)
+    off = (ny * np.linalg.norm(tx - np.diag(dx)) ** 2
+           + nx * np.linalg.norm(ty - np.diag(dy)) ** 2)
+    return off + np.linalg.norm(dy[:, None] + dx[None, :] + v) ** 2
 
 
 def eigenvalues(op: OperatorMatrix) -> np.ndarray:
@@ -254,12 +475,18 @@ def _pt_real_form(H: np.ndarray) -> np.ndarray | None:
 def _lapack(solver, H: np.ndarray, **options):
     """``solver(H, **options)``, with non-finite input and a LAPACK failure
     to converge raised as SolverError."""
-    if not np.all(np.isfinite(H.real)) or (np.iscomplexobj(H) and not np.all(np.isfinite(H.imag))):
-        raise SolverError("Hamiltonian contains non-finite entries")
+    _require_finite(H)
     try:
         return solver(H, **options)
     except np.linalg.LinAlgError as err:
         raise SolverError(f"eigensolver did not converge: {err}") from None
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    """Raise SolverError unless every entry of every array is finite."""
+    for H in arrays:
+        if not np.all(np.isfinite(H.real)) or (np.iscomplexobj(H) and not np.all(np.isfinite(H.imag))):
+            raise SolverError("Hamiltonian contains non-finite entries")
 
 
 def _unfold(v: np.ndarray, parity: tuple[int, ...], grid: Lattice1D | Lattice2D) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .lattice import Lattice1D, Lattice2D
 from .operators import (EVEN, ODD, GridFunction, GridValueError, OperatorMatrix,
-                        grid_values, kronecker_sum, mirror_fold, mirror_sites,
+                        grid_values, mirror_fold, mirror_sites,
                         momentum_ip, momentum_squared_matrix)
 
 
@@ -181,40 +181,49 @@ def build_kinetic(problem: ProblemDefinition) -> OperatorMatrix:
     kinetics = [_kinetic_1d(axis, problem.ordering, m) for axis in problem.grid.axes]
     if len(kinetics) == 1:
         return kinetics[0]
-    return OperatorMatrix(kronecker_sum(*(t.matrix for t in kinetics)), hermitian_hint=True)
+    tx, ty = (t.matrix for t in kinetics)
+    return OperatorMatrix(hermitian_hint=True,
+                          factors=(tx, ty, np.zeros((ty.shape[0], tx.shape[0]))))
 
 
 def _kinetic_1d(grid: Lattice1D, ordering: KineticOrdering,
                 m: np.ndarray | None) -> OperatorMatrix:
-    """The 1D kinetic matrix of ``ordering`` from the sampled mass ``m``."""
-    if isinstance(ordering, ConstantMass):
-        psq = momentum_squared_matrix(grid).matrix
-        return OperatorMatrix(psq / (2.0 * ordering.mu), hermitian_hint=True)
+    """The 1D kinetic matrix of ``ordering`` from the sampled mass ``m``.
 
-    ma = _mass_power(m, ordering.alpha)
-    mg = _mass_power(m, ordering.gamma)
-    if ordering.beta == 0.0:
-        # the closed-form p^2 costs O(N^2), the product below O(N^3)
-        pbp = momentum_squared_matrix(grid).matrix
-    else:
-        # p m^beta p = -(A m^beta A) since p = -i A and A is real
-        A = momentum_ip(grid)
-        pbp = -(A @ (_mass_power(m, ordering.beta)[:, None] * A))
-    X = ma[:, None] * pbp * mg[None, :]            # m^alpha p m^beta p m^gamma
-    if ordering.symmetric:
-        return OperatorMatrix(0.25 * (X + X.T), hermitian_hint=True)
-    return OperatorMatrix(0.5 * X, hermitian_hint=False)
+    A mass power or a product that leaves float range (a zero mass, an
+    extreme exponent or mu) is computed silently: the eigensolver rejects
+    the non-finite matrix as a numerical failure.
+    """
+    with np.errstate(all="ignore"):
+        if isinstance(ordering, ConstantMass):
+            psq = momentum_squared_matrix(grid).matrix
+            return OperatorMatrix(psq / (2.0 * ordering.mu), hermitian_hint=True)
+
+        ma = _mass_power(m, ordering.alpha)
+        mg = _mass_power(m, ordering.gamma)
+        if ordering.beta == 0.0:
+            # the closed-form p^2 costs O(N^2), the product below O(N^3)
+            pbp = momentum_squared_matrix(grid).matrix
+        else:
+            # p m^beta p = -(A m^beta A) since p = -i A and A is real
+            A = momentum_ip(grid)
+            pbp = -(A @ (_mass_power(m, ordering.beta)[:, None] * A))
+        X = ma[:, None] * pbp * mg[None, :]            # m^alpha p m^beta p m^gamma
+        if ordering.symmetric:
+            return OperatorMatrix(0.25 * (X + X.T), hermitian_hint=True)
+        return OperatorMatrix(0.5 * X, hermitian_hint=False)
 
 
 def build_hamiltonian(problem: ProblemDefinition) -> OperatorMatrix:
     """H = T + diag(V_real) + i diag(V_imag) on the problem's grid, as one
-    dense matrix: the unfolded case of ``hamiltonian_blocks``."""
+    block: the unfolded case of ``hamiltonian_blocks`` (in 2D its factors,
+    with the dense matrix assembled on first use)."""
     (block,) = hamiltonian_blocks(problem, fold=False)
     return block
 
 
 def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterator[OperatorMatrix]:
-    """The Hamiltonian as mirror-parity blocks, assembled one at a time.
+    """The Hamiltonian as mirror-parity blocks, built one at a time.
 
     On the symmetric grid the kinetic term commutes with the reflection of
     an axis whenever the mass does, so H splits exactly into an even and an
@@ -228,7 +237,11 @@ def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterato
     Each block is the folded or whole kinetic matrix of every axis plus the
     potential on the block's sites, numbered from the box edge inward along
     a folded axis (``mirror_sites``): 1 or 2 blocks in 1D, 1, 2 or 4 in 2D.
-    The odd block of a one-site axis is empty and skipped.
+    The odd block of a one-site axis is empty and skipped.  A 1D block is
+    its dense matrix.  A 2D block is its Kronecker-sum factors (the two
+    axis matrices and V on the block's sites), from which
+    ``diagonalize_blocks`` either solves it in a contracted basis or
+    assembles the dense matrix.
     """
     grid = problem.grid
     m = _mass_values(problem)
@@ -240,7 +253,8 @@ def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterato
         kinetic = _kinetic_1d(axis, problem.ordering, m)
         hermitian = hermitian and kinetic.hermitian_hint
         if fold and all(np.array_equal(f, np.flip(f, flip)) for f in sampled):
-            choices.append({p: mirror_fold(kinetic.matrix, p) for p in (EVEN, ODD)})
+            with np.errstate(invalid="ignore"):   # inf - inf of a non-finite kinetic matrix
+                choices.append({p: mirror_fold(kinetic.matrix, p) for p in (EVEN, ODD)})
         else:
             choices.append({0: kinetic.matrix})
     del kinetic   # a folded axis keeps only its blocks
@@ -250,12 +264,17 @@ def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterato
             # a 1D block uses its axis matrix once, and V goes into it or
             # into a complex copy of it: drop it so the block holds H alone
             del choices[0][parity[0]]
-        if all(t.size for t in axis_matrices):
-            sites = tuple(mirror_sites(axis.M, p) for axis, p in zip(grid.axes, parity))
-            H = _with_potential(axis_matrices, v[sites[::-1]])
-            del axis_matrices
-            yield OperatorMatrix(H, hermitian, parity)
-            del H
+        if not all(t.size for t in axis_matrices):
+            continue
+        sites = tuple(mirror_sites(axis.M, p) for axis, p in zip(grid.axes, parity))
+        if len(axis_matrices) > 1:
+            yield OperatorMatrix(hermitian_hint=hermitian, parity=parity,
+                                 factors=(*axis_matrices, v[sites[::-1]]))
+            continue
+        H = axis_matrices.pop().astype(v.dtype, copy=False)
+        H[np.diag_indices_from(H)] += v[sites]
+        yield OperatorMatrix(H, hermitian, parity)
+        del H
 
 
 def _potential(problem: ProblemDefinition) -> np.ndarray:
@@ -266,13 +285,3 @@ def _potential(problem: ProblemDefinition) -> np.ndarray:
         v = v + 1j * grid_values(problem.potential_imag, points, what="imaginary potential")
     return v
 
-
-def _with_potential(axis_matrices: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-    """The block matrix: the Kronecker sum of the axis matrices and diag(v),
-    or in 1D the one axis matrix, fresh from the build or the fold, with v
-    added to its diagonal in place."""
-    if len(axis_matrices) > 1:
-        return kronecker_sum(*axis_matrices, v)
-    H = axis_matrices[0].astype(v.dtype, copy=False)
-    H[np.diag_indices_from(H)] += v
-    return H

@@ -103,9 +103,11 @@ def make_lattice(L: float, M: int) -> Lattice1D:
         raise ValueError(f"width L must be positive and finite, got {L}")
     if M < 0 or int(M) != M:
         raise ValueError(f"M must be a non-negative integer, got {M}")
-    # the spacing L/N and the momentum step 2 pi/L must both be representable
-    if not (L / (2 * M + 1) > 0 and 2 * math.pi / L < math.inf):
-        raise ValueError(f"width L = {L} gives no finite, nonzero spacing and "
+    # the squares of the spacing L/N and of the momentum step 2 pi/L, which
+    # the kinetic closed forms divide by, must both be finite and nonzero
+    a, dp = L / (2 * M + 1), 2 * math.pi / L
+    if not (0 < a * a < math.inf and 0 < dp * dp < math.inf):
+        raise ValueError(f"width L = {L} gives no finite, nonzero squared spacing and "
                          f"momentum step on {2 * M + 1} points")
     _check_cap(2 * int(M) + 1, "make_lattice")
     return Lattice1D(M=int(M), L=float(L))

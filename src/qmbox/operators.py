@@ -26,7 +26,8 @@ only; ``mirror_cross_fold`` reads off those off-diagonal blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -55,20 +56,36 @@ class OperatorMatrix:
     folded onto its half-axis sites, numbered from the box edge inward (see
     ``mirror_sites``), 0 for an axis kept whole.  The empty default means
     nothing is folded: the operator acts on the whole grid.
+
+    A 2D operator may be given by its Kronecker-sum ``factors`` (tx, ty, v)
+    instead of ``dense``: ``matrix`` is then ``kronecker_sum(tx, ty, v)``,
+    assembled on first use and kept, and a solver that works from the
+    factors never assembles it.
     """
 
-    matrix: np.ndarray
+    dense: InitVar[np.ndarray | None] = None
     hermitian_hint: bool = False
     parity: tuple[int, ...] = ()
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return kronecker_sum(*self.factors)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        if self.factors is None:
+            return self.matrix.shape[0]
+        tx, ty, _ = self.factors
+        return tx.shape[0] * ty.shape[0]
 
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {m.shape}")
+    def __post_init__(self, dense):
+        if (dense is None) == (self.factors is None):
+            raise ValueError("an operator takes either a dense matrix or its factors")
+        if dense is not None:
+            if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+                raise ValueError(f"operator matrix must be square, got shape {dense.shape}")
+            self.__dict__["matrix"] = dense   # what ``matrix`` would cache
 
 
 def _signed_offsets(N: int) -> np.ndarray:

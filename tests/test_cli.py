@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from qmbox import cli
 from qmbox.cli import load_config, main
 from qmbox.hamiltonian import ConstantMass, VonRoos
 from qmbox.problems import BUILTIN_IDS, builtin_problem
@@ -177,13 +179,42 @@ class TestSolve:
         assert err.startswith(f"error: cannot write {path}: ")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("width", ["inf", "1e-320"])
+    @pytest.mark.parametrize("width", ["inf", "1e-320", "1e-200", "1e-300", "1e300"])
     def test_unrepresentable_width_exit_code(self, capsys, width):
         code, out, err = run(["solve", "--problem", "morse", "--L", width], capsys)
         assert code == 1
         assert "width L" in err and "Warning" not in err
         assert len(err.splitlines()) == 1
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--problem", "nh3", "--ordering", "von-roos 1e308 0"],
+        ["--problem", "morse", "--ordering", "constant-mass 1e-320"],
+        ["--problem", "henon_heiles", "--ordering", "constant-mass 1e-320"],
+    ], ids=["von-roos 1e308 0", "constant-mass 1e-320", "2D constant-mass 1e-320"])
+    def test_out_of_range_kinetic_term_warns_nothing(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["solve", *argv, "--states", "2"], capsys)
+        assert code == 2
+        assert not caught and "Warning" not in err
+        assert err == "numerical failure: Hamiltonian contains non-finite entries\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("problem_id, states, passed", [
+        ("morse", "6", 6), ("morse", "500", 111), ("henon_heiles", "10", 10)])
+    def test_solve_asks_for_the_printed_states(self, capsys, monkeypatch, problem_id, states,
+                                               passed):
+        calls = []
+
+        def spy(problem, n_states=None):
+            calls.append(n_states)
+            return solve(problem, n_states)
+
+        monkeypatch.setattr(cli, "solve_problem", spy)
+        code, out, _ = run(["solve", "--problem", problem_id, "--states", states], capsys)
+        assert code == 0 and calls == [passed]
+        assert len(out.strip().splitlines()) == 1 + min(int(states), passed)
 
     def test_2d_position_dependent_mass_exit_code(self, capsys):
         code, _, err = run(["solve", "--problem", "henon_heiles", "--ordering", "mass-left"],
@@ -197,6 +228,17 @@ class TestConfig:
         path = tmp_path / "problem.cfg"
         path.write_text(text)
         return str(path)
+
+    def test_zero_mass_warns_nothing(self, tmp_path, capsys):
+        # m = 0 at x = 0: 1/m, the von Roos product and the fold leave float range
+        cfg = self.write(tmp_path, "dimension = 1\nN = 41\nL = 10\nmass = x^2\n"
+                                   "potential_real = 0.5*x^2\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["solve", "--config", cfg], capsys)
+        assert code == 2
+        assert not caught and "Warning" not in err
+        assert err == "numerical failure: Hamiltonian contains non-finite entries\n"
 
     def test_harmonic_oscillator_config(self, tmp_path, capsys):
         cfg = self.write(tmp_path, """

@@ -1,0 +1,163 @@
+"""Contracted solves of large 2D Hermitian blocks against the dense oracle.
+
+A Hermitian 2D block of at least ``_SUBSET_MIN_SIZE`` sites of which only
+the lowest levels are asked for is solved in a basis of 1D eigenstates of
+its long axis (``eig._contracted_pairs``); the dense subset decomposition of
+the assembled block, ``kronecker_sum`` of its factors, is the oracle.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from qmbox import eig, operators
+from qmbox.eig import diagonalize, diagonalize_blocks, phase_fix
+from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, build_hamiltonian,
+                               hamiltonian_blocks)
+from qmbox.lattice import make_lattice_2d
+from qmbox.operators import OperatorMatrix, kronecker_sum
+from qmbox.problems import builtin_problem, henon_heiles_well_radius_sq
+from qmbox.solve import solve
+
+
+def problem_2d(potential, N, L):
+    grid = make_lattice_2d(L, (N[0] - 1) // 2, L, (N[1] - 1) // 2)
+    return ProblemDefinition(name="contracted", grid=grid, ordering=ConstantMass(1.0),
+                             potential_real=potential, energy_unit="model")
+
+
+CASES = {
+    "henon-heiles 55^2, 60 states": (lambda: builtin_problem("henon_heiles", N=55), 60, ("x",)),
+    "henon-heiles 61^2, the CLI's 10 states": (lambda: builtin_problem("henon_heiles"), 10, ("x",)),
+    "even in neither, one block": (
+        lambda: problem_2d(lambda x, y: 0.5 * ((x - 0.3)**2 + 1.3 * (y + 0.2)**2) + 0.05 * x * y,
+                           (33, 37), 12.0), 20, ()),
+    "even in both, four blocks": (
+        lambda: problem_2d(lambda x, y: 0.5 * (x**2 + 1.2 * y**2) + 0.05 * x**2 * y**2,
+                           (65, 65), 14.0), 30, ("x", "y")),
+    "henon-heiles 45^2: a contracted block beside a dense one": (
+        lambda: builtin_problem("henon_heiles", N=45, L=16.0), 40, ("x",)),
+}
+
+
+def dense_oracle(problem, n_states):
+    """Today's subset path: each block assembled as a bare dense matrix."""
+    blocks = [OperatorMatrix(kronecker_sum(*b.factors), b.hermitian_hint, b.parity)
+              for b in hamiltonian_blocks(problem)]
+    return phase_fix(diagonalize_blocks(blocks, problem.grid, n_states))
+
+
+def mean_r2(problem, spectrum):
+    X, Y = problem.grid.meshgrid()
+    return spectrum.weight * ((np.abs(spectrum.eigenvectors) ** 2).T @ (X**2 + Y**2).ravel())
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_contracted_solve_matches_dense_oracle(name, monkeypatch):
+    make, n_states, axes = CASES[name]
+    problem = make()
+    large = sum(b.dim >= eig._SUBSET_MIN_SIZE for b in hamiltonian_blocks(problem))
+    contracted = []
+    real_pairs = eig._contracted_pairs
+
+    def spy(*args):
+        contracted.append(len(args[0]))
+        return real_pairs(*args)
+
+    monkeypatch.setattr(eig, "_contracted_pairs", spy)
+    spectrum = solve(problem, n_states)
+    assert contracted == [large]   # every large block, in one lockstep ladder
+    dense = dense_oracle(problem, n_states)
+
+    assert spectrum.mirror_axes == dense.mirror_axes == axes
+    assert spectrum.hermitian_path and spectrum.n_states == n_states
+    np.testing.assert_allclose(spectrum.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=0)
+    assert spectrum.residuals.max() <= 1e-9
+    v = spectrum.eigenvectors
+    np.testing.assert_allclose(spectrum.weight * (v.T @ v), np.eye(n_states), rtol=0, atol=1e-12)
+    inside = mean_r2(problem, spectrum) <= henon_heiles_well_radius_sq()
+    np.testing.assert_array_equal(inside, mean_r2(problem, dense) <= henon_heiles_well_radius_sq())
+    np.testing.assert_allclose(mean_r2(problem, spectrum), mean_r2(problem, dense), rtol=1e-8)
+
+
+def test_residuals_are_full_grid_residuals():
+    # the matrix-free residuals and the closed-form ||H||_F against the
+    # assembled H of the whole grid
+    problem = builtin_problem("henon_heiles", N=47)   # blocks of 1128 and 1081 sites
+    spectrum = solve(problem, 60)
+    H = build_hamiltonian(problem).matrix
+    w, v = spectrum.eigenvalues, spectrum.eigenvectors
+    dense = np.linalg.norm(H @ v - v * w, axis=0) / np.linalg.norm(H)
+    np.testing.assert_allclose(spectrum.residuals, dense, rtol=1e-6, atol=1e-15)
+
+
+def test_subset_driver_is_not_called(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a contracted block reached the dense subset driver")
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    spectrum = solve(builtin_problem("henon_heiles", N=55), 60)
+    assert spectrum.n_states == 60
+
+
+def test_no_dense_block_on_success_and_every_caller(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense block was assembled")
+    problem = builtin_problem("henon_heiles", N=47)
+    monkeypatch.setattr(operators, "kronecker_sum", refuse)
+    blocks = list(hamiltonian_blocks(problem))
+    folded = diagonalize_blocks(iter(blocks), problem.grid, 60)
+    # build_hamiltonian's single unfolded block takes the same path
+    op = build_hamiltonian(problem)
+    whole = diagonalize(op, problem.grid, 60)
+    assert all("matrix" not in vars(block) for block in blocks + [op])   # nothing cached
+    assert whole.mirror_axes == ()
+    np.testing.assert_allclose(whole.eigenvalues, folded.eigenvalues, rtol=1e-12, atol=0)
+
+
+def test_full_spectra_stay_dense(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full spectrum took the contracted solve")
+    problem = builtin_problem("henon_heiles", N=33)   # 1089 sites unfolded
+    op = build_hamiltonian(problem)
+    monkeypatch.setattr(eig, "_contracted_pairs", refuse)
+    spectrum = diagonalize(op, problem.grid)
+    assert spectrum.n_states == problem.size
+
+
+def test_unconverged_ladder_falls_back_to_dense_subset_bitwise(monkeypatch):
+    problem = builtin_problem("henon_heiles", N=47)
+    reference = dense_oracle(problem, 60)
+    assembled = []
+    real_sum = operators.kronecker_sum
+
+    def counting(*args):
+        assembled.append(args[0].shape)
+        return real_sum(*args)
+
+    monkeypatch.setattr(eig, "_CONTRACTION_TOL", 0)
+    monkeypatch.setattr(operators, "kronecker_sum", counting)
+    spectrum = solve(problem, 60)
+    assert len(assembled) == 2   # each block once, after the ladder
+    for name in ("eigenvalues", "eigenvectors", "residuals"):
+        np.testing.assert_array_equal(getattr(spectrum, name), getattr(reference, name))
+
+
+def test_peak_memory_below_one_dense_block():
+    problem = builtin_problem("henon_heiles", N=55)
+    smallest = min(b.dim for b in hamiltonian_blocks(problem))
+    tracemalloc.start()
+    try:
+        solve(problem, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < smallest**2 * np.dtype(float).itemsize
+
+
+def test_closed_form_norm_matches_dense():
+    for block in hamiltonian_blocks(builtin_problem("henon_heiles", N=45)):
+        dense = np.linalg.norm(block.matrix)
+        assert math.sqrt(eig._kronecker_norm_sq(*block.factors)) == pytest.approx(dense, rel=1e-14)

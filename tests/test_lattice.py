@@ -67,6 +67,12 @@ class TestLattice1D:
         with pytest.raises(ValueError, match="spacing"):
             make_lattice(L, 5)
 
+    @pytest.mark.parametrize("L", [1e-200, 1e-300, 1e300])
+    def test_rejects_width_whose_squared_steps_leave_float_range(self, L):
+        # a^2 underflows to 0 (or overflows), and (2 pi / L)^2 overflows (or underflows)
+        with pytest.raises(ValueError, match="squared spacing"):
+            make_lattice(L, 5)
+
     def test_rejects_negative_m(self):
         with pytest.raises(ValueError):
             make_lattice(1.0, -1)
