@@ -18,7 +18,7 @@ from .hamiltonian import (ConstantMass, KineticOrdering, ProblemDefinition,
 from .lattice import (GridMemoryError, Lattice1D, Lattice2D, make_lattice,
                       make_lattice_2d, points_to_m)
 from .operators import (GridValueError, OperatorMatrix, exp_ialpha_p,
-                        momentum_ip, momentum_matrix, momentum_squared_matrix)
+                        momentum_ip, momentum_squared_matrix)
 from .problems import (BUILTIN_IDS, CONSTANTS, PhysicalConstants,
                        ReferenceSpectrum, builtin_problem,
                        constant_reduced_mass, morse_exact_level,
@@ -42,7 +42,7 @@ __all__ = [
     "compare_to_reference", "completeness_error", "constant_reduced_mass",
     "convergence_scan", "diagonalize", "eigenvalues", "exp_ialpha_p",
     "exponential_fit", "labeled_levels", "make_lattice", "make_lattice_2d",
-    "momentum_ip", "momentum_matrix", "momentum_squared_matrix",
+    "momentum_ip", "momentum_squared_matrix",
     "morse_exact_level", "morse_potential", "nh3_mass", "nh3_potential",
     "ordering_from_name", "parse", "phase_fix", "points_to_m",
     "reference_spectrum", "shift_to_ground", "solve", "to_wavenumbers",

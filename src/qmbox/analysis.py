@@ -150,6 +150,8 @@ def completeness_error(spectrum: Spectrum, ground: int = 0) -> np.ndarray:
     x = spectrum.grid.x
     psi0 = spectrum.eigenvectors[:, ground]
     x2_expect = a * np.sum(x**2 * np.abs(psi0) ** 2)
+    if not x2_expect:   # a one-point grid: every term is 0
+        raise ValueError("completeness check needs a state with <x^2> > 0")
     # <0|x|n> with conjugation on the bra; generic for complex eigenvectors
     amps = a * (spectrum.eigenvectors.conj().T @ (x * psi0))
     partial = np.cumsum(np.abs(amps) ** 2)

@@ -10,22 +10,22 @@ spectrum whenever its eigenvalues are real, while a genuinely complex matrix
 shows its round-off imaginaries honestly.
 
 The third path is the contracted solve (``_contracted_pairs``): a Hermitian
-2D block of at least ``_SUBSET_MIN_SIZE`` sites, given by its Kronecker-sum
-factors (see ``OperatorMatrix``), of which only the lowest ``n_states``
-levels are asked for, is solved in a basis of 1D eigenstates of its long
-axis, one set per site of its short axis (sequential diagonalization-
-truncation, Bacic & Light, Annu. Rev. Phys. Chem. 40, 469 (1989), on the
-Fourier-grid DVR of Colbert & Miller, J. Chem. Phys. 96, 1982 (1992)).  The
-basis grows on a fixed ladder until the lowest levels stop moving; the
+2D block of at least ``_CONTRACTION_MIN_SIZE`` sites, given by its
+Kronecker-sum factors (see ``OperatorMatrix``), of which only the lowest
+``n_states`` levels are asked for, is solved in a basis of 1D eigenstates
+of its long axis, one set per site of its short axis (sequential
+diagonalization-truncation, Bacic & Light, Annu. Rev. Phys. Chem. 40, 469
+(1989), on the Fourier-grid DVR of Colbert & Miller, J. Chem. Phys. 96, 1982
+(1992)).  The basis grows on a fixed ladder until the lowest levels stop moving; the
 dense block is never assembled, and the residuals are the full block's,
 formed matrix-free.  The levels agree with the dense path to about 4e-14
 relative, while the vectors of the upper levels carry residuals of up to
 about 1e-9 of ||H||_F (4e-10 on Henon-Heiles) where the dense path reaches
 1e-16: convergence in the basis size is algebraic, so residuals at the
 dense level are out of reach.
-Should the ladder end unconverged, the blocks are assembled once and go
-through the dense subset path.  Full spectra, 1D, non-Hermitian and smaller
-blocks, and a bare dense matrix stay on the dense paths.
+Should the ladder end unconverged, the blocks are assembled once and
+decomposed in full, like every block on the dense paths: full spectra, 1D,
+non-Hermitian and smaller blocks, and a bare dense matrix.
 
 The general path has one real form: a complex H of odd size that is
 PT-symmetric bitwise, H[::-1, ::-1] == conj(H) (P reverses the site index,
@@ -55,6 +55,7 @@ one-block case.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -71,18 +72,13 @@ from .operators import (EVEN, ODD, OperatorMatrix, mirror_cross_fold, mirror_fol
 #: contiguous memory, which strided slices are not.
 _CHUNK_ENTRIES = 2**18
 
-#: The smallest Hermitian block whose lowest levels come from LAPACK's subset
-#: driver (?syevr), or for a 2D block given by its factors from the
-#: contracted solve, rather than from the full decomposition (?syevd).  The
-#: subset drivers lose relative digits on the low levels of strongly graded
-#: blocks: nh3 with the inverse-mass anticommutator at N = 211 comes out up to
-#: 2.8e-7 off, where the full driver keeps round-off (and so do ?syevx and a
-#: tiny abstol, so no driver option mends it).  Below this size the full
-#: decomposition takes at most about 0.25 s on two cores, two to three times
-#: the subset's, so a 1D grid keeps full precision up to 2047 points, while
-#: the large 2D blocks the subset is for (1485 sites and up on 55^2
-#: Henon-Heiles) keep their speed.
-_SUBSET_MIN_SIZE = 1024
+#: The smallest Hermitian 2D block, given by its factors, whose lowest levels
+#: come from the contracted solve rather than the full decomposition (?syevd):
+#: 1485 sites and up on 55^2 Henon-Heiles; below it the full decomposition
+#: takes at most about 0.25 s on two cores.  No block is decomposed in part:
+#: LAPACK's subset drivers (?syevr, ?syevx) lose relative digits on strongly
+#: graded blocks (1.1e-10 on nh3, inverse-mass anticommutator, N = 2049).
+_CONTRACTION_MIN_SIZE = 1024
 
 #: Basis functions per site of a block's short axis on each rung of the
 #: contracted solve (``_contracted_pairs``).  Convergence in this number is
@@ -141,12 +137,10 @@ def diagonalize(op: OperatorMatrix, grid: Lattice1D | Lattice2D,
 
     Hermitian-path eigenvalues come back as a real array, so their imaginary
     parts are identically zero; the general path returns complex eigenvalues
-    sorted by (Re, Im).  On the Hermitian path ``n_states`` restricts the
-    decomposition of a block of at least ``_SUBSET_MIN_SIZE`` sites to the
-    lowest eigenpairs, which is much cheaper for big 2D grids: a block given
-    by its factors takes the contracted solve, a dense one the subset
-    driver.  Smaller blocks and the general path compute everything and
-    truncate.
+    sorted by (Re, Im).  With ``n_states``, a Hermitian 2D block of at least
+    ``_CONTRACTION_MIN_SIZE`` sites given by its factors takes the
+    contracted solve, which is much cheaper for big 2D grids; every other
+    block is decomposed in full and truncated.
     """
     if op.dim != grid.size:
         raise ValueError("operator dimension does not match the grid")
@@ -209,13 +203,27 @@ def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Latti
                     mirror_axes=tuple(a for a in "xy" if a in folded))
 
 
+@contextlib.contextmanager
+def _solver_errors():
+    """A LAPACK failure to converge, and overflow in numpy arithmetic, as
+    SolverError: LAPACK scales an H with entries near the float limit, but
+    H v and ||H||_F are formed unscaled."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except np.linalg.LinAlgError as err:
+            raise SolverError(f"eigensolver did not converge: {err}") from None
+        except FloatingPointError:
+            raise SolverError("Hamiltonian too large: H v leaves float range") from None
+
+
+@_solver_errors()
 def _dense_pairs(block: OperatorMatrix, n_states: int | None, cell: float):
     """(w, v, r, ||H||_F^2) of one block from its dense matrix: the lowest
     min(n_states, size) eigenpairs, the vectors normalized on the grid, and
     the residual norms ||H v - w v||_2."""
     H = block.matrix
-    count = H.shape[0] if n_states is None else min(n_states, H.shape[0])
-    w, v = _eigenpairs(H, block.hermitian_hint, count)
+    w, v = _eigenpairs(H, block.hermitian_hint, n_states)
     _normalize(v, cell)
     # H v as one product (BLAS rounds a product of a column slice
     # differently), then H v - w v and its norms chunk by chunk in place
@@ -234,14 +242,15 @@ def _normalize(v: np.ndarray, cell: float) -> None:
 
 def _contracts(block: OperatorMatrix, n_states: int | None) -> bool:
     """Whether a block takes the contracted solve: a Hermitian block given
-    by its Kronecker-sum factors, of at least ``_SUBSET_MIN_SIZE`` sites,
-    of which only the lowest ``n_states`` < size levels are asked for (the
-    blocks that the dense path sends to the subset driver)."""
+    by its Kronecker-sum factors, of at least ``_CONTRACTION_MIN_SIZE``
+    sites, of which only the lowest ``n_states`` < size levels are asked
+    for."""
     return (block.factors is not None and block.hermitian_hint and n_states is not None
-            and _SUBSET_MIN_SIZE <= block.dim and n_states < block.dim
+            and _CONTRACTION_MIN_SIZE <= block.dim and n_states < block.dim
             and not any(np.iscomplexobj(f) for f in block.factors))
 
 
+@_solver_errors()
 def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
                       fixed: list[np.ndarray]):
     """(w, v, r, ||H||_F^2) per block, as ``_dense_pairs`` gives them, from
@@ -355,10 +364,7 @@ def _lowest_vectors(q: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray
     Householder reflectors below q's subdiagonal (?ormtr's lower case, which
     is ?ormqr on rows 1.. of q and of the vectors)."""
     from scipy.linalg import eigh_tridiagonal, lapack
-    try:
-        w, z = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
-    except np.linalg.LinAlgError as err:
-        raise SolverError(f"eigensolver did not converge: {err}") from None
+    w, z = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
     z[1:], _, info = lapack.dormqr("L", "N", q[1:, :-1], tau, z[1:], lwork=64 * count)
     if info:
         raise SolverError(f"eigensolver did not converge: ?ormqr info {info}")
@@ -405,14 +411,16 @@ def block_eigenvalues(blocks: Iterable[OperatorMatrix]) -> np.ndarray:
     return w[order]
 
 
+@_solver_errors()
 def _eigvals(op: OperatorMatrix) -> np.ndarray:
     """The eigenvalues of one block by the solver choice of ``_eigenpairs``."""
+    _require_finite(op.matrix)
     if op.hermitian_hint:
-        return _lapack(np.linalg.eigvalsh, op.matrix)
+        return np.linalg.eigvalsh(op.matrix)
     R = _pt_real_form(op.matrix)
     if R is None:
-        return _lapack(np.linalg.eigvals, op.matrix)
-    return _lapack(np.linalg.eigvals, R).astype(complex)
+        return np.linalg.eigvals(op.matrix)
+    return np.linalg.eigvals(R).astype(complex)
 
 
 def _merged(values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -422,16 +430,14 @@ def _merged(values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return w, np.lexsort((w.imag, w.real))
 
 
-def _eigenpairs(H: np.ndarray, hermitian: bool, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` lowest eigenpairs of H in (Re, Im) order, columns of unit 2-norm."""
+def _eigenpairs(H: np.ndarray, hermitian: bool, count: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` (or all) lowest eigenpairs of H in (Re, Im) order, columns of unit 2-norm."""
+    _require_finite(H)
     if hermitian:
-        if count < H.shape[0] and H.shape[0] >= _SUBSET_MIN_SIZE:
-            from scipy.linalg import eigh
-            return _lapack(eigh, H, subset_by_index=(0, count - 1))
-        w, v = _lapack(np.linalg.eigh, H)
+        w, v = np.linalg.eigh(H)
         return w[:count], v[:, :count]
     R = _pt_real_form(H)
-    w, v = _lapack(np.linalg.eig, H if R is None else R)
+    w, v = np.linalg.eig(H if R is None else R)
     order = np.lexsort((w.imag, w.real))[:count]
     w, v = w[order], v[:, order]
     if R is None:
@@ -470,16 +476,6 @@ def _pt_real_form(H: np.ndarray) -> np.ndarray | None:
     re, im = H.real, H.imag
     return np.block([[mirror_fold(re, EVEN), -mirror_cross_fold(im, EVEN)],
                      [mirror_cross_fold(im, ODD), mirror_fold(re, ODD)]])
-
-
-def _lapack(solver, H: np.ndarray, **options):
-    """``solver(H, **options)``, with non-finite input and a LAPACK failure
-    to converge raised as SolverError."""
-    _require_finite(H)
-    try:
-        return solver(H, **options)
-    except np.linalg.LinAlgError as err:
-        raise SolverError(f"eigensolver did not converge: {err}") from None
 
 
 def _require_finite(*arrays: np.ndarray) -> None:

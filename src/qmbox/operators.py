@@ -109,11 +109,6 @@ def momentum_ip(grid: Lattice1D) -> np.ndarray:
     return _toeplitz(c)
 
 
-def momentum_matrix(grid: Lattice1D) -> OperatorMatrix:
-    """Hermitian momentum matrix p with zero diagonal (complex entries)."""
-    return OperatorMatrix(-1j * momentum_ip(grid), hermitian_hint=True)
-
-
 def momentum_squared_matrix(grid: Lattice1D) -> OperatorMatrix:
     """p^2 from its closed form (exact per entry, not a matrix square).
 

@@ -24,11 +24,11 @@ def solve(problem: ProblemDefinition, n_states: int | None = None) -> Spectrum:
     1D states also carry parity labels.  Each eigenvector column is written
     once, into the one output array.
 
-    ``n_states`` limits a Hermitian decomposition to the lowest eigenpairs
-    (the completeness machinery needs the full spectrum, so leave it None
-    there).  A 2D block of at least 1024 sites then takes the contracted
-    solve of ``eig``: its levels agree with the dense decomposition to about
-    4e-14 relative, and its residuals reach about 1e-9 rather than 1e-16.
+    ``n_states`` keeps the lowest eigenpairs (the completeness machinery
+    needs the full spectrum, so leave it None there).  A Hermitian 2D block
+    of at least 1024 sites then takes the contracted solve of ``eig``: its
+    levels agree with the dense decomposition to about 4e-14 relative, and
+    its residuals reach about 1e-9 rather than 1e-16.
     """
     spectrum = diagonalize_blocks(hamiltonian_blocks(problem), problem.grid, n_states)
     _fix_phases(spectrum.eigenvectors)   # as phase_fix, on the fresh array in place

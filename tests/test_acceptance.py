@@ -16,7 +16,7 @@ from qmbox.analysis import convergence_scan, exponential_fit
 from qmbox.hamiltonian import (ORDERING_NAMES, ConstantMass, ProblemDefinition,
                                VonRoos, build_kinetic, ordering_from_name)
 from qmbox.lattice import make_lattice
-from qmbox.operators import exp_ialpha_p, momentum_matrix, momentum_squared_matrix
+from qmbox.operators import exp_ialpha_p, momentum_ip, momentum_squared_matrix
 from qmbox.problems import builtin_problem, henon_heiles_well_radius_sq
 from qmbox.solve import solve
 
@@ -140,7 +140,7 @@ def test_criterion_10_operator_identities():
     for L, M in lattices:
         lat = make_lattice(L, M)
         P = momentum_squared_matrix(lat).matrix
-        p = momentum_matrix(lat).matrix
+        p = -1j * momentum_ip(lat)
         worst_sq = max(worst_sq, frob(P - (p @ p).real) / frob(P))
         U = exp_ialpha_p(lat, 0.377).matrix
         worst_unit = max(worst_unit, np.abs(U @ U.T - np.eye(lat.N)).max())

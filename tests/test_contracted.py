@@ -1,9 +1,9 @@
 """Contracted solves of large 2D Hermitian blocks against the dense oracle.
 
-A Hermitian 2D block of at least ``_SUBSET_MIN_SIZE`` sites of which only
-the lowest levels are asked for is solved in a basis of 1D eigenstates of
-its long axis (``eig._contracted_pairs``); the dense subset decomposition of
-the assembled block, ``kronecker_sum`` of its factors, is the oracle.
+A Hermitian 2D block of at least ``_CONTRACTION_MIN_SIZE`` sites of which
+only the lowest levels are asked for is solved in a basis of 1D eigenstates
+of its long axis (``eig._contracted_pairs``); the full decomposition of the
+assembled block, ``kronecker_sum`` of its factors, is the oracle.
 """
 
 import math
@@ -11,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from qmbox import eig, operators
 from qmbox.eig import diagonalize, diagonalize_blocks, phase_fix
@@ -44,7 +43,8 @@ CASES = {
 
 
 def dense_oracle(problem, n_states):
-    """Today's subset path: each block assembled as a bare dense matrix."""
+    """The full decomposition of each block, assembled as a bare dense
+    matrix, truncated to the lowest ``n_states`` pairs."""
     blocks = [OperatorMatrix(kronecker_sum(*b.factors), b.hermitian_hint, b.parity)
               for b in hamiltonian_blocks(problem)]
     return phase_fix(diagonalize_blocks(blocks, problem.grid, n_states))
@@ -59,7 +59,7 @@ def mean_r2(problem, spectrum):
 def test_contracted_solve_matches_dense_oracle(name, monkeypatch):
     make, n_states, axes = CASES[name]
     problem = make()
-    large = sum(b.dim >= eig._SUBSET_MIN_SIZE for b in hamiltonian_blocks(problem))
+    large = sum(b.dim >= eig._CONTRACTION_MIN_SIZE for b in hamiltonian_blocks(problem))
     contracted = []
     real_pairs = eig._contracted_pairs
 
@@ -94,10 +94,10 @@ def test_residuals_are_full_grid_residuals():
     np.testing.assert_allclose(spectrum.residuals, dense, rtol=1e-6, atol=1e-15)
 
 
-def test_subset_driver_is_not_called(monkeypatch):
+def test_dense_path_is_not_called(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a contracted block reached the dense subset driver")
-    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        raise AssertionError("a contracted block reached the dense path")
+    monkeypatch.setattr(eig, "_dense_pairs", refuse)
     spectrum = solve(builtin_problem("henon_heiles", N=55), 60)
     assert spectrum.n_states == 60
 
@@ -127,7 +127,7 @@ def test_full_spectra_stay_dense(monkeypatch):
     assert spectrum.n_states == problem.size
 
 
-def test_unconverged_ladder_falls_back_to_dense_subset_bitwise(monkeypatch):
+def test_unconverged_ladder_falls_back_to_full_decomposition_bitwise(monkeypatch):
     problem = builtin_problem("henon_heiles", N=47)
     reference = dense_oracle(problem, 60)
     assembled = []

@@ -8,7 +8,7 @@ from qmbox.hamiltonian import (ORDERING_NAMES, ConstantMass, ProblemDefinition,
                                VonRoos, build_hamiltonian, build_kinetic,
                                hamiltonian_blocks, ordering_from_name)
 from qmbox.lattice import make_lattice, make_lattice_2d
-from qmbox.operators import GridValueError, momentum_ip, momentum_matrix
+from qmbox.operators import GridValueError, momentum_ip
 from qmbox.problems import builtin_problem, nh3_mass, nh3_potential
 
 #: The fixed named orderings and the von Roos points they stand for.
@@ -63,7 +63,7 @@ class TestOrderings:
         grid = make_lattice(20.0, 30)
         T = build_kinetic(problem_1d(grid, ordering_from_name(name), 0.0,
                                      mass=lambda x: 1.0 + x**2)).matrix
-        p = momentum_matrix(grid).matrix
+        p = -1j * momentum_ip(grid)
         inv_m = np.diag(1.0 / (1.0 + grid.x**2))
         explicit = {
             "mass-sandwich": 0.5 * p @ inv_m @ p,

@@ -5,7 +5,7 @@ from qmbox.expr import parse
 from qmbox.lattice import make_lattice, make_lattice_2d
 from qmbox.operators import (GridValueError, OperatorMatrix, exp_ialpha_p,
                              grid_values, kronecker_sum, momentum_ip,
-                             momentum_matrix, momentum_squared_matrix)
+                             momentum_squared_matrix)
 
 LATTICES = [(3.0, 1), (2 * np.pi, 1), (2.7, 5), (10.0, 12), (25.0, 15)]
 
@@ -17,18 +17,18 @@ def frob(A):
 class TestMomentum:
     @pytest.mark.parametrize("L,M", LATTICES)
     def test_zero_diagonal(self, L, M):
-        p = momentum_matrix(make_lattice(L, M)).matrix
+        p = -1j * momentum_ip(make_lattice(L, M))
         np.testing.assert_array_equal(np.diag(p), 0.0)
 
     def test_first_offdiagonal_value(self):
         # closed form at N=3, L=2pi: (pi/(iL)) (-1) / sin(pi/3) = i/sqrt(3)
-        p = momentum_matrix(make_lattice(2 * np.pi, 1)).matrix
+        p = -1j * momentum_ip(make_lattice(2 * np.pi, 1))
         assert p[1, 0] == pytest.approx(1j / np.sqrt(3), abs=1e-15)
         assert abs(p[1, 0] - 0.5773502691896258j) < 1e-15
 
     @pytest.mark.parametrize("L,M", LATTICES)
     def test_hermitian_entrywise(self, L, M):
-        p = momentum_matrix(make_lattice(L, M)).matrix
+        p = -1j * momentum_ip(make_lattice(L, M))
         np.testing.assert_array_equal(p, p.conj().T)
 
     @pytest.mark.parametrize("L,M", LATTICES)
@@ -40,7 +40,7 @@ class TestMomentum:
     @pytest.mark.parametrize("L,M", LATTICES)
     def test_eigenvalues_are_grid_momenta(self, L, M):
         lat = make_lattice(L, M)
-        eigs = np.sort(np.linalg.eigvals(momentum_matrix(lat).matrix).real)
+        eigs = np.sort(np.linalg.eigvals(-1j * momentum_ip(lat)).real)
         np.testing.assert_allclose(eigs, np.sort(lat.p), atol=1e-10)
 
     @pytest.mark.parametrize("L,M", LATTICES)
@@ -72,7 +72,7 @@ class TestMomentumSquared:
     def test_matches_matrix_square(self, L, M):
         lat = make_lattice(L, M)
         P = momentum_squared_matrix(lat).matrix
-        p = momentum_matrix(lat).matrix
+        p = -1j * momentum_ip(lat)
         square = (p @ p).real
         assert frob(P - square) <= 1e-12 * frob(P)
 
@@ -129,7 +129,7 @@ class TestTranslation:
         from scipy.linalg import expm
         alpha = 0.4321
         direct = exp_ialpha_p(lat, alpha).matrix
-        via_p = expm(1j * alpha * momentum_matrix(lat).matrix)
+        via_p = expm(1j * alpha * (-1j * momentum_ip(lat)))
         np.testing.assert_allclose(direct, via_p.real, atol=1e-11)
         assert np.abs(via_p.imag).max() < 1e-11
 
