@@ -27,14 +27,14 @@ Should the ladder end unconverged, the blocks are assembled once and
 decomposed in full, like every block on the dense paths: full spectra, 1D,
 non-Hermitian and smaller blocks, and a bare dense matrix.
 
-The general path has one real form: a complex H of odd size that is
-PT-symmetric bitwise, H[::-1, ::-1] == conj(H) (P reverses the site index,
-T conjugates), is similar to a real matrix of the same size built from its
-mirror folds (``_pt_real_form``).  That matrix goes through the real general
-solver in place of the complex one, so an unbroken-PT level comes out with
-an imaginary part of exactly 0 and a broken-PT pair as an exact conjugate
-pair, and the vectors are mapped back onto the grid.  The test is made on H
-itself, so every caller of the general path takes the same route.
+The general path has one real form: the builder gives a PT-symmetric
+problem as the real matrix R similar to its complex H, a block tagged PT
+(see ``hamiltonian.hamiltonian_blocks``).  R goes through the real general
+solver like any real block, so an unbroken-PT level comes out with an
+imaginary part of exactly 0 and a broken-PT pair as an exact conjugate
+pair; its levels are cast to complex and its vectors mapped back onto the
+grid as H's (``_unfold``).  A bare complex matrix goes to the complex
+solver: the symmetry is read from the block's tag, never from its entries.
 
 A Hamiltonian may also arrive as mirror-parity blocks (see
 ``hamiltonian.hamiltonian_blocks``): a problem whose grid functions equal
@@ -62,8 +62,7 @@ from typing import Iterable
 import numpy as np
 
 from .lattice import Lattice1D, Lattice2D
-from .operators import (EVEN, ODD, OperatorMatrix, mirror_cross_fold, mirror_fold,
-                        mirror_unfold)
+from .operators import EVEN, ODD, PT, OperatorMatrix, mirror_unfold
 
 #: Entries per pass (2 MiB of float64) when vectors are normalized, residuals
 #: formed, vectors unfolded or phases fixed: each pass works on a slice of
@@ -167,7 +166,7 @@ def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Latti
     folded, hermitian = set(), True
     for block in blocks:
         parities.append(block.parity)
-        folded.update(axis for axis, p in zip("xy", block.parity) if p)
+        folded.update(axis for axis, p in zip("xy", block.parity) if p in (EVEN, ODD))
         hermitian = hermitian and block.hermitian_hint
         if _contracts(block, n_states):
             pending.append(len(parts))
@@ -189,7 +188,8 @@ def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Latti
     order = order[:n_states]
     owner = np.repeat(np.arange(len(values)), [len(part) for part in values])[order]
     w, residuals = w[order], np.concatenate(residuals)[order]
-    out = np.empty((grid.size, len(order)), dtype=np.result_type(*vectors))
+    # complex with the levels: a PT block's real vectors are complex on the grid
+    out = np.empty((grid.size, len(order)), dtype=np.result_type(w, *vectors))
     for b, parity in enumerate(parities):
         columns = np.flatnonzero(owner == b)   # a block's picks are its lowest pairs
         for c in _column_chunks(grid.size, len(columns)):
@@ -231,7 +231,7 @@ def _dense_pairs(block: OperatorMatrix, n_states: int | None, cell: float):
     for c in _column_chunks(*v.shape):
         Hv[:, c] -= v[:, c] * w[c]
         r[c] = np.linalg.norm(Hv[:, c], axis=0)
-    return w, v, r, np.linalg.norm(H) ** 2
+    return (w.astype(complex) if PT in block.parity else w), v, r, np.linalg.norm(H) ** 2
 
 
 def _normalize(v: np.ndarray, cell: float) -> None:
@@ -417,10 +417,8 @@ def _eigvals(op: OperatorMatrix) -> np.ndarray:
     _require_finite(op.matrix)
     if op.hermitian_hint:
         return np.linalg.eigvalsh(op.matrix)
-    R = _pt_real_form(op.matrix)
-    if R is None:
-        return np.linalg.eigvals(op.matrix)
-    return np.linalg.eigvals(R).astype(complex)
+    w = np.linalg.eigvals(op.matrix)
+    return w.astype(complex) if PT in op.parity else w   # a PT block's levels are H's
 
 
 def _merged(values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -436,46 +434,9 @@ def _eigenpairs(H: np.ndarray, hermitian: bool, count: int | None) -> tuple[np.n
     if hermitian:
         w, v = np.linalg.eigh(H)
         return w[:count], v[:, :count]
-    R = _pt_real_form(H)
-    w, v = np.linalg.eig(H if R is None else R)
+    w, v = np.linalg.eig(H)
     order = np.lexsort((w.imag, w.real))[:count]
-    w, v = w[order], v[:, order]
-    if R is None:
-        return w, v
-    M = H.shape[0] // 2   # psi = Q_e u_e + i Q_o u_o
-    return w.astype(complex), (mirror_unfold(v[:M + 1], EVEN, axis=0)
-                               + 1j * mirror_unfold(v[M + 1:], ODD, axis=0))
-
-
-def _pt_real_form(H: np.ndarray) -> np.ndarray | None:
-    """The real matrix similar to a PT-symmetric H, or None for any other H.
-
-    H is PT-symmetric here when it has odd size and H[::-1, ::-1] == conj(H)
-    bitwise: P reverses the site index, T conjugates.  Then the reversal J
-    commutes with H_r = Re H and anticommutes with H_i = Im H, so in the
-    mirror basis of ``mirror_sites`` H_r is block-diagonal and H_i couples
-    the even block only to the odd one, and the similarity diag(I, i I)
-    takes H exactly to
-
-        R = [[A, -B_eo], [B_oe, C]],
-
-    A and C the even and odd folds of H_r, B_eo and B_oe the cross folds of
-    H_i.  R's eigenvectors (u_e, u_o) are H's as Q_e u_e + i Q_o u_o; a level
-    real in R is exactly real, and a broken-PT pair is an exact conjugate
-    pair (Bender & Boettcher, PRL 80, 5243 (1998); Mostafazadeh, J. Math.
-    Phys. 43, 205 (2002)).  The test reads H through its real and imaginary
-    views and the upper half rows, which the reversal maps onto the rest.
-    """
-    N = H.shape[0]
-    if not np.iscomplexobj(H) or N % 2 == 0:
-        return None
-    top, mirrored = H[:N // 2 + 1], H[::-1, ::-1][:N // 2 + 1]
-    if not (np.array_equal(top.real, mirrored.real)
-            and np.array_equal(top.imag, -mirrored.imag)):
-        return None
-    re, im = H.real, H.imag
-    return np.block([[mirror_fold(re, EVEN), -mirror_cross_fold(im, EVEN)],
-                     [mirror_cross_fold(im, ODD), mirror_fold(re, ODD)]])
+    return w[order], v[:, order]
 
 
 def _require_finite(*arrays: np.ndarray) -> None:
@@ -487,6 +448,10 @@ def _require_finite(*arrays: np.ndarray) -> None:
 
 def _unfold(v: np.ndarray, parity: tuple[int, ...], grid: Lattice1D | Lattice2D) -> np.ndarray:
     """Block eigenvector columns as full-grid columns (x fastest)."""
+    if PT in parity:   # psi = Q_e u_e + i Q_o u_o over the flattened grid
+        M = grid.size // 2
+        return (mirror_unfold(v[:M + 1], EVEN, axis=0)
+                + 1j * mirror_unfold(v[M + 1:], ODD, axis=0))
     if not any(parity):
         return v
     # the block's sites per axis, reversed to the [y, x] order of x-fastest

@@ -23,6 +23,10 @@ is decided on the sampled functions, not on H: the beta != 0 product
 A (m^beta A) makes H mirror-symmetric only to round-off.  Each axis is
 folded the same way, its half-axis numbered from the box edge inward, and
 the potential is added after the fold, on the block's sites.
+
+PT symmetry is decided there too, on the same arrays: with no axis folded,
+sampled functions that are PT under the inversion of the grid make the one
+block the real matrix R similar to H (``_pt_real_form``).
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from typing import Iterator, Union
 import numpy as np
 
 from .lattice import Lattice1D, Lattice2D
-from .operators import (EVEN, ODD, GridFunction, GridValueError, OperatorMatrix,
-                        grid_values, mirror_fold, mirror_sites,
+from .operators import (EVEN, ODD, PT, GridFunction, GridValueError, OperatorMatrix,
+                        grid_values, kronecker_sum, mirror_fold, mirror_sites,
                         momentum_ip, momentum_squared_matrix)
 
 
@@ -217,7 +221,9 @@ def _kinetic_1d(grid: Lattice1D, ordering: KineticOrdering,
 def build_hamiltonian(problem: ProblemDefinition) -> OperatorMatrix:
     """H = T + diag(V_real) + i diag(V_imag) on the problem's grid, as one
     block: the unfolded case of ``hamiltonian_blocks`` (in 2D its factors,
-    with the dense matrix assembled on first use)."""
+    with the dense matrix assembled on first use).  A PT-symmetric problem
+    gives its real form R, with H's spectrum, which ``diagonalize`` maps
+    back onto the grid."""
     (block,) = hamiltonian_blocks(problem, fold=False)
     return block
 
@@ -232,7 +238,12 @@ def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterato
     image along it bitwise (V_real, V_imag when present, and in 1D the mass
     of a von Roos ordering): an exact property of the input, with no
     tolerance.  The arrays are sampled once and build the blocks too.  With
-    ``fold`` off, or nothing mirror-even, the one block is the full dense H.
+    ``fold`` off, or nothing mirror-even, the one block is the whole H.
+
+    When no axis is folded and every sampled array equals the conjugate of
+    its inversion (``np.flip`` over all axes) bitwise, with V complex, H is
+    PT-symmetric: the one block is its real form R, tagged PT on every axis
+    (``_pt_real_form``), and the complex H is never assembled.
 
     Each block is the folded or whole kinetic matrix of every axis plus the
     potential on the block's sites, numbered from the box edge inward along
@@ -241,7 +252,7 @@ def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterato
     its dense matrix.  A 2D block is its Kronecker-sum factors (the two
     axis matrices and V on the block's sites), from which
     ``diagonalize_blocks`` either solves it in a contracted basis or
-    assembles the dense matrix.
+    assembles the dense matrix; a PT block is dense in 2D too.
     """
     grid = problem.grid
     m = _mass_values(problem)
@@ -258,6 +269,12 @@ def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterato
         else:
             choices.append({0: kinetic.matrix})
     del kinetic   # a folded axis keeps only its blocks
+    if np.iscomplexobj(v) and all(0 in axis for axis in choices) and all(
+            np.array_equal(f, np.flip(f).conj()) for f in sampled):
+        # the kinetic matrices move into R: the block holds R alone
+        R = _pt_real_form([axis.pop(0) for axis in choices], v)
+        yield OperatorMatrix(R, False, (PT,) * len(choices))
+        return
     for parity in product(*choices):   # the parities of each axis
         axis_matrices = [axis[p] for axis, p in zip(choices, parity)]
         if len(choices) == 1:
@@ -285,3 +302,26 @@ def _potential(problem: ProblemDefinition) -> np.ndarray:
         v = v + 1j * grid_values(problem.potential_imag, points, what="imaginary potential")
     return v
 
+
+def _pt_real_form(kinetic: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """R = [[A, -B], [B^T, C]] = S^-1 Q^T H Q S for the PT-symmetric H = T + diag(V):
+    A and C are the even and odd folds of Re H over the flattened grid (Q,
+    ``mirror_fold``), B = diag(V_imag) on the pair sites with a zero centre
+    row, and S = diag(I, i I).  An unbroken-PT level of R is exactly real, a
+    broken pair an exact conjugate pair (Bender & Boettcher, PRL 80, 5243
+    (1998)).  V_real joins the kinetic matrix before the fold, in place in 1D.
+    """
+    M, im = v.size // 2, v.imag.ravel()
+    R = np.zeros((v.size, v.size))
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite R is the solver's error
+        if len(kinetic) == 1:
+            re = kinetic.pop()
+            re[np.diag_indices_from(re)] += v.real
+        else:
+            re = kronecker_sum(*kinetic, v.real)
+        R[:M + 1, :M + 1] = mirror_fold(re, EVEN)
+        R[M + 1:, M + 1:] = mirror_fold(re, ODD)
+    pairs = np.arange(M)
+    R[pairs, M + 1 + pairs] = -im[:M]
+    R[M + 1 + pairs, pairs] = im[:M]
+    return R

@@ -20,8 +20,8 @@ into an even and an odd mirror block (``mirror_fold``); the inverse map
 scatters block vectors back onto the whole axis (``mirror_unfold``).  One
 convention serves 1D and 2D alike: a folded axis is numbered from the box
 edge inward, with the centre site last in the even block (``mirror_sites``).
-An operator that anticommutes with the reflection couples the two blocks
-only; ``mirror_cross_fold`` reads off those off-diagonal blocks.
+The real form of a PT-symmetric Hamiltonian (``hamiltonian.hamiltonian_blocks``)
+is built in the same basis, taken over the whole grid.
 """
 
 from __future__ import annotations
@@ -55,7 +55,9 @@ class OperatorMatrix:
     restricted to, one entry per axis (x, then y): EVEN or ODD for an axis
     folded onto its half-axis sites, numbered from the box edge inward (see
     ``mirror_sites``), 0 for an axis kept whole.  The empty default means
-    nothing is folded: the operator acts on the whole grid.
+    nothing is folded: the operator acts on the whole grid.  PT on every
+    axis marks the real form R = S^-1 Q^T H Q S of a PT-symmetric H, Q the
+    mirror basis of the flattened grid and S = diag(I, i I); H's vectors are Q S u.
 
     A 2D operator may be given by its Kronecker-sum ``factors`` (tx, ty, v)
     instead of ``dense``: ``matrix`` is then ``kronecker_sum(tx, ty, v)``,
@@ -171,6 +173,8 @@ def grid_values(f: GridFunction, point_arrays: dict[str, np.ndarray],
 
 #: Parity of a mirror block along one axis; 0 marks an axis kept whole.
 EVEN, ODD = 1, -1
+#: Parity of every axis of a PT-symmetric operator's real form (``OperatorMatrix``).
+PT = 2
 
 
 def mirror_sites(M: int, parity: int) -> slice:
@@ -196,35 +200,20 @@ def mirror_sites(M: int, parity: int) -> slice:
 
 
 def mirror_fold(t: np.ndarray, parity: int) -> np.ndarray:
-    """Block of a 1D matrix in the even or odd mirror basis, read off the
-    rows of the left half-axis.
+    """Block of a matrix in the even or odd mirror basis, read off the rows
+    of the left half-axis.
 
     Exact when ``t`` commutes with the index reversal, t[::-1, ::-1] == t,
     as every symmetric Toeplitz matrix does (the closed-form p^2 among them)
     and so does a 1D kinetic matrix, Hermitian or not, whose mass is
     mirror-even.
     """
-    return _fold(t, parity, parity)
-
-
-def mirror_cross_fold(t: np.ndarray, parity: int) -> np.ndarray:
-    """Block <parity| t |-parity> of a matrix that anticommutes with the
-    index reversal, t[::-1, ::-1] == -t, read off the left half-axis rows
-    as near - far (even rows) or near + far (odd rows); such a t, the
-    imaginary part of a PT-symmetric H among them, only couples the even
-    and the odd mirror block."""
-    return _fold(t, parity, -parity)
-
-
-def _fold(t: np.ndarray, rows: int, columns: int) -> np.ndarray:
-    """<rows| t |columns> in the mirror basis of ``mirror_sites``, for a t
-    with t[::-1, ::-1] == rows * columns * t."""
     M = t.shape[0] // 2
     near, far = t[:M + 1, :M + 1], t[:M + 1, ::-1][:, :M + 1]   # columns x_k and x_{N-1-k}
-    r, c = mirror_sites(M, rows), mirror_sites(M, columns)
+    s = mirror_sites(M, parity)
     scale = np.ones(M + 1)
     scale[M] = np.sqrt(0.5)                # the centre site is not a pair
-    return scale[r, None] * (near + far if columns == EVEN else near - far)[r, c] * scale[None, c]
+    return scale[s, None] * (near + far if parity == EVEN else near - far)[s, s] * scale[None, s]
 
 
 def mirror_unfold(c: np.ndarray, parity: int, axis: int) -> np.ndarray:

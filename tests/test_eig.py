@@ -1,14 +1,16 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import complex_hamiltonian
 
 from qmbox.eig import (SolverError, Spectrum, classify_parity, diagonalize,
                        diagonalize_blocks, eigenvalues, phase_fix)
-from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, build_hamiltonian,
+from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, VonRoos, build_hamiltonian,
                                hamiltonian_blocks, ordering_from_name)
 from qmbox.lattice import make_lattice, make_lattice_2d
-from qmbox.operators import OperatorMatrix
+from qmbox.operators import PT, OperatorMatrix
 from qmbox.problems import BUILTIN_IDS, builtin_problem, pt_exact_level
 from qmbox.solve import solve
 
@@ -227,23 +229,15 @@ def oracle(H):
     return w[order], v[:, order]
 
 
-def pt_matrix(N, imag_scale, seed):
-    """A random dense H with H[::-1, ::-1] == conj(H) bitwise and a full,
-    non-symmetric imaginary part, so the cross blocks are not transposes."""
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((N, N)) + 1j * imag_scale * rng.standard_normal((N, N))
-    return (G + np.conj(G)[::-1, ::-1]) / 2
-
-
 def nearest(values, targets):
     """For each target, the entry of ``values`` closest to it."""
     return values[np.argmin(np.abs(values[:, None] - targets[None, :]), axis=0)]
 
 
 class TestPTRealForm:
-    """A PT-symmetric H (odd size, H[::-1, ::-1] == conj(H) bitwise) is
-    diagonalized as a real matrix of its size; the oracle is the complex
-    eigensolver on H itself."""
+    """A problem whose sampled functions are PT-symmetric bitwise is built
+    as a real matrix of the grid's size; the oracle is the complex
+    eigensolver on the assembled complex H."""
 
     @pytest.mark.parametrize("N", [101, 111, 121, 201])
     def test_pt_oscillator_levels_are_exactly_real(self, N):
@@ -257,8 +251,8 @@ class TestPTRealForm:
     @pytest.mark.parametrize("N", [101, 121, 201])
     def test_levels_match_the_complex_oracle(self, N):
         problem = builtin_problem("pt_oscillator", N=N)
-        H = build_hamiltonian(problem).matrix
-        s = diagonalize(OperatorMatrix(H), problem.grid)
+        H = complex_hamiltonian(problem)
+        s = diagonalize(build_hamiltonian(problem), problem.grid)
         w, v = s.eigenvalues, s.eigenvectors
         reference = oracle(H)[0]
         real = np.flatnonzero(w.imag == 0)
@@ -277,8 +271,8 @@ class TestPTRealForm:
 
     def test_vectors_match_the_oracle_up_to_a_phase(self):
         problem = builtin_problem("pt_oscillator")
-        H = build_hamiltonian(problem).matrix
-        s = diagonalize(OperatorMatrix(H), problem.grid)
+        H = complex_hamiltonian(problem)
+        s = diagonalize(build_hamiltonian(problem), problem.grid)
         w_ref, v_ref = oracle(H)
         v = s.eigenvectors[:, :45] / np.linalg.norm(s.eigenvectors[:, :45], axis=0)
         u = v_ref[:, :45] / np.linalg.norm(v_ref[:, :45], axis=0)
@@ -291,20 +285,6 @@ class TestPTRealForm:
         assert residuals.max() <= 1e-14
         assert s.residuals.max() <= 1e-14
 
-    @pytest.mark.parametrize("imag_scale", [0.05, 1.0], ids=["mostly-real", "mostly-pairs"])
-    def test_random_dense_pt_matrix(self, imag_scale):
-        H = pt_matrix(41, imag_scale, seed=17)
-        assert not np.array_equal(H.imag, H.imag.T)
-        s = diagonalize(OperatorMatrix(H), make_lattice(41.0, 20))
-        w, v = s.eigenvalues, s.eigenvectors
-        scale = np.linalg.norm(H, 2)
-        reference = oracle(H)[0]
-        np.testing.assert_allclose(nearest(reference, w), w, rtol=0, atol=1e-12 * scale)
-        np.testing.assert_allclose(nearest(w, reference), reference, rtol=0, atol=1e-12 * scale)
-        assert np.any(w.imag == 0.0) and np.all(w.imag[np.abs(reference.imag) < 1e-9] == 0.0)
-        assert np.linalg.norm(H @ v - v * w[None, :], axis=0).max() <= 1e-13 * scale
-        np.testing.assert_allclose(eigenvalues(OperatorMatrix(H)), w, rtol=1e-13, atol=1e-14 * scale)
-
     def test_single_block_2d(self):
         grid = make_lattice_2d(12.0, 10, 12.0, 10)
         problem = ProblemDefinition(name="pt-2d", grid=grid, ordering=ConstantMass(1.0),
@@ -314,26 +294,47 @@ class TestPTRealForm:
         s = solve(problem, 40)
         assert s.mirror_axes == ()
         assert np.all(s.eigenvalues.imag == 0.0)
-        reference = oracle(build_hamiltonian(problem).matrix)[0][:40]
+        reference = oracle(complex_hamiltonian(problem))[0][:40]
         np.testing.assert_allclose(s.eigenvalues, reference, rtol=0, atol=2e-13)
 
+    def test_von_roos_beta_nonzero_takes_the_real_form(self):
+        """beta = -1/2 makes H PT-symmetric only to round-off, while its
+        sampled functions are PT bitwise: the builder's decision holds."""
+        problem = ProblemDefinition(name="pt-von-roos", grid=make_lattice(25.0, 50),
+                                    ordering=VonRoos(-0.25, -0.25),
+                                    mass=lambda x: 1.0 + 0.1 * x**2,
+                                    potential_real=lambda x: x**2, potential_imag=lambda x: x,
+                                    energy_unit="model")
+        H = complex_hamiltonian(problem)
+        assert not np.array_equal(H[::-1, ::-1], np.conj(H))
+        assert build_hamiltonian(problem).parity == (PT,)
+        s = solve(problem)
+        w, v = s.eigenvalues[:20], s.eigenvectors[:, :20]
+        assert np.all(w.imag == 0.0)
+        # the oracle is off by about kappa eps ||H|| itself, kappa = ||v||^2 / |v^T v| (H = H^T)
+        kappa = np.sum(np.abs(v) ** 2, axis=0) / np.abs(np.sum(v ** 2, axis=0))
+        allowed = kappa * np.finfo(float).eps * np.linalg.norm(H)
+        assert np.all(np.abs(nearest(oracle(H)[0], w) - w) <= allowed)
+
     def test_perturbed_and_non_pt_matrices_stay_complex(self):
-        def round_off_imag(H):
-            w = diagonalize(OperatorMatrix(H), make_lattice(1.0, (H.shape[0] - 1) // 2)).eigenvalues
+        def round_off_imag(w):
             real_like = w[np.abs(w.imag) < 1e-8]
             return len(real_like) > 0 and np.any(real_like.imag != 0.0)
 
-        H = build_hamiltonian(builtin_problem("pt_oscillator")).matrix
-        assert not round_off_imag(H)
-        H[0, 1] += 1e-14 * abs(H[0, 1])
-        assert round_off_imag(H)
-        w = solve(builtin_problem("non_pt_oscillator")).eigenvalues[:45]
+        problem = builtin_problem("pt_oscillator")
+        assert not round_off_imag(solve(problem).eigenvalues)
+        # a bare complex matrix goes to the complex solver, PT-symmetric or not
+        assert round_off_imag(eigenvalues(OperatorMatrix(complex_hamiltonian(problem))))
+        # Im V odd only to round-off: no real form
+        skewed = replace(problem, potential_imag=lambda x: (x + 0.3) - 0.3)
+        x = problem.grid.x
+        assert not np.array_equal(skewed.potential_imag(x), -skewed.potential_imag(-x))
+        assert np.iscomplexobj(build_hamiltonian(skewed).matrix)
+        assert round_off_imag(solve(skewed).eigenvalues)
+        non_pt = builtin_problem("non_pt_oscillator")
+        assert np.iscomplexobj(build_hamiltonian(non_pt).matrix)
+        w = solve(non_pt).eigenvalues[:45]
         assert np.any(w.imag != 0.5) and np.abs(w.imag - 0.5).max() <= 1e-10
-        assert not round_off_imag(pt_matrix(41, 0.05, seed=3))
-        even = pt_matrix(40, 0.05, seed=3)
-        assert np.array_equal(even[::-1, ::-1], np.conj(even))
-        w = eigenvalues(OperatorMatrix(even))   # no odd grid has 40 sites
-        assert np.any((w.imag != 0) & (np.abs(w.imag) < 1e-8))
 
 
 class TestHermitianHintHonesty:

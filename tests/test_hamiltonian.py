@@ -8,7 +8,7 @@ from qmbox.hamiltonian import (ORDERING_NAMES, ConstantMass, ProblemDefinition,
                                VonRoos, build_hamiltonian, build_kinetic,
                                hamiltonian_blocks, ordering_from_name)
 from qmbox.lattice import make_lattice, make_lattice_2d
-from qmbox.operators import GridValueError, momentum_ip
+from qmbox.operators import PT, GridValueError, momentum_ip
 from qmbox.problems import builtin_problem, nh3_mass, nh3_potential
 
 #: The fixed named orderings and the von Roos points they stand for.
@@ -167,17 +167,20 @@ class TestHamiltonian1D:
         assert frob(H - H[::-1, ::-1]) <= 1e-12 * frob(H)
 
     def test_complex_potential_drops_hermitian_hint(self):
+        # V = x^2 + ix is PT-symmetric: the one block is its real form
         grid = make_lattice(25.0, 50)
         op = build_hamiltonian(problem_1d(grid, ConstantMass(0.5),
                                           lambda x: x**2, V_imag=lambda x: x))
-        assert np.iscomplexobj(op.matrix)
+        assert op.matrix.dtype == np.float64
+        assert op.dim == grid.N == 101
+        assert op.parity == (PT,)
         assert op.hermitian_hint is False
 
     @pytest.mark.parametrize("problem_id", ["pt_oscillator", "morse"])
     def test_a_block_in_hand_holds_its_matrix_alone(self, problem_id):
         # an unfolded 1D H is the real kinetic matrix with V added in place
-        # (morse) or a complex copy of it (pt_oscillator); the real one must
-        # not stay alive beside the copy while the block is being solved
+        # (morse), or its real form built from it (pt_oscillator); the
+        # kinetic matrix must not stay alive while the block is being solved
         problem = builtin_problem(problem_id, N=601)
         tracemalloc.start()
         try:

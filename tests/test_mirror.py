@@ -10,13 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import complex_hamiltonian
 
 from qmbox.eig import classify_parity, diagonalize, phase_fix
 from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, VonRoos,
                                build_hamiltonian, hamiltonian_blocks,
                                ordering_from_name)
 from qmbox.lattice import make_lattice, make_lattice_2d
-from qmbox.operators import (EVEN, ODD, mirror_cross_fold, mirror_fold, mirror_unfold,
+from qmbox.operators import (EVEN, ODD, PT, mirror_fold, mirror_unfold,
                              momentum_squared_matrix)
 from qmbox.problems import BUILTIN_IDS, builtin_problem
 from qmbox.solve import solve
@@ -116,8 +117,10 @@ def test_block_solve_matches_dense_oracle(name):
 
     v = spectrum.eigenvectors
     assert v.shape == (problem.size, spectrum.n_states)
-    full_residuals = (np.linalg.norm(H.matrix @ v - v * w[None, :], axis=0)
-                      / np.linalg.norm(H.matrix))
+    # a PT-symmetric problem is built as its real form: the oracle assembles H
+    full = complex_hamiltonian(problem) if PT in H.parity else H.matrix
+    full_residuals = (np.linalg.norm(full @ v - v * w[None, :], axis=0)
+                      / np.linalg.norm(full))
     assert full_residuals.max() <= 1e-12
     assert spectrum.residuals.max() <= 1e-12
     gram = spectrum.weight * (v.conj().T @ v)
@@ -172,23 +175,27 @@ def test_fold_is_an_orthogonal_change_of_basis(M):
     np.testing.assert_allclose(folded[:M + 1, M + 1:], 0.0, rtol=0, atol=1e-14 * scale)
 
 
-@pytest.mark.parametrize("M", [0, 1, 4])
-def test_cross_fold_is_the_off_diagonal_block(M):
-    """A matrix that anticommutes with the reversal, such as the imaginary
-    part of a PT-symmetric H, has only even-odd blocks; a non-symmetric one
-    has <e|t|o> != <o|t|e>^T."""
-    N = 2 * M + 1
-    X = np.random.default_rng(M).standard_normal((N, N))
-    t = X - X[::-1, ::-1]
+def pt_2d():
+    """PT under the inversion of the grid, and even along neither axis."""
+    return problem_2d(lambda x, y: 0.5 * (x**2 + y**2), Nx=21, Ny=21,
+                      potential_imag=lambda x, y: 0.3 * (x + y))
+
+
+@pytest.mark.parametrize("make", [lambda: builtin_problem("pt_oscillator"), pt_2d],
+                         ids=["pt_oscillator", "2D inversion"])
+def test_pt_block_is_similar_to_the_complex_h(make):
+    """The PT block R satisfies Q S R S^-1 Q^T = H: Q the mirror basis of the
+    flattened grid, S = diag(I, i I) on its even and odd halves."""
+    problem = make()
+    (block,) = hamiltonian_blocks(problem)
+    assert block.parity == (PT,) * problem.dim and block.matrix.dtype == np.float64
+    H = complex_hamiltonian(problem)
+    M = problem.size // 2
     Q = np.hstack([mirror_unfold(np.eye(M + 1), EVEN, axis=0),
                    mirror_unfold(np.eye(M), ODD, axis=0)])
-    folded = Q.T @ t @ Q
-    np.testing.assert_allclose(folded[:M + 1, M + 1:], mirror_cross_fold(t, EVEN),
-                               rtol=0, atol=1e-14 * np.abs(t).max())
-    np.testing.assert_allclose(folded[M + 1:, :M + 1], mirror_cross_fold(t, ODD),
-                               rtol=0, atol=1e-14 * np.abs(t).max())
-    np.testing.assert_allclose(folded[:M + 1, :M + 1], 0.0, rtol=0, atol=1e-14 * np.abs(t).max())
-    np.testing.assert_allclose(folded[M + 1:, M + 1:], 0.0, rtol=0, atol=1e-14 * np.abs(t).max())
+    S = np.diag(np.r_[np.ones(M + 1), 1j * np.ones(M)])
+    similar = Q @ S @ block.matrix @ np.linalg.inv(S) @ Q.T
+    np.testing.assert_allclose(similar, H, rtol=0, atol=1e-14 * np.abs(H).max())
 
 
 @pytest.mark.parametrize("problem_id, overrides", [("nd3", {}),
