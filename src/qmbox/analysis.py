@@ -70,9 +70,12 @@ def convergence_scan(problem: ProblemDefinition, mode: str, n_list,
 
     ``fixed_L_vary_N`` holds the problem's width L and refines the spacing;
     ``fixed_a_vary_N`` holds the problem's spacing a = L/N and widens the
-    box.  The grid list must be ascending odd N with at least 12 entries so
-    the 10-grid tail average is meaningful.
+    box.  The problem must be 1D, the state indices non-negative, and the
+    grid list ascending odd N with at least 12 entries so the 10-grid tail
+    average is meaningful.
     """
+    if isinstance(problem.grid, Lattice2D):
+        raise ValueError("convergence scans are defined for 1D problems")
     if mode not in SCAN_MODES:
         raise ValueError(f"mode must be one of {SCAN_MODES}, got {mode!r}")
     n_list = tuple(int(n) for n in n_list)
@@ -83,6 +86,8 @@ def convergence_scan(problem: ProblemDefinition, mode: str, n_list,
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("grid sizes must be strictly ascending")
     state_indices = tuple(int(s) for s in state_indices)
+    if min(state_indices) < 0:
+        raise ValueError(f"state indices must be non-negative, got {min(state_indices)}")
     if max(state_indices) >= min(n_list):
         raise ValueError(
             f"state index {max(state_indices)} is not available on the "
@@ -197,7 +202,7 @@ def labeled_levels(spectrum: Spectrum, unit: str = "model", shifted: bool = Fals
     elif unit not in ("hartree", "model"):
         raise ValueError(f"unknown unit {unit!r}")
     count = spectrum.n_states if count is None else count
-    return {spectrum.state_label(n): float(values[n]) for n in range(count)}
+    return {spectrum.labels[n]: float(values[n]) for n in range(count)}
 
 
 def compare_to_reference(spectrum: Spectrum, ref: ReferenceSpectrum) -> ComparisonReport:

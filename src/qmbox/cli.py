@@ -229,7 +229,7 @@ def _spectrum_rows(spectrum: Spectrum, n_states: int, unit: str, shift: bool):
     rows = []
     for n in range(min(n_states, spectrum.n_states)):
         rows.append({
-            "state": spectrum.state_label(n),
+            "state": spectrum.labels[n],
             "energy": float(real[n]),
             "imag": float(imag[n]),
             "residual": float(spectrum.residuals[n]),

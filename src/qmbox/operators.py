@@ -233,8 +233,7 @@ def mirror_unfold(c: np.ndarray, parity: int, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def kronecker_sum(tx: np.ndarray, ty: np.ndarray,
-                  diagonal: np.ndarray | None = None) -> np.ndarray:
+def kronecker_sum(tx: np.ndarray, ty: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     """kron(I_ny, tx) + kron(ty, I_nx) + diag(diagonal) on the x-fastest grid.
 
     ``diagonal`` holds one value per site as a (ny, nx) array; a complex one
@@ -242,11 +241,9 @@ def kronecker_sum(tx: np.ndarray, ty: np.ndarray,
     (nx*ny)^2 buffer, with no Kronecker-product temporaries.
     """
     nx, ny = tx.shape[0], ty.shape[0]
-    parts = (tx, ty) if diagonal is None else (tx, ty, diagonal)
-    H = np.zeros((nx * ny, nx * ny), dtype=np.result_type(*parts))
+    H = np.zeros((nx * ny, nx * ny), dtype=np.result_type(tx, ty, diagonal))
     H4 = H.reshape(ny, nx, ny, nx)
     H4[np.arange(ny), :, np.arange(ny), :] += tx
     H4[:, np.arange(nx), :, np.arange(nx)] += ty
-    if diagonal is not None:
-        H[np.diag_indices_from(H)] += np.ravel(diagonal)
+    H[np.diag_indices_from(H)] += np.ravel(diagonal)
     return H

@@ -115,6 +115,13 @@ class TestConvergenceScan:
         with pytest.raises(ValueError, match="state index"):
             convergence_scan(problem, "fixed_L_vary_N", list(range(21, 47, 2)),
                              state_indices=(30,))
+        for track in (-1, -100):
+            with pytest.raises(ValueError, match="non-negative"):
+                convergence_scan(problem, "fixed_L_vary_N", list(range(21, 47, 2)),
+                                 state_indices=(0, track))
+        with pytest.raises(ValueError, match="1D"):
+            convergence_scan(builtin_problem("henon_heiles", N=9, L=10.0), "fixed_L_vary_N",
+                             list(range(11, 35, 2)))
 
     def test_fixed_a_mode_scales_width(self):
         grid = make_lattice(10.0, 20)  # a = 10/41

@@ -410,6 +410,16 @@ class TestConfig:
         assert code == 1
         assert "built-ins" in err
 
+    def test_tilted_box_has_no_parity_labels(self, tmp_path, capsys):
+        # V = x has no mirror symmetry, though its ground state overlaps its
+        # mirror image by more than 0.9
+        cfg = self.write(tmp_path, "dimension = 1\nN = 21\nL = 1\nmass = 0.5\n"
+                                   "potential_real = x\n")
+        code, out, _ = run(["solve", "--config", cfg, "--format", "json"], capsys)
+        assert code == 0
+        labels = [row["state"] for row in json.loads(out)]
+        assert labels == [str(n) for n in range(len(labels))]
+
     def test_quartic_double_well_folds(self, tmp_path):
         cfg = self.write(tmp_path, """
             dimension = 1
@@ -523,6 +533,18 @@ class TestConverge:
         code, _, err = run(["converge", "--problem", "nh3", "--N-list", "21,23"],
                            capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("problem, n_list, track, message", [
+        ("morse", range(41, 162, 10), "-1", "state indices must be non-negative, got -1"),
+        ("morse", range(41, 162, 10), "-100", "state indices must be non-negative, got -100"),
+        ("henon_heiles", range(11, 34, 2), "0", "convergence scans are defined for 1D problems"),
+    ], ids=["track -1", "track -100", "2D"])
+    def test_invalid_scan_exit_code(self, capsys, problem, n_list, track, message):
+        code, out, err = run(["converge", "--problem", problem, "--track", track,
+                              "--N-list", ",".join(map(str, n_list))], capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == ""
 
 
 class TestCompleteness:

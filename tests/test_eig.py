@@ -365,8 +365,28 @@ class TestParity:
 
     def test_2d_rejected(self):
         s = solve(builtin_problem("henon_heiles", N=9, L=10.0))
+        assert s.parity is None
+        assert s.labels == tuple(str(n) for n in range(s.n_states))
         with pytest.raises(ValueError, match="1D"):
             classify_parity(s)
+
+    def test_labels_count_each_parity_class(self):
+        grid = make_lattice(5.0, 2)
+        s = Spectrum(eigenvalues=np.arange(5, dtype=float), eigenvectors=np.eye(5),
+                     residuals=np.zeros(5), hermitian_path=True, grid=grid,
+                     parity=("s", "a", "a", "none", "s"))
+        assert s.labels == ("0s", "0a", "1a", "3", "1s")
+        assert replace(s, parity=None).labels == ("0", "1", "2", "3", "4")
+        assert replace(s, parity=("a",) * 5).labels == ("0a", "1a", "2a", "3a", "4a")
+
+    def test_whole_grid_and_pt_blocks_give_no_parity(self):
+        for problem_id in ("pt_oscillator", "non_pt_oscillator"):
+            assert set(solve(builtin_problem(problem_id)).parity) == {"none"}
+        # nh3 as one bare matrix: no block says even or odd, the overlap oracle does
+        problem = builtin_problem("nh3")
+        bare = diagonalize(build_hamiltonian(problem), problem.grid, 8)
+        assert bare.parity == ("none",) * 8
+        assert classify_parity(bare).labels == solve(problem, 8).labels
 
 
 class TestPhaseFix:

@@ -133,10 +133,15 @@ def test_block_solve_matches_dense_oracle(name):
     np.testing.assert_array_equal(once.eigenvectors, spectrum.eigenvectors)
     np.testing.assert_array_equal(phase_fix(once).eigenvectors, once.eigenvectors)
     assert once.mirror_axes == axes
-    if problem.dim == 1:
+    if problem.dim == 2:
+        assert spectrum.parity is None
+    elif axes:   # each block's parity is what the overlap oracle reads off its vectors
         labelled = classify_parity(phase_fix(dense))
         assert spectrum.parity == labelled.parity
         assert spectrum.labels == labelled.labels
+    else:   # unfolded: no state has a parity, however close to even it looks
+        assert spectrum.parity == ("none",) * spectrum.n_states
+        assert spectrum.labels == tuple(str(n) for n in range(spectrum.n_states))
 
 
 @pytest.mark.parametrize("name", ["even in both, four blocks", "one-site x axis",

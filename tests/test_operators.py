@@ -217,19 +217,21 @@ class TestEmbed2D:
         grid = make_lattice_2d(3.0, 1, 5.0, 2)
         nx, ny = grid.lx.N, grid.ly.N
         for tx, ty in [(np.eye(nx), np.zeros((ny, ny))), (np.zeros((nx, nx)), np.eye(ny))]:
-            np.testing.assert_array_equal(kronecker_sum(tx, ty), np.eye(grid.size))
+            np.testing.assert_array_equal(kronecker_sum(tx, ty, np.zeros((ny, nx))),
+                                          np.eye(grid.size))
 
     def test_different_axes_commute(self):
         grid = make_lattice_2d(4.0, 3, 4.0, 3)
         nx, ny = grid.lx.N, grid.ly.N
-        px2 = kronecker_sum(momentum_squared_matrix(grid.lx).matrix, np.zeros((ny, ny)))
-        Y = kronecker_sum(np.zeros((nx, nx)), np.diag(grid.ly.x))
+        px2 = kronecker_sum(momentum_squared_matrix(grid.lx).matrix, np.zeros((ny, ny)),
+                            np.zeros((ny, nx)))
+        Y = kronecker_sum(np.zeros((nx, nx)), np.diag(grid.ly.x), np.zeros((ny, nx)))
         assert frob(px2 @ Y - Y @ px2) <= 1e-12 * max(frob(px2 @ Y), 1.0)
 
     def test_block_structure_follows_compound_index(self):
         grid = make_lattice_2d(4.0, 2, 6.0, 1)
         P = momentum_squared_matrix(grid.lx).matrix
-        big = kronecker_sum(P, np.zeros((grid.ly.N, grid.ly.N)))
+        big = kronecker_sum(P, np.zeros((grid.ly.N, grid.ly.N)), np.zeros((grid.ly.N, grid.lx.N)))
         for i2 in range(grid.ly.N):
             for k2 in range(grid.ly.N):
                 for i1 in range(grid.lx.N):
