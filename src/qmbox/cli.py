@@ -10,7 +10,6 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration/parse error, 2 numerical failure
 (mass pole on the grid, non-convergence), 3 benchmark tolerance failure.
-The environment variable QMBOX_MAX_THREADS caps BLAS/LAPACK threads.
 """
 
 from __future__ import annotations
@@ -40,56 +39,6 @@ _FMT = "{:.12g}"
 
 class ConfigError(ValueError):
     pass
-
-
-def _openblas_thread_setters() -> list:
-    """``set_num_threads`` of each OpenBLAS bundled with numpy and scipy.
-
-    The libraries are found next to the packages without importing them and
-    opened through ctypes; the dynamic loader hands numpy and scipy the same
-    copies, so the count set here is the one their LAPACK calls use.
-    """
-    import ctypes
-    import glob
-    import importlib.util
-
-    setters = []
-    for package in ("numpy", "scipy"):
-        spec = importlib.util.find_spec(package)
-        if spec is None or not spec.submodule_search_locations:
-            continue
-        site = os.path.dirname(spec.submodule_search_locations[0])
-        for path in sorted(glob.glob(os.path.join(site, package + ".libs", "*openblas*"))):
-            try:
-                lib = ctypes.CDLL(path)
-            except OSError:
-                continue
-            for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                           "openblas_set_num_threads64_", "openblas_set_num_threads"):
-                setter = getattr(lib, symbol, None)
-                if setter is not None:
-                    setter.argtypes, setter.restype = [ctypes.c_int], None
-                    setters.append(setter)
-                    break
-    return setters
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("QMBOX_MAX_THREADS")
-    if not cap:
-        return
-    try:
-        limit = int(cap)
-    except ValueError:
-        raise ConfigError(f"QMBOX_MAX_THREADS must be an integer, got {cap!r}")
-    if limit < 1:
-        raise ConfigError(f"QMBOX_MAX_THREADS must be at least 1, got {limit}")
-    setters = _openblas_thread_setters()
-    if not setters:
-        print("warning: QMBOX_MAX_THREADS ignored: no bundled OpenBLAS found in numpy or scipy",
-              file=sys.stderr)
-    for setter in setters:
-        setter(limit)
 
 
 # --- Config-file problems ----------------------------------------------------
@@ -131,6 +80,14 @@ def load_config(path: str) -> ProblemDefinition:
             raise ConfigError(f"{path}: missing required key {key!r}")
         return entries[key]
 
+    def number(key: str, kind: type[int] | type[float]):
+        value = require(key)
+        try:
+            return kind(value)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{path}: key {key!r} must be {noun}, got {value!r}")
+
     dimension = require("dimension")
     if dimension not in ("1", "2"):
         raise ConfigError(f"{path}: dimension must be 1 or 2, got {dimension!r}")
@@ -145,12 +102,10 @@ def load_config(path: str) -> ProblemDefinition:
             raise ConfigError(f"{path}: key {key!r}: {err}")
 
     if dim == 1:
-        grid = make_lattice(_config_float(path, entries, "L"),
-                            points_to_m(_config_int(path, entries, "N")))
+        grid = make_lattice(number("L", float), points_to_m(number("N", int)))
     else:
-        grid = make_lattice_2d(
-            _config_float(path, entries, "L_x"), points_to_m(_config_int(path, entries, "N_x")),
-            _config_float(path, entries, "L_y"), points_to_m(_config_int(path, entries, "N_y")))
+        grid = make_lattice_2d(number("L_x", float), points_to_m(number("N_x", int)),
+                               number("L_y", float), points_to_m(number("N_y", int)))
 
     ordering_spec = entries.get("ordering", "")
     mass = None
@@ -195,24 +150,6 @@ def _parse_ordering(spec: str) -> KineticOrdering:
         return ordering_from_name(parts[0], *map(float, parts[1:]))
     except ValueError as err:
         raise ConfigError(str(err))
-
-
-def _config_float(path, entries, key) -> float:
-    if key not in entries:
-        raise ConfigError(f"{path}: missing required key {key!r}")
-    try:
-        return float(entries[key])
-    except ValueError:
-        raise ConfigError(f"{path}: key {key!r} must be a number, got {entries[key]!r}")
-
-
-def _config_int(path, entries, key) -> int:
-    if key not in entries:
-        raise ConfigError(f"{path}: missing required key {key!r}")
-    try:
-        return int(entries[key])
-    except ValueError:
-        raise ConfigError(f"{path}: key {key!r} must be an integer, got {entries[key]!r}")
 
 
 # --- Output helpers ----------------------------------------------------------
@@ -317,23 +254,17 @@ def _cmd_solve(args) -> int:
 
 
 def _dump_wavefunctions(problem, spectrum, args):
-    path = args.dump_wavefunctions
+    """One row per site: its coordinates, then Re and Im of each state."""
     n = min(args.states, spectrum.n_states)
-    with _writing(path), open(path, "w", encoding="utf-8") as fh:
-        if isinstance(problem.grid, Lattice2D):
-            X, Y = problem.grid.meshgrid()
-            coords = np.column_stack([X.ravel(), Y.ravel()])
-            fh.write("# x y " + " ".join(f"re_psi{k} im_psi{k}" for k in range(n)) + "\n")
-        else:
-            coords = problem.grid.x[:, None]
-            fh.write("# x " + " ".join(f"re_psi{k} im_psi{k}" for k in range(n)) + "\n")
-        psi = spectrum.eigenvectors[:, :n]
-        for i in range(coords.shape[0]):
-            cells = [_FMT.format(c) for c in coords[i]]
-            for k in range(n):
-                cells.append(_FMT.format(float(psi[i, k].real)))
-                cells.append(_FMT.format(float(psi[i, k].imag)))
-            fh.write(" ".join(cells) + "\n")
+    if isinstance(problem.grid, Lattice2D):
+        names, coords = "x y", [c.ravel() for c in problem.grid.meshgrid()]
+    else:
+        names, coords = "x", [problem.grid.x]
+    psi = spectrum.eigenvectors[:, :n].astype(complex)
+    table = np.column_stack(coords + [psi.view(float)])   # re0 im0 re1 im1 ...
+    header = " ".join([names] + [f"re_psi{k} im_psi{k}" for k in range(n)])
+    with _writing(args.dump_wavefunctions):
+        np.savetxt(args.dump_wavefunctions, table, fmt="%.12g", header=header)
 
 
 def _cmd_converge(args) -> int:
@@ -450,7 +381,6 @@ def main(argv=None) -> int:
     except SystemExit as exit_request:  # argparse exits 2 on bad flags; remap
         return 0 if exit_request.code in (0, None) else 1
     try:
-        _apply_thread_cap()
         return args.fn(args)
     except (GridValueError, GridMemoryError, SolverError, ZeroDivisionError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -71,7 +71,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import Lattice1D, Lattice2D
+from .lattice import Lattice1D, Lattice2D, _check_cap
 from .operators import EVEN, ODD, PT, OperatorMatrix, mirror_unfold
 
 #: Entries per pass (2 MiB of float64) when vectors are normalized, residuals
@@ -174,6 +174,7 @@ def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Latti
     """
     if n_states is not None and not 1 <= n_states <= grid.size:
         raise ValueError(f"n_states must be in 1..{grid.size}, got {n_states}")
+    _check_cap(grid.size, "eigenvectors", n_states or grid.size)
     parts, pending, parities = [], [], []
     folded, hermitian = set(), True
     for block in blocks:
@@ -288,6 +289,9 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
     pools kept them competing for the cores: an 81^2 Henon-Heiles solve took
     0.95 s that way, against 0.62 to 0.71 s on scipy's alone (2 cores).
     """
+    for block in blocks:
+        n_short, n_long = sorted(f.shape[0] for f in block.factors[:2])
+        _check_cap(min(_CONTRACTION_LADDER[-1], n_long) * n_short, "contracted solve")
     lines = [_line_basis(*block.factors) for block in blocks]
     previous = None
     for n_c in _CONTRACTION_LADDER:

@@ -312,13 +312,13 @@ def _pt_real_form(kinetic: list[np.ndarray], v: np.ndarray) -> np.ndarray:
     (1998)).  V_real joins the kinetic matrix before the fold, in place in 1D.
     """
     M, im = v.size // 2, v.imag.ravel()
-    R = np.zeros((v.size, v.size))
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite R is the solver's error
         if len(kinetic) == 1:
             re = kinetic.pop()
             re[np.diag_indices_from(re)] += v.real
         else:
-            re = kronecker_sum(*kinetic, v.real)
+            re = kronecker_sum(*kinetic, v.real)   # refuses a grid over the cap before R
+        R = np.zeros((v.size, v.size))
         R[:M + 1, :M + 1] = mirror_fold(re, EVEN)
         R[M + 1:, M + 1:] = mirror_fold(re, ODD)
     pairs = np.arange(M)

@@ -17,14 +17,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Cap on a single dense operator allocation (bytes, complex128).
+#: Cap in bytes on one grid-sized array, counted as complex128 (16 bytes an
+#: entry) whatever its dtype: an axis's N x N matrix, a 2D dense matrix, the
+#: eigenvector output and the contracted solve's largest matrix are each
+#: checked where they are made.  It bounds single arrays, not the peak of a
+#: solve, which holds several of them and LAPACK's workspace at once.
 MEMORY_CAP = 4 * 2**30
 
 _COMPLEX_ITEMSIZE = 16
 
 
 class GridMemoryError(MemoryError):
-    """Requested grid implies a dense matrix beyond ``MEMORY_CAP``."""
+    """A grid-sized array would exceed ``MEMORY_CAP``."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,11 +93,13 @@ class Lattice2D:
         return np.meshgrid(self.lx.x, self.ly.x, indexing="xy")
 
 
-def _check_cap(dim: int, what: str):
-    need = dim * dim * _COMPLEX_ITEMSIZE
+def _check_cap(rows: int, what: str, columns: int | None = None):
+    """Refuse a rows x columns (default square) array beyond ``MEMORY_CAP``."""
+    columns = rows if columns is None else columns
+    need = rows * columns * _COMPLEX_ITEMSIZE
     if need > MEMORY_CAP:
         raise GridMemoryError(
-            f"{what}: dense {dim}x{dim} operator needs {need / 2**30:.2f} GiB, "
+            f"{what}: dense {rows}x{columns} array needs {need / 2**30:.2f} GiB, "
             f"cap is {MEMORY_CAP / 2**30:.2f} GiB")
 
 
@@ -115,10 +121,7 @@ def make_lattice(L: float, M: int) -> Lattice1D:
 
 def make_lattice_2d(Lx: float, Mx: int, Ly: float, My: int) -> Lattice2D:
     """Tensor-product grid; the state space has Nx*Ny sites."""
-    lx = make_lattice(Lx, Mx)
-    ly = make_lattice(Ly, My)
-    _check_cap(lx.N * ly.N, "make_lattice_2d")
-    return Lattice2D(lx=lx, ly=ly)
+    return Lattice2D(lx=make_lattice(Lx, Mx), ly=make_lattice(Ly, My))
 
 
 def points_to_m(N: int) -> int:

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .expr import Expression
-from .lattice import Lattice1D
+from .lattice import Lattice1D, _check_cap
 
 GridFunction = Union[Expression, Callable, float, int]
 
@@ -241,6 +241,7 @@ def kronecker_sum(tx: np.ndarray, ty: np.ndarray, diagonal: np.ndarray) -> np.nd
     (nx*ny)^2 buffer, with no Kronecker-product temporaries.
     """
     nx, ny = tx.shape[0], ty.shape[0]
+    _check_cap(nx * ny, "kronecker_sum")
     H = np.zeros((nx * ny, nx * ny), dtype=np.result_type(tx, ty, diagonal))
     H4 = H.reshape(ny, nx, ny, nx)
     H4[np.arange(ny), :, np.arange(ny), :] += tx

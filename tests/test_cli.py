@@ -104,6 +104,27 @@ class TestSolve:
         assert len(body) == 111
         assert all(len(l.split()) == 5 for l in body)  # x re0 im0 re1 im1
 
+    @pytest.mark.parametrize("flags, problem, header", [
+        (["--problem", "morse"], lambda: builtin_problem("morse"), "# x"),
+        (["--problem", "henon_heiles", "--Nx", "11", "--Ny", "11", "--Lx", "9", "--Ly", "9"],
+         lambda: builtin_problem("henon_heiles", Nx=11, Ny=11, Lx=9.0, Ly=9.0), "# x y"),
+    ], ids=["1D", "2D"])
+    def test_wavefunction_dump_text(self, tmp_path, capsys, flags, problem, header):
+        dump = tmp_path / "psi.dat"
+        code, _, _ = run(["solve", *flags, "--states", "2", "--dump-wavefunctions", str(dump)],
+                         capsys)
+        assert code == 0
+        problem = problem()
+        spectrum = solve(problem, 2)
+        coords = ([problem.grid.x[0]] if header == "# x"
+                  else [axis.x[0] for axis in problem.grid.axes])
+        psi = spectrum.eigenvectors[0]
+        cells = coords + [psi[0].real, psi[0].imag, psi[1].real, psi[1].imag]
+        lines = dump.read_text().splitlines()
+        assert lines[0] == header + " re_psi0 im_psi0 re_psi1 im_psi1"
+        assert lines[1] == " ".join("{:.12g}".format(c) for c in cells)
+        assert len(lines) == 1 + problem.size
+
     def test_grid_override(self, capsys):
         code, out, _ = run(["solve", "--problem", "morse", "--N", "201", "--L", "140",
                             "--states", "1"], capsys)
@@ -332,6 +353,16 @@ class TestConfig:
         assert code == 1
         assert "dimension" in err
 
+    @pytest.mark.parametrize("grid, message", [
+        ("N = abc\nL = 10\n", "key 'N' must be an integer, got 'abc'"),
+        ("N = 41\nL = wide\n", "key 'L' must be a number, got 'wide'"),
+        ("L = 10\n", "missing required key 'N'"),
+    ], ids=["bad N", "bad L", "missing N"])
+    def test_grid_number_messages(self, tmp_path, capsys, grid, message):
+        cfg = self.write(tmp_path, f"dimension = 1\n{grid}mass = 1\npotential_real = x^2\n")
+        code, out, err = run(["solve", "--config", cfg], capsys)
+        assert (code, out, err) == (1, "", f"error: {cfg}: {message}\n")
+
     def test_expression_error_has_position(self, tmp_path, capsys):
         cfg = self.write(tmp_path,
                          "dimension = 1\nN = 41\nL = 10\nmass = 1\npotential_real = x^^2\n")
@@ -448,54 +479,6 @@ class TestBench:
         code, out, _ = run(["bench"], capsys)
         assert code == 3
         assert "[FAIL]" in out
-
-    def test_thread_cap_env(self, capsys, monkeypatch):
-        controls = _openblas_thread_controls()
-        if not controls:
-            pytest.skip("neither numpy's nor scipy's OpenBLAS exports set_num_threads")
-        before = [get() for get, _ in controls]
-        try:
-            monkeypatch.setenv("QMBOX_MAX_THREADS", "1")
-            code, _, _ = run(["solve", "--problem", "morse", "--states", "1"], capsys)
-            assert code == 0
-            assert [get() for get, _ in controls] == [1] * len(controls)
-        finally:
-            for (_, set_threads), count in zip(controls, before):
-                set_threads(count)
-        monkeypatch.setenv("QMBOX_MAX_THREADS", "lots")
-        code, _, err = run(["solve", "--problem", "morse", "--states", "1"], capsys)
-        assert code == 1
-        assert "QMBOX_MAX_THREADS" in err
-        monkeypatch.setenv("QMBOX_MAX_THREADS", "0")
-        code, _, err = run(["solve", "--problem", "morse", "--states", "1"], capsys)
-        assert code == 1
-        assert "QMBOX_MAX_THREADS" in err
-
-
-def _openblas_thread_controls():
-    """(get, set) thread-count functions of each OpenBLAS bundled with numpy
-    and scipy, read independently of the CLI's own lookup."""
-    import ctypes
-    import glob
-    import os
-
-    import scipy
-    controls = []
-    for package in (np, scipy):
-        libdir = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
-                              package.__name__ + ".libs")
-        for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
-            lib = ctypes.CDLL(path)
-            for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                                   ("openblas", "64_"), ("openblas", "")):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    controls.append((get, set_))
-                    break
-    return controls
 
 
 class TestConverge:

@@ -1,10 +1,16 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from qmbox import eig, lattice
+from qmbox.hamiltonian import hamiltonian_blocks
 from qmbox.lattice import (GridMemoryError, make_lattice, make_lattice_2d,
                            points_to_m)
+from qmbox.operators import kronecker_sum
+from qmbox.problems import builtin_problem
+from qmbox.solve import solve
 
 
 class TestLattice1D:
@@ -103,6 +109,45 @@ class TestLattice2D:
                 assert xf[k] == grid.lx.x[i1 - 1]
                 assert yf[k] == grid.ly.x[i2 - 1]
 
-    def test_memory_cap_on_combined_size(self):
-        with pytest.raises(GridMemoryError):
-            make_lattice_2d(10.0, 100, 10.0, 100)  # 201^2 sites, dense is huge
+
+class TestMemoryGuard:
+    """The cap refuses single grid-sized arrays where they are made, not grids.
+    Set just under one complex 47^2 x 47^2 matrix, it refuses every dense
+    operator on Henon-Heiles 47^2 but lets its contracted solve run."""
+
+    @pytest.fixture(autouse=True)
+    def cap(self, monkeypatch):
+        monkeypatch.setattr(lattice, "MEMORY_CAP", 2209**2 * 16 - 1)
+
+    def test_contracted_grid_solves(self):
+        problem = builtin_problem("henon_heiles", N=47)   # x-blocks of 1128 and 1081 sites
+        assert min(b.dim for b in hamiltonian_blocks(problem)) >= eig._CONTRACTION_MIN_SIZE
+        spectrum = solve(problem, 10)
+        assert spectrum.n_states == 10 and np.all(np.isfinite(spectrum.eigenvalues))
+
+    def test_full_spectrum_refused_before_any_block(self, monkeypatch):
+        drawn = []
+
+        def blocks(problem):
+            for block in hamiltonian_blocks(problem):
+                drawn.append(block)
+                yield block
+
+        # the package's ``solve`` attribute is the function, not the module
+        monkeypatch.setattr(importlib.import_module("qmbox.solve"), "hamiltonian_blocks", blocks)
+        with pytest.raises(GridMemoryError, match="2209x2209"):
+            solve(builtin_problem("henon_heiles", N=47))
+        assert drawn == []
+
+    def test_dense_2d_matrix_refused(self):
+        with pytest.raises(GridMemoryError, match="2209x2209"):
+            kronecker_sum(np.zeros((47, 47)), np.zeros((47, 47)), np.zeros((47, 47)))
+
+    def test_contracted_matrix_refused_before_line_basis(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the 1D bases were built")
+        # the top rung of the larger x-block holds (32 * 24)^2 entries
+        monkeypatch.setattr(lattice, "MEMORY_CAP", (32 * 24) ** 2 * 16 - 1)
+        monkeypatch.setattr(eig, "_line_basis", refuse)
+        with pytest.raises(GridMemoryError, match="768x768"):
+            solve(builtin_problem("henon_heiles", N=47), 10)
