@@ -273,6 +273,15 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
     a sequential diagonalization-truncation of each block's factors; None
     when the ladder ends unconverged.
 
+    Each distinct line is decomposed once per solve (``_line_basis``): a
+    line of one block that another block shares, the same long-axis
+    kinetic matrix and bitwise the same potential values, takes the
+    decomposition already made.  Along a folded short axis the odd block's
+    lines are the even block's first lines (``operators.mirror_sites``
+    numbers both from the box edge inward), so a Henon-Heiles solve
+    decomposes 41 lines on 81^2, not 81.  The record of decompositions
+    lives in this call alone.
+
     The blocks climb ``_CONTRACTION_LADDER`` in lockstep.  Each rung's
     contracted matrix, a leading submatrix of the next rung's, is built from
     the 1D bases and reduced to tridiagonal form once, in place.  Its lowest
@@ -292,7 +301,8 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
     for block in blocks:
         n_short, n_long = sorted(f.shape[0] for f in block.factors[:2])
         _check_cap(min(_CONTRACTION_LADDER[-1], n_long) * n_short, "contracted solve")
-    lines = [_line_basis(*block.factors) for block in blocks]
+    decomposed = {}   # one ?syevd per distinct line of this solve
+    lines = [_line_basis(*block.factors, decomposed) for block in blocks]
     previous = None
     for n_c in _CONTRACTION_LADDER:
         kept = [min(n_c, U.shape[2]) for _, _, U, _ in lines]
@@ -321,11 +331,17 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
     return pairs
 
 
-def _line_basis(tx: np.ndarray, ty: np.ndarray, v: np.ndarray):
+def _line_basis(tx: np.ndarray, ty: np.ndarray, v: np.ndarray, decomposed: dict):
     """(T_short, E, U, x_short) of the block kron(I, tx) + kron(ty, I) +
     diag(v): for each site i of the shorter axis, E[i] and U[i] are the
     levels and eigenvectors of T_long + diag(v at site i), the lowest of
-    them up to the top of the ladder; x_short says whether x is that axis."""
+    them up to the top of the ladder; x_short says whether x is that axis.
+
+    Lines are shared between the blocks of one solve: ``decomposed`` maps
+    each line already decomposed, keyed by its T_long array and the bytes
+    of its potential values, to the rows of E and U that hold it, and a
+    line found there is copied rather than decomposed again.  The caller's
+    blocks hold every T_long for the whole solve, so its id names it."""
     from scipy.linalg import lapack
     _require_finite(tx, ty, v)
     x_short = tx.shape[0] <= ty.shape[0]
@@ -334,11 +350,16 @@ def _line_basis(tx: np.ndarray, ty: np.ndarray, v: np.ndarray):
     top = min(_CONTRACTION_LADDER[-1], n_l)
     E, U = np.empty((n_s, top)), np.empty((n_s, n_l, top))
     for i in range(n_s):
+        key = (id(t_long), v_lines[i].tobytes())
+        if key in decomposed:
+            E[i], U[i] = decomposed[key]
+            continue
         line = t_long + np.diag(v_lines[i])
         w, z, info = lapack.dsyevd(line.T, lower=1, overwrite_a=1)   # line.T is line
         if info:
             raise SolverError(f"eigensolver did not converge: ?syevd info {info}")
         E[i], U[i] = w[:top], z[:, :top]
+        decomposed[key] = E[i], U[i]
     return t_short, E, U, x_short
 
 
@@ -381,10 +402,26 @@ def _lowest_vectors(q: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray
     """The ``count`` lowest eigenpairs of the H that ``_tridiagonal``
     reduced: those of the tridiagonal T, the vectors taken back through the
     Householder reflectors below q's subdiagonal (?ormtr's lower case, which
-    is ?ormqr on rows 1.. of q and of the vectors)."""
+    is ?ormqr on rows 1.. of q and of the vectors), by LAPACK's blocked code
+    and reading q in place.  The rung's vectors are formed once, after the
+    ladder stops, from lines that the blocks of the solve share
+    (``_line_basis``)."""
     from scipy.linalg import eigh_tridiagonal, lapack
     w, z = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
-    z[1:], _, info = lapack.dormqr("L", "N", q[1:, :-1], tau, z[1:], lwork=64 * count)
+    # ?ormqr's A is q[1:, :-1], which is not contiguous, so f2py would copy
+    # all of it.  The Fortran-contiguous (n, n - 1) view of q's memory from
+    # q[1, 0] holds the same columns at q's leading dimension n; its last
+    # row is q[0] of the next column, and ?ormqr never reads it, as the
+    # reflectors span the n - 1 rows of z[1:] only.
+    n = q.shape[0]
+    reflectors = q.ravel(order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
+    # The workspace comes from a query: the blocked path needs count * nb +
+    # 4160 entries since LAPACK 3.7 (its T factor lives in the workspace),
+    # and with less, such as 64 * count, ?ormqr silently runs the unblocked
+    # ?orm2r, five times slower on a 1148-row rung.
+    _, work, info = lapack.dormqr("L", "N", reflectors, tau, z[1:], lwork=-1)
+    if not info:
+        z[1:], _, info = lapack.dormqr("L", "N", reflectors, tau, z[1:], lwork=int(work[0]))
     if info:
         raise SolverError(f"eigensolver did not converge: ?ormqr info {info}")
     return w, z

@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from qmbox import eig, operators
 from qmbox.eig import diagonalize, diagonalize_blocks, phase_fix
@@ -115,6 +116,61 @@ def test_no_dense_block_on_success_and_every_caller(monkeypatch):
     assert all("matrix" not in vars(block) for block in blocks + [op])   # nothing cached
     assert whole.mirror_axes == ()
     np.testing.assert_allclose(whole.eigenvalues, folded.eigenvalues, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("make, n_states, decompositions", [
+    # x folded: the odd block's 23 x-lines are the even block's first 23
+    (lambda: builtin_problem("henon_heiles", N=47), 60, 24),
+    # 65^2 folded on both axes: the EE and OE blocks run their lines along
+    # the same even y matrix, so OE's 32 x-lines are EE's first 32; EO runs
+    # along even x and OO along odd y, and share nothing: 33 + 32 + 32
+    (CASES["even in both, four blocks"][0], 30, 97),
+], ids=["henon-heiles 47^2, 60 states", "even in both, four blocks"])
+def test_each_distinct_line_is_decomposed_once(make, n_states, decompositions, monkeypatch):
+    problem = make()
+    calls = []
+    real_syevd = lapack.dsyevd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_syevd(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dsyevd", counting)
+    spectrum = solve(problem, n_states)
+    assert len(calls) == decompositions
+    assert spectrum.residuals.max() <= 1e-9
+
+
+def test_back_transform_is_blocked_and_reads_q_in_place(monkeypatch):
+    # the 1148-row rung of the even 81^2 Henon-Heiles block at 28 per line
+    block = next(hamiltonian_blocks(builtin_problem("henon_heiles", N=81)))
+    line = eig._line_basis(*block.factors, {})
+    _, (q, d, e, tau) = eig._tridiagonal(eig._contracted_matrix(*line[:3], 28))
+    assert q.shape == (1148, 1148)
+    count = 60
+    w_old, z_old = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
+    real_ormqr = lapack.dormqr
+    query = int(real_ormqr("L", "N", q[1:, :-1], tau, z_old[1:], lwork=-1)[1][0])
+    # the copy-based call on q[1:, :-1] with the full workspace
+    z_old[1:] = real_ormqr("L", "N", q[1:, :-1], tau, z_old[1:], lwork=query)[0]
+    given = []
+
+    def spy(*args, lwork):
+        given.append(lwork)
+        return real_ormqr(*args, lwork=lwork)
+
+    monkeypatch.setattr(lapack, "dormqr", spy)
+    tracemalloc.start()
+    try:
+        w, z = eig._lowest_vectors(q, d, e, tau, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    applied = [lwork for lwork in given if lwork != -1]   # not the workspace query
+    assert applied and min(applied) >= query   # never the unblocked ?orm2r
+    assert peak < q.nbytes / 4   # no copy of the reflectors
+    np.testing.assert_array_equal(w, w_old)
+    np.testing.assert_array_equal(z, z_old)
 
 
 def test_full_spectra_stay_dense(monkeypatch):
