@@ -53,11 +53,9 @@ class ConvergenceScan:
     def write_gnuplot(self, path, state: int):
         """Two-column (N, rel_error) file for one tracked state."""
         j = self.state_indices.index(state)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# {self.problem} {self.mode} state {state}\n")
-            fh.write("# N  rel_error\n")
-            for i, n in enumerate(self.n_list):
-                fh.write(f"{n} {self.rel_errors[i, j]:.6e}\n")
+        table = np.column_stack((self.n_list, self.rel_errors[:, j]))
+        np.savetxt(path, table, fmt="%d %.6e",
+                   header=f"{self.problem} {self.mode} state {state}\nN  rel_error")
 
 
 def convergence_scan(problem: ProblemDefinition, mode: str, n_list,
@@ -191,9 +189,10 @@ class ComparisonReport:
         return max(rels) if rels else 0.0
 
 
-def labeled_levels(spectrum: Spectrum, unit: str = "model", shifted: bool = False,
-                   count: int | None = None) -> dict[str, float]:
-    """State-label -> energy map in the requested unit, optionally shifted."""
+def labeled_levels(spectrum: Spectrum, unit: str = "model",
+                   shifted: bool = False) -> dict[str, float]:
+    """State-label -> energy map of every level in the requested unit,
+    optionally shifted."""
     values = spectrum.eigenvalues.real
     if shifted:
         values = shift_to_ground(values)
@@ -201,8 +200,7 @@ def labeled_levels(spectrum: Spectrum, unit: str = "model", shifted: bool = Fals
         values = to_wavenumbers(values)
     elif unit not in ("hartree", "model"):
         raise ValueError(f"unknown unit {unit!r}")
-    count = spectrum.n_states if count is None else count
-    return {spectrum.labels[n]: float(values[n]) for n in range(count)}
+    return {label: float(value) for label, value in zip(spectrum.labels, values)}
 
 
 def compare_to_reference(spectrum: Spectrum, ref: ReferenceSpectrum) -> ComparisonReport:

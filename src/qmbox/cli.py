@@ -154,7 +154,7 @@ def _parse_ordering(spec: str) -> KineticOrdering:
 
 # --- Output helpers ----------------------------------------------------------
 
-def _spectrum_rows(spectrum: Spectrum, n_states: int, unit: str, shift: bool):
+def _spectrum_rows(spectrum: Spectrum, unit: str, shift: bool):
     values = spectrum.eigenvalues
     real = values.real.copy()
     imag = values.imag.copy()
@@ -163,15 +163,8 @@ def _spectrum_rows(spectrum: Spectrum, n_states: int, unit: str, shift: bool):
     if unit == "cm-1":
         real = analysis.to_wavenumbers(real)
         imag = analysis.to_wavenumbers(imag)
-    rows = []
-    for n in range(min(n_states, spectrum.n_states)):
-        rows.append({
-            "state": spectrum.labels[n],
-            "energy": float(real[n]),
-            "imag": float(imag[n]),
-            "residual": float(spectrum.residuals[n]),
-        })
-    return rows
+    return [{"state": label, "energy": float(re), "imag": float(im), "residual": float(res)}
+            for label, re, im, res in zip(spectrum.labels, real, imag, spectrum.residuals)]
 
 
 def _emit(rows, header, args):
@@ -246,7 +239,7 @@ def _cmd_solve(args) -> int:
     problem = _make_problem(args)
     spectrum = solve_problem(problem, min(args.states, problem.size))
     unit = _default_unit(problem, args.unit)
-    rows = _spectrum_rows(spectrum, args.states, unit, args.shift)
+    rows = _spectrum_rows(spectrum, unit, args.shift)
     _emit(rows, ["state", "energy", "imag", "residual"], args)
     if args.dump_wavefunctions:
         _dump_wavefunctions(problem, spectrum, args)
@@ -255,12 +248,12 @@ def _cmd_solve(args) -> int:
 
 def _dump_wavefunctions(problem, spectrum, args):
     """One row per site: its coordinates, then Re and Im of each state."""
-    n = min(args.states, spectrum.n_states)
+    n = spectrum.n_states
     if isinstance(problem.grid, Lattice2D):
         names, coords = "x y", [c.ravel() for c in problem.grid.meshgrid()]
     else:
         names, coords = "x", [problem.grid.x]
-    psi = spectrum.eigenvectors[:, :n].astype(complex)
+    psi = spectrum.eigenvectors.astype(complex)
     table = np.column_stack(coords + [psi.view(float)])   # re0 im0 re1 im1 ...
     header = " ".join([names] + [f"re_psi{k} im_psi{k}" for k in range(n)])
     with _writing(args.dump_wavefunctions):

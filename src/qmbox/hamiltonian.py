@@ -70,6 +70,7 @@ class VonRoos:
 class ConstantMass:
     """T = p^2 / (2 mu) with a fixed scalar mass (atomic units)."""
     mu: float = 1.0
+    symmetric = True   # not a field: p^2 / (2 mu) is always Hermitian
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0):
@@ -161,14 +162,8 @@ def _mass_values(problem: ProblemDefinition) -> np.ndarray | None:
 
 def _mass_power(m: np.ndarray, s: float) -> np.ndarray:
     """Pointwise m^s; integer exponents are sign-safe, fractional ones need m > 0."""
-    if s == 0.0:
-        return np.ones_like(m)
-    if s == 1.0:
-        return m.copy()
-    if s == -1.0:
-        return 1.0 / m
     if s == round(s):
-        return m ** int(round(s))
+        return m ** int(s)
     with np.errstate(invalid="ignore"):
         powered = np.power(m, s)
     if np.any(~np.isfinite(powered)):
@@ -184,15 +179,16 @@ def build_kinetic(problem: ProblemDefinition) -> OperatorMatrix:
     m = _mass_values(problem)
     kinetics = [_kinetic_1d(axis, problem.ordering, m) for axis in problem.grid.axes]
     if len(kinetics) == 1:
-        return kinetics[0]
-    tx, ty = (t.matrix for t in kinetics)
+        return OperatorMatrix(kinetics[0], problem.ordering.symmetric)
+    tx, ty = kinetics
     return OperatorMatrix(hermitian_hint=True,
                           factors=(tx, ty, np.zeros((ty.shape[0], tx.shape[0]))))
 
 
 def _kinetic_1d(grid: Lattice1D, ordering: KineticOrdering,
-                m: np.ndarray | None) -> OperatorMatrix:
-    """The 1D kinetic matrix of ``ordering`` from the sampled mass ``m``.
+                m: np.ndarray | None) -> np.ndarray:
+    """The 1D kinetic matrix of ``ordering`` from the sampled mass ``m``,
+    scaled in place; it is Hermitian exactly when ``ordering.symmetric`` is.
 
     A mass power or a product that leaves float range (a zero mass, an
     extreme exponent or mu) is computed silently: the eigensolver rejects
@@ -200,22 +196,24 @@ def _kinetic_1d(grid: Lattice1D, ordering: KineticOrdering,
     """
     with np.errstate(all="ignore"):
         if isinstance(ordering, ConstantMass):
-            psq = momentum_squared_matrix(grid).matrix
-            return OperatorMatrix(psq / (2.0 * ordering.mu), hermitian_hint=True)
+            T = momentum_squared_matrix(grid)
+            T /= 2.0 * ordering.mu
+            return T
 
-        ma = _mass_power(m, ordering.alpha)
-        mg = _mass_power(m, ordering.gamma)
         if ordering.beta == 0.0:
             # the closed-form p^2 costs O(N^2), the product below O(N^3)
-            pbp = momentum_squared_matrix(grid).matrix
+            X = momentum_squared_matrix(grid)
         else:
             # p m^beta p = -(A m^beta A) since p = -i A and A is real
             A = momentum_ip(grid)
-            pbp = -(A @ (_mass_power(m, ordering.beta)[:, None] * A))
-        X = ma[:, None] * pbp * mg[None, :]            # m^alpha p m^beta p m^gamma
+            X = A @ (_mass_power(m, ordering.beta)[:, None] * A)
+            np.negative(X, out=X)
+        X *= _mass_power(m, ordering.alpha)[:, None]   # m^alpha p m^beta p m^gamma
+        X *= _mass_power(m, ordering.gamma)[None, :]
         if ordering.symmetric:
-            return OperatorMatrix(0.25 * (X + X.T), hermitian_hint=True)
-        return OperatorMatrix(0.5 * X, hermitian_hint=False)
+            X += X.T   # numpy reads the overlapping X.T as if copied first
+        X *= 0.25 if ordering.symmetric else 0.5
+        return X
 
 
 def build_hamiltonian(problem: ProblemDefinition) -> OperatorMatrix:
@@ -258,16 +256,15 @@ def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterato
     m = _mass_values(problem)
     v = _potential(problem)
     sampled = [f for f in (v, m) if f is not None]
-    hermitian = problem.potential_imag is None
+    hermitian = problem.potential_imag is None and problem.ordering.symmetric
     choices = []
     for axis, flip in zip(grid.axes, reversed(range(v.ndim))):   # V is indexed [y, x]
         kinetic = _kinetic_1d(axis, problem.ordering, m)
-        hermitian = hermitian and kinetic.hermitian_hint
         if fold and all(np.array_equal(f, np.flip(f, flip)) for f in sampled):
             with np.errstate(invalid="ignore"):   # inf - inf of a non-finite kinetic matrix
-                choices.append({p: mirror_fold(kinetic.matrix, p) for p in (EVEN, ODD)})
+                choices.append({p: mirror_fold(kinetic, p) for p in (EVEN, ODD)})
         else:
-            choices.append({0: kinetic.matrix})
+            choices.append({0: kinetic})
     del kinetic   # a folded axis keeps only its blocks
     if np.iscomplexobj(v) and all(0 in axis for axis in choices) and all(
             np.array_equal(f, np.flip(f).conj()) for f in sampled):

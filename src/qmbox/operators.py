@@ -45,7 +45,9 @@ class GridValueError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense square operator acting on grid-sampled wave functions.
+    """A Hamiltonian block, or the kinetic term of ``build_kinetic``: a dense
+    square operator on grid-sampled wave functions (the lattice operators
+    below are plain arrays).
 
     ``hermitian_hint`` is structural: constructors set it when the build
     recipe guarantees Hermiticity, and the eigensolver trusts it to pick
@@ -111,7 +113,7 @@ def momentum_ip(grid: Lattice1D) -> np.ndarray:
     return _toeplitz(c)
 
 
-def momentum_squared_matrix(grid: Lattice1D) -> OperatorMatrix:
+def momentum_squared_matrix(grid: Lattice1D) -> np.ndarray:
     """p^2 from its closed form (exact per entry, not a matrix square).
 
     Diagonal pi^2/(3 a^2) (1 - a^2/L^2); off-diagonal
@@ -122,10 +124,10 @@ def momentum_squared_matrix(grid: Lattice1D) -> OperatorMatrix:
         c = ((2 * np.pi**2 / grid.L**2) * (-1.0) ** j
              * np.cos(np.pi * j / grid.N) / np.sin(np.pi * j / grid.N) ** 2)
     c[grid.N - 1] = np.pi**2 / (3 * grid.a**2) * (1 - grid.a**2 / grid.L**2)
-    return OperatorMatrix(_toeplitz(c), hermitian_hint=True)
+    return _toeplitz(c)
 
 
-def exp_ialpha_p(grid: Lattice1D, alpha: float) -> OperatorMatrix:
+def exp_ialpha_p(grid: Lattice1D, alpha: float) -> np.ndarray:
     """Translation operator exp(i*alpha*p), unitary for any real alpha.
 
     Entries (-1)^j/N * sin(pi alpha/a) / sin(pi (alpha + j a)/L).  Where
@@ -137,7 +139,7 @@ def exp_ialpha_p(grid: Lattice1D, alpha: float) -> OperatorMatrix:
     with np.errstate(divide="ignore", invalid="ignore"):
         c = (-1.0) ** j / grid.N * np.sin(np.pi * alpha / grid.a) / np.sin(np.pi * arg)
     c[np.abs(arg - np.round(arg)) < 1e-9] = 1.0
-    return OperatorMatrix(_toeplitz(c), hermitian_hint=False)
+    return _toeplitz(c)
 
 
 def grid_values(f: GridFunction, point_arrays: dict[str, np.ndarray],
@@ -209,11 +211,12 @@ def mirror_fold(t: np.ndarray, parity: int) -> np.ndarray:
     mirror-even.
     """
     M = t.shape[0] // 2
-    near, far = t[:M + 1, :M + 1], t[:M + 1, ::-1][:, :M + 1]   # columns x_k and x_{N-1-k}
     s = mirror_sites(M, parity)
-    scale = np.ones(M + 1)
-    scale[M] = np.sqrt(0.5)                # the centre site is not a pair
-    return scale[s, None] * (near + far if parity == EVEN else near - far)[s, s] * scale[None, s]
+    near, far = t[s, s], t[s, ::-1][:, s]   # columns x_k and x_{N-1-k}
+    block = near + far if parity == EVEN else near - far
+    block[M:] *= np.sqrt(0.5)               # the centre site, in the even block only,
+    block[:, M:] *= np.sqrt(0.5)            # is not a pair
+    return block
 
 
 def mirror_unfold(c: np.ndarray, parity: int, axis: int) -> np.ndarray:

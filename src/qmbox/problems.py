@@ -76,11 +76,11 @@ def nh3_potential(x):
     return acc
 
 
-def nh3_mass(x, m_amu: float = CONSTANTS.m_H, M_amu: float = CONSTANTS.m_N):
+def nh3_mass(x, m_amu: float = CONSTANTS.m_H):
     """Position-dependent reduced mass of the umbrella mode, in a.u.
 
-    mu(x) = [3mM/(3m+M) + 3m x^2/(r0^2 - x^2)] * amu_in_au with r0 the
-    planar bond length converted to a.u.  The formula has a pole at
+    mu(x) = [3mM/(3m+M) + 3m x^2/(r0^2 - x^2)] * amu_in_au with M = m_N and
+    r0 the planar bond length converted to a.u.  The formula has a pole at
     |x| = r0; evaluation at the pole itself is an error, while points
     beyond it return the (negative) analytic continuation, exactly as the
     benchmark grids use it.
@@ -94,30 +94,34 @@ def nh3_mass(x, m_amu: float = CONSTANTS.m_H, M_amu: float = CONSTANTS.m_N):
         raise ZeroDivisionError(
             f"reduced-mass pole reached at grid point x = {offending:.8f} a.u. "
             f"(pole at |x| = r0 = {r0:.8f}); shrink the box width")
+    M_amu = CONSTANTS.m_N
     mu_amu = 3 * m_amu * M_amu / (3 * m_amu + M_amu) + 3 * m_amu * x**2 / denom
     return mu_amu * CONSTANTS.amu_in_au
 
 
-def constant_reduced_mass(m_amu: float, M_amu: float,
-                          beta_e: float = CONSTANTS.beta_e_rad) -> float:
+def constant_reduced_mass(m_amu: float, M_amu: float) -> float:
     """Constant reduced mass with the equilibrium-angle correction, in a.u."""
     base = 3 * m_amu * M_amu / (3 * m_amu + M_amu)
-    return base * (1 + 3 * m_amu * math.sin(beta_e) ** 2 / M_amu) * CONSTANTS.amu_in_au
+    bend = 3 * m_amu * math.sin(CONSTANTS.beta_e_rad) ** 2 / M_amu
+    return base * (1 + bend) * CONSTANTS.amu_in_au
 
 
-def morse_potential(R, D_e: float = 1.0, alpha: float = 0.24, R_e: float = -35.0):
+#: Depth D_e and range alpha of the built-in Morse well (model units).
+_MORSE_D_E, _MORSE_ALPHA = 1.0, 0.24
+
+
+def morse_potential(R, R_e: float = -35.0):
     """D_e (1 - exp(-alpha (R - R_e)))^2."""
     R = np.asarray(R, dtype=float)
-    return D_e * (1.0 - np.exp(-alpha * (R - R_e))) ** 2
+    return _MORSE_D_E * (1.0 - np.exp(-_MORSE_ALPHA * (R - R_e))) ** 2
 
 
-def morse_exact_level(n: int, D_e: float = 1.0, alpha: float = 0.24,
-                      mu: float = 1.0) -> float:
-    """Analytic bound-state energy E_n; raises past the last bound state."""
-    two_pi_nu0 = alpha * math.sqrt(2 * D_e / mu)
-    if n < 0 or (n + 0.5) * two_pi_nu0 >= 2 * D_e:
+def morse_exact_level(n: int) -> float:
+    """Analytic bound-state energy E_n at unit mass; raises past the last bound state."""
+    two_pi_nu0 = _MORSE_ALPHA * math.sqrt(2 * _MORSE_D_E)
+    if n < 0 or (n + 0.5) * two_pi_nu0 >= 2 * _MORSE_D_E:
         raise ValueError(f"n = {n} is beyond the last Morse bound state")
-    return two_pi_nu0 * (n + 0.5) - two_pi_nu0**2 / (4 * D_e) * (n + 0.5) ** 2
+    return two_pi_nu0 * (n + 0.5) - two_pi_nu0**2 / (4 * _MORSE_D_E) * (n + 0.5) ** 2
 
 
 # --- Reference spectra -------------------------------------------------------
@@ -198,7 +202,7 @@ def builtin_problem(problem_id: str, **overrides) -> ProblemDefinition:
             grid=grid,
             ordering=ordering if ordering is not None else ordering_from_name("mass-left"),
             potential_real=nh3_potential,
-            mass=lambda x, m_amu=m_amu: nh3_mass(x, m_amu, CONSTANTS.m_N),
+            mass=lambda x, m_amu=m_amu: nh3_mass(x, m_amu),
             energy_unit="hartree",
         )
     elif problem_id == "morse":
@@ -269,7 +273,7 @@ def non_pt_exact_level(n: int) -> complex:
     return 2.0 * n + 1.0 + 0.5j
 
 
-def henon_heiles_well_radius_sq(lam: float = _HH_LAMBDA) -> float:
-    """Squared saddle-point distance 1/(4 lam^2); <r^2> beyond it marks a
+def henon_heiles_well_radius_sq() -> float:
+    """Squared saddle-point distance 1/(4 lambda^2); <r^2> beyond it marks a
     box-localized artifact state rather than a metastable well state."""
-    return 1.0 / (4.0 * lam**2)
+    return 1.0 / (4.0 * _HH_LAMBDA**2)

@@ -139,14 +139,14 @@ def test_criterion_10_operator_identities():
     worst_sq = worst_unit = worst_group = worst_shift = 0.0
     for L, M in lattices:
         lat = make_lattice(L, M)
-        P = momentum_squared_matrix(lat).matrix
+        P = momentum_squared_matrix(lat)
         p = -1j * momentum_ip(lat)
         worst_sq = max(worst_sq, frob(P - (p @ p).real) / frob(P))
-        U = exp_ialpha_p(lat, 0.377).matrix
+        U = exp_ialpha_p(lat, 0.377)
         worst_unit = max(worst_unit, np.abs(U @ U.T - np.eye(lat.N)).max())
-        G = exp_ialpha_p(lat, 0.21).matrix @ exp_ialpha_p(lat, 0.56).matrix
-        worst_group = max(worst_group, frob(G - exp_ialpha_p(lat, 0.77).matrix))
-        S = exp_ialpha_p(lat, lat.a).matrix
+        G = exp_ialpha_p(lat, 0.21) @ exp_ialpha_p(lat, 0.56)
+        worst_group = max(worst_group, frob(G - exp_ialpha_p(lat, 0.77)))
+        S = exp_ialpha_p(lat, lat.a)
         shift = np.roll(np.eye(lat.N), 1, axis=1)  # ones at k = i+1 mod N
         worst_shift = max(worst_shift, np.abs(S - shift).max())
 

@@ -101,6 +101,9 @@ class TestConvergenceScan:
         body = [l for l in dat.read_text().splitlines() if not l.startswith("#")]
         assert len(body) == 13
         assert all(len(l.split()) == 2 for l in body)
+        rows = "".join(f"{n} {err:.6e}\n"
+                       for n, err in zip(ho_scan.n_list, ho_scan.rel_errors[:, 0]))
+        assert dat.read_text() == "# ho fixed_L_vary_N state 0\n# N  rel_error\n" + rows
 
     def test_validation_errors(self):
         problem = builtin_problem("nh3")

@@ -340,10 +340,8 @@ class TestPTRealForm:
 class TestHermitianHintHonesty:
     def test_hint_implies_hermitian_entries(self):
         # structural flag never lies: max|A - A^H| <= 1e-12 max|A|
-        from qmbox.hamiltonian import build_hamiltonian
-        from qmbox.operators import momentum_squared_matrix
-        grid = make_lattice(20.0, 30)
-        candidates = [momentum_squared_matrix(grid)]
+        from qmbox.hamiltonian import build_hamiltonian, build_kinetic
+        candidates = [build_kinetic(builtin_problem("morse"))]
         for problem_id in ("nh3", "morse", "pdm_ho_1", "pt_oscillator"):
             candidates.append(build_hamiltonian(builtin_problem(problem_id)))
         for op in candidates:

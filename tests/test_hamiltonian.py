@@ -191,6 +191,22 @@ class TestHamiltonian1D:
             tracemalloc.stop()
         assert held <= block.matrix.nbytes + 0.5 * 2**20
 
+    @pytest.mark.parametrize("problem_id, overrides, arrays", [
+        ("morse", {"N": 401, "L": 140, "r_e": -60.0}, 1.25),   # p^2 becomes H in place
+        ("nh3", {}, 2.5),   # the kinetic matrix and its two half-size folds
+    ])
+    def test_build_holds_one_array_per_term(self, problem_id, overrides, arrays):
+        # each term is scaled on the N x N array it is built in, and a fold
+        # reads the blocks' sites off the kinetic matrix with no N x N copy
+        problem = builtin_problem(problem_id, **overrides)
+        tracemalloc.start()
+        try:
+            list(hamiltonian_blocks(problem))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * problem.size**2 * 8
+
     def test_real_paths_stay_real(self):
         for problem_id in ("nh3", "nd3", "morse", "pdm_ho_1", "pdm_ho_2"):
             op = build_hamiltonian(builtin_problem(problem_id))
@@ -235,8 +251,8 @@ class TestHamiltonian2D:
         problem = ProblemDefinition(name="t", grid=grid2, ordering=ConstantMass(2.0),
                                     potential_real=0.0)
         T = build_kinetic(problem).matrix
-        tx = momentum_squared_matrix(grid2.lx).matrix
-        ty = momentum_squared_matrix(grid2.ly).matrix
+        tx = momentum_squared_matrix(grid2.lx)
+        ty = momentum_squared_matrix(grid2.ly)
         want = (np.kron(np.eye(grid2.ly.N), tx) + np.kron(ty, np.eye(grid2.lx.N))) / 4.0
         np.testing.assert_allclose(T, want, atol=1e-14 * np.abs(want).max())
 

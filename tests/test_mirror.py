@@ -167,7 +167,7 @@ def test_one_site_axis_has_no_odd_block():
 @pytest.mark.parametrize("M", [0, 1, 4])
 def test_fold_is_an_orthogonal_change_of_basis(M):
     lat = make_lattice(7.0, M)
-    P = momentum_squared_matrix(lat).matrix
+    P = momentum_squared_matrix(lat)
     Q = np.hstack([mirror_unfold(np.eye(M + 1), EVEN, axis=0),
                    mirror_unfold(np.eye(M), ODD, axis=0)])
     np.testing.assert_allclose(Q.T @ Q, np.eye(lat.N), rtol=0, atol=1e-15)

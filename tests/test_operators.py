@@ -60,31 +60,31 @@ class TestMomentum:
 class TestMomentumSquared:
     def test_diagonal_value_small_grid(self):
         # N=3, L=3 (a=1): diagonal pi^2/3 (1 - 1/9) = 8 pi^2 / 27
-        P = momentum_squared_matrix(make_lattice(3.0, 1)).matrix
+        P = momentum_squared_matrix(make_lattice(3.0, 1))
         np.testing.assert_allclose(np.diag(P), 8 * np.pi**2 / 27, rtol=1e-15)
 
     def test_offdiagonal_value_small_grid(self):
         # N=3, L=3, j=1: (2 pi^2/9)(-1)(1/2)/(3/4) = -4 pi^2/27
-        P = momentum_squared_matrix(make_lattice(3.0, 1)).matrix
+        P = momentum_squared_matrix(make_lattice(3.0, 1))
         assert P[1, 0] == pytest.approx(-4 * np.pi**2 / 27, rel=1e-15)
 
     @pytest.mark.parametrize("L,M", LATTICES + [(4.0, 55), (90.0, 55)])
     def test_matches_matrix_square(self, L, M):
         lat = make_lattice(L, M)
-        P = momentum_squared_matrix(lat).matrix
+        P = momentum_squared_matrix(lat)
         p = -1j * momentum_ip(lat)
         square = (p @ p).real
         assert frob(P - square) <= 1e-12 * frob(P)
 
     @pytest.mark.parametrize("L,M", LATTICES)
     def test_real_symmetric(self, L, M):
-        P = momentum_squared_matrix(make_lattice(L, M)).matrix
+        P = momentum_squared_matrix(make_lattice(L, M))
         assert P.dtype == np.float64
         np.testing.assert_array_equal(P, P.T)
 
     @pytest.mark.parametrize("L,M", LATTICES)
     def test_positive_semidefinite(self, L, M):
-        P = momentum_squared_matrix(make_lattice(L, M)).matrix
+        P = momentum_squared_matrix(make_lattice(L, M))
         assert np.linalg.eigvalsh(P).min() >= -1e-10
 
 
@@ -92,13 +92,13 @@ class TestTranslation:
     @pytest.mark.parametrize("L,M", LATTICES)
     def test_alpha_zero_is_identity(self, L, M):
         lat = make_lattice(L, M)
-        U = exp_ialpha_p(lat, 0.0).matrix
+        U = exp_ialpha_p(lat, 0.0)
         np.testing.assert_allclose(U, np.eye(lat.N), atol=1e-12)
 
     @pytest.mark.parametrize("L,M", LATTICES)
     def test_alpha_a_is_one_site_shift(self, L, M):
         lat = make_lattice(L, M)
-        U = exp_ialpha_p(lat, lat.a).matrix
+        U = exp_ialpha_p(lat, lat.a)
         shift = np.zeros((lat.N, lat.N))
         for i in range(lat.N):
             shift[i, (i + 1) % lat.N] = 1.0
@@ -107,28 +107,28 @@ class TestTranslation:
     @pytest.mark.parametrize("L,M", LATTICES)
     def test_alpha_L_is_identity(self, L, M):
         lat = make_lattice(L, M)
-        U = exp_ialpha_p(lat, L).matrix
+        U = exp_ialpha_p(lat, L)
         np.testing.assert_allclose(U, np.eye(lat.N), atol=1e-12)
 
     @pytest.mark.parametrize("L,M", LATTICES)
     def test_unitary_rows_orthonormal(self, L, M):
         lat = make_lattice(L, M)
-        U = exp_ialpha_p(lat, 0.3127).matrix
+        U = exp_ialpha_p(lat, 0.3127)
         np.testing.assert_allclose(U @ U.T, np.eye(lat.N), atol=1e-12)
 
     @pytest.mark.parametrize("alpha,beta", [(0.21, -0.53), (1.7, 2.9), (-0.05, 0.05)])
     def test_group_property(self, alpha, beta):
         lat = make_lattice(7.3, 9)
-        U = exp_ialpha_p(lat, alpha).matrix
-        V = exp_ialpha_p(lat, beta).matrix
-        W = exp_ialpha_p(lat, alpha + beta).matrix
+        U = exp_ialpha_p(lat, alpha)
+        V = exp_ialpha_p(lat, beta)
+        W = exp_ialpha_p(lat, alpha + beta)
         assert frob(U @ V - W) <= 1e-10
 
     def test_matches_momentum_exponential(self):
         lat = make_lattice(6.0, 7)
         from scipy.linalg import expm
         alpha = 0.4321
-        direct = exp_ialpha_p(lat, alpha).matrix
+        direct = exp_ialpha_p(lat, alpha)
         via_p = expm(1j * alpha * (-1j * momentum_ip(lat)))
         np.testing.assert_allclose(direct, via_p.real, atol=1e-11)
         assert np.abs(via_p.imag).max() < 1e-11
@@ -165,7 +165,7 @@ class TestToeplitzBuild:
             P = ((2 * np.pi**2 / lat.L**2) * (-1.0) ** j
                  * np.cos(np.pi * j / lat.N) / np.sin(np.pi * j / lat.N) ** 2)
         np.fill_diagonal(P, np.pi**2 / (3 * lat.a**2) * (1 - lat.a**2 / lat.L**2))
-        assert np.array_equal(momentum_squared_matrix(lat).matrix, P)
+        assert np.array_equal(momentum_squared_matrix(lat), P)
 
     @pytest.mark.parametrize("shift", [0.0, 0.37, 1.0, -2.0, "L"])
     @pytest.mark.parametrize("L", WIDTHS)
@@ -180,7 +180,7 @@ class TestToeplitzBuild:
         with np.errstate(divide="ignore", invalid="ignore"):
             E = (-1.0) ** j / lat.N * np.sin(np.pi * alpha / lat.a) / np.sin(np.pi * arg)
         E = np.where(np.abs(arg - np.round(arg)) < 1e-9, 1.0, E)
-        U = exp_ialpha_p(lat, alpha).matrix
+        U = exp_ialpha_p(lat, alpha)
         assert np.array_equal(U, E)
         assert U.flags.c_contiguous
 
@@ -223,14 +223,14 @@ class TestEmbed2D:
     def test_different_axes_commute(self):
         grid = make_lattice_2d(4.0, 3, 4.0, 3)
         nx, ny = grid.lx.N, grid.ly.N
-        px2 = kronecker_sum(momentum_squared_matrix(grid.lx).matrix, np.zeros((ny, ny)),
+        px2 = kronecker_sum(momentum_squared_matrix(grid.lx), np.zeros((ny, ny)),
                             np.zeros((ny, nx)))
         Y = kronecker_sum(np.zeros((nx, nx)), np.diag(grid.ly.x), np.zeros((ny, nx)))
         assert frob(px2 @ Y - Y @ px2) <= 1e-12 * max(frob(px2 @ Y), 1.0)
 
     def test_block_structure_follows_compound_index(self):
         grid = make_lattice_2d(4.0, 2, 6.0, 1)
-        P = momentum_squared_matrix(grid.lx).matrix
+        P = momentum_squared_matrix(grid.lx)
         big = kronecker_sum(P, np.zeros((grid.ly.N, grid.ly.N)), np.zeros((grid.ly.N, grid.lx.N)))
         for i2 in range(grid.ly.N):
             for k2 in range(grid.ly.N):

@@ -78,14 +78,10 @@ class TestNh3Mass:
 
 
 class TestConstantReducedMass:
-    def test_zero_angle_reduces_to_plain(self):
-        m, M = CONSTANTS.m_H, CONSTANTS.m_N
-        plain = 3 * m * M / (3 * m + M) * CONSTANTS.amu_in_au
-        assert constant_reduced_mass(m, M, beta_e=0.0) == pytest.approx(plain, rel=1e-15)
-
     def test_equilibrium_angle_factor(self):
         m, M = CONSTANTS.m_H, CONSTANTS.m_N
-        factor = constant_reduced_mass(m, M) / constant_reduced_mass(m, M, beta_e=0.0)
+        plain = 3 * m * M / (3 * m + M) * CONSTANTS.amu_in_au
+        factor = constant_reduced_mass(m, M) / plain
         # 1 + 3 m sin^2(22 deg 13 min) / M with sin^2 = 0.14296724...
         assert factor == pytest.approx(1.0308688, abs=1e-6)
         assert factor == pytest.approx(1 + 3 * m * math.sin(CONSTANTS.beta_e_rad) ** 2 / M,
