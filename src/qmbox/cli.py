@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -308,6 +309,7 @@ def _cmd_list(args) -> int:
     return 0
 
 
+@functools.cache   # once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmbox",

@@ -16,14 +16,20 @@ Kronecker-sum factors (see ``OperatorMatrix``), of which only the lowest
 of its long axis, one set per site of its short axis (sequential
 diagonalization-truncation, Bacic & Light, Annu. Rev. Phys. Chem. 40, 469
 (1989), on the Fourier-grid DVR of Colbert & Miller, J. Chem. Phys. 96, 1982
-(1992)).  The basis grows on a fixed ladder until the lowest levels stop moving; the
-dense block is never assembled, and the residuals are the full block's,
-formed matrix-free.  The levels agree with the dense path to about 4e-14
-relative, while the vectors of the upper levels carry residuals far above
-the dense path's 1e-16 of ||H||_F: convergence in the basis size is
-algebraic, so residuals at the dense level are out of reach.  They grow with
-``n_states`` and have no bound; on Henon-Heiles, 2.1e-13 on 61^2 at 10
-states, 1.7e-11 on 55^2 and 1.3e-11 on 81^2 at 60, and 6.8e-9 on 81^2 at 100.
+(1992)).  The basis grows on a fixed ladder until the lowest levels stop
+moving; the dense block is never assembled, and the residuals are the full
+block's, formed matrix-free.  Each rung is reduced to tridiagonal form, and
+only the levels that the stop rule compares are found on it, by bisection;
+the vectors are formed once, at the last rung, by inverse iteration for the
+levels that the merge across blocks keeps (Demmel, Applied Numerical Linear
+Algebra, SIAM 1997, sec. 5.3).  The levels agree with the dense path to
+within 1e-12 relative (at most 8.8e-13, on ground states near 1, over
+Henon-Heiles 45^2 to 81^2 at L = 16 to 22), while the vectors of the upper
+levels carry residuals far above the dense path's 1e-16 of ||H||_F:
+convergence in the basis size is algebraic, so residuals at the dense level
+are out of reach.  They grow with ``n_states`` and have no bound; on
+Henon-Heiles, 2.1e-13 on 61^2 at 10 states, 1.7e-11 on 55^2 and 1.3e-11 on
+81^2 at 60, and 6.8e-9 on 81^2 at 100.
 Should the ladder end unconverged, the blocks are assembled once and
 decomposed in full, like every block on the dense paths: full spectra, 1D,
 non-Hermitian and smaller blocks, and a bare dense matrix.
@@ -98,9 +104,11 @@ _CONTRACTION_MIN_SIZE = 1024
 _CONTRACTION_LADDER = (16, 20, 24, 28, 32)
 
 #: The contracted solve stops when no kept level moves by more than this many
-#: eps * ||H_c||_2 between two rungs.  32 sits on eigvalsh's round-off floor
-#: (3.6e-13 to 1.1e-12 absolute on the 81^2 Henon-Heiles blocks), so the
-#: unfolded 81^2 block never stopped and fell back to the dense path.
+#: eps * ||H_c||_2 between two rungs.  Past convergence the bisected levels
+#: of 60 states on 81^2 Henon-Heiles still move by 3.2e-14 to 7.5e-14
+#: absolute from rung to rung (1.1 to 2.3 eps * ||H_c||_2, folded or not), a
+#: floor well below this; on the ?sterf levels once used it was 3.6e-13 to
+#: 1.1e-12, where 32 left the unfolded block falling back to the dense path.
 _CONTRACTION_TOL = 64
 
 
@@ -284,14 +292,20 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
 
     The blocks climb ``_CONTRACTION_LADDER`` in lockstep.  Each rung's
     contracted matrix, a leading submatrix of the next rung's, is built from
-    the 1D bases and reduced to tridiagonal form once, in place.  Its lowest
-    ``n_states`` levels from all blocks, merged with the ``fixed`` levels of
-    blocks solved densely, are compared with the last rung's; the contracted
-    spaces nest, so these Ritz values only fall.  The solve stops when none
-    moved by more than ``_CONTRACTION_TOL`` eps ||H_c||_2, the largest
-    2-norm of the rung's contracted matrices, and the same reductions give
-    the vectors of that rung.  A rung too small to hold ``n_states`` levels
-    is skipped.
+    the 1D bases and reduced to tridiagonal form once, in place.  Only the
+    levels that the stop rule compares are bisected (``_bisect``).  The
+    contracted spaces nest, so these Ritz values only fall: past the first
+    rung, each block's levels at or below the last rung's merged
+    ``n_states``-th level, plus the last stop tolerance for round-off, are
+    enough; a rung short of ``n_states`` merged levels, like the first,
+    takes each block's lowest ``n_states`` by index.  Merged with the
+    ``fixed`` levels of blocks solved densely, the lowest ``n_states`` are
+    compared with the last rung's.  The solve stops when none moved by more
+    than ``_CONTRACTION_TOL`` eps ||H_c||_2, the largest 2-norm of the
+    rung's contracted matrices (their top levels bisected alone), and that
+    rung's reductions give the vectors of the levels each block keeps in
+    the merge (``_kept_vectors``), which may be fewer than ``n_states``.
+    A rung too small to hold ``n_states`` levels is skipped.
 
     Every BLAS and LAPACK call here goes to scipy's OpenBLAS.  numpy bundles
     a second copy with its own thread pool, and alternating between the two
@@ -303,6 +317,7 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
         _check_cap(min(_CONTRACTION_LADDER[-1], n_long) * n_short, "contracted solve")
     decomposed = {}   # one ?syevd per distinct line of this solve
     lines = [_line_basis(*block.factors, decomposed) for block in blocks]
+    fixed, eps = np.concatenate([np.empty(0), *fixed]), np.finfo(float).eps
     previous = None
     for n_c in _CONTRACTION_LADDER:
         kept = [min(n_c, U.shape[2]) for _, _, U, _ in lines]
@@ -310,21 +325,33 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
             continue
         rungs = None   # release the last rung's reductions before the next ones
         rungs = [_tridiagonal(_contracted_matrix(*line[:3], k)) for line, k in zip(lines, kept)]
-        scale = max(max(abs(w[0]), abs(w[-1])) for w, _ in rungs)
-        merged = np.sort(np.concatenate(fixed + [w[:n_states] for w, _ in rungs]))[:n_states]
+        levels = None
+        if previous is not None:   # below the last cut, the last tolerance as slack
+            cut = previous[-1] + _CONTRACTION_TOL * eps * scale
+            levels = [_bisect(d, e, upto=cut) for _, d, e, _ in rungs]
+            # every level left out lies above the cut, so n_states at or below it are exact
+            if np.count_nonzero(fixed <= cut) + sum(len(w) for w, _, _ in levels) < n_states:
+                levels = None
+        if levels is None:
+            levels = [_bisect(d, e, index=(1, n_states)) for _, d, e, _ in rungs]
+        tops = [_bisect(d, e, index=(d.size, d.size))[0][0] for _, d, e, _ in rungs]
+        scale = max(max(abs(w.min()), abs(top)) for (w, _, _), top in zip(levels, tops))
+        merged = np.sort(np.concatenate([fixed] + [np.sort(w)[:n_states] for w, _, _ in levels]))[:n_states]
         if (previous is not None and np.max(np.abs(merged - previous))
-                <= _CONTRACTION_TOL * np.finfo(float).eps * scale):
+                <= _CONTRACTION_TOL * eps * scale):
             break
         previous = merged
     else:
         return None
     pairs = []
     for b, (block, (_, _, U, x_short), k) in enumerate(zip(blocks, lines, kept)):
-        w, c = _lowest_vectors(*rungs[b][1], n_states)
+        w, c = _kept_vectors(*rungs[b], *levels[b], merged[-1])
         rungs[b] = None
-        c = c.reshape(k, U.shape[0], n_states).transpose(1, 0, 2)   # [short, k, state]
+        n_s, n_l, _ = U.shape
+        c = c.reshape(k, n_s, w.size).transpose(1, 0, 2)   # [short, k, state]
         psi = np.matmul(U[:, :, :k], c)   # psi[i] = U_i c_i, as [short, long, state]
-        psi = (psi.transpose(1, 0, 2) if x_short else psi).reshape(-1, n_states)
+        # explicit sizes, as a block may keep no level
+        psi = (psi.transpose(1, 0, 2) if x_short else psi).reshape(n_s * n_l, w.size)
         tx, ty, v = block.factors
         _normalize(psi, cell)
         pairs.append((w, psi, _kronecker_residuals(tx, ty, v, w, psi), _kronecker_norm_sq(tx, ty, v)))
@@ -382,32 +409,57 @@ def _contracted_matrix(t_short: np.ndarray, E: np.ndarray, U: np.ndarray,
 
 
 def _tridiagonal(H: np.ndarray):
-    """(levels, reduction) of a symmetric H given by its lower triangle in
-    Fortran order, which is overwritten: ?sytrd reduces H to tridiagonal
-    form T = Q^T H Q in H's own memory, and ?sterf gives all of T's levels,
-    as ``np.linalg.eigvalsh`` would.  ``reduction`` = (Householder vectors,
-    diagonal, off-diagonal, tau) keeps what ``_lowest_vectors`` needs for
-    eigenvectors of H without a second reduction."""
+    """The reduction (Householder vectors q, diagonal d, off-diagonal e,
+    tau) of a symmetric H given by its lower triangle in Fortran order,
+    which is overwritten: ?sytrd reduces H to tridiagonal form T = Q^T H Q
+    in H's own memory.  T's levels come from ``_bisect`` and the vectors of
+    H from ``_kept_vectors``, with no second reduction."""
     from scipy.linalg import lapack
     work, _ = lapack.dsytrd_lwork(H.shape[0], lower=1)
     q, d, e, tau, info = lapack.dsytrd(H, lower=1, lwork=int(work), overwrite_a=1)
-    w, info_sterf = lapack.dsterf(d, e)
-    if info or info_sterf:
-        raise SolverError(f"eigensolver did not converge: ?sytrd/?sterf info {info}/{info_sterf}")
-    return w, (q, d, e, tau)
+    if info:
+        raise SolverError(f"eigensolver did not converge: ?sytrd info {info}")
+    return q, d, e, tau
 
 
-def _lowest_vectors(q: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray,
-                    count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` lowest eigenpairs of the H that ``_tridiagonal``
-    reduced: those of the tridiagonal T, the vectors taken back through the
-    Householder reflectors below q's subdiagonal (?ormtr's lower case, which
-    is ?ormqr on rows 1.. of q and of the vectors), by LAPACK's blocked code
-    and reading q in place.  The rung's vectors are formed once, after the
-    ladder stops, from lines that the blocks of the solve share
-    (``_line_basis``)."""
-    from scipy.linalg import eigh_tridiagonal, lapack
-    w, z = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
+def _bisect(d: np.ndarray, e: np.ndarray, index: tuple[int, int] | None = None,
+            upto: float | None = None):
+    """(levels, iblock, isplit) of the tridiagonal T with diagonal d and
+    off-diagonal e by bisection (?stebz, Demmel, Applied Numerical Linear
+    Algebra, SIAM 1997, sec. 5.3): the levels of 1-based indices
+    index[0]..index[1], or else those at or below ``upto``, to ?stebz's
+    default absolute accuracy.  They come grouped by the blocks into which T
+    splits, ascending within each, and ``iblock`` and ``isplit`` say which
+    block holds each, as ?stein reads them."""
+    from scipy.linalg import lapack
+    il, iu = index or (0, 0)
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2 if index else 1, -np.inf,
+                                               0.0 if index else upto, il, iu, 0.0, "B")
+    if info:
+        raise SolverError(f"eigensolver did not converge: ?stebz info {info}")
+    return w[:m], iblock[:m], isplit
+
+
+def _kept_vectors(q: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray,
+                  w: np.ndarray, iblock: np.ndarray, isplit: np.ndarray,
+                  cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of the H that ``_tridiagonal`` reduced whose levels,
+    of those ``_bisect`` gave as (w, iblock, isplit), lie at or below
+    ``cut``, in ascending order: the vectors of T by inverse iteration on
+    those levels alone (?stein), taken back through the Householder
+    reflectors below q's subdiagonal (?ormtr's lower case, which is ?ormqr
+    on rows 1.. of q and of the vectors), by LAPACK's blocked code and
+    reading q in place.  The vectors are formed once, after the ladder
+    stops, for the levels that the merge across blocks keeps."""
+    from scipy.linalg import lapack
+    keep = w <= cut
+    w, blocks = w[keep], np.zeros_like(isplit)
+    blocks[:w.size] = iblock[keep]   # ?stein reads the first w.size of n entries
+    z, info = lapack.dstein(d, e, w, blocks, isplit)
+    if info:
+        raise SolverError(f"eigensolver did not converge: ?stein info {info}")
+    order = np.argsort(w, kind="stable")   # from T's blocks to ascending order
+    w, z = w[order], z[:, order]
     # ?ormqr's A is q[1:, :-1], which is not contiguous, so f2py would copy
     # all of it.  The Fortran-contiguous (n, n - 1) view of q's memory from
     # q[1, 0] holds the same columns at q's leading dimension n; its last
@@ -439,7 +491,7 @@ def _kronecker_residuals(tx: np.ndarray, ty: np.ndarray, v: np.ndarray,
     r = blas.dgemm(1.0, psi.reshape(ny, -1).T, ty.T).T.reshape(psi.shape)
     r += np.matmul(tx, psi)
     r += (v[:, :, None] - w) * psi
-    return np.linalg.norm(r.reshape(ny * nx, -1), axis=0)
+    return np.linalg.norm(r.reshape(ny * nx, w.size), axis=0)
 
 
 def _kronecker_norm_sq(tx: np.ndarray, ty: np.ndarray, v: np.ndarray) -> float:

@@ -316,8 +316,8 @@ def _pt_real_form(kinetic: list[np.ndarray], v: np.ndarray) -> np.ndarray:
         else:
             re = kronecker_sum(*kinetic, v.real)   # refuses a grid over the cap before R
         R = np.zeros((v.size, v.size))
-        R[:M + 1, :M + 1] = mirror_fold(re, EVEN)
-        R[M + 1:, M + 1:] = mirror_fold(re, ODD)
+        mirror_fold(re, EVEN, out=R[:M + 1, :M + 1])   # each fold in place, no temporary
+        mirror_fold(re, ODD, out=R[M + 1:, M + 1:])
     pairs = np.arange(M)
     R[pairs, M + 1 + pairs] = -im[:M]
     R[M + 1 + pairs, pairs] = im[:M]

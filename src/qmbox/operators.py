@@ -201,9 +201,10 @@ def mirror_sites(M: int, parity: int) -> slice:
     return slice(None)
 
 
-def mirror_fold(t: np.ndarray, parity: int) -> np.ndarray:
+def mirror_fold(t: np.ndarray, parity: int, out: np.ndarray | None = None) -> np.ndarray:
     """Block of a matrix in the even or odd mirror basis, read off the rows
-    of the left half-axis.
+    of the left half-axis; written into ``out`` when given, such as a
+    diagonal block of a larger matrix.
 
     Exact when ``t`` commutes with the index reversal, t[::-1, ::-1] == t,
     as every symmetric Toeplitz matrix does (the closed-form p^2 among them)
@@ -213,7 +214,13 @@ def mirror_fold(t: np.ndarray, parity: int) -> np.ndarray:
     M = t.shape[0] // 2
     s = mirror_sites(M, parity)
     near, far = t[s, s], t[s, ::-1][:, s]   # columns x_k and x_{N-1-k}
-    block = near + far if parity == EVEN else near - far
+    combine = np.add if parity == EVEN else np.subtract
+    if out is None:
+        block = combine(near, far)
+    else:   # by rows, as a 2D call into a strided out takes a 192 KiB ufunc buffer
+        block = out
+        for a, b, row in zip(near, far, out):
+            combine(a, b, out=row)
     block[M:] *= np.sqrt(0.5)               # the centre site, in the even block only,
     block[:, M:] *= np.sqrt(0.5)            # is not a pair
     return block

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import warnings
@@ -33,6 +34,27 @@ class TestList:
         code, out, _ = run(["list"], capsys)
         assert code == 0
         assert out.split() == list(BUILTIN_IDS)
+
+
+class TestParser:
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        parsers = []
+        real_parse = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return real_parse(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        assert run(["list"], capsys)[0] == 0
+        assert run(["solve", "--problem", "morse", "--states", "2"], capsys)[0] == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    def test_shared_parser_keeps_help_and_exit_codes(self, capsys):
+        first, second = run(["--help"], capsys), run(["--help"], capsys)
+        assert first == second and first[0] == 0 and "usage: qmbox" in first[1]
+        assert run(["solve", "--no-such-flag"], capsys)[0] == 1
+        assert run(["list"], capsys)[0] == 0
 
 
 class TestSolve:

@@ -6,12 +6,14 @@ of its long axis (``eig._contracted_pairs``); the full decomposition of the
 assembled block, ``kronecker_sum`` of its factors, is the oracle.
 """
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, lapack
+import scipy.linalg
+from scipy.linalg import lapack
 
 from qmbox import eig, operators
 from qmbox.eig import diagonalize, diagonalize_blocks, phase_fix
@@ -141,14 +143,67 @@ def test_each_distinct_line_is_decomposed_once(make, n_states, decompositions, m
     assert spectrum.residuals.max() <= 1e-9
 
 
+def test_levels_by_bisection_and_vectors_for_the_kept_levels_alone(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("all levels of a rung, or a second bisection")
+    monkeypatch.setattr(lapack, "dsterf", refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+    given = []
+    real_stein = lapack.dstein
+
+    def spy(d, e, w, iblock, isplit):
+        given.append(len(w))
+        return real_stein(d, e, w, iblock, isplit)
+
+    monkeypatch.setattr(lapack, "dstein", spy)
+    spectrum = solve(builtin_problem("henon_heiles", N=81, L=19.0), 60)
+    # the even block owns 33 of the 60 merged levels and the odd block 27
+    assert given == [33, 27]
+    assert spectrum.n_states == 60 and spectrum.residuals.max() <= 1e-9
+
+
+@pytest.mark.parametrize("N, n_states", [(47, 23), (47, 59), (55, 40)])
+def test_cut_through_a_doublet_across_the_blocks(N, n_states):
+    # levels n_states - 1 and n_states are an E doublet of Henon-Heiles with
+    # one member in each parity block, split by 2e-15 to 3e-13 relative
+    problem = builtin_problem("henon_heiles", N=N)
+    dense = np.sort(np.concatenate([np.linalg.eigvalsh(b.matrix)
+                                    for b in hamiltonian_blocks(problem)]))
+    assert dense[n_states] - dense[n_states - 1] <= 3e-13 * dense[n_states]
+    spectrum = solve(problem, n_states)
+    assert spectrum.n_states == n_states
+    np.testing.assert_allclose(spectrum.eigenvalues, dense[:n_states], rtol=0,
+                               atol=1e-12 * dense[n_states])
+    assert spectrum.residuals.max() <= 1e-9
+
+
+@pytest.mark.parametrize("n_states, rungs", [(60, [16, 20, 24, 28]), (10, [16, 20])])
+def test_rungs_visited(n_states, rungs, monkeypatch):
+    calls = []
+    real_matrix = eig._contracted_matrix
+
+    def spy(*args):
+        calls.append(args[3])   # basis functions per short-axis site
+        return real_matrix(*args)
+
+    monkeypatch.setattr(eig, "_contracted_matrix", spy)
+    solve(builtin_problem("henon_heiles"), n_states)
+    assert [k for k, _ in itertools.groupby(calls)] == rungs
+    assert len(calls) == 2 * len(rungs)   # both blocks on every rung
+
+
 def test_back_transform_is_blocked_and_reads_q_in_place(monkeypatch):
     # the 1148-row rung of the even 81^2 Henon-Heiles block at 28 per line
     block = next(hamiltonian_blocks(builtin_problem("henon_heiles", N=81)))
     line = eig._line_basis(*block.factors, {})
-    _, (q, d, e, tau) = eig._tridiagonal(eig._contracted_matrix(*line[:3], 28))
+    q, d, e, tau = eig._tridiagonal(eig._contracted_matrix(*line[:3], 28))
     assert q.shape == (1148, 1148)
-    count = 60
-    w_old, z_old = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
+    w_all, iblock, isplit = eig._bisect(d, e, index=(1, 60))
+    cut = w_all[32]   # the 33 lowest of 60 bisected levels
+    blocks = np.zeros_like(isplit)   # ?stein reads 33 of its 1148 entries
+    blocks[:33] = iblock[:33]
+    z_old, info = lapack.dstein(d, e, w_all[:33], blocks, isplit)
+    assert not info
     real_ormqr = lapack.dormqr
     query = int(real_ormqr("L", "N", q[1:, :-1], tau, z_old[1:], lwork=-1)[1][0])
     # the copy-based call on q[1:, :-1] with the full workspace
@@ -162,14 +217,14 @@ def test_back_transform_is_blocked_and_reads_q_in_place(monkeypatch):
     monkeypatch.setattr(lapack, "dormqr", spy)
     tracemalloc.start()
     try:
-        w, z = eig._lowest_vectors(q, d, e, tau, count)
+        w, z = eig._kept_vectors(q, d, e, tau, w_all, iblock, isplit, cut)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     applied = [lwork for lwork in given if lwork != -1]   # not the workspace query
     assert applied and min(applied) >= query   # never the unblocked ?orm2r
     assert peak < q.nbytes / 4   # no copy of the reflectors
-    np.testing.assert_array_equal(w, w_old)
+    np.testing.assert_array_equal(w, w_all[:33])
     np.testing.assert_array_equal(z, z_old)
 
 
