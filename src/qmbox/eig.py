@@ -335,7 +335,11 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
         if levels is None:
             levels = [_bisect(d, e, index=(1, n_states)) for _, d, e, _ in rungs]
         tops = [_bisect(d, e, index=(d.size, d.size))[0][0] for _, d, e, _ in rungs]
-        scale = max(max(abs(w.min()), abs(top)) for (w, _, _), top in zip(levels, tops))
+        # A block may have no level at or below the cut.  Its lowest level then
+        # lies above the cut: under its top in magnitude when positive, and
+        # under the lowest level of a block with one when negative.  (If no
+        # block has one, the merged levels are the fixed ones, unchanged.)
+        scale = max(max(abs(w).max(initial=0.0), abs(top)) for (w, _, _), top in zip(levels, tops))
         merged = np.sort(np.concatenate([fixed] + [np.sort(w)[:n_states] for w, _, _ in levels]))[:n_states]
         if (previous is not None and np.max(np.abs(merged - previous))
                 <= _CONTRACTION_TOL * eps * scale):

@@ -215,12 +215,7 @@ def mirror_fold(t: np.ndarray, parity: int, out: np.ndarray | None = None) -> np
     s = mirror_sites(M, parity)
     near, far = t[s, s], t[s, ::-1][:, s]   # columns x_k and x_{N-1-k}
     combine = np.add if parity == EVEN else np.subtract
-    if out is None:
-        block = combine(near, far)
-    else:   # by rows, as a 2D call into a strided out takes a 192 KiB ufunc buffer
-        block = out
-        for a, b, row in zip(near, far, out):
-            combine(a, b, out=row)
+    block = combine(near, far, out=out)
     block[M:] *= np.sqrt(0.5)               # the centre site, in the even block only,
     block[:, M:] *= np.sqrt(0.5)            # is not a pair
     return block

@@ -177,6 +177,32 @@ def test_cut_through_a_doublet_across_the_blocks(N, n_states):
     assert spectrum.residuals.max() <= 1e-9
 
 
+@pytest.mark.parametrize("make, n_states", [
+    (lambda: builtin_problem("henon_heiles"), 1),
+    (CASES["even in both, four blocks"][0], 1),
+    (CASES["even in both, four blocks"][0], 3),
+], ids=["henon-heiles 61^2, 1 state", "four blocks, 1 state", "four blocks, 3 states"])
+def test_a_block_with_no_level_below_the_cut(make, n_states, monkeypatch):
+    # past the first rung a block whose lowest level lies above the merged
+    # n_states-th bisects no level, and keeps no vector
+    given = []
+    real_stein = lapack.dstein
+
+    def spy(d, e, w, iblock, isplit):
+        given.append(len(w))
+        return real_stein(d, e, w, iblock, isplit)
+
+    monkeypatch.setattr(lapack, "dstein", spy)
+    problem = make()
+    spectrum = solve(problem, n_states)
+    assert 0 in given and sum(given) == n_states
+    dense = dense_oracle(problem, n_states)
+    np.testing.assert_allclose(spectrum.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=0)
+    assert spectrum.residuals.max() <= 1e-9
+    v = spectrum.eigenvectors
+    np.testing.assert_allclose(spectrum.weight * (v.T @ v), np.eye(n_states), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("n_states, rungs", [(60, [16, 20, 24, 28]), (10, [16, 20])])
 def test_rungs_visited(n_states, rungs, monkeypatch):
     calls = []
