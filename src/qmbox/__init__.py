@@ -11,7 +11,7 @@ from .analysis import (ComparisonReport, ConvergenceScan, compare_to_reference,
                        labeled_levels, shift_to_ground, to_wavenumbers)
 from .eig import (SolverError, Spectrum, classify_parity, diagonalize,
                   eigenvalues, phase_fix)
-from .expr import Expression, ExpressionError, parse, unparse
+from .expr import Expression, ExpressionError, parse
 from .hamiltonian import (ConstantMass, KineticOrdering, ProblemDefinition,
                           VonRoos, build_hamiltonian, build_kinetic,
                           ordering_from_name)
@@ -46,5 +46,4 @@ __all__ = [
     "morse_exact_level", "morse_potential", "nh3_mass", "nh3_potential",
     "ordering_from_name", "parse", "phase_fix", "points_to_m",
     "reference_spectrum", "shift_to_ground", "solve", "to_wavenumbers",
-    "unparse",
 ]

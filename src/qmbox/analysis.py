@@ -84,6 +84,8 @@ def convergence_scan(problem: ProblemDefinition, mode: str, n_list,
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("grid sizes must be strictly ascending")
     state_indices = tuple(int(s) for s in state_indices)
+    if not state_indices:
+        raise ValueError("state_indices is empty: name at least one state to track")
     if min(state_indices) < 0:
         raise ValueError(f"state indices must be non-negative, got {min(state_indices)}")
     if max(state_indices) >= min(n_list):

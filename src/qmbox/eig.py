@@ -1,13 +1,14 @@
 """Diagonalization and spectrum packaging.
 
 Three solver paths, chosen from the structure of each block rather than by
-sniffing the matrix.  Hermitian input (the builder's structural
-hermitian_hint) goes through the symmetric solver and reports exactly real
-eigenvalues with orthonormal eigenvectors; everything else goes through the
-general dense solver and keeps whatever imaginary parts the matrix
-produces.  A real non-symmetric matrix therefore yields an exactly real
-spectrum whenever its eigenvalues are real, while a genuinely complex matrix
-shows its round-off imaginaries honestly.
+sniffing the matrix.  The two dense ones share one dispatch
+(``_eigenpairs``), with or without eigenvectors: Hermitian input (the
+builder's structural hermitian_hint) goes through the symmetric solver and
+reports exactly real eigenvalues with orthonormal eigenvectors; everything
+else goes through the general dense solver and keeps whatever imaginary
+parts the matrix produces.  A real non-symmetric matrix therefore yields
+an exactly real spectrum whenever its eigenvalues are real, while a
+genuinely complex matrix shows its round-off imaginaries honestly.
 
 The third path is the contracted solve (``_contracted_pairs``): a Hermitian
 2D block of at least ``_CONTRACTION_MIN_SIZE`` sites, given by its
@@ -32,16 +33,19 @@ Henon-Heiles, 2.1e-13 on 61^2 at 10 states, 1.7e-11 on 55^2 and 1.3e-11 on
 81^2 at 60, and 6.8e-9 on 81^2 at 100.
 Should the ladder end unconverged, the blocks are assembled once and
 decomposed in full, like every block on the dense paths: full spectra, 1D,
-non-Hermitian and smaller blocks, and a bare dense matrix.
+non-Hermitian and smaller blocks, and a bare dense matrix.  Every LAPACK
+routine that the contracted solve calls directly goes through ``_lapack``,
+the one place that reads its status.
 
 The general path has one real form: the builder gives a PT-symmetric
 problem as the real matrix R similar to its complex H, a block tagged PT
 (see ``hamiltonian.hamiltonian_blocks``).  R goes through the real general
 solver like any real block, so an unbroken-PT level comes out with an
 imaginary part of exactly 0 and a broken-PT pair as an exact conjugate
-pair; its levels are cast to complex and its vectors mapped back onto the
-grid as H's (``_unfold``).  A bare complex matrix goes to the complex
-solver: the symmetry is read from the block's tag, never from its entries.
+pair; ``_eigenpairs`` casts its levels to complex, and its vectors are
+mapped back onto the grid as H's (``_unfold``).  A bare complex matrix goes
+to the complex solver: the symmetry is read from the block's tag, never
+from its entries.
 
 A Hamiltonian may also arrive as mirror-parity blocks (see
 ``hamiltonian.hamiltonian_blocks``): a problem whose grid functions equal
@@ -61,7 +65,7 @@ state index), so a problem with no mirror symmetry never gets a parity
 label.  ``classify_parity`` is the overlap oracle that reads parity off the
 eigenvectors instead.
 
-``block_eigenvalues`` runs the same solver choice without eigenvectors and
+``block_eigenvalues`` runs the same dispatch without eigenvectors and
 merges the blocks' levels in the same order, for callers that read the
 eigenvalues alone, such as convergence scans; ``eigenvalues`` is its
 one-block case.
@@ -246,16 +250,18 @@ def _dense_pairs(block: OperatorMatrix, n_states: int | None, cell: float):
     """(w, v, r, ||H||_F^2) of one block from its dense matrix: the lowest
     min(n_states, size) eigenpairs, the vectors normalized on the grid, and
     the residual norms ||H v - w v||_2."""
+    w, v = _eigenpairs(block, n_states)
     H = block.matrix
-    w, v = _eigenpairs(H, block.hermitian_hint, n_states)
     _normalize(v, cell)
+    # real vectors belong to exactly real levels, also a PT block's complex ones
+    levels = w if np.iscomplexobj(v) else w.real
     # H v as one product (BLAS rounds a product of a column slice
     # differently), then H v - w v and its norms chunk by chunk in place
     Hv, r = H @ v, np.empty(len(w))
     for c in _column_chunks(*v.shape):
-        Hv[:, c] -= v[:, c] * w[c]
+        Hv[:, c] -= v[:, c] * levels[c]
         r[c] = np.linalg.norm(Hv[:, c], axis=0)
-    return (w.astype(complex) if PT in block.parity else w), v, r, np.linalg.norm(H) ** 2
+    return w, v, r, np.linalg.norm(H) ** 2
 
 
 def _normalize(v: np.ndarray, cell: float) -> None:
@@ -307,10 +313,13 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
     the merge (``_kept_vectors``), which may be fewer than ``n_states``.
     A rung too small to hold ``n_states`` levels is skipped.
 
-    Every BLAS and LAPACK call here goes to scipy's OpenBLAS.  numpy bundles
-    a second copy with its own thread pool, and alternating between the two
-    pools kept them competing for the cores: an 81^2 Henon-Heiles solve took
-    0.95 s that way, against 0.62 to 0.71 s on scipy's alone (2 cores).
+    Every BLAS and LAPACK call of the ladder, from the line bases to the
+    bisections, goes to scipy's OpenBLAS.  numpy bundles a second copy with
+    its own thread pool, and alternating between the two pools in the ladder
+    kept them competing for the cores: an 81^2 Henon-Heiles solve took 0.95 s
+    that way, against 0.62 to 0.71 s on scipy's alone (2 cores).  After the
+    ladder, the vectors are formed by numpy's matmul, and the residuals
+    (``_kronecker_residuals``) take one numpy product beside scipy's.
     """
     for block in blocks:
         n_short, n_long = sorted(f.shape[0] for f in block.factors[:2])
@@ -373,7 +382,6 @@ def _line_basis(tx: np.ndarray, ty: np.ndarray, v: np.ndarray, decomposed: dict)
     of its potential values, to the rows of E and U that hold it, and a
     line found there is copied rather than decomposed again.  The caller's
     blocks hold every T_long for the whole solve, so its id names it."""
-    from scipy.linalg import lapack
     _require_finite(tx, ty, v)
     x_short = tx.shape[0] <= ty.shape[0]
     t_short, t_long, v_lines = (tx, ty, v.T) if x_short else (ty, tx, v)
@@ -386,9 +394,7 @@ def _line_basis(tx: np.ndarray, ty: np.ndarray, v: np.ndarray, decomposed: dict)
             E[i], U[i] = decomposed[key]
             continue
         line = t_long + np.diag(v_lines[i])
-        w, z, info = lapack.dsyevd(line.T, lower=1, overwrite_a=1)   # line.T is line
-        if info:
-            raise SolverError(f"eigensolver did not converge: ?syevd info {info}")
+        w, z = _lapack("syevd", line.T, lower=1, overwrite_a=1)   # line.T is line
         E[i], U[i] = w[:top], z[:, :top]
         decomposed[key] = E[i], U[i]
     return t_short, E, U, x_short
@@ -418,12 +424,8 @@ def _tridiagonal(H: np.ndarray):
     which is overwritten: ?sytrd reduces H to tridiagonal form T = Q^T H Q
     in H's own memory.  T's levels come from ``_bisect`` and the vectors of
     H from ``_kept_vectors``, with no second reduction."""
-    from scipy.linalg import lapack
-    work, _ = lapack.dsytrd_lwork(H.shape[0], lower=1)
-    q, d, e, tau, info = lapack.dsytrd(H, lower=1, lwork=int(work), overwrite_a=1)
-    if info:
-        raise SolverError(f"eigensolver did not converge: ?sytrd info {info}")
-    return q, d, e, tau
+    work = _lapack("sytrd_lwork", H.shape[0], lower=1)
+    return _lapack("sytrd", H, lower=1, lwork=int(work), overwrite_a=1)
 
 
 def _bisect(d: np.ndarray, e: np.ndarray, index: tuple[int, int] | None = None,
@@ -435,12 +437,9 @@ def _bisect(d: np.ndarray, e: np.ndarray, index: tuple[int, int] | None = None,
     default absolute accuracy.  They come grouped by the blocks into which T
     splits, ascending within each, and ``iblock`` and ``isplit`` say which
     block holds each, as ?stein reads them."""
-    from scipy.linalg import lapack
     il, iu = index or (0, 0)
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2 if index else 1, -np.inf,
-                                               0.0 if index else upto, il, iu, 0.0, "B")
-    if info:
-        raise SolverError(f"eigensolver did not converge: ?stebz info {info}")
+    m, w, iblock, isplit = _lapack("stebz", d, e, 2 if index else 1, -np.inf,
+                                   0.0 if index else upto, il, iu, 0.0, "B")
     return w[:m], iblock[:m], isplit
 
 
@@ -455,13 +454,10 @@ def _kept_vectors(q: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray,
     on rows 1.. of q and of the vectors), by LAPACK's blocked code and
     reading q in place.  The vectors are formed once, after the ladder
     stops, for the levels that the merge across blocks keeps."""
-    from scipy.linalg import lapack
     keep = w <= cut
     w, blocks = w[keep], np.zeros_like(isplit)
     blocks[:w.size] = iblock[keep]   # ?stein reads the first w.size of n entries
-    z, info = lapack.dstein(d, e, w, blocks, isplit)
-    if info:
-        raise SolverError(f"eigensolver did not converge: ?stein info {info}")
+    z = _lapack("stein", d, e, w, blocks, isplit)
     order = np.argsort(w, kind="stable")   # from T's blocks to ascending order
     w, z = w[order], z[:, order]
     # ?ormqr's A is q[1:, :-1], which is not contiguous, so f2py would copy
@@ -475,12 +471,22 @@ def _kept_vectors(q: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray,
     # 4160 entries since LAPACK 3.7 (its T factor lives in the workspace),
     # and with less, such as 64 * count, ?ormqr silently runs the unblocked
     # ?orm2r, five times slower on a 1148-row rung.
-    _, work, info = lapack.dormqr("L", "N", reflectors, tau, z[1:], lwork=-1)
-    if not info:
-        z[1:], _, info = lapack.dormqr("L", "N", reflectors, tau, z[1:], lwork=int(work[0]))
-    if info:
-        raise SolverError(f"eigensolver did not converge: ?ormqr info {info}")
+    _, work = _lapack("ormqr", "L", "N", reflectors, tau, z[1:], lwork=-1)
+    z[1:], _ = _lapack("ormqr", "L", "N", reflectors, tau, z[1:], lwork=int(work[0]))
     return w, z
+
+
+def _lapack(name: str, *args, **kwargs):
+    """scipy's LAPACK routine d<name> on the arguments, its outputs without
+    the trailing status: one output alone, several as a tuple.  A nonzero
+    status raises LinAlgError naming ?<name>, which ``_solver_errors``
+    words as a SolverError.  scipy is imported here, by the contracted
+    solve alone, and the routine looked up on each call."""
+    from scipy.linalg import lapack
+    *out, info = getattr(lapack, "d" + name)(*args, **kwargs)
+    if info:
+        raise np.linalg.LinAlgError(f"?{name} info {info}")
+    return out[0] if len(out) == 1 else tuple(out)
 
 
 def _kronecker_residuals(tx: np.ndarray, ty: np.ndarray, v: np.ndarray,
@@ -519,18 +525,8 @@ def eigenvalues(op: OperatorMatrix) -> np.ndarray:
 def block_eigenvalues(blocks: Iterable[OperatorMatrix]) -> np.ndarray:
     """All eigenvalues of a Hamiltonian given as mirror-parity blocks, without
     eigenvectors, merged in the order and dtype of ``diagonalize_blocks``."""
-    w, order = _merged([_eigvals(block) for block in blocks])
+    w, order = _merged([_eigenpairs(block, vectors=False)[0] for block in blocks])
     return w[order]
-
-
-@_solver_errors()
-def _eigvals(op: OperatorMatrix) -> np.ndarray:
-    """The eigenvalues of one block by the solver choice of ``_eigenpairs``."""
-    _require_finite(op.matrix)
-    if op.hermitian_hint:
-        return np.linalg.eigvalsh(op.matrix)
-    w = np.linalg.eigvals(op.matrix)
-    return w.astype(complex) if PT in op.parity else w   # a PT block's levels are H's
 
 
 def _merged(values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -540,15 +536,24 @@ def _merged(values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return w, np.lexsort((w.imag, w.real))
 
 
-def _eigenpairs(H: np.ndarray, hermitian: bool, count: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` (or all) lowest eigenpairs of H in (Re, Im) order, columns of unit 2-norm."""
+@_solver_errors()
+def _eigenpairs(block: OperatorMatrix, count: int | None = None,
+                vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ``count`` (or all) lowest eigenpairs of a block's dense matrix in
+    (Re, Im) order, the vectors as columns of unit 2-norm, or None without
+    ``vectors``: the symmetric solver on the Hermitian hint, the general
+    one otherwise.  A PT block's levels are H's, so complex."""
+    H = block.matrix
     _require_finite(H)
-    if hermitian:
-        w, v = np.linalg.eigh(H)
-        return w[:count], v[:, :count]
-    w, v = np.linalg.eig(H)
-    order = np.lexsort((w.imag, w.real))[:count]
-    return w[order], v[:, order]
+    if block.hermitian_hint:
+        w, v = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
+        order = slice(count)
+    else:
+        w, v = np.linalg.eig(H) if vectors else (np.linalg.eigvals(H), None)
+        order = np.lexsort((w.imag, w.real))[:count]
+    if PT in block.parity:
+        w = w.astype(complex)
+    return w[order], None if v is None else v[:, order]
 
 
 def _require_finite(*arrays: np.ndarray) -> None:

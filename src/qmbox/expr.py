@@ -97,9 +97,6 @@ class Expression:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"), _depth_guard():
             return _eval(self.root, bindings)
 
-    def __str__(self) -> str:
-        return unparse(self)
-
 
 # --- Tokenizer -------------------------------------------------------------
 
@@ -320,57 +317,3 @@ def _eval(node: Node, point: Mapping[str, float]):
     magnitude = np.power(np.abs(left), right)
     odd = np.abs(np.fmod(right, 2)) == 1
     return np.where(odd, np.copysign(magnitude, left), magnitude)[()]
-
-
-# --- Pretty printer --------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, BinOp):
-        if node.op in "+-":
-            return _PREC_ADD
-        if node.op in "*/":
-            return _PREC_MUL
-        return _PREC_POW
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, Num) and (node.value < 0 or np.copysign(1.0, node.value) < 0):
-        return _PREC_NEG  # negative literal prints with a leading minus
-    return _PREC_ATOM
-
-
-def _wrap(text: str, need: bool) -> str:
-    return f"({text})" if need else text
-
-
-def _unparse(node: Node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.func}({_unparse(node.arg)})"
-    if isinstance(node, Neg):
-        inner = _unparse(node.operand)
-        return "-" + _wrap(inner, _prec(node.operand) < _PREC_NEG)
-    op = node.op
-    if op in "+-":
-        left = _wrap(_unparse(node.left), _prec(node.left) < _PREC_ADD)
-        right = _wrap(_unparse(node.right), _prec(node.right) <= _PREC_ADD)
-        return f"{left} {op} {right}"
-    if op in "*/":
-        left = _wrap(_unparse(node.left), _prec(node.left) < _PREC_MUL)
-        right = _wrap(_unparse(node.right), _prec(node.right) <= _PREC_MUL)
-        return f"{left}{op}{right}"
-    # '^' is right-associative and binds tighter than unary minus, so any
-    # non-atom base needs parentheses; the exponent parses as a factor.
-    base = _wrap(_unparse(node.left), _prec(node.left) <= _PREC_POW)
-    expo = _wrap(_unparse(node.right), _prec(node.right) < _PREC_NEG)
-    return f"{base}^{expo}"
-
-
-def unparse(expression: Expression) -> str:
-    """Render back to source text; reparsing yields an identical AST."""
-    return _unparse(expression.root)

@@ -32,7 +32,7 @@ block the real matrix R similar to H (``_pt_real_form``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator, Union
 
@@ -175,14 +175,9 @@ def _mass_power(m: np.ndarray, s: float) -> np.ndarray:
 
 def build_kinetic(problem: ProblemDefinition) -> OperatorMatrix:
     """Kinetic-energy matrix for the problem's ordering (1D) or the
-    constant-mass tensor sum (2D)."""
-    m = _mass_values(problem)
-    kinetics = [_kinetic_1d(axis, problem.ordering, m) for axis in problem.grid.axes]
-    if len(kinetics) == 1:
-        return OperatorMatrix(kinetics[0], problem.ordering.symmetric)
-    tx, ty = kinetics
-    return OperatorMatrix(hermitian_hint=True,
-                          factors=(tx, ty, np.zeros((ty.shape[0], tx.shape[0]))))
+    constant-mass tensor sum (2D): the Hamiltonian of the problem with no
+    potential."""
+    return build_hamiltonian(replace(problem, potential_real=0.0, potential_imag=None))
 
 
 def _kinetic_1d(grid: Lattice1D, ordering: KineticOrdering,

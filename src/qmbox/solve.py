@@ -29,9 +29,10 @@ def solve(problem: ProblemDefinition, n_states: int | None = None) -> Spectrum:
     ``n_states`` keeps the lowest eigenpairs (the completeness machinery
     needs the full spectrum, so leave it None there).  A Hermitian 2D block
     of at least 1024 sites then takes the contracted solve of ``eig``: its
-    levels agree with the dense decomposition to about 4e-14 relative, while
-    its residuals, 1e-16 on the dense path, grow with ``n_states`` and are
-    not bounded (on Henon-Heiles 81^2, 1.3e-11 at 60 states and 6.8e-9 at 100).
+    levels agree with the dense decomposition to within 1e-12 relative (at
+    most 8.8e-13 on Henon-Heiles 45^2 to 81^2), while its residuals, 1e-16
+    on the dense path, grow with ``n_states`` and are not bounded (on
+    Henon-Heiles 81^2, 1.3e-11 at 60 states and 6.8e-9 at 100).
     """
     spectrum = diagonalize_blocks(hamiltonian_blocks(problem), problem.grid, n_states)
     _fix_phases(spectrum.eigenvectors)   # as phase_fix, on the fresh array in place

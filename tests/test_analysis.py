@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmbox import eig
 from qmbox.analysis import (compare_to_reference, completeness_error,
                             convergence_scan, exponential_fit, labeled_levels,
                             shift_to_ground, to_wavenumbers)
@@ -126,6 +125,10 @@ class TestConvergenceScan:
             convergence_scan(builtin_problem("henon_heiles", N=9, L=10.0), "fixed_L_vary_N",
                              list(range(11, 35, 2)))
 
+    def test_empty_state_indices_rejected(self):
+        with pytest.raises(ValueError, match="state_indices is empty"):
+            convergence_scan(builtin_problem("nh3"), "fixed_L_vary_N", list(range(21, 47, 2)), ())
+
     def test_fixed_a_mode_scales_width(self):
         grid = make_lattice(10.0, 20)  # a = 10/41
         problem = ProblemDefinition(name="ho", grid=grid, ordering=ConstantMass(1.0),
@@ -170,7 +173,8 @@ class TestScanEigenvaluesOnly:
     def test_computes_no_eigenvectors(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a scan asked for eigenvectors")
-        monkeypatch.setattr(eig, "_eigenpairs", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
         make, mode, states = SCANS["nh3 anticommutator"]
         scan = convergence_scan(make(), mode, list(range(21, 46, 2)), states)
         assert np.all(np.isfinite(scan.energies))

@@ -16,7 +16,8 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from qmbox import eig, operators
-from qmbox.eig import diagonalize, diagonalize_blocks, phase_fix
+from qmbox.cli import main
+from qmbox.eig import SolverError, diagonalize, diagonalize_blocks, phase_fix
 from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, build_hamiltonian,
                                hamiltonian_blocks)
 from qmbox.lattice import make_lattice_2d
@@ -298,3 +299,22 @@ def test_closed_form_norm_matches_dense():
     for block in hamiltonian_blocks(builtin_problem("henon_heiles", N=45)):
         dense = np.linalg.norm(block.matrix)
         assert math.sqrt(eig._kronecker_norm_sq(*block.factors)) == pytest.approx(dense, rel=1e-14)
+
+
+@pytest.mark.parametrize("routine", ["syevd", "sytrd", "stebz", "stein", "ormqr"])
+def test_lapack_failure_is_solver_error(routine, monkeypatch, capsys):
+    # every status the contracted solve reads: a nonzero one is a numerical
+    # failure, in the library and at the entry point alike
+    real = getattr(lapack, "d" + routine)
+
+    def failing(*args, **kwargs):
+        return (*real(*args, **kwargs)[:-1], 1)
+
+    monkeypatch.setattr(lapack, "d" + routine, failing)
+    message = f"eigensolver did not converge: ?{routine} info 1"
+    with pytest.raises(SolverError) as caught:
+        solve(builtin_problem("henon_heiles"), 10)
+    assert str(caught.value) == message
+    assert main(["solve", "--problem", "henon_heiles", "--states", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"numerical failure: {message}\n" and captured.out == ""

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -5,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import complex_hamiltonian
 
+import qmbox
 from qmbox.eig import (SolverError, Spectrum, classify_parity, diagonalize,
                        diagonalize_blocks, eigenvalues, phase_fix)
 from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, VonRoos, build_hamiltonian,
@@ -178,6 +182,23 @@ class TestVectorsWrittenOnce:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * spectrum.eigenvectors.nbytes
+
+
+def test_1d_solves_and_scans_import_no_scipy():
+    # scipy serves the contracted 2D solve alone; importing it would cost a
+    # 1D caller's first solve about 0.3 s
+    code = ("import sys, qmbox\n"
+            "qmbox.solve(qmbox.builtin_problem('nh3'))\n"
+            "qmbox.convergence_scan(qmbox.builtin_problem('nh3'), 'fixed_L_vary_N',\n"
+            "                       range(31, 152, 10), (0, 7))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(qmbox.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestEigenvaluesOnly:

