@@ -68,22 +68,23 @@ def convergence_scan(problem: ProblemDefinition, mode: str, n_list,
 
     ``fixed_L_vary_N`` holds the problem's width L and refines the spacing;
     ``fixed_a_vary_N`` holds the problem's spacing a = L/N and widens the
-    box.  The problem must be 1D, the state indices non-negative, and the
-    grid list ascending odd N with at least 12 entries so the 10-grid tail
-    average is meaningful.
+    box.  The problem must be 1D, the state indices non-negative integers,
+    and the grid list ascending odd integers N with at least 12 entries so
+    the 10-grid tail average is meaningful; a value such as 41.9 is
+    rejected, not truncated.
     """
     if isinstance(problem.grid, Lattice2D):
         raise ValueError("convergence scans are defined for 1D problems")
     if mode not in SCAN_MODES:
         raise ValueError(f"mode must be one of {SCAN_MODES}, got {mode!r}")
-    n_list = tuple(int(n) for n in n_list)
+    n_list = _integers(n_list, "grid sizes")
     if len(n_list) < 12:
         raise ValueError("need at least 12 grid sizes for a scan")
     if any(n % 2 == 0 for n in n_list):
         raise ValueError("grid sizes must be odd")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("grid sizes must be strictly ascending")
-    state_indices = tuple(int(s) for s in state_indices)
+    state_indices = _integers(state_indices, "state indices")
     if not state_indices:
         raise ValueError("state_indices is empty: name at least one state to track")
     if min(state_indices) < 0:
@@ -108,6 +109,20 @@ def convergence_scan(problem: ProblemDefinition, mode: str, n_list,
                            n_list=n_list, state_indices=state_indices,
                            energies=energies, converged=converged,
                            rel_errors=rel_errors)
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The values as ints; ValueError naming the first that is not one."""
+    out = []
+    for value in values:
+        try:
+            exact = int(value) == value
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise ValueError(f"{what} must be integers, got {value!r}")
+        out.append(int(value))
+    return tuple(out)
 
 
 def exponential_fit(scan: ConvergenceScan, state: int):

@@ -275,7 +275,11 @@ def _cmd_converge(args) -> int:
             with _writing(path):
                 scan.write_gnuplot(path, s)
     for s in states:
-        slope, corr, npts = analysis.exponential_fit(scan, s)
+        try:
+            slope, corr, npts = analysis.exponential_fit(scan, s)
+        except ValueError as err:   # converged from the first grids on: nothing to fit
+            print(f"# state {s}: {err}, no fit", file=sys.stderr)
+            continue
         print(f"# state {s}: log10(err) slope {slope:.4f}/point over {npts} "
               f"pre-plateau grids, correlation {corr:.4f}", file=sys.stderr)
     return 0

@@ -19,18 +19,21 @@ diagonalization-truncation, Bacic & Light, Annu. Rev. Phys. Chem. 40, 469
 (1989), on the Fourier-grid DVR of Colbert & Miller, J. Chem. Phys. 96, 1982
 (1992)).  The basis grows on a fixed ladder until the lowest levels stop
 moving; the dense block is never assembled, and the residuals are the full
-block's, formed matrix-free.  Each rung is reduced to tridiagonal form, and
-only the levels that the stop rule compares are found on it, by bisection;
-the vectors are formed once, at the last rung, by inverse iteration for the
-levels that the merge across blocks keeps (Demmel, Applied Numerical Linear
-Algebra, SIAM 1997, sec. 5.3).  The levels agree with the dense path to
-within 1e-12 relative (at most 8.8e-13, on ground states near 1, over
-Henon-Heiles 45^2 to 81^2 at L = 16 to 22), while the vectors of the upper
-levels carry residuals far above the dense path's 1e-16 of ||H||_F:
-convergence in the basis size is algebraic, so residuals at the dense level
-are out of reach.  They grow with ``n_states`` and have no bound; on
-Henon-Heiles, 2.1e-13 on 61^2 at 10 states, 1.7e-11 on 55^2 and 1.3e-11 on
-81^2 at 60, and 6.8e-9 on 81^2 at 100.
+block's, formed matrix-free.  Each rung is reduced to tridiagonal form.
+Sturm counts, the number of levels at or below a value, rule out a rung
+whose levels fell too far to stop the ladder, and check the stop rule
+against the rung before; only a rung that may stop has its levels found,
+by bisection, and the vectors are formed once, at the last rung, by
+inverse iteration for the levels that the merge across blocks keeps
+(Demmel, Applied Numerical Linear Algebra, SIAM 1997, sec. 5.3).  The
+levels agree with the dense path to within 1e-12 relative (at most
+8.8e-13, on ground states near 1, over Henon-Heiles 45^2 to 81^2 at L = 16
+to 22), while the vectors of the upper levels carry residuals far above
+the dense path's 1e-16 of ||H||_F: convergence in the basis size is
+algebraic, so residuals at the dense level are out of reach.  They grow
+with ``n_states`` and have no bound; on Henon-Heiles, 2.1e-13 on 61^2 at
+10 states, 1.7e-11 on 55^2 and 1.3e-11 on 81^2 at 60, and 6.8e-9 on 81^2
+at 100.
 Should the ladder end unconverged, the blocks are assembled once and
 decomposed in full, like every block on the dense paths: full spectra, 1D,
 non-Hermitian and smaller blocks, and a bare dense matrix.  Every LAPACK
@@ -298,35 +301,49 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
 
     The blocks climb ``_CONTRACTION_LADDER`` in lockstep.  Each rung's
     contracted matrix, a leading submatrix of the next rung's, is built from
-    the 1D bases and reduced to tridiagonal form once, in place.  Only the
-    levels that the stop rule compares are bisected (``_bisect``).  The
-    contracted spaces nest, so these Ritz values only fall: past the first
-    rung, each block's levels at or below the last rung's merged
-    ``n_states``-th level, plus the last stop tolerance for round-off, are
-    enough; a rung short of ``n_states`` merged levels, like the first,
-    takes each block's lowest ``n_states`` by index.  Merged with the
-    ``fixed`` levels of blocks solved densely, the lowest ``n_states`` are
-    compared with the last rung's.  The solve stops when none moved by more
-    than ``_CONTRACTION_TOL`` eps ||H_c||_2, the largest 2-norm of the
-    rung's contracted matrices (their top levels bisected alone), and that
-    rung's reductions give the vectors of the levels each block keeps in
-    the merge (``_kept_vectors``), which may be fewer than ``n_states``.
-    A rung too small to hold ``n_states`` levels is skipped.
+    the 1D bases and reduced to tridiagonal form once, in place.  The
+    largest magnitude of the blocks' lowest and top levels is ||H_c||_2 and
+    sets the stop tolerance, ``_CONTRACTION_TOL`` eps ||H_c||_2; bisection
+    (``_bisect``) gives the tops, and a lowest level too where Gershgorin's
+    bound does not already put it within its top's magnitude
+    (``_two_norm``).  Merged with the ``fixed`` levels of blocks solved
+    densely, the lowest ``n_states`` levels are compared with the last
+    rung's, mostly by Sturm counts (``_count``).  The contracted spaces
+    nest, so these Ritz values only fall.  A rung with ``n_states`` levels
+    at or below the last rung's ``n_states``-th less the tolerance cannot
+    stop the ladder: it bisects no more than its own ``n_states``-th level,
+    which bisection on counts isolates (``_nth_level``), as on the first
+    rung.  Any other rung bisects each block's levels at or below the last
+    rung's ``n_states``-th plus the last tolerance (each block's lowest
+    ``n_states`` by index, should round-off leave fewer than ``n_states``
+    there), and stops the ladder when the last rung holds j + 1 levels at
+    or below its merged j-th plus the tolerance for every j
+    (``_settled``): no level moved by more.  That rung's reductions then
+    give the vectors of the levels each block keeps in the merge
+    (``_kept_vectors``), which may be fewer than ``n_states``.  A rung too
+    small to hold ``n_states`` levels is skipped.  On 81^2 Henon-Heiles at
+    60 states, rungs 16 and 20 bisect one level per block besides the tops
+    and 24 and 28 bisect 60 levels each, 120 in all, against 300 when every
+    rung bisected the levels it compared; on 55^2 and 61^2 only rung 28
+    does.
 
     Every BLAS and LAPACK call of the ladder, from the line bases to the
-    bisections, goes to scipy's OpenBLAS.  numpy bundles a second copy with
-    its own thread pool, and alternating between the two pools in the ladder
-    kept them competing for the cores: an 81^2 Henon-Heiles solve took 0.95 s
-    that way, against 0.62 to 0.71 s on scipy's alone (2 cores).  After the
-    ladder, the vectors are formed by numpy's matmul, and the residuals
-    (``_kronecker_residuals``) take one numpy product beside scipy's.
+    bisections and counts, goes to scipy's OpenBLAS.  numpy bundles a
+    second copy with its own thread pool, and alternating between the two
+    pools in the ladder kept them competing for the cores: an 81^2
+    Henon-Heiles solve took 0.95 s that way, against 0.62 to 0.71 s on
+    scipy's alone (2 cores).  After the ladder, the vectors are formed by
+    numpy's matmul, and the residuals (``_kronecker_residuals``) take one
+    numpy product beside scipy's.
     """
     for block in blocks:
         n_short, n_long = sorted(f.shape[0] for f in block.factors[:2])
         _check_cap(min(_CONTRACTION_LADDER[-1], n_long) * n_short, "contracted solve")
     decomposed = {}   # one ?syevd per distinct line of this solve
     lines = [_line_basis(*block.factors, decomposed) for block in blocks]
-    fixed, eps = np.concatenate([np.empty(0), *fixed]), np.finfo(float).eps
+    fixed, eps = np.sort(np.concatenate([np.empty(0), *fixed])), np.finfo(float).eps
+    # the last rung's (d, e) per block, its tolerance, and its merged
+    # n_states-th level: low = high, or an interval (low, high] holding it
     previous = None
     for n_c in _CONTRACTION_LADDER:
         kept = [min(n_c, U.shape[2]) for _, _, U, _ in lines]
@@ -334,26 +351,36 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
             continue
         rungs = None   # release the last rung's reductions before the next ones
         rungs = [_tridiagonal(_contracted_matrix(*line[:3], k)) for line, k in zip(lines, kept)]
-        levels = None
-        if previous is not None:   # below the last cut, the last tolerance as slack
-            cut = previous[-1] + _CONTRACTION_TOL * eps * scale
-            levels = [_bisect(d, e, upto=cut) for _, d, e, _ in rungs]
-            # every level left out lies above the cut, so n_states at or below it are exact
-            if np.count_nonzero(fixed <= cut) + sum(len(w) for w, _, _ in levels) < n_states:
-                levels = None
-        if levels is None:
-            levels = [_bisect(d, e, index=(1, n_states)) for _, d, e, _ in rungs]
-        tops = [_bisect(d, e, index=(d.size, d.size))[0][0] for _, d, e, _ in rungs]
-        # A block may have no level at or below the cut.  Its lowest level then
-        # lies above the cut: under its top in magnitude when positive, and
-        # under the lowest level of a block with one when negative.  (If no
-        # block has one, the merged levels are the fixed ones, unchanged.)
-        scale = max(max(abs(w).max(initial=0.0), abs(top)) for (w, _, _), top in zip(levels, tops))
-        merged = np.sort(np.concatenate([fixed] + [np.sort(w)[:n_states] for w, _, _ in levels]))[:n_states]
-        if (previous is not None and np.max(np.abs(merged - previous))
-                <= _CONTRACTION_TOL * eps * scale):
-            break
-        previous = merged
+        tridiagonals = [(d, e) for _, d, e, _ in rungs]
+        tops = [_bisect(d, e, index=(d.size, d.size))[0][0] for d, e in tridiagonals]
+        floors = [_gershgorin_floor(d, e) for d, e in tridiagonals]
+        norm = max(_two_norm(d, e, top, floor)   # ||H_c||_2, the largest over the blocks
+                   for (d, e), top, floor in zip(tridiagonals, tops, floors))
+        tol = _CONTRACTION_TOL * eps * norm
+        # the merged n_states-th level lies in (low, high]: above the blocks'
+        # Gershgorin floors and the lowest fixed level, and at or below each
+        # block's top, as every block holds n_states levels
+        low, high = min(floors + list(fixed[:1])) - tol, min(tops) + tol
+        if previous is not None:
+            last, last_tol, last_low, last_high = previous
+            # The levels only fall, so with n_states at or below the last
+            # n_states-th less tol, that level moved by more: no stop here.
+            if _count(tridiagonals, fixed, last_low - tol) >= n_states:
+                high = last_low - tol
+            else:   # below the last cut, the last tolerance as slack
+                cut = last_high + last_tol
+                levels = [_bisect(d, e, upto=cut) for d, e in tridiagonals]
+                # every level left out lies above the cut, so n_states at or below it are exact
+                if np.count_nonzero(fixed <= cut) + sum(len(w) for w, _, _ in levels) < n_states:
+                    levels = [_bisect(d, e, index=(1, n_states)) for d, e in tridiagonals]
+                merged = np.sort(np.concatenate(
+                    [fixed] + [np.sort(w)[:n_states] for w, _, _ in levels]))[:n_states]
+                if _settled(last, fixed, merged, tol):
+                    break
+                previous = tridiagonals, tol, merged[-1], merged[-1]
+                continue
+        previous = tridiagonals, tol, *_nth_level(tridiagonals, fixed, n_states, low, high,
+                                                  eps * norm)
     else:
         return None
     pairs = []
@@ -441,6 +468,72 @@ def _bisect(d: np.ndarray, e: np.ndarray, index: tuple[int, int] | None = None,
     m, w, iblock, isplit = _lapack("stebz", d, e, 2 if index else 1, -np.inf,
                                    0.0 if index else upto, il, iu, 0.0, "B")
     return w[:m], iblock[:m], isplit
+
+
+def _gershgorin_floor(d: np.ndarray, e: np.ndarray) -> float:
+    """Gershgorin's lower bound on the levels of the tridiagonal (d, e)."""
+    radius = np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0))
+    return float(np.min(d - radius))
+
+
+def _two_norm(d: np.ndarray, e: np.ndarray, top: float, floor: float) -> float:
+    """||T||_2 of the tridiagonal (d, e) with top level ``top`` and a lower
+    bound ``floor`` on its levels: |top|, unless the floor leaves room for
+    the lowest level below -|top|, which is then bisected."""
+    if floor >= -abs(top):
+        return abs(top)
+    return max(abs(top), -_bisect(d, e, index=(1, 1))[0][0])
+
+
+def _counts(tridiagonals: list[tuple[np.ndarray, np.ndarray]], sigma: float) -> list[int]:
+    """The number of levels at or below sigma of each tridiagonal (d, e), by
+    Sturm counts: ?stebz over (-inf, sigma] with an infinite absolute
+    tolerance, which takes every interval as converged and bisects none,
+    returns the count alone."""
+    return [_lapack("stebz", d, e, 1, -np.inf, sigma, 0, 0, np.inf, "B")[0]
+            for d, e in tridiagonals]
+
+
+def _count(tridiagonals: list[tuple[np.ndarray, np.ndarray]], fixed: np.ndarray,
+           sigma: float) -> int:
+    """The number of levels at or below sigma of the sorted ``fixed`` levels
+    and of the tridiagonals, merged."""
+    return int(np.searchsorted(fixed, sigma, side="right")) + sum(_counts(tridiagonals, sigma))
+
+
+def _nth_level(tridiagonals: list[tuple[np.ndarray, np.ndarray]], fixed: np.ndarray, n: int,
+               low: float, high: float, width: float) -> tuple[float, float]:
+    """(m, m) for the n-th lowest m of the levels that ``_count`` counts,
+    which lies in (low, high].  Bisection on Sturm counts narrows the
+    interval until it holds at most one level of each tridiagonal, which
+    ?stebz then bisects alone; two levels of one tridiagonal closer than
+    ``width`` end it at the interval (low, high] instead."""
+    at_low, at_high = _counts(tridiagonals, low), _counts(tridiagonals, high)
+    while any(h - l > 1 for l, h in zip(at_low, at_high)):
+        mid = 0.5 * (low + high)
+        if high - low <= width or not low < mid < high:
+            return low, high
+        at_mid = _counts(tridiagonals, mid)
+        if np.searchsorted(fixed, mid, side="right") + sum(at_mid) >= n:
+            high, at_high = mid, at_mid
+        else:
+            low, at_low = mid, at_mid
+    inside = [_bisect(d, e, index=(h, h))[0][0]
+              for (d, e), l, h in zip(tridiagonals, at_low, at_high) if h > l]
+    inside += list(fixed[(low < fixed) & (fixed <= high)])
+    below = np.searchsorted(fixed, low, side="right") + sum(at_low)
+    m = sorted(inside)[n - 1 - below]
+    return m, m
+
+
+def _settled(last: list[tuple[np.ndarray, np.ndarray]], fixed: np.ndarray,
+             merged: np.ndarray, tol: float) -> bool:
+    """Whether no level of ``merged`` lies more than ``tol`` below the same
+    level of the last rung, whose tridiagonals are ``last``: the levels only
+    fall, so the last rung must hold j + 1 levels at or below merged[j] +
+    tol for every j.  The top levels converge last, so they are counted
+    first."""
+    return all(_count(last, fixed, merged[j] + tol) > j for j in reversed(range(merged.size)))
 
 
 def _kept_vectors(q: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray,

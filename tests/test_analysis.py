@@ -129,6 +129,24 @@ class TestConvergenceScan:
         with pytest.raises(ValueError, match="state_indices is empty"):
             convergence_scan(builtin_problem("nh3"), "fixed_L_vary_N", list(range(21, 47, 2)), ())
 
+    @pytest.mark.parametrize("n_list, states, message", [
+        ([41.9 + 10 * i for i in range(12)], (1,), "grid sizes must be integers, got 41.9"),
+        ([41 + 10 * i for i in range(12)], (1.7,), "state indices must be integers, got 1.7"),
+        ([41 + 10 * i for i in range(12)], (0, "x"), "state indices must be integers, got 'x'"),
+        ([41 + 10 * i for i in range(11)] + [float("inf")], (0,),
+         "grid sizes must be integers, got inf"),
+    ])
+    def test_fractional_values_rejected_not_truncated(self, n_list, states, message):
+        with pytest.raises(ValueError) as caught:
+            convergence_scan(builtin_problem("morse"), "fixed_L_vary_N", n_list, states)
+        assert str(caught.value) == message
+
+    def test_integral_values_of_any_type_accepted(self):
+        n_list = [np.int64(41 + 10 * i) for i in range(11)] + [151.0]
+        scan = convergence_scan(builtin_problem("morse"), "fixed_L_vary_N", n_list, (np.int32(1),))
+        assert scan.n_list == tuple(range(41, 152, 10)) and scan.state_indices == (1,)
+        assert all(type(n) is int for n in scan.n_list + scan.state_indices)
+
     def test_fixed_a_mode_scales_width(self):
         grid = make_lattice(10.0, 20)  # a = 10/41
         problem = ProblemDefinition(name="ho", grid=grid, ordering=ConstantMass(1.0),

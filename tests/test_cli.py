@@ -534,6 +534,19 @@ class TestConverge:
         assert code == 1
         assert f"error: cannot write {prefix}.state0.dat: " in err
 
+    def test_converged_state_has_no_fit_and_exits_0(self, capsys):
+        # pdm_ho_1 from N = 201 on: states 0 and 3 sit on the round-off
+        # plateau, so fewer than two grids lie above 1e-11 and there is no
+        # slope to fit
+        n_list = ",".join(str(n) for n in range(201, 224, 2))
+        code, out, err = run(["converge", "--problem", "pdm_ho_1", "--N-list", n_list,
+                              "--track", "0,3", "--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 24 and {row["state"] for row in rows} == {0, 3}
+        assert err == ("# state 0: fewer than 2 grids above 1e-11, no fit\n"
+                       "# state 3: fewer than 2 grids above 1e-11, no fit\n")
+
     def test_bad_n_list(self, capsys):
         code, _, err = run(["converge", "--problem", "nh3", "--N-list", "21,23"],
                            capsys)

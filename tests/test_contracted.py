@@ -6,6 +6,7 @@ of its long axis (``eig._contracted_pairs``); the full decomposition of the
 assembled block, ``kronecker_sum`` of its factors, is the oracle.
 """
 
+import collections
 import itertools
 import math
 import tracemalloc
@@ -161,6 +162,128 @@ def test_levels_by_bisection_and_vectors_for_the_kept_levels_alone(monkeypatch):
     # the even block owns 33 of the 60 merged levels and the odd block 27
     assert given == [33, 27]
     assert spectrum.n_states == 60 and spectrum.residuals.max() <= 1e-9
+
+
+def tridiagonal_levels(d, e):
+    return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+
+
+def test_count_is_exact_at_and_beside_known_levels():
+    # 2x2 blocks [[a, b], [b, a]] with dyadic a and b have the levels a -/+ b
+    # exactly, and ?stebz splits the matrix at each zero of e: a level is
+    # counted at sigma equal to it, and not one ulp below
+    d = np.array([-3.25, -3.25, -1.0, 2.5, 2.5, 0.75])
+    e = np.array([0.5, 0.0, 0.0, -1.5, 0.0])
+    levels = [-3.75, -2.75, -1.0, 0.75, 1.0, 4.0]
+    np.testing.assert_array_equal(tridiagonal_levels(d, e), levels)
+    for fixed in (np.empty(0), np.array([-5.0, 0.75, 9.0])):
+        for j, level in enumerate(levels):
+            below = j + np.count_nonzero(fixed < level)
+            at = j + 1 + np.count_nonzero(fixed <= level)
+            counts = [eig._count([(d, e)], fixed, s)
+                      for s in (np.nextafter(level, -np.inf), level, np.nextafter(level, np.inf))]
+            assert counts == [below, at, at]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_matches_eigvalsh_on_random_tridiagonals(seed):
+    # two random tridiagonals with negative levels, alone and merged with
+    # fixed levels: exact between the levels, and one of the two neighbouring
+    # counts at a level and one ulp either side of it, never decreasing
+    rng = np.random.default_rng(seed)
+    pairs = [(rng.normal(-2.0, 3.0, n), rng.normal(0.0, 1.5, n - 1)) for n in (37, 50)]
+    for fixed in (np.empty(0), np.sort(rng.normal(-1.0, 4.0, 9))):
+        levels = np.sort(np.concatenate([fixed] + [tridiagonal_levels(d, e) for d, e in pairs]))
+        assert levels[0] < 0 and np.min(np.diff(levels)) > 1e-9
+        assert eig._count(pairs, fixed, levels[0] - 1.0) == 0
+        assert eig._count(pairs, fixed, levels[-1] + 1.0) == levels.size
+        for j in range(levels.size - 1):
+            assert eig._count(pairs, fixed, 0.5 * (levels[j] + levels[j + 1])) == j + 1
+        for j, level in enumerate(levels):
+            counts = [eig._count(pairs, fixed, s)
+                      for s in (np.nextafter(level, -np.inf), level, np.nextafter(level, np.inf))]
+            assert counts == sorted(counts) and set(counts) <= {j, j + 1}
+
+
+@pytest.mark.parametrize("shift", [0.0, 6.0, -6.0, -40.0])
+def test_two_norm_is_the_largest_level_magnitude(shift):
+    # at shifts 0, -6 and -40 Gershgorin's bound leaves room below -|top|,
+    # so the lowest level is bisected, and at -6 and -40 it outweighs the
+    # top; at +6 the bound shows that the top alone decides
+    rng = np.random.default_rng(3)
+    d, e = rng.normal(shift, 3.0, 60), rng.normal(0.0, 1.5, 59)
+    levels = tridiagonal_levels(d, e)
+    floor = eig._gershgorin_floor(d, e)
+    assert floor <= levels[0]
+    norm = eig._two_norm(d, e, eig._bisect(d, e, index=(60, 60))[0][0], floor)
+    assert norm == pytest.approx(np.abs(levels).max(), rel=1e-14)
+
+
+def test_count_bisection_isolates_the_merged_level():
+    rng = np.random.default_rng(7)
+    pairs = [(rng.normal(-2.0, 3.0, n), rng.normal(0.0, 1.5, n - 1)) for n in (40, 33)]
+    fixed = np.sort(rng.normal(0.0, 4.0, 6))
+    levels = np.sort(np.concatenate([fixed] + [tridiagonal_levels(d, e) for d, e in pairs]))
+    for n in (1, 6, 30, 79):
+        low, high = eig._nth_level(pairs, fixed, n, levels[0] - 1.0, levels[-1] + 1.0, 1e-13)
+        assert low == high and abs(high - levels[n - 1]) <= 1e-13
+    # a double level of one tridiagonal: counts cannot part its two members,
+    # so the interval ends at the width given, still holding the level
+    d, e = np.array([-3.25, -3.25, -3.25, -3.25]), np.array([0.5, 0.0, 0.5])
+    for n in (1, 2):
+        low, high = eig._nth_level([(d, e)], np.empty(0), n, -5.0, 0.0, 1e-13)
+        assert 0 < high - low <= 1e-13 and low < -3.75 <= high
+
+
+def test_only_the_rungs_that_can_stop_are_bisected(monkeypatch):
+    # 81^2, L = 19, 60 states visits rungs 16, 20, 24 and 28.  Rung 16 is the
+    # first, and the 60th level falls by far more than the stop tolerance
+    # from 16 to 20, which counts show.  From 20 to 24 it falls by only 0.78
+    # of it (levels 55, 57 and 58, counted from 0, fall by 5 to 15 times
+    # it), so counts cannot rule rung 24 out: 24 and 28 bisect their 33 + 27
+    # levels at or below the cut.  Every other ?stebz call counts, with an
+    # infinite tolerance, or bisects a single level.
+    calls = []
+    real_stebz = lapack.dstebz
+
+    def spy(d, e, range_, vl, vu, il, iu, abstol, order):
+        out = real_stebz(d, e, range_, vl, vu, il, iu, abstol, order)
+        calls.append((d.size, math.isfinite(abstol), out[0]))
+        return out
+
+    monkeypatch.setattr(lapack, "dstebz", spy)
+    spectrum = solve(builtin_problem("henon_heiles", N=81, L=19.0), 60)
+    assert spectrum.n_states == 60 and spectrum.residuals.max() <= 1e-9
+    bisected = [(n, m) for n, finite, m in calls if finite and m > 1]
+    assert bisected == [(984, 33), (960, 27), (1148, 33), (1120, 27)]
+    # Each block's top level on every rung, and on rungs 16 and 20 the 60th
+    # merged level: counts narrow it down to one level of each block (it is
+    # one of a doublet across the blocks), which is bisected.  No lowest
+    # level: Gershgorin's bound keeps it within the top's magnitude.
+    singles = collections.Counter(n for n, finite, m in calls if finite and m == 1)
+    assert singles == {n: 2 if k <= 20 else 1 for k in (16, 20, 24, 28) for n in (41 * k, 40 * k)}
+    assert len(bisected) + sum(singles.values()) == sum(finite for _, finite, _ in calls)
+    # on 55^2 the same solve bisects on the stopping rung alone
+    calls.clear()
+    solve(builtin_problem("henon_heiles", N=55), 60)
+    assert [(n, m) for n, finite, m in calls if finite and m > 1] == [(784, 33), (756, 27)]
+
+
+def test_count_stop_test_agrees_with_the_levels():
+    # the count form of the stop test against the bisected levels of both
+    # rungs: 81^2 does not stop at 24 and stops at 28
+    blocks = list(hamiltonian_blocks(builtin_problem("henon_heiles", N=81, L=19.0)))
+    lines = [eig._line_basis(*block.factors, {}) for block in blocks]
+    rungs = {k: [eig._tridiagonal(eig._contracted_matrix(*line[:3], k))[1:3] for line in lines]
+             for k in (20, 24, 28)}
+    eps, none = np.finfo(float).eps, np.empty(0)
+    for last, k, stops in ((20, 24, False), (24, 28, True)):
+        tol = 64 * eps * max(abs(eig._bisect(d, e, index=(i, i))[0][0])
+                             for d, e in rungs[k] for i in (1, d.size))
+        merged = [np.sort(np.concatenate([eig._bisect(d, e, index=(1, 60))[0]
+                                          for d, e in rungs[r]]))[:60] for r in (last, k)]
+        assert (np.max(merged[0] - merged[1]) <= tol) == stops
+        assert eig._settled(rungs[last], none, merged[1], tol) == stops
 
 
 @pytest.mark.parametrize("N, n_states", [(47, 23), (47, 59), (55, 40)])
