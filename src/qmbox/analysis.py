@@ -8,7 +8,7 @@ import numpy as np
 
 from .eig import Spectrum, block_eigenvalues
 from .hamiltonian import ProblemDefinition, hamiltonian_blocks
-from .lattice import Lattice2D, make_lattice, points_to_m
+from .lattice import Lattice2D, _integers, make_lattice, points_to_m
 from .problems import CONSTANTS, ReferenceSpectrum
 
 SCAN_MODES = ("fixed_L_vary_N", "fixed_a_vary_N")
@@ -109,20 +109,6 @@ def convergence_scan(problem: ProblemDefinition, mode: str, n_list,
                            n_list=n_list, state_indices=state_indices,
                            energies=energies, converged=converged,
                            rel_errors=rel_errors)
-
-
-def _integers(values, what: str) -> tuple[int, ...]:
-    """The values as ints; ValueError naming the first that is not one."""
-    out = []
-    for value in values:
-        try:
-            exact = int(value) == value
-        except (TypeError, ValueError, OverflowError):
-            exact = False
-        if not exact:
-            raise ValueError(f"{what} must be integers, got {value!r}")
-        out.append(int(value))
-    return tuple(out)
 
 
 def exponential_fit(scan: ConvergenceScan, state: int):

@@ -19,13 +19,14 @@ diagonalization-truncation, Bacic & Light, Annu. Rev. Phys. Chem. 40, 469
 (1989), on the Fourier-grid DVR of Colbert & Miller, J. Chem. Phys. 96, 1982
 (1992)).  The basis grows on a fixed ladder until the lowest levels stop
 moving; the dense block is never assembled, and the residuals are the full
-block's, formed matrix-free.  Each rung is reduced to tridiagonal form.
-Sturm counts, the number of levels at or below a value, rule out a rung
-whose levels fell too far to stop the ladder, and check the stop rule
-against the rung before; only a rung that may stop has its levels found,
-by bisection, and the vectors are formed once, at the last rung, by
-inverse iteration for the levels that the merge across blocks keeps
-(Demmel, Applied Numerical Linear Algebra, SIAM 1997, sec. 5.3).  The
+block's, formed matrix-free.  Every rung takes the same step: it is reduced
+to tridiagonal form, and Sturm counts, the number of levels at or below a
+value, find its own ``n_states``-th level and rule out a rung whose levels
+fell too far to stop the ladder.  Any other rung has its levels up to that
+one found, by bisection, and checks the stop rule by counts against the
+rung before.  The vectors are formed once, at the last rung, by inverse
+iteration for the levels that the merge across blocks keeps (Demmel,
+Applied Numerical Linear Algebra, SIAM 1997, sec. 5.3).  The
 levels agree with the dense path to within 1e-12 relative (at most
 8.8e-13, on ground states near 1, over Henon-Heiles 45^2 to 81^2 at L = 16
 to 22), while the vectors of the upper levels carry residuals far above
@@ -84,7 +85,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import Lattice1D, Lattice2D, _check_cap
+from .lattice import Lattice1D, Lattice2D, _check_cap, _integers
 from .operators import EVEN, ODD, PT, OperatorMatrix, mirror_unfold
 
 #: Entries per pass (2 MiB of float64) when vectors are normalized, residuals
@@ -114,8 +115,7 @@ _CONTRACTION_LADDER = (16, 20, 24, 28, 32)
 #: eps * ||H_c||_2 between two rungs.  Past convergence the bisected levels
 #: of 60 states on 81^2 Henon-Heiles still move by 3.2e-14 to 7.5e-14
 #: absolute from rung to rung (1.1 to 2.3 eps * ||H_c||_2, folded or not), a
-#: floor well below this; on the ?sterf levels once used it was 3.6e-13 to
-#: 1.1e-12, where 32 left the unfolded block falling back to the dense path.
+#: floor well below this.
 _CONTRACTION_TOL = 64
 
 
@@ -187,8 +187,10 @@ def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Latti
     so the result is laid out exactly as the decomposition of the assembled
     H would be.
     """
-    if n_states is not None and not 1 <= n_states <= grid.size:
-        raise ValueError(f"n_states must be in 1..{grid.size}, got {n_states}")
+    if n_states is not None:
+        (n_states,) = _integers([n_states], "n_states")
+        if not 1 <= n_states <= grid.size:
+            raise ValueError(f"n_states must be in 1..{grid.size}, got {n_states}")
     _check_cap(grid.size, "eigenvectors", n_states or grid.size)
     parts, pending, parities = [], [], []
     folded, hermitian = set(), True
@@ -299,33 +301,30 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
     decomposes 41 lines on 81^2, not 81.  The record of decompositions
     lives in this call alone.
 
-    The blocks climb ``_CONTRACTION_LADDER`` in lockstep.  Each rung's
-    contracted matrix, a leading submatrix of the next rung's, is built from
-    the 1D bases and reduced to tridiagonal form once, in place.  The
-    largest magnitude of the blocks' lowest and top levels is ||H_c||_2 and
-    sets the stop tolerance, ``_CONTRACTION_TOL`` eps ||H_c||_2; bisection
-    (``_bisect``) gives the tops, and a lowest level too where Gershgorin's
-    bound does not already put it within its top's magnitude
-    (``_two_norm``).  Merged with the ``fixed`` levels of blocks solved
-    densely, the lowest ``n_states`` levels are compared with the last
-    rung's, mostly by Sturm counts (``_count``).  The contracted spaces
-    nest, so these Ritz values only fall.  A rung with ``n_states`` levels
-    at or below the last rung's ``n_states``-th less the tolerance cannot
-    stop the ladder: it bisects no more than its own ``n_states``-th level,
-    which bisection on counts isolates (``_nth_level``), as on the first
-    rung.  Any other rung bisects each block's levels at or below the last
-    rung's ``n_states``-th plus the last tolerance (each block's lowest
-    ``n_states`` by index, should round-off leave fewer than ``n_states``
-    there), and stops the ladder when the last rung holds j + 1 levels at
-    or below its merged j-th plus the tolerance for every j
-    (``_settled``): no level moved by more.  That rung's reductions then
-    give the vectors of the levels each block keeps in the merge
-    (``_kept_vectors``), which may be fewer than ``n_states``.  A rung too
-    small to hold ``n_states`` levels is skipped.  On 81^2 Henon-Heiles at
-    60 states, rungs 16 and 20 bisect one level per block besides the tops
-    and 24 and 28 bisect 60 levels each, 120 in all, against 300 when every
-    rung bisected the levels it compared; on 55^2 and 61^2 only rung 28
-    does.
+    The blocks climb ``_CONTRACTION_LADDER`` in lockstep, and every rung
+    takes the same step.  Its contracted matrix, a leading submatrix of the
+    next rung's, is built from the 1D bases and reduced to tridiagonal form
+    once, in place.  Bisection (``_bisect``) gives each block's top level,
+    and Gershgorin's bound a floor under its lowest; the lowest level is
+    bisected too only where the floor leaves room for it below -|top|
+    (``_two_norm``).  The largest magnitude is ||H_c||_2, which sets
+    the stop tolerance, ``_CONTRACTION_TOL`` eps ||H_c||_2.  Merged with
+    the ``fixed`` levels of blocks solved densely, the rung's own
+    ``n_states``-th level lies between the floors and the tops, and
+    bisection on Sturm counts (``_count``) isolates it (``_nth_level``).
+    The contracted spaces nest, so these Ritz values only fall: a rung
+    with ``n_states`` levels at or below the last rung's ``n_states``-th
+    less the tolerance cannot stop the ladder.  Any other rung bisects each
+    block's levels at or below its own ``n_states``-th plus the tolerance,
+    which counts show to be at least ``n_states``, and stops the ladder when
+    the last rung holds j + 1 levels at or below its merged j-th plus the
+    tolerance for every j (``_settled``): no level moved by more.  That
+    rung's reductions then give the vectors of the levels each block keeps
+    in the merge (``_kept_vectors``), which may be fewer than ``n_states``.
+    A rung too small to hold ``n_states`` levels is skipped.  On 81^2
+    Henon-Heiles at 60 states every rung bisects two levels per block, its
+    top and its 60th, and rungs 24 and 28 their 33 + 27 levels besides; on
+    55^2 and 61^2 only rung 28 does.
 
     Every BLAS and LAPACK call of the ladder, from the line bases to the
     bisections and counts, goes to scipy's OpenBLAS.  numpy bundles a
@@ -342,9 +341,7 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
     decomposed = {}   # one ?syevd per distinct line of this solve
     lines = [_line_basis(*block.factors, decomposed) for block in blocks]
     fixed, eps = np.sort(np.concatenate([np.empty(0), *fixed])), np.finfo(float).eps
-    # the last rung's (d, e) per block, its tolerance, and its merged
-    # n_states-th level: low = high, or an interval (low, high] holding it
-    previous = None
+    previous = None   # the last rung's (d, e) per block and the low end of its n_states-th level
     for n_c in _CONTRACTION_LADDER:
         kept = [min(n_c, U.shape[2]) for _, _, U, _ in lines]
         if min(k * U.shape[0] for k, (_, _, U, _) in zip(kept, lines)) < n_states:
@@ -357,30 +354,21 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
         norm = max(_two_norm(d, e, top, floor)   # ||H_c||_2, the largest over the blocks
                    for (d, e), top, floor in zip(tridiagonals, tops, floors))
         tol = _CONTRACTION_TOL * eps * norm
-        # the merged n_states-th level lies in (low, high]: above the blocks'
-        # Gershgorin floors and the lowest fixed level, and at or below each
-        # block's top, as every block holds n_states levels
-        low, high = min(floors + list(fixed[:1])) - tol, min(tops) + tol
-        if previous is not None:
-            last, last_tol, last_low, last_high = previous
-            # The levels only fall, so with n_states at or below the last
-            # n_states-th less tol, that level moved by more: no stop here.
-            if _count(tridiagonals, fixed, last_low - tol) >= n_states:
-                high = last_low - tol
-            else:   # below the last cut, the last tolerance as slack
-                cut = last_high + last_tol
-                levels = [_bisect(d, e, upto=cut) for d, e in tridiagonals]
-                # every level left out lies above the cut, so n_states at or below it are exact
-                if np.count_nonzero(fixed <= cut) + sum(len(w) for w, _, _ in levels) < n_states:
-                    levels = [_bisect(d, e, index=(1, n_states)) for d, e in tridiagonals]
-                merged = np.sort(np.concatenate(
-                    [fixed] + [np.sort(w)[:n_states] for w, _, _ in levels]))[:n_states]
-                if _settled(last, fixed, merged, tol):
-                    break
-                previous = tridiagonals, tol, merged[-1], merged[-1]
-                continue
-        previous = tridiagonals, tol, *_nth_level(tridiagonals, fixed, n_states, low, high,
-                                                  eps * norm)
+        # the merged n_states-th level lies above the blocks' Gershgorin
+        # floors and the lowest fixed level, and at or below each block's
+        # top, as every block holds n_states levels
+        nth = _nth_level(tridiagonals, fixed, n_states, min(floors + list(fixed[:1])) - tol,
+                         min(tops) + tol, eps * norm)
+        # The levels only fall, so only with fewer than n_states at or below
+        # the last rung's n_states-th less tol can this rung stop the ladder.
+        if previous is not None and _count(tridiagonals, fixed, previous[1] - tol) < n_states:
+            # counts put n_states levels at or below nth[1]; tol covers bisection's error
+            levels = [_bisect(d, e, upto=nth[1] + tol) for d, e in tridiagonals]
+            merged = np.sort(np.concatenate(
+                [fixed] + [np.sort(w)[:n_states] for w, _, _ in levels]))[:n_states]
+            if _settled(previous[0], fixed, merged, tol):
+                break
+        previous = tridiagonals, nth[0]
     else:
         return None
     pairs = []

@@ -125,7 +125,23 @@ def make_lattice_2d(Lx: float, Mx: int, Ly: float, My: int) -> Lattice2D:
 
 
 def points_to_m(N: int) -> int:
-    """Convert an odd point count N = 2M+1 to M, rejecting even N."""
+    """Convert an odd point count N = 2M+1 to M, rejecting an even or a
+    fractional N rather than truncating it."""
+    (N,) = _integers([N], "grid sizes")
     if N < 1 or N % 2 == 0:
         raise ValueError(f"point count N must be odd and positive, got {N}")
     return (N - 1) // 2
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The values as ints; ValueError naming the first that is not one."""
+    out = []
+    for value in values:
+        try:
+            exact = int(value) == value
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise ValueError(f"{what} must be integers, got {value!r}")
+        out.append(int(value))
+    return tuple(out)

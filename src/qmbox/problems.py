@@ -178,8 +178,7 @@ BUILTIN_IDS = ("nh3", "nd3", "morse", "pdm_ho_1", "pdm_ho_2",
 
 def _grid_1d(defaults: tuple[float, int], overrides: dict):
     L = float(overrides.pop("L", defaults[0]))
-    N = int(overrides.pop("N", defaults[1]))
-    return make_lattice(L, points_to_m(N))
+    return make_lattice(L, points_to_m(overrides.pop("N", defaults[1])))
 
 
 def builtin_problem(problem_id: str, **overrides) -> ProblemDefinition:
@@ -247,8 +246,8 @@ def builtin_problem(problem_id: str, **overrides) -> ProblemDefinition:
     else:  # henon_heiles
         Lx = float(ov.pop("Lx", ov.pop("L", 20.0)))
         Ly = float(ov.pop("Ly", Lx))
-        Nx = int(ov.pop("Nx", ov.pop("N", 61)))
-        Ny = int(ov.pop("Ny", Nx))
+        Nx = ov.pop("Nx", ov.pop("N", 61))
+        Ny = ov.pop("Ny", Nx)
         grid = make_lattice_2d(Lx, points_to_m(Nx), Ly, points_to_m(Ny))
         problem = ProblemDefinition(
             name=problem_id,

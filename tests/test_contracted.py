@@ -44,6 +44,8 @@ CASES = {
                            (65, 65), 14.0), 30, ("x", "y")),
     "henon-heiles 45^2: a contracted block beside a dense one": (
         lambda: builtin_problem("henon_heiles", N=45, L=16.0), 40, ("x",)),
+    "isotropic oscillator 65^2: the cut inside an exact doublet of one block": (
+        lambda: problem_2d(lambda x, y: 0.5 * (x**2 + y**2), (65, 65), 14.0), 12, ("x", "y")),
 }
 
 
@@ -235,14 +237,37 @@ def test_count_bisection_isolates_the_merged_level():
         assert 0 < high - low <= 1e-13 and low < -3.75 <= high
 
 
+def test_the_ladder_carries_an_interval_through_a_doublet_of_one_block(monkeypatch):
+    # the 12th of the isotropic oscillator's levels is one of the five with
+    # nx + ny = 4, and the even-even block holds (4, 0) and (0, 4), an exact
+    # doublet that Sturm counts cannot part: on both rungs, 16 and 20,
+    # ``_nth_level`` ends at an interval, so rung 20 bisects up to its upper
+    # end, and the levels still match the dense oracle
+    # (test_contracted_solve_matches_dense_oracle)
+    make, n_states, _ = CASES[
+        "isotropic oscillator 65^2: the cut inside an exact doublet of one block"]
+    found = []
+    real_nth = eig._nth_level
+
+    def spy(*args):
+        low, high = real_nth(*args)
+        found.append(high - low)
+        return low, high
+
+    monkeypatch.setattr(eig, "_nth_level", spy)
+    spectrum = solve(make(), n_states)
+    assert spectrum.n_states == n_states and spectrum.residuals.max() <= 1e-9
+    assert len(found) == 2 and min(found) > 0
+
+
 def test_only_the_rungs_that_can_stop_are_bisected(monkeypatch):
     # 81^2, L = 19, 60 states visits rungs 16, 20, 24 and 28.  Rung 16 is the
     # first, and the 60th level falls by far more than the stop tolerance
     # from 16 to 20, which counts show.  From 20 to 24 it falls by only 0.78
     # of it (levels 55, 57 and 58, counted from 0, fall by 5 to 15 times
     # it), so counts cannot rule rung 24 out: 24 and 28 bisect their 33 + 27
-    # levels at or below the cut.  Every other ?stebz call counts, with an
-    # infinite tolerance, or bisects a single level.
+    # levels at or below their own 60th level.  Every other ?stebz call
+    # counts, with an infinite tolerance, or bisects a single level.
     calls = []
     real_stebz = lapack.dstebz
 
@@ -256,12 +281,12 @@ def test_only_the_rungs_that_can_stop_are_bisected(monkeypatch):
     assert spectrum.n_states == 60 and spectrum.residuals.max() <= 1e-9
     bisected = [(n, m) for n, finite, m in calls if finite and m > 1]
     assert bisected == [(984, 33), (960, 27), (1148, 33), (1120, 27)]
-    # Each block's top level on every rung, and on rungs 16 and 20 the 60th
-    # merged level: counts narrow it down to one level of each block (it is
-    # one of a doublet across the blocks), which is bisected.  No lowest
-    # level: Gershgorin's bound keeps it within the top's magnitude.
+    # Each block's top level and the 60th merged level on every rung: counts
+    # narrow the 60th down to one level of each block (it is one of a
+    # doublet across the blocks), which is bisected.  No lowest level:
+    # Gershgorin's bound keeps it within the top's magnitude.
     singles = collections.Counter(n for n, finite, m in calls if finite and m == 1)
-    assert singles == {n: 2 if k <= 20 else 1 for k in (16, 20, 24, 28) for n in (41 * k, 40 * k)}
+    assert singles == {n: 2 for k in (16, 20, 24, 28) for n in (41 * k, 40 * k)}
     assert len(bisected) + sum(singles.values()) == sum(finite for _, finite, _ in calls)
     # on 55^2 the same solve bisects on the stopping rung alone
     calls.clear()

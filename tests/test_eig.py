@@ -135,6 +135,20 @@ class TestDiagonalize:
         np.testing.assert_allclose(part.eigenvalues, full.eigenvalues[:12], rtol=1e-12)
         assert part.residuals.max() <= 1e-9
 
+    @pytest.mark.parametrize("problem_id, n_states", [("nh3", 3), ("henon_heiles", 10)],
+                             ids=["dense", "contracted"])
+    def test_fractional_n_states_rejected_integral_accepted(self, problem_id, n_states):
+        # the dense path slices by n_states and the contracted one counts
+        # levels up to it: both read it as an int, never truncated
+        problem = builtin_problem(problem_id)
+        with pytest.raises(ValueError) as caught:
+            solve(problem, n_states + 0.5)
+        assert str(caught.value) == f"n_states must be integers, got {n_states + 0.5!r}"
+        whole = solve(problem, n_states)
+        for integral in (float(n_states), np.int64(n_states)):
+            spectrum = solve(problem, integral)
+            np.testing.assert_array_equal(spectrum.eigenvalues, whole.eigenvalues)
+
     @pytest.mark.parametrize("N, L", [(211, 4.5 * 211 / 151), (2049, 4.5)],
                              ids=["N=211", "N=2049"])
     def test_graded_1d_keeps_full_precision(self, N, L):

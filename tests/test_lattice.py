@@ -93,6 +93,15 @@ class TestLattice1D:
         with pytest.raises(ValueError, match="odd"):
             points_to_m(100)
 
+    def test_points_to_m_rejects_fractional_counts(self):
+        # a fractional N is named, not truncated to the grid below it
+        with pytest.raises(ValueError) as caught:
+            points_to_m(41.9)
+        assert str(caught.value) == "grid sizes must be integers, got 41.9"
+        for N in (41.0, np.int64(41)):
+            M = points_to_m(N)
+            assert M == 20 and type(M) is int
+
 
 class TestLattice2D:
     def test_state_space_dimension(self):

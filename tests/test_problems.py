@@ -207,6 +207,21 @@ class TestBuiltinProblems:
         with pytest.raises(ValueError, match="odd"):
             builtin_problem("nh3", N=110)
 
+    @pytest.mark.parametrize("problem_id, overrides, value", [
+        ("nh3", {"N": 41.9}, 41.9),
+        ("henon_heiles", {"N": 61.5, "Ny": 41}, 61.5),
+        ("henon_heiles", {"N": 61, "Ny": 41.2}, 41.2),
+    ])
+    def test_fractional_point_count_rejected_not_truncated(self, problem_id, overrides, value):
+        with pytest.raises(ValueError) as caught:
+            builtin_problem(problem_id, **overrides)
+        assert str(caught.value) == f"grid sizes must be integers, got {value!r}"
+
+    def test_integral_point_counts_of_any_type_accepted(self):
+        assert builtin_problem("nh3", N=41.0).grid.N == 41
+        grid = builtin_problem("henon_heiles", Nx=np.int64(9), Ny=11.0).grid
+        assert (grid.lx.N, grid.ly.N) == (9, 11)
+
 
 class TestReferenceSpectra:
     def test_known_tables(self):
