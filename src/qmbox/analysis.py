@@ -68,10 +68,10 @@ def convergence_scan(problem: ProblemDefinition, mode: str, n_list,
 
     ``fixed_L_vary_N`` holds the problem's width L and refines the spacing;
     ``fixed_a_vary_N`` holds the problem's spacing a = L/N and widens the
-    box.  The problem must be 1D, the state indices non-negative integers,
-    and the grid list ascending odd integers N with at least 12 entries so
-    the 10-grid tail average is meaningful; a value such as 41.9 is
-    rejected, not truncated.
+    box.  The problem must be 1D, the state indices distinct non-negative
+    integers, and the grid list ascending odd integers N with at least 12
+    entries so the 10-grid tail average is meaningful; a value such as 41.9
+    is rejected, not truncated.
     """
     if isinstance(problem.grid, Lattice2D):
         raise ValueError("convergence scans are defined for 1D problems")
@@ -89,6 +89,9 @@ def convergence_scan(problem: ProblemDefinition, mode: str, n_list,
         raise ValueError("state_indices is empty: name at least one state to track")
     if min(state_indices) < 0:
         raise ValueError(f"state indices must be non-negative, got {min(state_indices)}")
+    repeated = [s for i, s in enumerate(state_indices) if s in state_indices[:i]]
+    if repeated:
+        raise ValueError(f"state index {repeated[0]} is tracked more than once")
     if max(state_indices) >= min(n_list):
         raise ValueError(
             f"state index {max(state_indices)} is not available on the "

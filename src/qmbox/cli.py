@@ -131,6 +131,9 @@ def load_config(path: str) -> ProblemDefinition:
         raise ConfigError(f"{path}: missing required key 'mass' (or a constant-mass ordering)")
 
     require("potential_real")
+    unit = entries.get("unit", "model")
+    if unit not in ("hartree", "model"):
+        raise ConfigError(f"{path}: key 'unit' must be hartree or model, got {unit!r}")
     return ProblemDefinition(
         name=os.path.splitext(os.path.basename(path))[0],
         grid=grid,
@@ -138,7 +141,7 @@ def load_config(path: str) -> ProblemDefinition:
         potential_real=parse_expr("potential_real"),
         mass=mass,
         potential_imag=parse_expr("potential_imag") if "potential_imag" in entries else None,
-        energy_unit=entries.get("unit", "model"),
+        energy_unit=unit,
     )
 
 
@@ -227,9 +230,16 @@ def _make_problem(args) -> ProblemDefinition:
 
 
 def _default_unit(problem: ProblemDefinition, requested: str) -> str:
+    """The unit to print in: ``auto`` is cm-1 for hartree problems and model
+    units otherwise.  Model energies are dimensionless, so hartree and cm-1
+    do not apply to them."""
+    hartree = problem.energy_unit == "hartree"
+    if requested in ("hartree", "cm-1") and not hartree:
+        raise ConfigError(f"--unit {requested} applies to hartree energies; "
+                          f"{problem.name} is in {problem.energy_unit} units")
     if requested != "auto":
         return requested
-    return "cm-1" if problem.energy_unit == "hartree" else "model"
+    return "cm-1" if hartree else "model"
 
 
 # --- Subcommands -------------------------------------------------------------
@@ -238,8 +248,8 @@ def _cmd_solve(args) -> int:
     if args.states < 1:
         raise ConfigError(f"--states must be at least 1, got {args.states}")
     problem = _make_problem(args)
-    spectrum = solve_problem(problem, min(args.states, problem.size))
     unit = _default_unit(problem, args.unit)
+    spectrum = solve_problem(problem, min(args.states, problem.size))
     rows = _spectrum_rows(spectrum, unit, args.shift)
     _emit(rows, ["state", "energy", "imag", "residual"], args)
     if args.dump_wavefunctions:

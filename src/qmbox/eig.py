@@ -10,17 +10,19 @@ parts the matrix produces.  A real non-symmetric matrix therefore yields
 an exactly real spectrum whenever its eigenvalues are real, while a
 genuinely complex matrix shows its round-off imaginaries honestly.
 
-The third path is the contracted solve (``_contracted_pairs``): a Hermitian
-2D block of at least ``_CONTRACTION_MIN_SIZE`` sites, given by its
-Kronecker-sum factors (see ``OperatorMatrix``), of which only the lowest
-``n_states`` levels are asked for, is solved in a basis of 1D eigenstates
-of its long axis, one set per site of its short axis (sequential
-diagonalization-truncation, Bacic & Light, Annu. Rev. Phys. Chem. 40, 469
-(1989), on the Fourier-grid DVR of Colbert & Miller, J. Chem. Phys. 96, 1982
-(1992)).  The basis grows on a fixed ladder until the lowest levels stop
-moving; the dense block is never assembled, and the residuals are the full
-block's, formed matrix-free.  Every rung takes the same step: it is reduced
-to tridiagonal form, and Sturm counts, the number of levels at or below a
+The third path is the contracted solve (``_contracted_pairs``), one path
+per problem, chosen by its largest block: when every block of a 2D
+Hamiltonian is Hermitian, given by its Kronecker-sum factors (see
+``OperatorMatrix``), with only its lowest ``n_states`` levels asked for,
+and the largest block has at least ``_CONTRACTION_MIN_SIZE`` sites, each
+block is solved in a basis of 1D eigenstates of its long axis, one set per
+site of its short axis (sequential diagonalization-truncation, Bacic &
+Light, Annu. Rev. Phys. Chem. 40, 469 (1989), on the Fourier-grid DVR of
+Colbert & Miller, J. Chem. Phys. 96, 1982 (1992)).  The basis grows on a
+fixed ladder until the lowest levels stop moving; the dense block is never
+assembled, and the residuals are the full block's, formed matrix-free.
+Every rung takes the same step: it is reduced to tridiagonal form, and
+Sturm counts, the number of levels at or below a
 value, find its own ``n_states``-th level and rule out a rung whose levels
 fell too far to stop the ladder.  Any other rung has its levels up to that
 one found, by bisection, and checks the stop rule by counts against the
@@ -37,7 +39,7 @@ with ``n_states`` and have no bound; on Henon-Heiles, 2.1e-13 on 61^2 at
 at 100.
 Should the ladder end unconverged, the blocks are assembled once and
 decomposed in full, like every block on the dense paths: full spectra, 1D,
-non-Hermitian and smaller blocks, and a bare dense matrix.  Every LAPACK
+non-Hermitian and smaller problems, and a bare dense matrix.  Every LAPACK
 routine that the contracted solve calls directly goes through ``_lapack``,
 the one place that reads its status.
 
@@ -95,12 +97,14 @@ from .operators import EVEN, ODD, PT, OperatorMatrix, mirror_unfold
 #: contiguous memory, which strided slices are not.
 _CHUNK_ENTRIES = 2**18
 
-#: The smallest Hermitian 2D block, given by its factors, whose lowest levels
-#: come from the contracted solve rather than the full decomposition (?syevd):
-#: 1485 sites and up on 55^2 Henon-Heiles; below it the full decomposition
-#: takes at most about 0.25 s on two cores.  No block is decomposed in part:
-#: LAPACK's subset drivers (?syevr, ?syevx) lose relative digits on strongly
-#: graded blocks (1.1e-10 on nh3, inverse-mass anticommutator, N = 2049).
+#: The size of a 2D problem's largest block from which the lowest levels of
+#: all its blocks come from the contracted solve rather than the full
+#: decomposition (?syevd), one path per problem, chosen by its largest
+#: block: 1485 sites and up on 55^2 Henon-Heiles; below it the full
+#: decomposition takes at most about 0.25 s on two cores.  No block is
+#: decomposed in part: LAPACK's subset drivers (?syevr, ?syevx) lose
+#: relative digits on strongly graded blocks (1.1e-10 on nh3, inverse-mass
+#: anticommutator, N = 2049).
 _CONTRACTION_MIN_SIZE = 1024
 
 #: Basis functions per site of a block's short axis on each rung of the
@@ -177,40 +181,43 @@ def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Latti
                        n_states: int | None = None) -> Spectrum:
     """Eigendecomposition of a Hamiltonian given as mirror-parity blocks.
 
-    Each block goes through the solver choice of ``diagonalize`` for its
-    lowest min(n_states, block size) pairs.  A dense block is solved and
-    released before the next one is drawn; the blocks that the contracted
-    solve takes (``_contracts``) are held as factors and solved together
-    once every block is drawn.  The lowest ``n_states`` across blocks are
-    kept in (Re, Im) order, their vectors are scattered back onto the full
-    grid, and the residuals are divided by sqrt(sum ||H_b||_F^2) = ||H||_F,
-    so the result is laid out exactly as the decomposition of the assembled
-    H would be.
+    Each block gives its lowest min(n_states, block size) pairs, on one
+    path per problem, chosen by its largest block.  A block that the
+    contracted solve can take (``_contracts``) is held as factors; any
+    other is solved densely and released before the next one is drawn.
+    The held blocks go to the contracted solve together if they are all
+    the blocks and the largest has at least ``_CONTRACTION_MIN_SIZE``
+    sites, and are otherwise solved densely too, as when the ladder ends
+    unconverged.  The lowest ``n_states`` across blocks are kept in (Re, Im)
+    order, their vectors are scattered back onto the full grid, and the
+    residuals are divided by sqrt(sum ||H_b||_F^2) = ||H||_F, so the result
+    is laid out exactly as the decomposition of the assembled H would be.
     """
     if n_states is not None:
         (n_states,) = _integers([n_states], "n_states")
         if not 1 <= n_states <= grid.size:
             raise ValueError(f"n_states must be in 1..{grid.size}, got {n_states}")
     _check_cap(grid.size, "eigenvectors", n_states or grid.size)
-    parts, pending, parities = [], [], []
+    parts, held, parities = [], [], []
     folded, hermitian = set(), True
     for block in blocks:
         parities.append(block.parity)
         folded.update(axis for axis, p in zip("xy", block.parity) if p in (EVEN, ODD))
         hermitian = hermitian and block.hermitian_hint
         if _contracts(block, n_states):
-            pending.append(len(parts))
+            held.append(len(parts))
             parts.append(block)   # its factors, a few 1D matrices
         else:
             parts.append(_dense_pairs(block, n_states, grid.cell))
         del block   # free a dense block before the next one is drawn
-    if pending:
-        fixed = [part[0] for i, part in enumerate(parts) if i not in pending]
-        solved = _contracted_pairs([parts[i] for i in pending], n_states, grid.cell, fixed)
-        if solved is None:   # not converged: the dense path, one assembled block at a time
-            solved = (_dense_pairs(parts[i], n_states, grid.cell) for i in pending)
-        for i, part in zip(pending, solved):
-            parts[i] = part
+    # one path per problem: the ladder takes every block, or none
+    solved = None
+    if held and len(held) == len(parts) and max(b.dim for b in parts) >= _CONTRACTION_MIN_SIZE:
+        solved = _contracted_pairs(parts, n_states, grid.cell)
+    if solved is None:   # not contracted or not converged: one assembled block at a time
+        solved = (_dense_pairs(parts[i], n_states, grid.cell) for i in held)
+    for i, part in zip(held, solved):
+        parts[i] = part
 
     values, vectors, residuals, norms_sq = (list(column) for column in zip(*parts))
     del parts
@@ -276,21 +283,20 @@ def _normalize(v: np.ndarray, cell: float) -> None:
 
 
 def _contracts(block: OperatorMatrix, n_states: int | None) -> bool:
-    """Whether a block takes the contracted solve: a Hermitian block given
-    by its Kronecker-sum factors, of at least ``_CONTRACTION_MIN_SIZE``
-    sites, of which only the lowest ``n_states`` < size levels are asked
-    for."""
+    """Whether the contracted solve can take a block: a Hermitian block
+    given by real Kronecker-sum factors, of which only the lowest
+    ``n_states`` < size levels are asked for."""
     return (block.factors is not None and block.hermitian_hint and n_states is not None
-            and _CONTRACTION_MIN_SIZE <= block.dim and n_states < block.dim
-            and not any(np.iscomplexobj(f) for f in block.factors))
+            and n_states < block.dim and not any(np.iscomplexobj(f) for f in block.factors))
 
 
 @_solver_errors()
-def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
-                      fixed: list[np.ndarray]):
+def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float):
     """(w, v, r, ||H||_F^2) per block, as ``_dense_pairs`` gives them, from
     a sequential diagonalization-truncation of each block's factors; None
-    when the ladder ends unconverged.
+    when the ladder ends unconverged.  ``blocks`` are all the blocks of one
+    problem, so the ladder's levels are the problem's: one path per
+    problem, chosen by its largest block (``diagonalize_blocks``).
 
     Each distinct line is decomposed once per solve (``_line_basis``): a
     line of one block that another block shares, the same long-axis
@@ -308,10 +314,10 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
     and Gershgorin's bound a floor under its lowest; the lowest level is
     bisected too only where the floor leaves room for it below -|top|
     (``_two_norm``).  The largest magnitude is ||H_c||_2, which sets
-    the stop tolerance, ``_CONTRACTION_TOL`` eps ||H_c||_2.  Merged with
-    the ``fixed`` levels of blocks solved densely, the rung's own
-    ``n_states``-th level lies between the floors and the tops, and
-    bisection on Sturm counts (``_count``) isolates it (``_nth_level``).
+    the stop tolerance, ``_CONTRACTION_TOL`` eps ||H_c||_2.  Merged across
+    the blocks, the rung's own ``n_states``-th level lies between the
+    floors and the tops, and bisection on Sturm counts (``_counts``)
+    isolates it (``_nth_level``).
     The contracted spaces nest, so these Ritz values only fall: a rung
     with ``n_states`` levels at or below the last rung's ``n_states``-th
     less the tolerance cannot stop the ladder.  Any other rung bisects each
@@ -340,7 +346,7 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
         _check_cap(min(_CONTRACTION_LADDER[-1], n_long) * n_short, "contracted solve")
     decomposed = {}   # one ?syevd per distinct line of this solve
     lines = [_line_basis(*block.factors, decomposed) for block in blocks]
-    fixed, eps = np.sort(np.concatenate([np.empty(0), *fixed])), np.finfo(float).eps
+    eps = np.finfo(float).eps
     previous = None   # the last rung's (d, e) per block and the low end of its n_states-th level
     for n_c in _CONTRACTION_LADDER:
         kept = [min(n_c, U.shape[2]) for _, _, U, _ in lines]
@@ -355,18 +361,17 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
                    for (d, e), top, floor in zip(tridiagonals, tops, floors))
         tol = _CONTRACTION_TOL * eps * norm
         # the merged n_states-th level lies above the blocks' Gershgorin
-        # floors and the lowest fixed level, and at or below each block's
-        # top, as every block holds n_states levels
-        nth = _nth_level(tridiagonals, fixed, n_states, min(floors + list(fixed[:1])) - tol,
-                         min(tops) + tol, eps * norm)
+        # floors, and at or below each block's top, as every block holds
+        # n_states levels
+        nth = _nth_level(tridiagonals, n_states, min(floors) - tol, min(tops) + tol, eps * norm)
         # The levels only fall, so only with fewer than n_states at or below
         # the last rung's n_states-th less tol can this rung stop the ladder.
-        if previous is not None and _count(tridiagonals, fixed, previous[1] - tol) < n_states:
+        if previous is not None and sum(_counts(tridiagonals, previous[1] - tol)) < n_states:
             # counts put n_states levels at or below nth[1]; tol covers bisection's error
             levels = [_bisect(d, e, upto=nth[1] + tol) for d, e in tridiagonals]
             merged = np.sort(np.concatenate(
-                [fixed] + [np.sort(w)[:n_states] for w, _, _ in levels]))[:n_states]
-            if _settled(previous[0], fixed, merged, tol):
+                [np.sort(w)[:n_states] for w, _, _ in levels]))[:n_states]
+            if _settled(previous[0], merged, tol):
                 break
         previous = tridiagonals, nth[0]
     else:
@@ -482,16 +487,9 @@ def _counts(tridiagonals: list[tuple[np.ndarray, np.ndarray]], sigma: float) -> 
             for d, e in tridiagonals]
 
 
-def _count(tridiagonals: list[tuple[np.ndarray, np.ndarray]], fixed: np.ndarray,
-           sigma: float) -> int:
-    """The number of levels at or below sigma of the sorted ``fixed`` levels
-    and of the tridiagonals, merged."""
-    return int(np.searchsorted(fixed, sigma, side="right")) + sum(_counts(tridiagonals, sigma))
-
-
-def _nth_level(tridiagonals: list[tuple[np.ndarray, np.ndarray]], fixed: np.ndarray, n: int,
+def _nth_level(tridiagonals: list[tuple[np.ndarray, np.ndarray]], n: int,
                low: float, high: float, width: float) -> tuple[float, float]:
-    """(m, m) for the n-th lowest m of the levels that ``_count`` counts,
+    """(m, m) for the n-th lowest m of the tridiagonals' levels, merged,
     which lies in (low, high].  Bisection on Sturm counts narrows the
     interval until it holds at most one level of each tridiagonal, which
     ?stebz then bisects alone; two levels of one tridiagonal closer than
@@ -502,26 +500,24 @@ def _nth_level(tridiagonals: list[tuple[np.ndarray, np.ndarray]], fixed: np.ndar
         if high - low <= width or not low < mid < high:
             return low, high
         at_mid = _counts(tridiagonals, mid)
-        if np.searchsorted(fixed, mid, side="right") + sum(at_mid) >= n:
+        if sum(at_mid) >= n:
             high, at_high = mid, at_mid
         else:
             low, at_low = mid, at_mid
     inside = [_bisect(d, e, index=(h, h))[0][0]
               for (d, e), l, h in zip(tridiagonals, at_low, at_high) if h > l]
-    inside += list(fixed[(low < fixed) & (fixed <= high)])
-    below = np.searchsorted(fixed, low, side="right") + sum(at_low)
-    m = sorted(inside)[n - 1 - below]
+    m = sorted(inside)[n - 1 - sum(at_low)]
     return m, m
 
 
-def _settled(last: list[tuple[np.ndarray, np.ndarray]], fixed: np.ndarray,
-             merged: np.ndarray, tol: float) -> bool:
+def _settled(last: list[tuple[np.ndarray, np.ndarray]], merged: np.ndarray,
+             tol: float) -> bool:
     """Whether no level of ``merged`` lies more than ``tol`` below the same
     level of the last rung, whose tridiagonals are ``last``: the levels only
     fall, so the last rung must hold j + 1 levels at or below merged[j] +
     tol for every j.  The top levels converge last, so they are counted
     first."""
-    return all(_count(last, fixed, merged[j] + tol) > j for j in reversed(range(merged.size)))
+    return all(sum(_counts(last, merged[j] + tol)) > j for j in reversed(range(merged.size)))
 
 
 def _kept_vectors(q: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray,

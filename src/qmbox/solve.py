@@ -27,12 +27,18 @@ def solve(problem: ProblemDefinition, n_states: int | None = None) -> Spectrum:
     into the one output array.
 
     ``n_states`` keeps the lowest eigenpairs (the completeness machinery
-    needs the full spectrum, so leave it None there).  A Hermitian 2D block
-    of at least 1024 sites then takes the contracted solve of ``eig``: its
-    levels agree with the dense decomposition to within 1e-12 relative (at
-    most 8.8e-13 on Henon-Heiles 45^2 to 81^2), while its residuals, 1e-16
-    on the dense path, grow with ``n_states`` and are not bounded (on
-    Henon-Heiles 81^2, 1.3e-11 at 60 states and 6.8e-9 at 100).
+    needs the full spectrum, so leave it None there).  A Hermitian 2D
+    problem whose largest block has at least 1024 sites then takes the
+    contracted solve of ``eig`` for all its blocks, one path per problem,
+    chosen by its largest block: its levels agree with the dense
+    decomposition to within 1e-12 relative (at most 8.8e-13 on Henon-Heiles
+    45^2 to 81^2), while its residuals, 1e-16 on the dense path, grow with
+    ``n_states`` and are not bounded (on Henon-Heiles 81^2, 1.3e-11 at 60
+    states and 6.8e-9 at 100).  Where ``n_states`` cuts through a doublet
+    split across the parity blocks by less than bisection's accuracy (the
+    E doublets of Henon-Heiles, 2e-14 to 4e-13 relative apart), round-off
+    decides which member is returned, and with it the last state's vector
+    and residual.
     """
     spectrum = diagonalize_blocks(hamiltonian_blocks(problem), problem.grid, n_states)
     _fix_phases(spectrum.eigenvectors)   # as phase_fix, on the fresh array in place

@@ -125,6 +125,14 @@ class TestConvergenceScan:
             convergence_scan(builtin_problem("henon_heiles", N=9, L=10.0), "fixed_L_vary_N",
                              list(range(11, 35, 2)))
 
+    @pytest.mark.parametrize("states, repeated", [
+        ((0, 0), 0), ((2, 5, 2), 2), ((np.int64(3), 1, 3.0), 3)])
+    def test_repeated_state_index_rejected(self, states, repeated):
+        # each column of the scan is one tracked state, read by its index
+        with pytest.raises(ValueError) as caught:
+            convergence_scan(builtin_problem("nh3"), "fixed_L_vary_N", range(31, 56, 2), states)
+        assert str(caught.value) == f"state index {repeated} is tracked more than once"
+
     def test_empty_state_indices_rejected(self):
         with pytest.raises(ValueError, match="state_indices is empty"):
             convergence_scan(builtin_problem("nh3"), "fixed_L_vary_N", list(range(21, 47, 2)), ())

@@ -262,6 +262,17 @@ class TestSolve:
         assert code == 0 and calls == [passed]
         assert len(out.strip().splitlines()) == 1 + min(int(states), passed)
 
+    @pytest.mark.parametrize("unit", ["cm-1", "hartree"])
+    @pytest.mark.parametrize("problem_id", [
+        p for p in BUILTIN_IDS if builtin_problem(p).energy_unit == "model"])
+    def test_model_energies_refuse_a_hartree_unit(self, capsys, problem_id, unit):
+        # morse's E0 = 0.1625 is dimensionless: in cm-1 it would print 35665.86
+        code, out, err = run(["solve", "--problem", problem_id, "--states", "3",
+                              "--unit", unit], capsys)
+        assert code == 1 and out == ""
+        assert err == (f"error: --unit {unit} applies to hartree energies; "
+                       f"{problem_id} is in model units\n")
+
     def test_2d_position_dependent_mass_exit_code(self, capsys):
         code, _, err = run(["solve", "--problem", "henon_heiles", "--ordering", "mass-left"],
                            capsys)
@@ -353,6 +364,27 @@ class TestConfig:
         assert code == 0
         first = out.strip().splitlines()[1].split()
         assert float(first[1]) == pytest.approx(1.25, abs=1e-11)
+
+    @pytest.mark.parametrize("unit_line, message", [
+        ("", "--unit cm-1 applies to hartree energies; problem is in model units"),
+        ("unit = model", "--unit cm-1 applies to hartree energies; problem is in model units"),
+        ("unit = furlong", "{cfg}: key 'unit' must be hartree or model, got 'furlong'"),
+        ("unit = hartree", None)])
+    def test_config_unit_decides_cm1(self, tmp_path, capsys, unit_line, message):
+        cfg = self.write(tmp_path, f"""
+            dimension = 1
+            N = 41
+            L = 10
+            mass = 1
+            potential_real = 0.5*x^2
+            {unit_line}
+        """)
+        code, out, err = run(["solve", "--config", cfg, "--states", "1", "--unit", "cm-1"],
+                             capsys)
+        if message is None:
+            assert code == 0 and out
+        else:
+            assert code == 1 and out == "" and err == f"error: {message.format(cfg=cfg)}\n"
 
     def test_two_dimensional_config(self, tmp_path, capsys):
         cfg = self.write(tmp_path, """
@@ -556,7 +588,8 @@ class TestConverge:
         ("morse", range(41, 162, 10), "-1", "state indices must be non-negative, got -1"),
         ("morse", range(41, 162, 10), "-100", "state indices must be non-negative, got -100"),
         ("henon_heiles", range(11, 34, 2), "0", "convergence scans are defined for 1D problems"),
-    ], ids=["track -1", "track -100", "2D"])
+        ("nh3", range(31, 56, 2), "0,0", "state index 0 is tracked more than once"),
+    ], ids=["track -1", "track -100", "2D", "track 0,0"])
     def test_invalid_scan_exit_code(self, capsys, problem, n_list, track, message):
         code, out, err = run(["converge", "--problem", problem, "--track", track,
                               "--N-list", ",".join(map(str, n_list))], capsys)

@@ -1,9 +1,11 @@
-"""Contracted solves of large 2D Hermitian blocks against the dense oracle.
+"""Contracted solves of large 2D Hermitian problems against the dense oracle.
 
-A Hermitian 2D block of at least ``_CONTRACTION_MIN_SIZE`` sites of which
-only the lowest levels are asked for is solved in a basis of 1D eigenstates
-of its long axis (``eig._contracted_pairs``); the full decomposition of the
-assembled block, ``kronecker_sum`` of its factors, is the oracle.
+A Hermitian 2D problem whose largest block has at least
+``_CONTRACTION_MIN_SIZE`` sites, and of which only the lowest levels are
+asked for, has every block solved in a basis of 1D eigenstates of its long
+axis (``eig._contracted_pairs``): one path per problem, chosen by its
+largest block.  The full decomposition of each assembled block,
+``kronecker_sum`` of its factors, is the oracle.
 """
 
 import collections
@@ -42,10 +44,15 @@ CASES = {
     "even in both, four blocks": (
         lambda: problem_2d(lambda x, y: 0.5 * (x**2 + 1.2 * y**2) + 0.05 * x**2 * y**2,
                            (65, 65), 14.0), 30, ("x", "y")),
-    "henon-heiles 45^2: a contracted block beside a dense one": (
+    # blocks of 1035 and 990 sites, on either side of _CONTRACTION_MIN_SIZE
+    "henon-heiles 45^2, 40 states": (
         lambda: builtin_problem("henon_heiles", N=45, L=16.0), 40, ("x",)),
     "isotropic oscillator 65^2: the cut inside an exact doublet of one block": (
         lambda: problem_2d(lambda x, y: 0.5 * (x**2 + y**2), (65, 65), 14.0), 12, ("x", "y")),
+    # blocks of 1024, 992, 992 and 961 sites: only the largest reaches the size
+    **{f"even in both 63^2, {n} states": (
+        lambda: problem_2d(lambda x, y: 0.5 * (x**2 + 1.2 * y**2) + 0.05 * x**2 * y**2,
+                           (63, 63), 14.0), n, ("x", "y")) for n in (12, 30, 60)},
 }
 
 
@@ -66,7 +73,8 @@ def mean_r2(problem, spectrum):
 def test_contracted_solve_matches_dense_oracle(name, monkeypatch):
     make, n_states, axes = CASES[name]
     problem = make()
-    large = sum(b.dim >= eig._CONTRACTION_MIN_SIZE for b in hamiltonian_blocks(problem))
+    blocks = list(hamiltonian_blocks(problem))
+    assert max(b.dim for b in blocks) >= eig._CONTRACTION_MIN_SIZE
     contracted = []
     real_pairs = eig._contracted_pairs
 
@@ -76,7 +84,7 @@ def test_contracted_solve_matches_dense_oracle(name, monkeypatch):
 
     monkeypatch.setattr(eig, "_contracted_pairs", spy)
     spectrum = solve(problem, n_states)
-    assert contracted == [large]   # every large block, in one lockstep ladder
+    assert contracted == [len(blocks)]   # every block, in one lockstep ladder
     dense = dense_oracle(problem, n_states)
 
     assert spectrum.mirror_axes == dense.mirror_axes == axes
@@ -178,33 +186,29 @@ def test_count_is_exact_at_and_beside_known_levels():
     e = np.array([0.5, 0.0, 0.0, -1.5, 0.0])
     levels = [-3.75, -2.75, -1.0, 0.75, 1.0, 4.0]
     np.testing.assert_array_equal(tridiagonal_levels(d, e), levels)
-    for fixed in (np.empty(0), np.array([-5.0, 0.75, 9.0])):
-        for j, level in enumerate(levels):
-            below = j + np.count_nonzero(fixed < level)
-            at = j + 1 + np.count_nonzero(fixed <= level)
-            counts = [eig._count([(d, e)], fixed, s)
-                      for s in (np.nextafter(level, -np.inf), level, np.nextafter(level, np.inf))]
-            assert counts == [below, at, at]
+    for j, level in enumerate(levels):
+        counts = [sum(eig._counts([(d, e)], s))
+                  for s in (np.nextafter(level, -np.inf), level, np.nextafter(level, np.inf))]
+        assert counts == [j, j + 1, j + 1]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_count_matches_eigvalsh_on_random_tridiagonals(seed):
-    # two random tridiagonals with negative levels, alone and merged with
-    # fixed levels: exact between the levels, and one of the two neighbouring
-    # counts at a level and one ulp either side of it, never decreasing
+    # two random tridiagonals with negative levels, merged: exact between
+    # the levels, and one of the two neighbouring counts at a level and one
+    # ulp either side of it, never decreasing
     rng = np.random.default_rng(seed)
     pairs = [(rng.normal(-2.0, 3.0, n), rng.normal(0.0, 1.5, n - 1)) for n in (37, 50)]
-    for fixed in (np.empty(0), np.sort(rng.normal(-1.0, 4.0, 9))):
-        levels = np.sort(np.concatenate([fixed] + [tridiagonal_levels(d, e) for d, e in pairs]))
-        assert levels[0] < 0 and np.min(np.diff(levels)) > 1e-9
-        assert eig._count(pairs, fixed, levels[0] - 1.0) == 0
-        assert eig._count(pairs, fixed, levels[-1] + 1.0) == levels.size
-        for j in range(levels.size - 1):
-            assert eig._count(pairs, fixed, 0.5 * (levels[j] + levels[j + 1])) == j + 1
-        for j, level in enumerate(levels):
-            counts = [eig._count(pairs, fixed, s)
-                      for s in (np.nextafter(level, -np.inf), level, np.nextafter(level, np.inf))]
-            assert counts == sorted(counts) and set(counts) <= {j, j + 1}
+    levels = np.sort(np.concatenate([tridiagonal_levels(d, e) for d, e in pairs]))
+    assert levels[0] < 0 and np.min(np.diff(levels)) > 1e-9
+    assert sum(eig._counts(pairs, levels[0] - 1.0)) == 0
+    assert sum(eig._counts(pairs, levels[-1] + 1.0)) == levels.size
+    for j in range(levels.size - 1):
+        assert sum(eig._counts(pairs, 0.5 * (levels[j] + levels[j + 1]))) == j + 1
+    for j, level in enumerate(levels):
+        counts = [sum(eig._counts(pairs, s))
+                  for s in (np.nextafter(level, -np.inf), level, np.nextafter(level, np.inf))]
+        assert counts == sorted(counts) and set(counts) <= {j, j + 1}
 
 
 @pytest.mark.parametrize("shift", [0.0, 6.0, -6.0, -40.0])
@@ -224,16 +228,15 @@ def test_two_norm_is_the_largest_level_magnitude(shift):
 def test_count_bisection_isolates_the_merged_level():
     rng = np.random.default_rng(7)
     pairs = [(rng.normal(-2.0, 3.0, n), rng.normal(0.0, 1.5, n - 1)) for n in (40, 33)]
-    fixed = np.sort(rng.normal(0.0, 4.0, 6))
-    levels = np.sort(np.concatenate([fixed] + [tridiagonal_levels(d, e) for d, e in pairs]))
-    for n in (1, 6, 30, 79):
-        low, high = eig._nth_level(pairs, fixed, n, levels[0] - 1.0, levels[-1] + 1.0, 1e-13)
+    levels = np.sort(np.concatenate([tridiagonal_levels(d, e) for d, e in pairs]))
+    for n in (1, 6, 30, 73):
+        low, high = eig._nth_level(pairs, n, levels[0] - 1.0, levels[-1] + 1.0, 1e-13)
         assert low == high and abs(high - levels[n - 1]) <= 1e-13
     # a double level of one tridiagonal: counts cannot part its two members,
     # so the interval ends at the width given, still holding the level
     d, e = np.array([-3.25, -3.25, -3.25, -3.25]), np.array([0.5, 0.0, 0.5])
     for n in (1, 2):
-        low, high = eig._nth_level([(d, e)], np.empty(0), n, -5.0, 0.0, 1e-13)
+        low, high = eig._nth_level([(d, e)], n, -5.0, 0.0, 1e-13)
         assert 0 < high - low <= 1e-13 and low < -3.75 <= high
 
 
@@ -301,14 +304,14 @@ def test_count_stop_test_agrees_with_the_levels():
     lines = [eig._line_basis(*block.factors, {}) for block in blocks]
     rungs = {k: [eig._tridiagonal(eig._contracted_matrix(*line[:3], k))[1:3] for line in lines]
              for k in (20, 24, 28)}
-    eps, none = np.finfo(float).eps, np.empty(0)
+    eps = np.finfo(float).eps
     for last, k, stops in ((20, 24, False), (24, 28, True)):
         tol = 64 * eps * max(abs(eig._bisect(d, e, index=(i, i))[0][0])
                              for d, e in rungs[k] for i in (1, d.size))
         merged = [np.sort(np.concatenate([eig._bisect(d, e, index=(1, 60))[0]
                                           for d, e in rungs[r]]))[:60] for r in (last, k)]
         assert (np.max(merged[0] - merged[1]) <= tol) == stops
-        assert eig._settled(rungs[last], none, merged[1], tol) == stops
+        assert eig._settled(rungs[last], merged[1], tol) == stops
 
 
 @pytest.mark.parametrize("N, n_states", [(47, 23), (47, 59), (55, 40)])
@@ -411,6 +414,21 @@ def test_full_spectra_stay_dense(monkeypatch):
     monkeypatch.setattr(eig, "_contracted_pairs", refuse)
     spectrum = diagonalize(op, problem.grid)
     assert spectrum.n_states == problem.size
+
+
+def test_a_block_too_small_for_n_states_sends_every_block_dense(monkeypatch):
+    # 45^2 at 1000 states: the odd block has 990 sites, fewer than the
+    # levels asked for, so neither block takes the ladder, and the spectrum
+    # is the dense oracle's bitwise
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block took the contracted solve")
+    problem = builtin_problem("henon_heiles", N=45)
+    assert sorted(b.dim for b in hamiltonian_blocks(problem)) == [990, 1035]
+    reference = dense_oracle(problem, 1000)
+    monkeypatch.setattr(eig, "_contracted_pairs", refuse)
+    spectrum = solve(problem, 1000)
+    for name in ("eigenvalues", "eigenvectors", "residuals"):
+        np.testing.assert_array_equal(getattr(spectrum, name), getattr(reference, name))
 
 
 def test_unconverged_ladder_falls_back_to_full_decomposition_bitwise(monkeypatch):
