@@ -21,15 +21,17 @@ Light, Annu. Rev. Phys. Chem. 40, 469 (1989), on the Fourier-grid DVR of
 Colbert & Miller, J. Chem. Phys. 96, 1982 (1992)).  The basis grows on a
 fixed ladder until the lowest levels stop moving; the dense block is never
 assembled, and the residuals are the full block's, formed matrix-free.
-Every rung takes the same step: it is reduced to tridiagonal form, and
-Sturm counts, the number of levels at or below a
-value, find its own ``n_states``-th level and rule out a rung whose levels
-fell too far to stop the ladder.  Any other rung has its levels up to that
-one found, by bisection, and checks the stop rule by counts against the
-rung before.  The vectors are formed once, at the last rung, by inverse
-iteration for the levels that the merge across blocks keeps (Demmel,
-Applied Numerical Linear Algebra, SIAM 1997, sec. 5.3).  The
-levels agree with the dense path to within 1e-12 relative (at most
+Every rung takes the same step: each block's contracted matrix is reduced
+to tridiagonal form, and the blocks' tridiagonals are joined into one,
+with a zero coupling between each two, whose levels are theirs merged.
+Bisection on it finds its own ``n_states``-th level, and Sturm counts, the
+number of levels at or below a value, rule out a rung whose levels fell
+too far to stop the ladder.  Any other rung has its levels up to that one
+found, by bisection, and checks the stop rule by counts against the rung
+before.  The vectors are formed once, at the last rung, by inverse
+iteration on the joined tridiagonal for the levels that the merge
+keeps (Demmel, Applied Numerical Linear Algebra, SIAM 1997, sec. 5.3).
+The levels agree with the dense path to within 1e-12 relative (at most
 8.8e-13, on ground states near 1, over Henon-Heiles 45^2 to 81^2 at L = 16
 to 22), while the vectors of the upper levels carry residuals far above
 the dense path's 1e-16 of ||H||_F: convergence in the basis size is
@@ -308,29 +310,31 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float):
     lives in this call alone.
 
     The blocks climb ``_CONTRACTION_LADDER`` in lockstep, and every rung
-    takes the same step.  Its contracted matrix, a leading submatrix of the
-    next rung's, is built from the 1D bases and reduced to tridiagonal form
-    once, in place.  Bisection (``_bisect``) gives each block's top level,
-    and Gershgorin's bound a floor under its lowest; the lowest level is
-    bisected too only where the floor leaves room for it below -|top|
-    (``_two_norm``).  The largest magnitude is ||H_c||_2, which sets
-    the stop tolerance, ``_CONTRACTION_TOL`` eps ||H_c||_2.  Merged across
-    the blocks, the rung's own ``n_states``-th level lies between the
-    floors and the tops, and bisection on Sturm counts (``_counts``)
-    isolates it (``_nth_level``).
-    The contracted spaces nest, so these Ritz values only fall: a rung
-    with ``n_states`` levels at or below the last rung's ``n_states``-th
-    less the tolerance cannot stop the ladder.  Any other rung bisects each
-    block's levels at or below its own ``n_states``-th plus the tolerance,
-    which counts show to be at least ``n_states``, and stops the ladder when
-    the last rung holds j + 1 levels at or below its merged j-th plus the
-    tolerance for every j (``_settled``): no level moved by more.  That
-    rung's reductions then give the vectors of the levels each block keeps
-    in the merge (``_kept_vectors``), which may be fewer than ``n_states``.
-    A rung too small to hold ``n_states`` levels is skipped.  On 81^2
-    Henon-Heiles at 60 states every rung bisects two levels per block, its
-    top and its 60th, and rungs 24 and 28 their 33 + 27 levels besides; on
-    55^2 and 61^2 only rung 28 does.
+    takes the same step.  Each block's contracted matrix, a leading
+    submatrix of the next rung's, is built from the 1D bases and reduced to
+    tridiagonal form once, in place, and the blocks' tridiagonals are
+    joined into one (``_joined``), whose levels are the rung's merged
+    across the blocks.  Three bisections by index (``_bisect``) give its
+    lowest and top levels, the larger magnitude of which is ||H_c||_2 and
+    sets the stop tolerance, ``_CONTRACTION_TOL`` eps ||H_c||_2, and its
+    own ``n_states``-th level.  The contracted spaces nest, so these Ritz
+    values only fall: a rung with ``n_states`` levels at or below the last
+    rung's ``n_states``-th less the tolerance cannot stop the ladder, which
+    one Sturm count (``_counts``) shows.  Any other rung bisects its levels
+    at or below its own ``n_states``-th plus the tolerance, at least
+    ``n_states`` of them, in one call, and stops the ladder when the last
+    rung holds j + 1 levels at or below its j-th plus the tolerance for
+    every j (``_settled``, up to ``n_states`` counts): no level moved by
+    more.  One inverse iteration on that rung's joined tridiagonal then
+    gives the vectors of the levels that the merge keeps, and each block
+    takes its own back through its reduction (``_kept_vectors``).  A rung
+    with a block too small to hold ``n_states`` levels is skipped: the
+    joined tridiagonal of a grid with one very thin block would climb rungs
+    that cannot converge.  On 81^2 Henon-Heiles at 60 states (L = 19) the
+    ladder visits rungs 16 to 28 and calls ?stebz 79 times: 12 bisections
+    by index, 3 counts that rule out rung 20 or let 24 and 28 through, 2
+    bisections of the 60 lowest levels, on rungs 24 and 28, and 2 + 60
+    counts of the stop rule.
 
     Every BLAS and LAPACK call of the ladder, from the line bases to the
     bisections and counts, goes to scipy's OpenBLAS.  numpy bundles a
@@ -347,39 +351,31 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float):
     decomposed = {}   # one ?syevd per distinct line of this solve
     lines = [_line_basis(*block.factors, decomposed) for block in blocks]
     eps = np.finfo(float).eps
-    previous = None   # the last rung's (d, e) per block and the low end of its n_states-th level
+    last = None   # the last rung's joined (d, e) and its n_states-th level
     for n_c in _CONTRACTION_LADDER:
         kept = [min(n_c, U.shape[2]) for _, _, U, _ in lines]
         if min(k * U.shape[0] for k, (_, _, U, _) in zip(kept, lines)) < n_states:
             continue
         rungs = None   # release the last rung's reductions before the next ones
         rungs = [_tridiagonal(_contracted_matrix(*line[:3], k)) for line, k in zip(lines, kept)]
-        tridiagonals = [(d, e) for _, d, e, _ in rungs]
-        tops = [_bisect(d, e, index=(d.size, d.size))[0][0] for d, e in tridiagonals]
-        floors = [_gershgorin_floor(d, e) for d, e in tridiagonals]
-        norm = max(_two_norm(d, e, top, floor)   # ||H_c||_2, the largest over the blocks
-                   for (d, e), top, floor in zip(tridiagonals, tops, floors))
-        tol = _CONTRACTION_TOL * eps * norm
-        # the merged n_states-th level lies above the blocks' Gershgorin
-        # floors, and at or below each block's top, as every block holds
-        # n_states levels
-        nth = _nth_level(tridiagonals, n_states, min(floors) - tol, min(tops) + tol, eps * norm)
+        d, e = _joined([rung[1:3] for rung in rungs])
+        low, top, nth = (_bisect(d, e, index=(i, i))[0][0] for i in (1, d.size, n_states))
+        tol = _CONTRACTION_TOL * eps * max(abs(low), abs(top))   # ||H_c||_2
         # The levels only fall, so only with fewer than n_states at or below
         # the last rung's n_states-th less tol can this rung stop the ladder.
-        if previous is not None and sum(_counts(tridiagonals, previous[1] - tol)) < n_states:
-            # counts put n_states levels at or below nth[1]; tol covers bisection's error
-            levels = [_bisect(d, e, upto=nth[1] + tol) for d, e in tridiagonals]
-            merged = np.sort(np.concatenate(
-                [np.sort(w)[:n_states] for w, _, _ in levels]))[:n_states]
-            if _settled(previous[0], merged, tol):
+        if last is not None and _counts(d, e, last[2] - tol) < n_states:
+            # n_states levels lie at or below nth; tol covers bisection's error
+            levels = _bisect(d, e, upto=nth + tol)
+            merged = np.sort(levels[0])[:n_states]
+            if _settled(*last[:2], merged, tol):
                 break
-        previous = tridiagonals, nth[0]
+        last = d, e, nth
     else:
         return None
+    vectors = _kept_vectors(rungs, d, e, *levels, merged[-1])
+    del rungs   # the reductions, once the kept vectors are taken back through them
     pairs = []
-    for b, (block, (_, _, U, x_short), k) in enumerate(zip(blocks, lines, kept)):
-        w, c = _kept_vectors(*rungs[b], *levels[b], merged[-1])
-        rungs[b] = None
+    for block, (_, _, U, x_short), k, (w, c) in zip(blocks, lines, kept, vectors):
         n_s, n_l, _ = U.shape
         c = c.reshape(k, n_s, w.size).transpose(1, 0, 2)   # [short, k, state]
         psi = np.matmul(U[:, :, :k], c)   # psi[i] = U_i c_i, as [short, long, state]
@@ -448,6 +444,16 @@ def _tridiagonal(H: np.ndarray):
     return _lapack("sytrd", H, lower=1, lwork=int(work), overwrite_a=1)
 
 
+def _joined(tridiagonals: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The tridiagonal (d, e) with the given tridiagonals (d, e) as its
+    diagonal blocks, in order, and a zero coupling between each two: its
+    levels are theirs, merged, and ?stebz and ?stein split it at each zero
+    of e, so between the blocks and wherever a block splits itself."""
+    d = np.concatenate([d for d, _ in tridiagonals])
+    e = np.concatenate([np.append(e, 0.0) for _, e in tridiagonals])[:-1]
+    return d, e
+
+
 def _bisect(d: np.ndarray, e: np.ndarray, index: tuple[int, int] | None = None,
             upto: float | None = None):
     """(levels, iblock, isplit) of the tridiagonal T with diagonal d and
@@ -456,77 +462,44 @@ def _bisect(d: np.ndarray, e: np.ndarray, index: tuple[int, int] | None = None,
     index[0]..index[1], or else those at or below ``upto``, to ?stebz's
     default absolute accuracy.  They come grouped by the blocks into which T
     splits, ascending within each, and ``iblock`` and ``isplit`` say which
-    block holds each, as ?stein reads them."""
+    block holds each, as ?stein reads them.  By index, ?stebz brackets the
+    levels asked for with Sturm counts of all of T and then bisects each
+    block inside the bracket, so the n-th level of a joined tridiagonal
+    (``_joined``) is the n-th of its blocks' levels merged, one member of
+    a multiple level included."""
     il, iu = index or (0, 0)
     m, w, iblock, isplit = _lapack("stebz", d, e, 2 if index else 1, -np.inf,
                                    0.0 if index else upto, il, iu, 0.0, "B")
     return w[:m], iblock[:m], isplit
 
 
-def _gershgorin_floor(d: np.ndarray, e: np.ndarray) -> float:
-    """Gershgorin's lower bound on the levels of the tridiagonal (d, e)."""
-    radius = np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0))
-    return float(np.min(d - radius))
-
-
-def _two_norm(d: np.ndarray, e: np.ndarray, top: float, floor: float) -> float:
-    """||T||_2 of the tridiagonal (d, e) with top level ``top`` and a lower
-    bound ``floor`` on its levels: |top|, unless the floor leaves room for
-    the lowest level below -|top|, which is then bisected."""
-    if floor >= -abs(top):
-        return abs(top)
-    return max(abs(top), -_bisect(d, e, index=(1, 1))[0][0])
-
-
-def _counts(tridiagonals: list[tuple[np.ndarray, np.ndarray]], sigma: float) -> list[int]:
-    """The number of levels at or below sigma of each tridiagonal (d, e), by
+def _counts(d: np.ndarray, e: np.ndarray, sigma: float) -> int:
+    """The number of levels at or below sigma of the tridiagonal (d, e), by
     Sturm counts: ?stebz over (-inf, sigma] with an infinite absolute
     tolerance, which takes every interval as converged and bisects none,
     returns the count alone."""
-    return [_lapack("stebz", d, e, 1, -np.inf, sigma, 0, 0, np.inf, "B")[0]
-            for d, e in tridiagonals]
+    return _lapack("stebz", d, e, 1, -np.inf, sigma, 0, 0, np.inf, "B")[0]
 
 
-def _nth_level(tridiagonals: list[tuple[np.ndarray, np.ndarray]], n: int,
-               low: float, high: float, width: float) -> tuple[float, float]:
-    """(m, m) for the n-th lowest m of the tridiagonals' levels, merged,
-    which lies in (low, high].  Bisection on Sturm counts narrows the
-    interval until it holds at most one level of each tridiagonal, which
-    ?stebz then bisects alone; two levels of one tridiagonal closer than
-    ``width`` end it at the interval (low, high] instead."""
-    at_low, at_high = _counts(tridiagonals, low), _counts(tridiagonals, high)
-    while any(h - l > 1 for l, h in zip(at_low, at_high)):
-        mid = 0.5 * (low + high)
-        if high - low <= width or not low < mid < high:
-            return low, high
-        at_mid = _counts(tridiagonals, mid)
-        if sum(at_mid) >= n:
-            high, at_high = mid, at_mid
-        else:
-            low, at_low = mid, at_mid
-    inside = [_bisect(d, e, index=(h, h))[0][0]
-              for (d, e), l, h in zip(tridiagonals, at_low, at_high) if h > l]
-    m = sorted(inside)[n - 1 - sum(at_low)]
-    return m, m
-
-
-def _settled(last: list[tuple[np.ndarray, np.ndarray]], merged: np.ndarray,
-             tol: float) -> bool:
+def _settled(d: np.ndarray, e: np.ndarray, merged: np.ndarray, tol: float) -> bool:
     """Whether no level of ``merged`` lies more than ``tol`` below the same
-    level of the last rung, whose tridiagonals are ``last``: the levels only
-    fall, so the last rung must hold j + 1 levels at or below merged[j] +
-    tol for every j.  The top levels converge last, so they are counted
-    first."""
-    return all(sum(_counts(last, merged[j] + tol)) > j for j in reversed(range(merged.size)))
+    level of the last rung, whose joined tridiagonal is (d, e): the levels
+    only fall, so the last rung must hold j + 1 levels at or below
+    merged[j] + tol for every j.  The top levels converge last, so they are
+    counted first."""
+    return all(_counts(d, e, merged[j] + tol) > j for j in reversed(range(merged.size)))
 
 
-def _kept_vectors(q: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray,
-                  w: np.ndarray, iblock: np.ndarray, isplit: np.ndarray,
-                  cut: float) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs of the H that ``_tridiagonal`` reduced whose levels,
-    of those ``_bisect`` gave as (w, iblock, isplit), lie at or below
-    ``cut``, in ascending order: the vectors of T by inverse iteration on
-    those levels alone (?stein), taken back through the Householder
+def _kept_vectors(rungs: list[tuple], d: np.ndarray, e: np.ndarray, w: np.ndarray,
+                  iblock: np.ndarray, isplit: np.ndarray,
+                  cut: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per reduction of ``rungs``, as ``_tridiagonal`` made them of the
+    blocks' H, the eigenpairs of that H whose levels lie at or below
+    ``cut``, in ascending order.  (d, e) joins the reductions' tridiagonals
+    (``_joined``) and (w, iblock, isplit) are its levels as ``_bisect``
+    gave them.  One inverse iteration (?stein) forms the vectors of the
+    joined T for the levels at or below the cut alone; each block takes its
+    own rows and levels of them and takes them back through its Householder
     reflectors below q's subdiagonal (?ormtr's lower case, which is ?ormqr
     on rows 1.. of q and of the vectors), by LAPACK's blocked code and
     reading q in place.  The vectors are formed once, after the ladder
@@ -535,22 +508,29 @@ def _kept_vectors(q: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray,
     w, blocks = w[keep], np.zeros_like(isplit)
     blocks[:w.size] = iblock[keep]   # ?stein reads the first w.size of n entries
     z = _lapack("stein", d, e, w, blocks, isplit)
-    order = np.argsort(w, kind="stable")   # from T's blocks to ascending order
-    w, z = w[order], z[:, order]
-    # ?ormqr's A is q[1:, :-1], which is not contiguous, so f2py would copy
-    # all of it.  The Fortran-contiguous (n, n - 1) view of q's memory from
-    # q[1, 0] holds the same columns at q's leading dimension n; its last
-    # row is q[0] of the next column, and ?ormqr never reads it, as the
-    # reflectors span the n - 1 rows of z[1:] only.
-    n = q.shape[0]
-    reflectors = q.ravel(order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
-    # The workspace comes from a query: the blocked path needs count * nb +
-    # 4160 entries since LAPACK 3.7 (its T factor lives in the workspace),
-    # and with less, such as 64 * count, ?ormqr silently runs the unblocked
-    # ?orm2r, five times slower on a 1148-row rung.
-    _, work = _lapack("ormqr", "L", "N", reflectors, tau, z[1:], lwork=-1)
-    z[1:], _ = _lapack("ormqr", "L", "N", reflectors, tau, z[1:], lwork=int(work[0]))
-    return w, z
+    # a level belongs to the block whose rows hold the last row of its split
+    ends = np.cumsum([q.shape[0] for q, _, _, _ in rungs])
+    owner = np.searchsorted(ends, isplit[blocks[:w.size] - 1])
+    order = np.argsort(w, kind="stable")   # from T's splits to ascending order
+    w, z, owner = w[order], z[:, order], owner[order]
+    pairs = []
+    for b, (q, _, _, tau) in enumerate(rungs):
+        n, mine = q.shape[0], owner == b
+        c = z[ends[b] - n:ends[b], mine]   # a copy: the block's rows and levels
+        # ?ormqr's A is q[1:, :-1], which is not contiguous, so f2py would
+        # copy all of it.  The Fortran-contiguous (n, n - 1) view of q's
+        # memory from q[1, 0] holds the same columns at q's leading dimension
+        # n; its last row is q[0] of the next column, and ?ormqr never reads
+        # it, as the reflectors span the n - 1 rows of c[1:] only.
+        reflectors = q.ravel(order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
+        # The workspace comes from a query: the blocked path needs count * nb
+        # + 4160 entries since LAPACK 3.7 (its T factor lives in the
+        # workspace), and with less, such as 64 * count, ?ormqr silently runs
+        # the unblocked ?orm2r, five times slower on a 1148-row rung.
+        _, work = _lapack("ormqr", "L", "N", reflectors, tau, c[1:], lwork=-1)
+        c[1:], _ = _lapack("ormqr", "L", "N", reflectors, tau, c[1:], lwork=int(work[0]))
+        pairs.append((w[mine], c))
+    return pairs
 
 
 def _lapack(name: str, *args, **kwargs):

@@ -160,17 +160,26 @@ def test_levels_by_bisection_and_vectors_for_the_kept_levels_alone(monkeypatch):
         raise AssertionError("all levels of a rung, or a second bisection")
     monkeypatch.setattr(lapack, "dsterf", refuse)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
-    given = []
-    real_stein = lapack.dstein
+    given, applied = [], []
+    real_stein, real_ormqr = lapack.dstein, lapack.dormqr
 
-    def spy(d, e, w, iblock, isplit):
-        given.append(len(w))
+    def spy_stein(d, e, w, iblock, isplit):
+        given.append((d.size, len(w)))
         return real_stein(d, e, w, iblock, isplit)
 
-    monkeypatch.setattr(lapack, "dstein", spy)
+    def spy_ormqr(side, trans, a, tau, c, lwork):
+        if lwork != -1:   # not the workspace query
+            applied.append(c.shape)
+        return real_ormqr(side, trans, a, tau, c, lwork=lwork)
+
+    monkeypatch.setattr(lapack, "dstein", spy_stein)
+    monkeypatch.setattr(lapack, "dormqr", spy_ormqr)
     spectrum = solve(builtin_problem("henon_heiles", N=81, L=19.0), 60)
-    # the even block owns 33 of the 60 merged levels and the odd block 27
-    assert given == [33, 27]
+    # one inverse iteration on rung 28's joined tridiagonal of 1148 + 1120
+    # rows, for the 60 merged levels alone; the even block takes back the
+    # 33 that it owns, the odd block its 27
+    assert given == [(2268, 60)]
+    assert applied == [(1147, 33), (1119, 27)]
     assert spectrum.n_states == 60 and spectrum.residuals.max() <= 1e-9
 
 
@@ -187,90 +196,110 @@ def test_count_is_exact_at_and_beside_known_levels():
     levels = [-3.75, -2.75, -1.0, 0.75, 1.0, 4.0]
     np.testing.assert_array_equal(tridiagonal_levels(d, e), levels)
     for j, level in enumerate(levels):
-        counts = [sum(eig._counts([(d, e)], s))
+        counts = [eig._counts(d, e, s)
                   for s in (np.nextafter(level, -np.inf), level, np.nextafter(level, np.inf))]
         assert counts == [j, j + 1, j + 1]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_count_matches_eigvalsh_on_random_tridiagonals(seed):
-    # two random tridiagonals with negative levels, merged: exact between
-    # the levels, and one of the two neighbouring counts at a level and one
-    # ulp either side of it, never decreasing
+    # two random tridiagonals with negative levels, joined: exact between
+    # their merged levels, and one of the two neighbouring counts at a level
+    # and one ulp either side of it, never decreasing
     rng = np.random.default_rng(seed)
     pairs = [(rng.normal(-2.0, 3.0, n), rng.normal(0.0, 1.5, n - 1)) for n in (37, 50)]
     levels = np.sort(np.concatenate([tridiagonal_levels(d, e) for d, e in pairs]))
     assert levels[0] < 0 and np.min(np.diff(levels)) > 1e-9
-    assert sum(eig._counts(pairs, levels[0] - 1.0)) == 0
-    assert sum(eig._counts(pairs, levels[-1] + 1.0)) == levels.size
+    d, e = eig._joined(pairs)
+    assert d.size == levels.size and e[36] == 0.0
+    assert eig._counts(d, e, levels[0] - 1.0) == 0
+    assert eig._counts(d, e, levels[-1] + 1.0) == levels.size
     for j in range(levels.size - 1):
-        assert sum(eig._counts(pairs, 0.5 * (levels[j] + levels[j + 1]))) == j + 1
+        assert eig._counts(d, e, 0.5 * (levels[j] + levels[j + 1])) == j + 1
     for j, level in enumerate(levels):
-        counts = [sum(eig._counts(pairs, s))
+        counts = [eig._counts(d, e, s)
                   for s in (np.nextafter(level, -np.inf), level, np.nextafter(level, np.inf))]
         assert counts == sorted(counts) and set(counts) <= {j, j + 1}
 
 
 @pytest.mark.parametrize("shift", [0.0, 6.0, -6.0, -40.0])
 def test_two_norm_is_the_largest_level_magnitude(shift):
-    # at shifts 0, -6 and -40 Gershgorin's bound leaves room below -|top|,
-    # so the lowest level is bisected, and at -6 and -40 it outweighs the
-    # top; at +6 the bound shows that the top alone decides
+    # a shifted and an unshifted random tridiagonal, joined: its lowest and
+    # top levels, bisected by index as each rung does, are the lowest and
+    # top of both, and the larger magnitude is ||T||_2; at shifts -6 and -40
+    # the lowest level outweighs the top, at 0 and +6 the top does
     rng = np.random.default_rng(3)
-    d, e = rng.normal(shift, 3.0, 60), rng.normal(0.0, 1.5, 59)
-    levels = tridiagonal_levels(d, e)
-    floor = eig._gershgorin_floor(d, e)
-    assert floor <= levels[0]
-    norm = eig._two_norm(d, e, eig._bisect(d, e, index=(60, 60))[0][0], floor)
+    pairs = [(rng.normal(shift, 3.0, 60), rng.normal(0.0, 1.5, 59)),
+             (rng.normal(0.0, 1.0, 30), rng.normal(0.0, 0.5, 29))]
+    levels = np.sort(np.concatenate([tridiagonal_levels(d, e) for d, e in pairs]))
+    d, e = eig._joined(pairs)
+    low, top = (eig._bisect(d, e, index=(i, i))[0][0] for i in (1, d.size))
+    assert low == pytest.approx(levels[0], rel=1e-14)
+    assert top == pytest.approx(levels[-1], rel=1e-14)
+    norm = max(abs(low), abs(top))
     assert norm == pytest.approx(np.abs(levels).max(), rel=1e-14)
+    assert (abs(low) > abs(top)) == (shift < -1.0)
 
 
 def test_count_bisection_isolates_the_merged_level():
     rng = np.random.default_rng(7)
     pairs = [(rng.normal(-2.0, 3.0, n), rng.normal(0.0, 1.5, n - 1)) for n in (40, 33)]
     levels = np.sort(np.concatenate([tridiagonal_levels(d, e) for d, e in pairs]))
+    d, e = eig._joined(pairs)
     for n in (1, 6, 30, 73):
-        low, high = eig._nth_level(pairs, n, levels[0] - 1.0, levels[-1] + 1.0, 1e-13)
-        assert low == high and abs(high - levels[n - 1]) <= 1e-13
+        w, _, _ = eig._bisect(d, e, index=(n, n))
+        assert w.size == 1 and abs(w[0] - levels[n - 1]) <= 1e-13
     # a double level of one tridiagonal: counts cannot part its two members,
-    # so the interval ends at the width given, still holding the level
+    # and ?stebz returns one of them for either index
     d, e = np.array([-3.25, -3.25, -3.25, -3.25]), np.array([0.5, 0.0, 0.5])
-    for n in (1, 2):
-        low, high = eig._nth_level([(d, e)], n, -5.0, 0.0, 1e-13)
-        assert 0 < high - low <= 1e-13 and low < -3.75 <= high
+    for n, level in ((1, -3.75), (2, -3.75), (3, -2.75), (4, -2.75)):
+        w, _, _ = eig._bisect(d, e, index=(n, n))
+        assert w.size == 1 and abs(w[0] - level) <= 1e-13
 
 
-def test_the_ladder_carries_an_interval_through_a_doublet_of_one_block(monkeypatch):
-    # the 12th of the isotropic oscillator's levels is one of the five with
-    # nx + ny = 4, and the even-even block holds (4, 0) and (0, 4), an exact
-    # doublet that Sturm counts cannot part: on both rungs, 16 and 20,
-    # ``_nth_level`` ends at an interval, so rung 20 bisects up to its upper
-    # end, and the levels still match the dense oracle
-    # (test_contracted_solve_matches_dense_oracle)
+def test_the_nth_level_of_the_joined_tridiagonal_through_doublets(monkeypatch):
+    # The isotropic oscillator's levels are nx + ny + 1, so they come in
+    # exact multiplets that Sturm counts cannot part.  On both rungs that the
+    # 12-state solve visits, 16 and 20, the level 2 is a doublet split across
+    # the EO and OE blocks, and the level 5 holds three levels of the EE
+    # block and two of OO, with the 12th among them.  The joined
+    # tridiagonal's n-th level, bisected by index as each rung takes it, is
+    # the n-th of the blocks' levels merged, to a few eps ||T|| of either
+    # solver's round-off.
     make, n_states, _ = CASES[
         "isotropic oscillator 65^2: the cut inside an exact doublet of one block"]
-    found = []
-    real_nth = eig._nth_level
+    rungs = []
+    real_joined = eig._joined
 
-    def spy(*args):
-        low, high = real_nth(*args)
-        found.append(high - low)
-        return low, high
+    def spy(tridiagonals):
+        rungs.append(tridiagonals)
+        return real_joined(tridiagonals)
 
-    monkeypatch.setattr(eig, "_nth_level", spy)
+    monkeypatch.setattr(eig, "_joined", spy)
     spectrum = solve(make(), n_states)
     assert spectrum.n_states == n_states and spectrum.residuals.max() <= 1e-9
-    assert len(found) == 2 and min(found) > 0
+    assert len(rungs) == 2
+    eps = np.finfo(float).eps
+    for tridiagonals in rungs:
+        per_block = [tridiagonal_levels(d, e) for d, e in tridiagonals]
+        assert [np.sum(np.abs(w - 2.0) < 1e-9) for w in per_block] == [0, 1, 1, 0]
+        assert [np.sum(np.abs(w - 5.0) < 1e-9) for w in per_block] == [3, 0, 0, 2]
+        merged = np.sort(np.concatenate(per_block))
+        d, e = real_joined(tridiagonals)
+        for n in range(1, 16):
+            (level,), _, _ = eig._bisect(d, e, index=(n, n))
+            assert abs(level - merged[n - 1]) <= 32 * eps * np.abs(merged).max()
 
 
 def test_only_the_rungs_that_can_stop_are_bisected(monkeypatch):
-    # 81^2, L = 19, 60 states visits rungs 16, 20, 24 and 28.  Rung 16 is the
-    # first, and the 60th level falls by far more than the stop tolerance
-    # from 16 to 20, which counts show.  From 20 to 24 it falls by only 0.78
-    # of it (levels 55, 57 and 58, counted from 0, fall by 5 to 15 times
-    # it), so counts cannot rule rung 24 out: 24 and 28 bisect their 33 + 27
-    # levels at or below their own 60th level.  Every other ?stebz call
-    # counts, with an infinite tolerance, or bisects a single level.
+    # 81^2, L = 19, 60 states visits rungs 16, 20, 24 and 28, whose joined
+    # tridiagonals have 41 k + 40 k rows.  Rung 16 is the first, and the
+    # 60th level falls by far more than the stop tolerance from 16 to 20,
+    # which a count shows.  From 20 to 24 it falls by only 0.78 of it
+    # (levels 55, 57 and 58, counted from 0, fall by 5 to 15 times it), so
+    # the count cannot rule rung 24 out: 24 and 28 bisect their 60 levels
+    # at or below their own 60th level.  Every other ?stebz call counts,
+    # with an infinite tolerance, or bisects a single level by index.
     calls = []
     real_stebz = lapack.dstebz
 
@@ -283,35 +312,44 @@ def test_only_the_rungs_that_can_stop_are_bisected(monkeypatch):
     spectrum = solve(builtin_problem("henon_heiles", N=81, L=19.0), 60)
     assert spectrum.n_states == 60 and spectrum.residuals.max() <= 1e-9
     bisected = [(n, m) for n, finite, m in calls if finite and m > 1]
-    assert bisected == [(984, 33), (960, 27), (1148, 33), (1120, 27)]
-    # Each block's top level and the 60th merged level on every rung: counts
-    # narrow the 60th down to one level of each block (it is one of a
-    # doublet across the blocks), which is bisected.  No lowest level:
-    # Gershgorin's bound keeps it within the top's magnitude.
+    assert bisected == [(1944, 60), (2268, 60)]
+    # the lowest, top and 60th level of every rung's joined tridiagonal
     singles = collections.Counter(n for n, finite, m in calls if finite and m == 1)
-    assert singles == {n: 2 for k in (16, 20, 24, 28) for n in (41 * k, 40 * k)}
-    assert len(bisected) + sum(singles.values()) == sum(finite for _, finite, _ in calls)
+    assert singles == {81 * k: 3 for k in (16, 20, 24, 28)}
+    # counts: one on rung 20 that rules it out, and one on each of 24 and 28
+    # that lets it through; then the stop rule counts on the rung before,
+    # twice on 20 for rung 24, failing at the 59th level, and 60 times on
+    # 24 for rung 28, which stops the ladder
+    counted = [n for n, finite, _ in calls if not finite]
+    assert counted == [1620, 1944, 1620, 1620, 2268] + [1944] * 60
+    assert len(calls) == 79
     # on 55^2 the same solve bisects on the stopping rung alone
     calls.clear()
     solve(builtin_problem("henon_heiles", N=55), 60)
-    assert [(n, m) for n, finite, m in calls if finite and m > 1] == [(784, 33), (756, 27)]
+    assert [(n, m) for n, finite, m in calls if finite and m > 1] == [(1540, 60)]
+    # the CLI's 10 states on 61^2 stop at rung 20: 6 bisections by index,
+    # one count that lets rung 20 through, one bisection of its 10 lowest
+    # levels and 10 counts of the stop rule
+    calls.clear()
+    solve(builtin_problem("henon_heiles"), 10)
+    assert len(calls) == 18
 
 
 def test_count_stop_test_agrees_with_the_levels():
     # the count form of the stop test against the bisected levels of both
-    # rungs: 81^2 does not stop at 24 and stops at 28
+    # rungs' joined tridiagonals: 81^2 does not stop at 24 and stops at 28
     blocks = list(hamiltonian_blocks(builtin_problem("henon_heiles", N=81, L=19.0)))
     lines = [eig._line_basis(*block.factors, {}) for block in blocks]
-    rungs = {k: [eig._tridiagonal(eig._contracted_matrix(*line[:3], k))[1:3] for line in lines]
+    rungs = {k: eig._joined([eig._tridiagonal(eig._contracted_matrix(*line[:3], k))[1:3]
+                             for line in lines])
              for k in (20, 24, 28)}
     eps = np.finfo(float).eps
     for last, k, stops in ((20, 24, False), (24, 28, True)):
-        tol = 64 * eps * max(abs(eig._bisect(d, e, index=(i, i))[0][0])
-                             for d, e in rungs[k] for i in (1, d.size))
-        merged = [np.sort(np.concatenate([eig._bisect(d, e, index=(1, 60))[0]
-                                          for d, e in rungs[r]]))[:60] for r in (last, k)]
+        d, e = rungs[k]
+        tol = 64 * eps * max(abs(eig._bisect(d, e, index=(i, i))[0][0]) for i in (1, d.size))
+        merged = [np.sort(eig._bisect(*rungs[r], index=(1, 60))[0]) for r in (last, k)]
         assert (np.max(merged[0] - merged[1]) <= tol) == stops
-        assert eig._settled(rungs[last], merged[1], tol) == stops
+        assert eig._settled(*rungs[last], merged[1], tol) == stops
 
 
 @pytest.mark.parametrize("N, n_states", [(47, 23), (47, 59), (55, 40)])
@@ -336,18 +374,26 @@ def test_cut_through_a_doublet_across_the_blocks(N, n_states):
 ], ids=["henon-heiles 61^2, 1 state", "four blocks, 1 state", "four blocks, 3 states"])
 def test_a_block_with_no_level_below_the_cut(make, n_states, monkeypatch):
     # past the first rung a block whose lowest level lies above the merged
-    # n_states-th bisects no level, and keeps no vector
-    given = []
-    real_stein = lapack.dstein
+    # n_states-th has no level in the inverse iteration on the joined
+    # tridiagonal, and takes no vector back through its reduction
+    given, applied = [], []
+    real_stein, real_ormqr = lapack.dstein, lapack.dormqr
 
-    def spy(d, e, w, iblock, isplit):
+    def spy_stein(d, e, w, iblock, isplit):
         given.append(len(w))
         return real_stein(d, e, w, iblock, isplit)
 
-    monkeypatch.setattr(lapack, "dstein", spy)
+    def spy_ormqr(side, trans, a, tau, c, lwork):
+        if lwork != -1:   # not the workspace query
+            applied.append(c.shape[1])
+        return real_ormqr(side, trans, a, tau, c, lwork=lwork)
+
+    monkeypatch.setattr(lapack, "dstein", spy_stein)
+    monkeypatch.setattr(lapack, "dormqr", spy_ormqr)
     problem = make()
     spectrum = solve(problem, n_states)
-    assert 0 in given and sum(given) == n_states
+    assert given == [n_states]
+    assert 0 in applied and sum(applied) == n_states
     dense = dense_oracle(problem, n_states)
     np.testing.assert_allclose(spectrum.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=0)
     assert spectrum.residuals.max() <= 1e-9
@@ -355,37 +401,76 @@ def test_a_block_with_no_level_below_the_cut(make, n_states, monkeypatch):
     np.testing.assert_allclose(spectrum.weight * (v.T @ v), np.eye(n_states), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n_states, rungs", [(60, [16, 20, 24, 28]), (10, [16, 20])])
-def test_rungs_visited(n_states, rungs, monkeypatch):
-    calls = []
-    real_matrix = eig._contracted_matrix
+@pytest.mark.parametrize("grid, n_states, rungs, falls_back", [
+    ({}, 60, [16, 20, 24, 28], False),
+    ({}, 10, [16, 20], False),
+    ({"N": 45, "L": 16.0}, 60, [16, 20, 24, 28], False),
+    ({"N": 45, "L": 16.0}, 100, [16, 20, 24, 28, 32], True),
+    ({"L": 22.0}, 60, [16, 20, 24, 28, 32], True),
+    ({"L": 19.0}, 5, [16, 20], False),
+    # 5 x 401 sites fold in x into blocks of 3 and 2 lines of 401: the
+    # thinner block holds 2 k levels on rung k, fewer than 60 below rung 32.
+    # The joined tridiagonal would hold 5 k, enough from rung 12 on, yet a
+    # ladder over it could not converge; the rung skip visits rung 32 alone,
+    # which cannot stop the ladder
+    ({"Nx": 5, "Ny": 401, "Lx": 4.0, "Ly": 20.0}, 60, [32], True),
+], ids=["61^2, 60 states", "61^2, 10 states", "45^2 L=16, 60 states",
+        "45^2 L=16, 100 states", "61^2 L=22, 60 states", "61^2 L=19, 5 states",
+        "5x401, 60 states: a block too thin below rung 32"])
+def test_rungs_visited(grid, n_states, rungs, falls_back, monkeypatch):
+    problem = builtin_problem("henon_heiles", **grid)
+    reference = dense_oracle(problem, n_states) if falls_back else None
+    calls, ends = [], []
+    real_matrix, real_pairs = eig._contracted_matrix, eig._contracted_pairs
 
-    def spy(*args):
+    def spy_matrix(*args):
         calls.append(args[3])   # basis functions per short-axis site
         return real_matrix(*args)
 
-    monkeypatch.setattr(eig, "_contracted_matrix", spy)
-    solve(builtin_problem("henon_heiles"), n_states)
+    def spy_pairs(*args):
+        pairs = real_pairs(*args)
+        ends.append(pairs is None)
+        return pairs
+
+    monkeypatch.setattr(eig, "_contracted_matrix", spy_matrix)
+    monkeypatch.setattr(eig, "_contracted_pairs", spy_pairs)
+    spectrum = solve(problem, n_states)
     assert [k for k, _ in itertools.groupby(calls)] == rungs
     assert len(calls) == 2 * len(rungs)   # both blocks on every rung
+    assert ends == [falls_back]
+    if falls_back:   # the full decomposition, bitwise the dense oracle's
+        for name in ("eigenvalues", "eigenvectors", "residuals"):
+            np.testing.assert_array_equal(getattr(spectrum, name), getattr(reference, name))
 
 
 def test_back_transform_is_blocked_and_reads_q_in_place(monkeypatch):
-    # the 1148-row rung of the even 81^2 Henon-Heiles block at 28 per line
-    block = next(hamiltonian_blocks(builtin_problem("henon_heiles", N=81)))
-    line = eig._line_basis(*block.factors, {})
-    q, d, e, tau = eig._tridiagonal(eig._contracted_matrix(*line[:3], 28))
-    assert q.shape == (1148, 1148)
+    # the 1148- and 1120-row rungs of the 81^2 Henon-Heiles blocks at 28 per
+    # line, joined, with the cut at the 40th of their 60 lowest levels
+    lines = [eig._line_basis(*block.factors, {})
+             for block in hamiltonian_blocks(builtin_problem("henon_heiles", N=81))]
+    rungs = [eig._tridiagonal(eig._contracted_matrix(*line[:3], 28)) for line in lines]
+    assert [q.shape for q, _, _, _ in rungs] == [(1148, 1148), (1120, 1120)]
+    d, e = eig._joined([rung[1:3] for rung in rungs])
     w_all, iblock, isplit = eig._bisect(d, e, index=(1, 60))
-    cut = w_all[32]   # the 33 lowest of 60 bisected levels
-    blocks = np.zeros_like(isplit)   # ?stein reads 33 of its 1148 entries
-    blocks[:33] = iblock[:33]
-    z_old, info = lapack.dstein(d, e, w_all[:33], blocks, isplit)
+    cut = np.sort(w_all)[39]
+    keep = w_all <= cut
+    blocks = np.zeros_like(isplit)   # ?stein reads 40 of its 2268 entries
+    blocks[:40] = iblock[keep]
+    z_old, info = lapack.dstein(d, e, w_all[keep], blocks, isplit)
     assert not info
+    order = np.argsort(w_all[keep], kind="stable")
+    w_old, z_old = w_all[keep][order], z_old[:, order]
     real_ormqr = lapack.dormqr
-    query = int(real_ormqr("L", "N", q[1:, :-1], tau, z_old[1:], lwork=-1)[1][0])
-    # the copy-based call on q[1:, :-1] with the full workspace
-    z_old[1:] = real_ormqr("L", "N", q[1:, :-1], tau, z_old[1:], lwork=query)[0]
+    expected, start = [], 0
+    for q, _, _, tau in rungs:
+        rows = slice(start, start + q.shape[0])
+        start = rows.stop
+        mine = np.any(z_old[rows] != 0, axis=0)   # ?stein zeroes every other block's rows
+        c = z_old[rows][:, mine]
+        query = int(real_ormqr("L", "N", q[1:, :-1], tau, c[1:], lwork=-1)[1][0])
+        # the copy-based call on q[1:, :-1] with the full workspace
+        c[1:] = real_ormqr("L", "N", q[1:, :-1], tau, c[1:], lwork=query)[0]
+        expected.append((w_old[mine], c, query))
     given = []
 
     def spy(*args, lwork):
@@ -395,15 +480,18 @@ def test_back_transform_is_blocked_and_reads_q_in_place(monkeypatch):
     monkeypatch.setattr(lapack, "dormqr", spy)
     tracemalloc.start()
     try:
-        w, z = eig._kept_vectors(q, d, e, tau, w_all, iblock, isplit, cut)
+        pairs = eig._kept_vectors(rungs, d, e, w_all, iblock, isplit, cut)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    applied = [lwork for lwork in given if lwork != -1]   # not the workspace query
-    assert applied and min(applied) >= query   # never the unblocked ?orm2r
-    assert peak < q.nbytes / 4   # no copy of the reflectors
-    np.testing.assert_array_equal(w, w_all[:33])
-    np.testing.assert_array_equal(z, z_old)
+    applied = [lwork for lwork in given if lwork != -1]   # not the workspace queries
+    assert len(applied) == 2
+    assert all(lwork >= query for lwork, (_, _, query) in zip(applied, expected))   # never ?orm2r
+    assert peak < rungs[1][0].nbytes / 4   # no copy of the reflectors
+    assert [w.size for w, _ in pairs] == [22, 18]
+    for (w, z), (w_ref, z_ref, _) in zip(pairs, expected):
+        np.testing.assert_array_equal(w, w_ref)
+        np.testing.assert_array_equal(z, z_ref)
 
 
 def test_full_spectra_stay_dense(monkeypatch):
