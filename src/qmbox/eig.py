@@ -10,40 +10,28 @@ parts the matrix produces.  A real non-symmetric matrix therefore yields
 an exactly real spectrum whenever its eigenvalues are real, while a
 genuinely complex matrix shows its round-off imaginaries honestly.
 
-The third path is the contracted solve (``_contracted_pairs``), one path
-per problem, chosen by its largest block: when every block of a 2D
-Hamiltonian is Hermitian, given by its Kronecker-sum factors (see
-``OperatorMatrix``), with only its lowest ``n_states`` levels asked for,
-and the largest block has at least ``_CONTRACTION_MIN_SIZE`` sites, each
-block is solved in a basis of 1D eigenstates of its long axis, one set per
-site of its short axis (sequential diagonalization-truncation, Bacic &
-Light, Annu. Rev. Phys. Chem. 40, 469 (1989), on the Fourier-grid DVR of
-Colbert & Miller, J. Chem. Phys. 96, 1982 (1992)).  The basis grows on a
-fixed ladder until the lowest levels stop moving; the dense block is never
-assembled, and the residuals are the full block's, formed matrix-free.
-Every rung takes the same step: each block's contracted matrix is reduced
-to tridiagonal form, and the blocks' tridiagonals are joined into one,
-with a zero coupling between each two, whose levels are theirs merged.
-Bisection on it finds its own ``n_states``-th level, and Sturm counts, the
-number of levels at or below a value, rule out a rung whose levels fell
-too far to stop the ladder.  Any other rung has its levels up to that one
-found, by bisection, and checks the stop rule by counts against the rung
-before.  The vectors are formed once, at the last rung, by inverse
-iteration on the joined tridiagonal for the levels that the merge
-keeps (Demmel, Applied Numerical Linear Algebra, SIAM 1997, sec. 5.3).
-The levels agree with the dense path to within 1e-12 relative (at most
-8.8e-13, on ground states near 1, over Henon-Heiles 45^2 to 81^2 at L = 16
-to 22), while the vectors of the upper levels carry residuals far above
-the dense path's 1e-16 of ||H||_F: convergence in the basis size is
-algebraic, so residuals at the dense level are out of reach.  They grow
-with ``n_states`` and have no bound; on Henon-Heiles, 2.1e-13 on 61^2 at
-10 states, 1.7e-11 on 55^2 and 1.3e-11 on 81^2 at 60, and 6.8e-9 on 81^2
-at 100.
-Should the ladder end unconverged, the blocks are assembled once and
-decomposed in full, like every block on the dense paths: full spectra, 1D,
-non-Hermitian and smaller problems, and a bare dense matrix.  Every LAPACK
-routine that the contracted solve calls directly goes through ``_lapack``,
-the one place that reads its status.
+The third path is the contracted solve (``_contracted_pairs``) of a 2D
+Hamiltonian given by its Kronecker-sum factors (see ``OperatorMatrix``), for
+all of a problem's blocks or none, as the ladder plan (``_ladder``) decides;
+it states the path rule, under which fewer than two reachable rungs means
+dense.  Each block is solved in a basis of 1D eigenstates of its long axis,
+one set per site of its short axis (sequential diagonalization-truncation,
+Bacic & Light, Annu. Rev. Phys. Chem. 40, 469 (1989), on the Fourier-grid
+DVR of Colbert & Miller, J. Chem. Phys. 96, 1982 (1992)).  The basis grows
+on a fixed ladder until the lowest levels stop moving; the dense block is
+never assembled, and the residuals are the full block's, formed
+matrix-free.  Every rung takes the same step, by bisection and Sturm counts
+on the blocks' tridiagonals joined into one, and the vectors are formed
+once, at the last rung, by inverse iteration (Demmel, Applied
+Numerical Linear Algebra, SIAM 1997, sec. 5.3; see ``_contracted_pairs``).
+The levels agree with the dense path to within 1e-12 relative, while the
+vectors of the upper levels carry residuals far above the dense path's 1e-16
+of ||H||_F: convergence in the basis size is algebraic, so they grow with
+``n_states`` and have no bound (figures at ``solve.solve``).  Should the
+ladder end unconverged, the blocks are assembled once and decomposed in
+full, like every block on the dense paths.  Every LAPACK routine that the
+contracted solve calls directly goes through ``_lapack``, the one place that
+reads its status.
 
 The general path has one real form: the builder gives a PT-symmetric
 problem as the real matrix R similar to its complex H, a block tagged PT
@@ -100,13 +88,12 @@ from .operators import EVEN, ODD, PT, OperatorMatrix, mirror_unfold
 _CHUNK_ENTRIES = 2**18
 
 #: The size of a 2D problem's largest block from which the lowest levels of
-#: all its blocks come from the contracted solve rather than the full
-#: decomposition (?syevd), one path per problem, chosen by its largest
-#: block: 1485 sites and up on 55^2 Henon-Heiles; below it the full
-#: decomposition takes at most about 0.25 s on two cores.  No block is
-#: decomposed in part: LAPACK's subset drivers (?syevr, ?syevx) lose
-#: relative digits on strongly graded blocks (1.1e-10 on nh3, inverse-mass
-#: anticommutator, N = 2049).
+#: all its blocks may come from the contracted solve rather than the full
+#: decomposition (?syevd), as the ladder plan (``_ladder``) decides: 1485
+#: sites and up on 55^2 Henon-Heiles; below it the full decomposition takes
+#: at most about 0.25 s on two cores.  No block is decomposed in part:
+#: LAPACK's subset drivers (?syevr, ?syevx) lose relative digits on strongly
+#: graded blocks (1.1e-10 on nh3, inverse-mass anticommutator, N = 2049).
 _CONTRACTION_MIN_SIZE = 1024
 
 #: Basis functions per site of a block's short axis on each rung of the
@@ -169,10 +156,10 @@ def diagonalize(op: OperatorMatrix, grid: Lattice1D | Lattice2D,
 
     Hermitian-path eigenvalues come back as a real array, so their imaginary
     parts are identically zero; the general path returns complex eigenvalues
-    sorted by (Re, Im).  With ``n_states``, a Hermitian 2D block of at least
-    ``_CONTRACTION_MIN_SIZE`` sites given by its factors takes the
-    contracted solve, which is much cheaper for big 2D grids; every other
-    block is decomposed in full and truncated.
+    sorted by (Re, Im).  With ``n_states``, a large Hermitian 2D operator
+    given by its factors may take the contracted solve, which is much
+    cheaper for big 2D grids, as the ladder plan (``_ladder``) decides;
+    anything else is decomposed in full and truncated.
     """
     if op.dim != grid.size:
         raise ValueError("operator dimension does not match the grid")
@@ -183,17 +170,15 @@ def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Latti
                        n_states: int | None = None) -> Spectrum:
     """Eigendecomposition of a Hamiltonian given as mirror-parity blocks.
 
-    Each block gives its lowest min(n_states, block size) pairs, on one
-    path per problem, chosen by its largest block.  A block that the
-    contracted solve can take (``_contracts``) is held as factors; any
-    other is solved densely and released before the next one is drawn.
-    The held blocks go to the contracted solve together if they are all
-    the blocks and the largest has at least ``_CONTRACTION_MIN_SIZE``
-    sites, and are otherwise solved densely too, as when the ladder ends
-    unconverged.  The lowest ``n_states`` across blocks are kept in (Re, Im)
-    order, their vectors are scattered back onto the full grid, and the
-    residuals are divided by sqrt(sum ||H_b||_F^2) = ||H||_F, so the result
-    is laid out exactly as the decomposition of the assembled H would be.
+    Each block gives its lowest min(n_states, block size) pairs.  A block
+    given by its factors is held as them; any other is solved densely and
+    released before the next one is drawn.  The held blocks go to the
+    contracted solve together when the ladder plan (``_ladder``) gives them
+    rungs, and are otherwise solved densely one at a time, as when the
+    ladder ends unconverged.  The lowest ``n_states`` across blocks are kept
+    in (Re, Im) order, their vectors are scattered back onto the full grid,
+    and the residuals are divided by sqrt(sum ||H_b||_F^2) = ||H||_F, so the
+    result is laid out exactly as one decomposition of the assembled H.
     """
     if n_states is not None:
         (n_states,) = _integers([n_states], "n_states")
@@ -206,17 +191,15 @@ def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Latti
         parities.append(block.parity)
         folded.update(axis for axis, p in zip("xy", block.parity) if p in (EVEN, ODD))
         hermitian = hermitian and block.hermitian_hint
-        if _contracts(block, n_states):
+        if block.factors is not None:
             held.append(len(parts))
             parts.append(block)   # its factors, a few 1D matrices
         else:
             parts.append(_dense_pairs(block, n_states, grid.cell))
         del block   # free a dense block before the next one is drawn
-    # one path per problem: the ladder takes every block, or none
-    solved = None
-    if held and len(held) == len(parts) and max(b.dim for b in parts) >= _CONTRACTION_MIN_SIZE:
-        solved = _contracted_pairs(parts, n_states, grid.cell)
-    if solved is None:   # not contracted or not converged: one assembled block at a time
+    ladder = _ladder(parts, n_states)
+    solved = _contracted_pairs(parts, n_states, grid.cell, ladder) if ladder else None
+    if solved is None:   # dense or not converged: one assembled block at a time
         solved = (_dense_pairs(parts[i], n_states, grid.cell) for i in held)
     for i, part in zip(held, solved):
         parts[i] = part
@@ -284,21 +267,45 @@ def _normalize(v: np.ndarray, cell: float) -> None:
         v[:, c] /= np.sqrt(cell * np.sum(np.abs(v[:, c]) ** 2, axis=0))
 
 
-def _contracts(block: OperatorMatrix, n_states: int | None) -> bool:
-    """Whether the contracted solve can take a block: a Hermitian block
-    given by real Kronecker-sum factors, of which only the lowest
-    ``n_states`` < size levels are asked for."""
-    return (block.factors is not None and block.hermitian_hint and n_states is not None
-            and n_states < block.dim and not any(np.iscomplexobj(f) for f in block.factors))
+def _ladder(blocks: list, n_states: int | None) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The rungs that the contracted solve climbs for all of a problem's
+    blocks, each as (n_c, the basis functions per short-axis site that each
+    block keeps, min(n_c, long sites)), or () for the dense path: the path
+    rule, read off the blocks' factors before any matrix is built.  Every
+    block takes the ladder or none does.  It takes a problem of which only
+    the lowest ``n_states`` levels are asked for, fewer than any block
+    holds, whose blocks are all Hermitian and given by real factors (none
+    solved densely as it was drawn), and whose largest block has at least
+    ``_CONTRACTION_MIN_SIZE`` sites.  A rung is reachable when every block
+    holds ``n_states`` levels on it, kept times short sites, since a very
+    thin block's lower rungs cannot converge.  The reachable rungs are the
+    top of ``_CONTRACTION_LADDER``, and fewer than two reachable rungs means
+    dense: a rung stops the ladder only against the one before it.  Each
+    block's top-rung matrix is checked against the memory cap here."""
+    if n_states is None or not all(
+            isinstance(b, OperatorMatrix) and b.factors is not None and b.hermitian_hint
+            and n_states < b.dim and not any(np.iscomplexobj(f) for f in b.factors)
+            for b in blocks):
+        return ()
+    shapes = [sorted(f.shape[0] for f in b.factors[:2]) for b in blocks]   # (short, long)
+    rungs = [(n_c, tuple(min(n_c, n_l) for _, n_l in shapes)) for n_c in _CONTRACTION_LADDER]
+    ladder = tuple((n_c, kept) for n_c, kept in rungs
+                   if min(k * n_s for k, (n_s, _) in zip(kept, shapes)) >= n_states)
+    if len(ladder) < 2 or max(n_s * n_l for n_s, n_l in shapes) < _CONTRACTION_MIN_SIZE:
+        return ()
+    for k, (n_s, _) in zip(ladder[-1][1], shapes):
+        _check_cap(k * n_s, "contracted solve")
+    return ladder
 
 
 @_solver_errors()
-def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float):
+def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
+                      ladder: tuple[tuple[int, tuple[int, ...]], ...]):
     """(w, v, r, ||H||_F^2) per block, as ``_dense_pairs`` gives them, from
     a sequential diagonalization-truncation of each block's factors; None
     when the ladder ends unconverged.  ``blocks`` are all the blocks of one
-    problem, so the ladder's levels are the problem's: one path per
-    problem, chosen by its largest block (``diagonalize_blocks``).
+    problem, so the ladder's levels are the problem's, and ``ladder`` is
+    their plan (``_ladder``), which states the path rule.
 
     Each distinct line is decomposed once per solve (``_line_basis``): a
     line of one block that another block shares, the same long-axis
@@ -309,8 +316,8 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float):
     decomposes 41 lines on 81^2, not 81.  The record of decompositions
     lives in this call alone.
 
-    The blocks climb ``_CONTRACTION_LADDER`` in lockstep, and every rung
-    takes the same step.  Each block's contracted matrix, a leading
+    The blocks climb the planned rungs in lockstep, and every rung takes
+    the same step.  Each block's contracted matrix, a leading
     submatrix of the next rung's, is built from the 1D bases and reduced to
     tridiagonal form once, in place, and the blocks' tridiagonals are
     joined into one (``_joined``), whose levels are the rung's merged
@@ -327,14 +334,11 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float):
     every j (``_settled``, up to ``n_states`` counts): no level moved by
     more.  One inverse iteration on that rung's joined tridiagonal then
     gives the vectors of the levels that the merge keeps, and each block
-    takes its own back through its reduction (``_kept_vectors``).  A rung
-    with a block too small to hold ``n_states`` levels is skipped: the
-    joined tridiagonal of a grid with one very thin block would climb rungs
-    that cannot converge.  On 81^2 Henon-Heiles at 60 states (L = 19) the
-    ladder visits rungs 16 to 28 and calls ?stebz 79 times: 12 bisections
-    by index, 3 counts that rule out rung 20 or let 24 and 28 through, 2
-    bisections of the 60 lowest levels, on rungs 24 and 28, and 2 + 60
-    counts of the stop rule.
+    takes its own back through its reduction (``_kept_vectors``).  On 81^2
+    Henon-Heiles at 60 states (L = 19) the ladder visits rungs 16 to 28 and
+    calls ?stebz 79 times: 12 bisections by index, 3 counts that rule out
+    rung 20 or let 24 and 28 through, 2 bisections of the 60 lowest levels,
+    on rungs 24 and 28, and 2 + 60 counts of the stop rule.
 
     Every BLAS and LAPACK call of the ladder, from the line bases to the
     bisections and counts, goes to scipy's OpenBLAS.  numpy bundles a
@@ -345,17 +349,11 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float):
     numpy's matmul, and the residuals (``_kronecker_residuals``) take one
     numpy product beside scipy's.
     """
-    for block in blocks:
-        n_short, n_long = sorted(f.shape[0] for f in block.factors[:2])
-        _check_cap(min(_CONTRACTION_LADDER[-1], n_long) * n_short, "contracted solve")
     decomposed = {}   # one ?syevd per distinct line of this solve
     lines = [_line_basis(*block.factors, decomposed) for block in blocks]
     eps = np.finfo(float).eps
     last = None   # the last rung's joined (d, e) and its n_states-th level
-    for n_c in _CONTRACTION_LADDER:
-        kept = [min(n_c, U.shape[2]) for _, _, U, _ in lines]
-        if min(k * U.shape[0] for k, (_, _, U, _) in zip(kept, lines)) < n_states:
-            continue
+    for _, kept in ladder:
         rungs = None   # release the last rung's reductions before the next ones
         rungs = [_tridiagonal(_contracted_matrix(*line[:3], k)) for line, k in zip(lines, kept)]
         d, e = _joined([rung[1:3] for rung in rungs])

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 #: Cap in bytes on one grid-sized array, counted as complex128 (16 bytes an
-#: entry) whatever its dtype: an axis's N x N matrix, a 2D dense matrix, the
-#: eigenvector output and the contracted solve's largest matrix are each
-#: checked where they are made.  It bounds single arrays, not the peak of a
-#: solve, which holds several of them and LAPACK's workspace at once.
+#: entry) whatever its dtype: an axis's N x N matrix, a 2D dense matrix and
+#: the eigenvector output are checked where they are made, the contracted
+#: solve's largest matrix in its ladder plan (``eig._ladder``: fewer than
+#: two reachable rungs means dense).  It bounds single arrays, not the peak
+#: of a solve, which holds several of them and LAPACK's workspace at once.
 MEMORY_CAP = 4 * 2**30
 
 _COMPLEX_ITEMSIZE = 16

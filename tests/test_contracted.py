@@ -1,11 +1,10 @@
 """Contracted solves of large 2D Hermitian problems against the dense oracle.
 
-A Hermitian 2D problem whose largest block has at least
-``_CONTRACTION_MIN_SIZE`` sites, and of which only the lowest levels are
-asked for, has every block solved in a basis of 1D eigenstates of its long
-axis (``eig._contracted_pairs``): one path per problem, chosen by its
-largest block.  The full decomposition of each assembled block,
-``kronecker_sum`` of its factors, is the oracle.
+A problem to which the ladder plan (``eig._ladder``, the one statement of
+the path rule) gives rungs has every block solved in a basis of 1D
+eigenstates of its long axis (``eig._contracted_pairs``); fewer than two
+reachable rungs means dense.  The full decomposition of each assembled
+block, ``kronecker_sum`` of its factors, is the oracle.
 """
 
 import collections
@@ -29,10 +28,11 @@ from qmbox.problems import builtin_problem, henon_heiles_well_radius_sq
 from qmbox.solve import solve
 
 
-def problem_2d(potential, N, L):
+def problem_2d(potential, N, L, imag=None):
     grid = make_lattice_2d(L, (N[0] - 1) // 2, L, (N[1] - 1) // 2)
     return ProblemDefinition(name="contracted", grid=grid, ordering=ConstantMass(1.0),
-                             potential_real=potential, energy_unit="model")
+                             potential_real=potential, potential_imag=imag,
+                             energy_unit="model")
 
 
 CASES = {
@@ -408,15 +408,8 @@ def test_a_block_with_no_level_below_the_cut(make, n_states, monkeypatch):
     ({"N": 45, "L": 16.0}, 100, [16, 20, 24, 28, 32], True),
     ({"L": 22.0}, 60, [16, 20, 24, 28, 32], True),
     ({"L": 19.0}, 5, [16, 20], False),
-    # 5 x 401 sites fold in x into blocks of 3 and 2 lines of 401: the
-    # thinner block holds 2 k levels on rung k, fewer than 60 below rung 32.
-    # The joined tridiagonal would hold 5 k, enough from rung 12 on, yet a
-    # ladder over it could not converge; the rung skip visits rung 32 alone,
-    # which cannot stop the ladder
-    ({"Nx": 5, "Ny": 401, "Lx": 4.0, "Ly": 20.0}, 60, [32], True),
 ], ids=["61^2, 60 states", "61^2, 10 states", "45^2 L=16, 60 states",
-        "45^2 L=16, 100 states", "61^2 L=22, 60 states", "61^2 L=19, 5 states",
-        "5x401, 60 states: a block too thin below rung 32"])
+        "45^2 L=16, 100 states", "61^2 L=22, 60 states", "61^2 L=19, 5 states"])
 def test_rungs_visited(grid, n_states, rungs, falls_back, monkeypatch):
     problem = builtin_problem("henon_heiles", **grid)
     reference = dense_oracle(problem, n_states) if falls_back else None
@@ -504,19 +497,61 @@ def test_full_spectra_stay_dense(monkeypatch):
     assert spectrum.n_states == problem.size
 
 
-def test_a_block_too_small_for_n_states_sends_every_block_dense(monkeypatch):
-    # 45^2 at 1000 states: the odd block has 990 sites, fewer than the
-    # levels asked for, so neither block takes the ladder, and the spectrum
-    # is the dense oracle's bitwise
+@pytest.mark.parametrize("grid, n_states, sizes", [
+    # the odd block has 990 sites, fewer than the levels asked for
+    ({"N": 45}, 1000, [990, 1035]),
+    # 5 x 401 sites fold in x into blocks of 2 and 3 lines of 401: the
+    # thinner block holds 2 k levels on rung k, fewer than 60 below rung 32.
+    # The joined tridiagonal would hold 5 k, enough from rung 12 on, yet a
+    # ladder over it could not converge; rung 32 alone is reachable, and it
+    # has no rung before it to stop against
+    ({"Nx": 5, "Ny": 401, "Lx": 4.0, "Ly": 20.0}, 60, [802, 1203]),
+], ids=["45^2, 1000 states", "5x401, 60 states: one reachable rung"])
+def test_a_block_too_small_for_n_states_sends_every_block_dense(grid, n_states, sizes,
+                                                                monkeypatch):
+    # neither block takes the ladder, no line is decomposed for it, and the
+    # spectrum is the dense oracle's bitwise
     def refuse(*args, **kwargs):
         raise AssertionError("a block took the contracted solve")
-    problem = builtin_problem("henon_heiles", N=45)
-    assert sorted(b.dim for b in hamiltonian_blocks(problem)) == [990, 1035]
-    reference = dense_oracle(problem, 1000)
+    problem = builtin_problem("henon_heiles", **grid)
+    assert sorted(b.dim for b in hamiltonian_blocks(problem)) == sizes
+    reference = dense_oracle(problem, n_states)
     monkeypatch.setattr(eig, "_contracted_pairs", refuse)
-    spectrum = solve(problem, 1000)
+    monkeypatch.setattr(eig, "_line_basis", refuse)
+    spectrum = solve(problem, n_states)
     for name in ("eigenvalues", "eigenvectors", "residuals"):
         np.testing.assert_array_equal(getattr(spectrum, name), getattr(reference, name))
+
+
+def ladder(*kept_top):
+    """Rungs 16 to 32, each block keeping n_c basis functions per site, or
+    at most its long sites, as ``kept_top`` gives them on rung 32."""
+    return tuple((n_c, tuple(min(n_c, k) for k in kept_top)) for n_c in (16, 20, 24, 28, 32))
+
+
+@pytest.mark.parametrize("make, n_states, planned", [
+    (lambda: builtin_problem("henon_heiles"), 60, ladder(32, 32)),
+    (lambda: builtin_problem("henon_heiles"), 10, ladder(32, 32)),
+    # blocks of 1035 and 990 sites, on either side of _CONTRACTION_MIN_SIZE
+    (lambda: builtin_problem("henon_heiles", N=45, L=16.0), 100, ladder(32, 32)),
+    # blocks of 1024, 992, 992 and 961 sites: the odd-odd block's lines hold 31
+    (CASES["even in both 63^2, 60 states"][0], 60, ladder(32, 32, 32, 31)),
+    (lambda: builtin_problem("henon_heiles"), None, ()),
+    # V_imag mirror-even on both axes: folded, so not PT, and its factors complex
+    (lambda: problem_2d(lambda x, y: 0.5 * (x**2 + y**2), (65, 65), 14.0,
+                        imag=lambda x, y: 0.1 * x**2), 10, ()),
+    (lambda: builtin_problem("henon_heiles", N=45), 1000, ()),
+    (lambda: builtin_problem("henon_heiles", N=33), 60, ()),
+    (lambda: builtin_problem("henon_heiles", Nx=5, Ny=401, Lx=4.0, Ly=20.0), 60, ()),
+], ids=["61^2, 60 states", "61^2, 10 states", "45^2 L=16, 100 states",
+        "even in both 63^2, 60 states", "full spectrum", "complex factors, folded",
+        "45^2, 1000 states: a block below n_states", "33^2: largest block 561 sites",
+        "5x401, 60 states: one reachable rung"])
+def test_the_ladder_plan_from_block_shapes(make, n_states, planned):
+    # the plan reads the blocks' factors alone: no eigensolve, no matrix
+    blocks = list(hamiltonian_blocks(make()))
+    assert eig._ladder(blocks, n_states) == planned
+    assert all("matrix" not in vars(block) for block in blocks)
 
 
 def test_unconverged_ladder_falls_back_to_full_decomposition_bitwise(monkeypatch):
