@@ -44,16 +44,22 @@ class ConfigError(ValueError):
 
 # --- Config-file problems ----------------------------------------------------
 
-_CONFIG_KEYS = {"dimension", "N", "L", "N_x", "N_y", "L_x", "L_y", "ordering",
+#: The grid keys that each dimension reads.
+_GRID_KEYS = {1: ("N", "L"), 2: ("N_x", "N_y", "L_x", "L_y")}
+
+_CONFIG_KEYS = {"dimension", *_GRID_KEYS[1], *_GRID_KEYS[2], "ordering",
                 "mass", "potential_real", "potential_imag", "unit"}
 
 
 def load_config(path: str) -> ProblemDefinition:
     """Parse a key = value problem description into a ProblemDefinition.
 
-    Required keys: dimension, potential_real, N/L (per axis in 2D), plus a
-    mass or a constant-mass ordering.  Expressions use the variable x (and
-    y in 2D); '#' starts a comment.
+    Required keys: dimension, potential_real, the grid (N and L in 1D; N_x,
+    N_y, L_x and L_y in 2D), plus a mass or a constant-mass ordering.  A
+    key that the problem would not read is refused: the other dimension's
+    grid keys, and a mass beside a constant-mass ordering, which carries
+    its own mu.  Expressions use the variable x (and y in 2D); '#' starts
+    a comment.
     """
     entries: dict[str, str] = {}
     try:
@@ -94,6 +100,10 @@ def load_config(path: str) -> ProblemDefinition:
         raise ConfigError(f"{path}: dimension must be 1 or 2, got {dimension!r}")
     dim = int(dimension)
     variables = {"x"} if dim == 1 else {"x", "y"}
+    for key in _GRID_KEYS[3 - dim]:
+        if key in entries:
+            raise ConfigError(f"{path}: key {key!r} is not read in dimension {dim}; "
+                              f"its grid keys are {', '.join(_GRID_KEYS[dim])}")
 
     def parse_expr(key: str):
         source = entries[key]
@@ -120,6 +130,9 @@ def load_config(path: str) -> ProblemDefinition:
             ordering = _parse_ordering(ordering_spec)
         except ConfigError as err:
             raise ConfigError(f"{path}: key 'ordering': {err}")
+        if "mass" in entries and isinstance(ordering, ConstantMass):
+            raise ConfigError(f"{path}: key 'mass' is not read with a constant-mass "
+                              "ordering, which carries its own mu")
     elif isinstance(mass, float):
         try:
             ordering, mass = ConstantMass(mass), None

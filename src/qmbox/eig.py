@@ -170,39 +170,31 @@ def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Latti
                        n_states: int | None = None) -> Spectrum:
     """Eigendecomposition of a Hamiltonian given as mirror-parity blocks.
 
-    Each block gives its lowest min(n_states, block size) pairs.  A block
-    given by its factors is held as them; any other is solved densely and
-    released before the next one is drawn.  The held blocks go to the
-    contracted solve together when the ladder plan (``_ladder``) gives them
-    rungs, and are otherwise solved densely one at a time, as when the
-    ladder ends unconverged.  The lowest ``n_states`` across blocks are kept
-    in (Re, Im) order, their vectors are scattered back onto the full grid,
-    and the residuals are divided by sqrt(sum ||H_b||_F^2) = ||H||_F, so the
-    result is laid out exactly as one decomposition of the assembled H.
+    Each block gives its lowest min(n_states, block size) pairs, and every
+    block goes through one lifecycle.  The blocks are taken first, all of
+    them, and the ladder plan (``_ladder``) is made once, on that list.
+    Then either the contracted solve takes every block from its factors,
+    or one dense pass solves them in order, each block dropped as it is
+    solved, so that its dense or assembled matrix is freed before the next
+    one is solved; a ladder that ends unconverged ends in that pass too.
+    The lowest ``n_states`` across blocks are kept in (Re, Im) order, their
+    vectors are scattered back onto the full grid, and the residuals are
+    divided by sqrt(sum ||H_b||_F^2) = ||H||_F, so the result is laid out
+    exactly as one decomposition of the assembled H.
     """
     if n_states is not None:
         (n_states,) = _integers([n_states], "n_states")
         if not 1 <= n_states <= grid.size:
             raise ValueError(f"n_states must be in 1..{grid.size}, got {n_states}")
     _check_cap(grid.size, "eigenvectors", n_states or grid.size)
-    parts, held, parities = [], [], []
-    folded, hermitian = set(), True
-    for block in blocks:
-        parities.append(block.parity)
-        folded.update(axis for axis, p in zip("xy", block.parity) if p in (EVEN, ODD))
-        hermitian = hermitian and block.hermitian_hint
-        if block.factors is not None:
-            held.append(len(parts))
-            parts.append(block)   # its factors, a few 1D matrices
-        else:
-            parts.append(_dense_pairs(block, n_states, grid.cell))
-        del block   # free a dense block before the next one is drawn
-    ladder = _ladder(parts, n_states)
-    solved = _contracted_pairs(parts, n_states, grid.cell, ladder) if ladder else None
-    if solved is None:   # dense or not converged: one assembled block at a time
-        solved = (_dense_pairs(parts[i], n_states, grid.cell) for i in held)
-    for i, part in zip(held, solved):
-        parts[i] = part
+    blocks = list(blocks)
+    parities = [block.parity for block in blocks]
+    folded = {axis for parity in parities for axis, p in zip("xy", parity) if p in (EVEN, ODD)}
+    hermitian = all(block.hermitian_hint for block in blocks)
+    ladder = _ladder(blocks, n_states)
+    parts = _contracted_pairs(blocks, n_states, grid.cell, ladder) if ladder else None
+    if parts is None:   # dense or not converged: one block at a time, freed once solved
+        parts = [_dense_pairs(blocks.pop(0), n_states, grid.cell) for _ in range(len(blocks))]
 
     values, vectors, residuals, norms_sq = (list(column) for column in zip(*parts))
     del parts
@@ -267,25 +259,25 @@ def _normalize(v: np.ndarray, cell: float) -> None:
         v[:, c] /= np.sqrt(cell * np.sum(np.abs(v[:, c]) ** 2, axis=0))
 
 
-def _ladder(blocks: list, n_states: int | None) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _ladder(blocks: list[OperatorMatrix], n_states: int | None) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The rungs that the contracted solve climbs for all of a problem's
     blocks, each as (n_c, the basis functions per short-axis site that each
     block keeps, min(n_c, long sites)), or () for the dense path: the path
-    rule, read off the blocks' factors before any matrix is built.  Every
+    rule, read off the blocks' factors before any block is solved or any
+    matrix is built.  ``blocks`` are every block of the problem, so every
     block takes the ladder or none does.  It takes a problem of which only
     the lowest ``n_states`` levels are asked for, fewer than any block
-    holds, whose blocks are all Hermitian and given by real factors (none
-    solved densely as it was drawn), and whose largest block has at least
-    ``_CONTRACTION_MIN_SIZE`` sites.  A rung is reachable when every block
-    holds ``n_states`` levels on it, kept times short sites, since a very
-    thin block's lower rungs cannot converge.  The reachable rungs are the
-    top of ``_CONTRACTION_LADDER``, and fewer than two reachable rungs means
-    dense: a rung stops the ladder only against the one before it.  Each
-    block's top-rung matrix is checked against the memory cap here."""
+    holds, whose blocks are all Hermitian and given by real factors, and
+    whose largest block has at least ``_CONTRACTION_MIN_SIZE`` sites.  A
+    rung is reachable when every block holds ``n_states`` levels on it,
+    kept times short sites, since a very thin block's lower rungs cannot
+    converge.  The reachable rungs are the top of ``_CONTRACTION_LADDER``,
+    and fewer than two reachable rungs means dense: a rung stops the ladder
+    only against the one before it.  Each block's top-rung matrix is
+    checked against the memory cap here."""
     if n_states is None or not all(
-            isinstance(b, OperatorMatrix) and b.factors is not None and b.hermitian_hint
-            and n_states < b.dim and not any(np.iscomplexobj(f) for f in b.factors)
-            for b in blocks):
+            b.factors is not None and b.hermitian_hint and n_states < b.dim
+            and not any(np.iscomplexobj(f) for f in b.factors) for b in blocks):
         return ()
     shapes = [sorted(f.shape[0] for f in b.factors[:2]) for b in blocks]   # (short, long)
     rungs = [(n_c, tuple(min(n_c, n_l) for _, n_l in shapes)) for n_c in _CONTRACTION_LADDER]

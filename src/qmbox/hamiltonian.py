@@ -246,6 +246,11 @@ def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterato
     axis matrices and V on the block's sites), from which
     ``diagonalize_blocks`` either solves it in a contracted basis or
     assembles the dense matrix; a PT block is dense in 2D too.
+
+    Each block is built as it is drawn.  ``diagonalize_blocks`` (through
+    ``solve``) draws them all before it solves any, as its plan reads every
+    block; ``block_eigenvalues`` (through the convergence scans) draws and
+    solves them one at a time.
     """
     grid = problem.grid
     m = _mass_values(problem)

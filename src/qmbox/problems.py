@@ -181,12 +181,27 @@ def _grid_1d(defaults: tuple[float, int], overrides: dict):
     return make_lattice(L, points_to_m(overrides.pop("N", defaults[1])))
 
 
+def _grid_2d_axes(overrides: dict, key: str, default) -> tuple:
+    """The (x, y) values of the 2D grid override ``key`` (N or L): each axis
+    takes its own override (key + "x" or key + "y"), else ``key``, else the
+    other axis's override, else the default.  ``key`` beside both per-axis
+    overrides would be read by neither axis, so it is refused."""
+    shared, x, y = (overrides.pop(name, None) for name in (key, key + "x", key + "y"))
+    if None not in (shared, x, y):
+        raise ValueError(f"override {key} is unused: {key}x and {key}y set both axes")
+    return tuple(next(v for v in (own, shared, other, default) if v is not None)
+                 for own, other in ((x, y), (y, x)))
+
+
 def builtin_problem(problem_id: str, **overrides) -> ProblemDefinition:
     """Instantiate a built-in problem, optionally overriding grid/ordering.
 
-    Generic overrides: N, L (1D), Nx/Ny/Lx/Ly (2D), ordering.  The one
-    problem-specific override is r_e (morse), which moves the well.
-    Unknown ids or overrides raise ValueError.
+    Generic overrides: N, L, ordering.  The 2D problem also takes
+    Nx/Ny/Lx/Ly: each axis takes its own override, else N (L), else the
+    other axis's override, else the default, and N (L) given together with
+    both Nx and Ny (Lx and Ly) is refused.  The one problem-specific
+    override is r_e (morse), which moves the well.  Unknown ids or
+    overrides raise ValueError.
     """
     if problem_id not in BUILTIN_IDS:
         raise ValueError(f"unknown problem id {problem_id!r}; known: {', '.join(BUILTIN_IDS)}")
@@ -244,11 +259,9 @@ def builtin_problem(problem_id: str, **overrides) -> ProblemDefinition:
             energy_unit="model",
         )
     else:  # henon_heiles
-        Lx = float(ov.pop("Lx", ov.pop("L", 20.0)))
-        Ly = float(ov.pop("Ly", Lx))
-        Nx = ov.pop("Nx", ov.pop("N", 61))
-        Ny = ov.pop("Ny", Nx)
-        grid = make_lattice_2d(Lx, points_to_m(Nx), Ly, points_to_m(Ny))
+        Nx, Ny = _grid_2d_axes(ov, "N", 61)
+        Lx, Ly = _grid_2d_axes(ov, "L", 20.0)
+        grid = make_lattice_2d(float(Lx), points_to_m(Nx), float(Ly), points_to_m(Ny))
         problem = ProblemDefinition(
             name=problem_id,
             grid=grid,

@@ -401,6 +401,30 @@ class TestConfig:
         energies = [float(r.split()[1]) for r in out.strip().splitlines()[1:]]
         np.testing.assert_allclose(energies, [1.0, 2.0, 2.0], atol=1e-6)
 
+    @pytest.mark.parametrize("text, message", [
+        ("dimension = 2\nN_x = 15\nN_y = 15\nL_x = 10\nL_y = 10\nN = 101\nmass = 1\n",
+         "key 'N' is not read in dimension 2; its grid keys are N_x, N_y, L_x, L_y"),
+        ("dimension = 2\nN_x = 15\nN_y = 15\nL_x = 10\nL_y = 10\nL = 20\nmass = 1\n",
+         "key 'L' is not read in dimension 2; its grid keys are N_x, N_y, L_x, L_y"),
+        *((f"dimension = 1\nN = 41\nL = 10\n{key} = 15\nmass = 1\n",
+           f"key '{key}' is not read in dimension 1; its grid keys are N, L")
+          for key in ("N_x", "N_y", "L_x", "L_y")),
+        # the ordering's own mu = 1 would be solved, silently not the mass of 2
+        ("dimension = 1\nN = 41\nL = 10\nmass = 2\nordering = constant-mass\n",
+         "key 'mass' is not read with a constant-mass ordering, which carries its own mu"),
+        ("dimension = 1\nN = 41\nL = 10\nmass = 1 + x^2\nordering = constant-mass 0.5\n",
+         "key 'mass' is not read with a constant-mass ordering, which carries its own mu"),
+        ("dimension = 2\nN_x = 15\nN_y = 15\nL_x = 10\nL_y = 10\nmass = 2\n"
+         "ordering = constant-mass\n",
+         "key 'mass' is not read with a constant-mass ordering, which carries its own mu"),
+    ], ids=["N in 2D", "L in 2D", "N_x in 1D", "N_y in 1D", "L_x in 1D", "L_y in 1D",
+            "mass with constant-mass", "mass expression with constant-mass mu",
+            "mass with constant-mass in 2D"])
+    def test_key_that_no_problem_reads_refused(self, tmp_path, capsys, text, message):
+        cfg = self.write(tmp_path, f"{text}potential_real = x^2\n")
+        code, out, err = run(["solve", "--config", cfg], capsys)
+        assert (code, out, err) == (1, "", f"error: {cfg}: {message}\n")
+
     def test_missing_dimension_names_key(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "N = 41\nL = 10\nmass = 1\npotential_real = x^2\n")
         code, _, err = run(["solve", "--config", cfg], capsys)

@@ -7,11 +7,13 @@ reproduce.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 from conftest import complex_hamiltonian
 
+from qmbox import eig, operators
 from qmbox.eig import classify_parity, diagonalize, phase_fix
 from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, VonRoos,
                                build_hamiltonian, hamiltonian_blocks,
@@ -262,3 +264,41 @@ def test_every_mirror_even_builtin_folds(problem_id):
                         for f in functions if f is not None))
     assert even == (("x",) if problem_id in MIRROR_EVEN_BUILTINS else ())
     assert solve(problem, 1).mirror_axes == even
+
+
+@pytest.mark.parametrize("make, n_states, climbs", [
+    (lambda: builtin_problem("henon_heiles", N=33), 60, False),
+    (lambda: builtin_problem("henon_heiles", N=45, L=16.0), 100, True),
+    (lambda: builtin_problem("pdm_ho_1"), None, False),
+], ids=["henon-heiles 33^2, 60 states: dense plan",
+        "henon-heiles 45^2 L=16, 100 states: the ladder falls back", "1D pdm_ho_1"])
+def test_each_block_matrix_is_freed_before_the_next_is_solved(make, n_states, climbs,
+                                                             monkeypatch):
+    # every block goes through one lifecycle: whatever the plan, a block's
+    # dense or assembled matrix is dead by the time the next block is solved
+    matrices, solved, ladders = [], [], []   # matrices: weak references
+    real_sum, real_pairs, real_ladder = (operators.kronecker_sum, eig._dense_pairs,
+                                         eig._contracted_pairs)
+
+    def assembling(*args):
+        H = real_sum(*args)
+        matrices.append(weakref.ref(H))
+        return H
+
+    def solving(block, *args):
+        assert all(ref() is None for ref in matrices), "an earlier block's matrix is alive"
+        solved.append(block.parity)
+        pairs = real_pairs(block, *args)
+        matrices.append(weakref.ref(block.matrix))
+        return pairs
+
+    def climbing(*args):
+        ladders.append(real_ladder(*args))
+        return ladders[-1]
+
+    monkeypatch.setattr(operators, "kronecker_sum", assembling)
+    monkeypatch.setattr(eig, "_dense_pairs", solving)
+    monkeypatch.setattr(eig, "_contracted_pairs", climbing)
+    solve(make(), n_states)
+    assert ladders == ([None] if climbs else [])
+    assert len(solved) == 2 and all(ref() is None for ref in matrices)

@@ -184,6 +184,34 @@ class TestBuiltinProblems:
         problem2 = builtin_problem("henon_heiles", Nx=9, Ny=11, Lx=8.0, Ly=9.0)
         assert (problem2.grid.lx.N, problem2.grid.ly.N) == (9, 11)
 
+    @pytest.mark.parametrize("overrides, grid", [
+        ({}, (61, 61, 20.0, 20.0)),
+        ({"N": 15, "L": 12.0}, (15, 15, 12.0, 12.0)),
+        # each axis takes its own override, else N (L), else the other axis's
+        ({"N": 61, "Nx": 41}, (41, 61, 20.0, 20.0)),
+        ({"N": 9, "Ny": 11}, (9, 11, 20.0, 20.0)),
+        ({"Nx": 9}, (9, 9, 20.0, 20.0)),
+        ({"Ny": 11}, (11, 11, 20.0, 20.0)),
+        ({"L": 16.0, "Lx": 12.0}, (61, 61, 12.0, 16.0)),
+        ({"L": 16.0, "Ly": 12.0}, (61, 61, 16.0, 12.0)),
+        ({"Lx": 12.0}, (61, 61, 12.0, 12.0)),
+        ({"Nx": 9, "Ny": 11, "L": 8.0}, (9, 11, 8.0, 8.0)),
+    ])
+    def test_henon_heiles_grid_overrides(self, overrides, grid):
+        problem = builtin_problem("henon_heiles", **overrides)
+        lx, ly = problem.grid.axes
+        assert (lx.N, ly.N, lx.L, ly.L) == grid
+
+    @pytest.mark.parametrize("overrides, unused", [
+        ({"N": 61, "Nx": 41, "Ny": 45}, "N"),
+        ({"L": 16.0, "Lx": 12.0, "Ly": 14.0}, "L"),
+    ])
+    def test_henon_heiles_override_that_no_axis_reads_refused(self, overrides, unused):
+        with pytest.raises(ValueError) as caught:
+            builtin_problem("henon_heiles", **overrides)
+        assert str(caught.value) == (f"override {unused} is unused: "
+                                     f"{unused}x and {unused}y set both axes")
+
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown problem id"):
             builtin_problem("hydrogen")
