@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .eig import Spectrum, block_eigenvalues
-from .hamiltonian import ProblemDefinition, hamiltonian_blocks
+from .hamiltonian import ProblemDefinition, _planned
 from .lattice import Lattice2D, _integers, make_lattice, points_to_m
 from .problems import CONSTANTS, ReferenceSpectrum
 
@@ -71,7 +71,8 @@ def convergence_scan(problem: ProblemDefinition, mode: str, n_list,
     box.  The problem must be 1D, the state indices distinct non-negative
     integers, and the grid list ascending odd integers N with at least 12
     entries so the 10-grid tail average is meaningful; a value such as 41.9
-    is rejected, not truncated.
+    is rejected, not truncated.  Every grid is planned, and refused when its
+    predicted peak is over the memory cap, before the first is solved.
     """
     if isinstance(problem.grid, Lattice2D):
         raise ValueError("convergence scans are defined for 1D problems")
@@ -100,11 +101,11 @@ def convergence_scan(problem: ProblemDefinition, mode: str, n_list,
     grid0 = problem.grid
     fixed = grid0.L if mode == "fixed_L_vary_N" else grid0.a
     energies = np.empty((len(n_list), len(state_indices)))
-    for i, n in enumerate(n_list):
-        L = fixed if mode == "fixed_L_vary_N" else fixed * n
-        grid = make_lattice(L, points_to_m(n))
-        values = block_eigenvalues(hamiltonian_blocks(replace(problem, grid=grid)))
-        energies[i] = values[list(state_indices)].real
+    planned = [_planned(replace(problem, grid=make_lattice(
+        fixed if mode == "fixed_L_vary_N" else fixed * n, points_to_m(n))), vectors=False)[1]
+        for n in n_list]
+    for i, blocks in enumerate(planned):
+        energies[i] = block_eigenvalues(blocks)[list(state_indices)].real
 
     converged = energies[-10:].mean(axis=0)
     rel_errors = np.abs(energies - converged) / np.abs(converged)

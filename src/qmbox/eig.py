@@ -10,11 +10,16 @@ parts the matrix produces.  A real non-symmetric matrix therefore yields
 an exactly real spectrum whenever its eigenvalues are real, while a
 genuinely complex matrix shows its round-off imaginaries honestly.
 
+Every solve follows one plan (``_plan``), made before any of its matrices
+is built: each block's path, and the predicted peak of the arrays that the
+solve holds at once, the one thing that is refused against
+``lattice.MEMORY_CAP``.
+
 The third path is the contracted solve (``_contracted_pairs``) of a 2D
 Hamiltonian given by its Kronecker-sum factors (see ``OperatorMatrix``), for
-all of a problem's blocks or none, as the ladder plan (``_ladder``) decides;
-it states the path rule, under which fewer than two reachable rungs means
-dense.  Each block is solved in a basis of 1D eigenstates of its long axis,
+all of a problem's blocks or none, as the plan's path rule (``_rungs``)
+decides, under which fewer than two reachable rungs means dense.  Each
+block is solved in a basis of 1D eigenstates of its long axis,
 one set per site of its short axis (sequential diagonalization-truncation,
 Bacic & Light, Annu. Rev. Phys. Chem. 40, 469 (1989), on the Fourier-grid
 DVR of Colbert & Miller, J. Chem. Phys. 96, 1982 (1992)).  The basis grows
@@ -28,14 +33,14 @@ The levels agree with the dense path to within 1e-12 relative, while the
 vectors of the upper levels carry residuals far above the dense path's 1e-16
 of ||H||_F: convergence in the basis size is algebraic, so they grow with
 ``n_states`` and have no bound (figures at ``solve.solve``).  Should the
-ladder end unconverged, the blocks are assembled once and decomposed in
-full, like every block on the dense paths.  Every LAPACK routine that the
-contracted solve calls directly goes through ``_lapack``, the one place that
-reads its status.
+ladder end unconverged, the blocks are planned again as dense, assembled
+once and decomposed in full, like every block on the dense paths.  Every
+LAPACK routine that the contracted solve calls directly goes through
+``_lapack``, the one place that reads its status.
 
 The general path has one real form: the builder gives a PT-symmetric
 problem as the real matrix R similar to its complex H, a block tagged PT
-(see ``hamiltonian.hamiltonian_blocks``).  R goes through the real general
+(see ``hamiltonian._planned``).  R goes through the real general
 solver like any real block, so an unbroken-PT level comes out with an
 imaginary part of exactly 0 and a broken-PT pair as an exact conjugate
 pair; ``_eigenpairs`` casts its levels to complex, and its vectors are
@@ -44,7 +49,7 @@ to the complex solver: the symmetry is read from the block's tag, never
 from its entries.
 
 A Hamiltonian may also arrive as mirror-parity blocks (see
-``hamiltonian.hamiltonian_blocks``): a problem whose grid functions equal
+``hamiltonian._planned``): a problem whose grid functions equal
 their mirror image bitwise along an axis splits H exactly into an even and
 an odd block of about half the size.  ``diagonalize_blocks`` sends each
 block through the same solver choice, merges the lowest levels, and scatters
@@ -70,6 +75,7 @@ one-block case.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count
@@ -77,7 +83,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import Lattice1D, Lattice2D, _check_cap, _integers
+from . import lattice
+from .lattice import GridMemoryError, Lattice1D, Lattice2D, _integers
 from .operators import EVEN, ODD, PT, OperatorMatrix, mirror_unfold
 
 #: Entries per pass (2 MiB of float64) when vectors are normalized, residuals
@@ -89,7 +96,7 @@ _CHUNK_ENTRIES = 2**18
 
 #: The size of a 2D problem's largest block from which the lowest levels of
 #: all its blocks may come from the contracted solve rather than the full
-#: decomposition (?syevd), as the ladder plan (``_ladder``) decides: 1485
+#: decomposition (?syevd), as the plan (``_rungs``) decides: 1485
 #: sites and up on 55^2 Henon-Heiles; below it the full decomposition takes
 #: at most about 0.25 s on two cores.  No block is decomposed in part:
 #: LAPACK's subset drivers (?syevr, ?syevx) lose relative digits on strongly
@@ -150,6 +157,127 @@ class Spectrum:
                      for n, p in enumerate(self.parity or ("none",) * self.n_states))
 
 
+@dataclass(frozen=True)
+class _Block:
+    """A block as a plan reads it: sites per axis (x first), the dtype of
+    its matrix, parity, whether it comes as Kronecker-sum factors (2D), and
+    path: "eigh" or "contracted" if Hermitian, else "eig", or "pt" for a
+    PT real form, both by the general solver."""
+
+    sites: tuple[int, ...]
+    dtype: np.dtype
+    parity: tuple[int, ...]
+    factored: bool
+    path: str
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.sites)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One solve, decided before any of its matrices is built: every block
+    of the problem, the levels asked for (None for all), the rungs of a
+    contracted solve (``_rungs``), and the predicted peak bytes (``_peak``)."""
+
+    blocks: tuple[_Block, ...]
+    n_states: int | None
+    rungs: tuple[tuple[int, tuple[int, ...]], ...]
+    peak: int
+
+
+def _plan(blocks: list[_Block], size: int, n_states: int | None, vectors: bool = True,
+          build: int = 0, ladder: bool = True) -> _Plan:
+    """The plan of solving a problem on ``size`` sites given as ``blocks``,
+    on their dense paths, for its lowest ``n_states`` pairs, or its levels
+    alone without ``vectors``; ``build`` is the peak of building the
+    blocks, and ``ladder`` off rules the contracted solve out.  The one
+    memory guard: GridMemoryError when the peak is over the cap."""
+    if n_states is not None:
+        (n_states,) = _integers([n_states], "n_states")
+        if not 1 <= n_states <= size:
+            raise ValueError(f"n_states must be in 1..{size}, got {n_states}")
+    rungs = _rungs(blocks, n_states) if ladder else ()
+    if rungs:
+        blocks = [replace(block, path="contracted") for block in blocks]
+    # a MiB and four values per site: Python's objects and the small arrays
+    peak = max(build, _peak(blocks, size, n_states, vectors, rungs)) + 2**20 + 32 * size
+    if peak > lattice.MEMORY_CAP:
+        raise GridMemoryError(
+            f"a solve on {size} sites has a predicted peak of {peak / 2**30:.2f} GiB, "
+            f"over the memory cap of {lattice.MEMORY_CAP / 2**30:.2f} GiB")
+    return _Plan(tuple(blocks), n_states, rungs, peak)
+
+
+def _rungs(blocks: list[_Block], n_states: int | None) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The rungs that the contracted solve climbs for all of a problem's
+    blocks, each as (n_c, the basis functions per short-axis site that each
+    block keeps, min(n_c, long sites)), or () for the dense path: the path
+    rule, read off the blocks' shapes before any block is built.
+    ``blocks`` are every block of the problem, so every block takes the
+    ladder or none does.  It takes a problem of which only the lowest
+    ``n_states`` levels are asked for, fewer than any block holds, whose
+    blocks are all Hermitian and given by real factors, and whose largest
+    block has at least ``_CONTRACTION_MIN_SIZE`` sites.  A rung is
+    reachable when every block holds ``n_states`` levels on it, kept times
+    short sites, since a very thin block's lower rungs cannot converge.
+    The reachable rungs are the top of ``_CONTRACTION_LADDER``, and fewer
+    than two reachable rungs means dense: a rung stops the ladder only
+    against the one before it."""
+    if n_states is None or not all(b.factored and b.path == "eigh" and b.dtype.kind != "c"
+                                   and n_states < b.dim for b in blocks):
+        return ()
+    shapes = [sorted(b.sites) for b in blocks]   # (short, long)
+    rungs = [(n_c, tuple(min(n_c, n_l) for _, n_l in shapes)) for n_c in _CONTRACTION_LADDER]
+    ladder = tuple((n_c, kept) for n_c, kept in rungs
+                   if min(k * n_s for k, (n_s, _) in zip(kept, shapes)) >= n_states)
+    if len(ladder) < 2 or max(n_s * n_l for n_s, n_l in shapes) < _CONTRACTION_MIN_SIZE:
+        return ()
+    return ladder
+
+
+def _peak(blocks: list[_Block], size: int, n_states: int | None, vectors: bool,
+          rungs: tuple) -> int:
+    """Peak bytes of the arrays that solving the blocks holds at once, as
+    tracemalloc sees them: not LAPACK's copies and workspace inside numpy.
+    A dense block is held from its build until it is solved, a factored one
+    from its assembly; eigh's kept vectors are a view of all of them, and
+    eig's count complex, with H cast to complex for H v.  A chunked pass
+    holds two chunks, three to unfold.  A contracted solve holds its line
+    bases and either its top rung or the vectors and their residuals."""
+    dims = [b.dim for b in blocks]
+    held = [0 if b.factored else n * n * b.dtype.itemsize for b, n in zip(blocks, dims)]
+    if not vectors:   # the levels alone, beside a finiteness mask of each matrix
+        return sum(held) + max(n * n * (1 + b.factored * b.dtype.itemsize)
+                               for b, n in zip(blocks, dims))
+    k = n_states or size
+    if rungs:
+        shapes = [sorted(b.sites) for b in blocks]
+        bases = sum(8 * n_s * n_l * min(n_l, _CONTRACTION_LADDER[-1]) for n_s, n_l in shapes)
+        top = [kept * n_s for kept, (n_s, _) in zip(rungs[-1][1], shapes)]
+        return bases + 8 * max(sum(n * n for n in top) + 2 * sum(top) * k, 6 * size * k)
+    peak = kept = 0
+    for j, (b, n) in enumerate(zip(blocks, dims)):
+        s, c = b.dtype.itemsize, min(k, n)
+        if b.path == "eigh":
+            work, keep = (n * n + n * c + 2 * min(_CHUNK_ENTRIES, n * c)) * s, n * n * s
+        else:
+            work, keep = 16 * (n * n + 2 * n * c + 2 * min(_CHUNK_ENTRIES, n * c)), 16 * n * c
+        peak = max(peak, sum(held[j:]) + kept + b.factored * n * n * s + work)
+        kept += keep
+    itemsize = 8 if all(b.path == "eigh" and b.dtype.kind != "c" for b in blocks) else 16
+    return max(peak, kept + (size * k + 3 * min(_CHUNK_ENTRIES, size * k)) * itemsize)
+
+
+def _block_of(op: OperatorMatrix) -> _Block:
+    """A built block as a plan reads it."""
+    factors = op.factors or (op.matrix,)
+    path = "eigh" if op.hermitian_hint else "pt" if PT in op.parity else "eig"
+    return _Block(tuple(f.shape[0] for f in factors[:2]), np.result_type(*factors), op.parity,
+                  op.factors is not None, path)
+
+
 def diagonalize(op: OperatorMatrix, grid: Lattice1D | Lattice2D,
                 n_states: int | None = None) -> Spectrum:
     """Eigendecomposition of a built Hamiltonian; full spectrum by default.
@@ -158,8 +286,8 @@ def diagonalize(op: OperatorMatrix, grid: Lattice1D | Lattice2D,
     parts are identically zero; the general path returns complex eigenvalues
     sorted by (Re, Im).  With ``n_states``, a large Hermitian 2D operator
     given by its factors may take the contracted solve, which is much
-    cheaper for big 2D grids, as the ladder plan (``_ladder``) decides;
-    anything else is decomposed in full and truncated.
+    cheaper for big 2D grids, as the plan (``_plan``) decides; anything
+    else is decomposed in full and truncated.
     """
     if op.dim != grid.size:
         raise ValueError("operator dimension does not match the grid")
@@ -168,33 +296,30 @@ def diagonalize(op: OperatorMatrix, grid: Lattice1D | Lattice2D,
 
 def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Lattice2D,
                        n_states: int | None = None) -> Spectrum:
-    """Eigendecomposition of a Hamiltonian given as mirror-parity blocks.
-
-    Each block gives its lowest min(n_states, block size) pairs, and every
-    block goes through one lifecycle.  The blocks are taken first, all of
-    them, and the ladder plan (``_ladder``) is made once, on that list.
-    Then either the contracted solve takes every block from its factors,
-    or one dense pass solves them in order, each block dropped as it is
-    solved, so that its dense or assembled matrix is freed before the next
-    one is solved; a ladder that ends unconverged ends in that pass too.
-    The lowest ``n_states`` across blocks are kept in (Re, Im) order, their
-    vectors are scattered back onto the full grid, and the residuals are
-    divided by sqrt(sum ||H_b||_F^2) = ||H||_F, so the result is laid out
-    exactly as one decomposition of the assembled H.
-    """
-    if n_states is not None:
-        (n_states,) = _integers([n_states], "n_states")
-        if not 1 <= n_states <= grid.size:
-            raise ValueError(f"n_states must be in 1..{grid.size}, got {n_states}")
-    _check_cap(grid.size, "eigenvectors", n_states or grid.size)
+    """Eigendecomposition of a Hamiltonian given as mirror-parity blocks,
+    every block of the problem: the blocks are taken, planned (``_plan``)
+    and solved as their plan says (``_carry_out``)."""
     blocks = list(blocks)
-    parities = [block.parity for block in blocks]
+    return _carry_out(blocks, grid, _plan([_block_of(b) for b in blocks], grid.size, n_states))
+
+
+def _carry_out(blocks: list[OperatorMatrix], grid: Lattice1D | Lattice2D, plan: _Plan) -> Spectrum:
+    """The spectrum of ``blocks``, every block of a problem, as ``plan``
+    says: each block gives its lowest min(n_states, size) pairs, from the
+    contracted solve of all of them, or else one dense pass that drops each
+    block as it is solved, so that its matrix is freed before the next one
+    is solved; a ladder that ends unconverged is planned again as dense.
+    The lowest ``n_states`` across blocks are kept in (Re, Im) order, their
+    vectors scattered onto the grid and the residuals divided by
+    sqrt(sum ||H_b||_F^2) = ||H||_F, as one decomposition of H would give."""
+    n_states, parities = plan.n_states, [block.parity for block in plan.blocks]
     folded = {axis for parity in parities for axis, p in zip("xy", parity) if p in (EVEN, ODD)}
-    hermitian = all(block.hermitian_hint for block in blocks)
-    ladder = _ladder(blocks, n_states)
-    parts = _contracted_pairs(blocks, n_states, grid.cell, ladder) if ladder else None
+    parts = _contracted_pairs(blocks, n_states, grid.cell, plan.rungs) if plan.rungs else None
     if parts is None:   # dense or not converged: one block at a time, freed once solved
-        parts = [_dense_pairs(blocks.pop(0), n_states, grid.cell) for _ in range(len(blocks))]
+        if plan.rungs:
+            plan = _plan([replace(b, path="eigh") for b in plan.blocks], grid.size, n_states,
+                         ladder=False)
+        parts = [_dense_pairs(blocks.pop(0), b.path, n_states, grid.cell) for b in plan.blocks]
 
     values, vectors, residuals, norms_sq = (list(column) for column in zip(*parts))
     del parts
@@ -216,8 +341,8 @@ def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Latti
     parity = None if isinstance(grid, Lattice2D) else tuple(
         {(EVEN,): "s", (ODD,): "a"}.get(parities[b], "none") for b in owner)
     return Spectrum(eigenvalues=w, eigenvectors=out, residuals=residuals,
-                    hermitian_path=hermitian, grid=grid, parity=parity,
-                    mirror_axes=tuple(a for a in "xy" if a in folded))
+                    hermitian_path=all(b.path in ("eigh", "contracted") for b in plan.blocks),
+                    grid=grid, parity=parity, mirror_axes=tuple(a for a in "xy" if a in folded))
 
 
 @contextlib.contextmanager
@@ -235,11 +360,11 @@ def _solver_errors():
 
 
 @_solver_errors()
-def _dense_pairs(block: OperatorMatrix, n_states: int | None, cell: float):
-    """(w, v, r, ||H||_F^2) of one block from its dense matrix: the lowest
-    min(n_states, size) eigenpairs, the vectors normalized on the grid, and
-    the residual norms ||H v - w v||_2."""
-    w, v = _eigenpairs(block, n_states)
+def _dense_pairs(block: OperatorMatrix, path: str, n_states: int | None, cell: float):
+    """(w, v, r, ||H||_F^2) of one block from its dense matrix on its dense
+    ``path``: the lowest min(n_states, size) eigenpairs, the vectors
+    normalized on the grid, and the residual norms ||H v - w v||_2."""
+    w, v = _eigenpairs(block, path, n_states)
     H = block.matrix
     _normalize(v, cell)
     # real vectors belong to exactly real levels, also a PT block's complex ones
@@ -259,37 +384,6 @@ def _normalize(v: np.ndarray, cell: float) -> None:
         v[:, c] /= np.sqrt(cell * np.sum(np.abs(v[:, c]) ** 2, axis=0))
 
 
-def _ladder(blocks: list[OperatorMatrix], n_states: int | None) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The rungs that the contracted solve climbs for all of a problem's
-    blocks, each as (n_c, the basis functions per short-axis site that each
-    block keeps, min(n_c, long sites)), or () for the dense path: the path
-    rule, read off the blocks' factors before any block is solved or any
-    matrix is built.  ``blocks`` are every block of the problem, so every
-    block takes the ladder or none does.  It takes a problem of which only
-    the lowest ``n_states`` levels are asked for, fewer than any block
-    holds, whose blocks are all Hermitian and given by real factors, and
-    whose largest block has at least ``_CONTRACTION_MIN_SIZE`` sites.  A
-    rung is reachable when every block holds ``n_states`` levels on it,
-    kept times short sites, since a very thin block's lower rungs cannot
-    converge.  The reachable rungs are the top of ``_CONTRACTION_LADDER``,
-    and fewer than two reachable rungs means dense: a rung stops the ladder
-    only against the one before it.  Each block's top-rung matrix is
-    checked against the memory cap here."""
-    if n_states is None or not all(
-            b.factors is not None and b.hermitian_hint and n_states < b.dim
-            and not any(np.iscomplexobj(f) for f in b.factors) for b in blocks):
-        return ()
-    shapes = [sorted(f.shape[0] for f in b.factors[:2]) for b in blocks]   # (short, long)
-    rungs = [(n_c, tuple(min(n_c, n_l) for _, n_l in shapes)) for n_c in _CONTRACTION_LADDER]
-    ladder = tuple((n_c, kept) for n_c, kept in rungs
-                   if min(k * n_s for k, (n_s, _) in zip(kept, shapes)) >= n_states)
-    if len(ladder) < 2 or max(n_s * n_l for n_s, n_l in shapes) < _CONTRACTION_MIN_SIZE:
-        return ()
-    for k, (n_s, _) in zip(ladder[-1][1], shapes):
-        _check_cap(k * n_s, "contracted solve")
-    return ladder
-
-
 @_solver_errors()
 def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
                       ladder: tuple[tuple[int, tuple[int, ...]], ...]):
@@ -297,7 +391,7 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
     a sequential diagonalization-truncation of each block's factors; None
     when the ladder ends unconverged.  ``blocks`` are all the blocks of one
     problem, so the ladder's levels are the problem's, and ``ladder`` is
-    their plan (``_ladder``), which states the path rule.
+    the rungs of their plan (``_rungs``, which states the path rule).
 
     Each distinct line is decomposed once per solve (``_line_basis``): a
     line of one block that another block shares, the same long-axis
@@ -570,9 +664,13 @@ def eigenvalues(op: OperatorMatrix) -> np.ndarray:
 
 
 def block_eigenvalues(blocks: Iterable[OperatorMatrix]) -> np.ndarray:
-    """All eigenvalues of a Hamiltonian given as mirror-parity blocks, without
-    eigenvectors, merged in the order and dtype of ``diagonalize_blocks``."""
-    w, order = _merged([_eigenpairs(block, vectors=False)[0] for block in blocks])
+    """All eigenvalues of a Hamiltonian given as mirror-parity blocks, every
+    block of the problem, without eigenvectors, merged in the order and
+    dtype of ``diagonalize_blocks``: the blocks are taken and planned
+    (``_plan``), and each is dropped as it is solved."""
+    blocks = list(blocks)
+    plan = _plan([_block_of(b) for b in blocks], sum(b.dim for b in blocks), None, vectors=False)
+    w, order = _merged([_eigenpairs(blocks.pop(0), b.path, vectors=False)[0] for b in plan.blocks])
     return w[order]
 
 
@@ -584,21 +682,21 @@ def _merged(values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 @_solver_errors()
-def _eigenpairs(block: OperatorMatrix, count: int | None = None,
+def _eigenpairs(block: OperatorMatrix, path: str, count: int | None = None,
                 vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """The ``count`` (or all) lowest eigenpairs of a block's dense matrix in
     (Re, Im) order, the vectors as columns of unit 2-norm, or None without
-    ``vectors``: the symmetric solver on the Hermitian hint, the general
-    one otherwise.  A PT block's levels are H's, so complex."""
+    ``vectors``: the symmetric solver on the "eigh" path, the general one
+    otherwise.  A PT block's levels are H's, so complex."""
     H = block.matrix
     _require_finite(H)
-    if block.hermitian_hint:
+    if path == "eigh":
         w, v = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
         order = slice(count)
     else:
         w, v = np.linalg.eig(H) if vectors else (np.linalg.eigvals(H), None)
         order = np.lexsort((w.imag, w.real))[:count]
-    if PT in block.parity:
+    if path == "pt":
         w = w.astype(complex)
     return w[order], None if v is None else v[:, order]
 

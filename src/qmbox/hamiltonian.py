@@ -16,17 +16,22 @@ imaginary round-off.  Keeping the real path real is what lets the
 eigensolver report exactly real spectra for the one-sided orderings.
 
 Every ordering commutes with the reflection x -> -x of the symmetric grid
-when the mass is even, so ``hamiltonian_blocks`` splits H into exact
-mirror-parity blocks whenever the sampled mass and potentials are even, in
-1D as in 2D; ``build_hamiltonian`` is the unfolded one-block case.  The fold
-is decided on the sampled functions, not on H: the beta != 0 product
-A (m^beta A) makes H mirror-symmetric only to round-off.  Each axis is
-folded the same way, its half-axis numbered from the box edge inward, and
-the potential is added after the fold, on the block's sites.
+when the mass is even, so H splits into exact mirror-parity blocks whenever
+the sampled mass and potentials are even, in 1D as in 2D, as the plan of a
+solve lays them out (``_planned``); ``build_hamiltonian`` is the unfolded
+one-block case.  The fold is decided on the sampled functions, not on H:
+the beta != 0 product A (m^beta A) makes H mirror-symmetric only to
+round-off.  Each axis is folded the same way, its half-axis numbered from
+the box edge inward, and the potential is added after the fold, on the
+block's sites.
 
 PT symmetry is decided there too, on the same arrays: with no axis folded,
 sampled functions that are PT under the inversion of the grid make the one
-block the real matrix R similar to H (``_pt_real_form``).
+block the real matrix R similar to H (``_pt_real_form``), and the complex H
+is never assembled.  A 1D block is its dense matrix, a 2D block its
+Kronecker-sum factors (the two axis matrices and V on its sites), which
+the solver either solves in a contracted basis or assembles; a PT block is
+dense in 2D too.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
+from . import eig
 from .lattice import Lattice1D, Lattice2D
 from .operators import (EVEN, ODD, PT, GridFunction, GridValueError, OperatorMatrix,
                         grid_values, kronecker_sum, mirror_fold, mirror_sites,
@@ -222,69 +228,90 @@ def build_hamiltonian(problem: ProblemDefinition) -> OperatorMatrix:
 
 
 def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterator[OperatorMatrix]:
-    """The Hamiltonian as mirror-parity blocks, built one at a time.
+    """The Hamiltonian as mirror-parity blocks, built one at a time, after
+    the full decomposition of them has been planned (``_planned``), the
+    most that ``eig.diagonalize_blocks`` can make of them: a problem whose
+    plan is over the memory cap is refused here, before any block is built.
+    With ``fold`` off, the one block is the whole H, or its PT real form."""
+    return _planned(problem, None, fold)[1]
 
-    On the symmetric grid the kinetic term commutes with the reflection of
-    an axis whenever the mass does, so H splits exactly into an even and an
-    odd block wherever the sampled grid functions are mirror-even.  An axis
-    is folded when ``fold`` is set and every sampled array equals its mirror
-    image along it bitwise (V_real, V_imag when present, and in 1D the mass
-    of a von Roos ordering): an exact property of the input, with no
-    tolerance.  The arrays are sampled once and build the blocks too.  With
-    ``fold`` off, or nothing mirror-even, the one block is the whole H.
 
-    When no axis is folded and every sampled array equals the conjugate of
-    its inversion (``np.flip`` over all axes) bitwise, with V complex, H is
-    PT-symmetric: the one block is its real form R, tagged PT on every axis
-    (``_pt_real_form``), and the complex H is never assembled.
-
-    Each block is the folded or whole kinetic matrix of every axis plus the
-    potential on the block's sites, numbered from the box edge inward along
-    a folded axis (``mirror_sites``): 1 or 2 blocks in 1D, 1, 2 or 4 in 2D.
-    The odd block of a one-site axis is empty and skipped.  A 1D block is
-    its dense matrix.  A 2D block is its Kronecker-sum factors (the two
-    axis matrices and V on the block's sites), from which
-    ``diagonalize_blocks`` either solves it in a contracted basis or
-    assembles the dense matrix; a PT block is dense in 2D too.
-
-    Each block is built as it is drawn.  ``diagonalize_blocks`` (through
-    ``solve``) draws them all before it solves any, as its plan reads every
-    block; ``block_eigenvalues`` (through the convergence scans) draws and
-    solves them one at a time.
-    """
+def _planned(problem: ProblemDefinition, n_states: int | None = None, fold: bool = True,
+             vectors: bool = True) -> tuple[eig._Plan, Iterator[OperatorMatrix]]:
+    """The plan (``eig._plan``) of solving the problem for its lowest
+    ``n_states`` pairs (all when None), or its levels alone without
+    ``vectors``, and the generator of the blocks it lays out (``_built``),
+    from the grid functions sampled once, here: nothing of the grid's size
+    is built before the plan is made.  An axis is folded when ``fold`` is
+    set and every sampled array equals its mirror image along it bitwise,
+    with no tolerance; with none folded and a complex V, arrays equal to the
+    conjugate of their inversion (``np.flip`` over all axes) make the one
+    block the PT real form.  Blocks run over the parities of the axes, x
+    first; the odd block of a one-site axis is empty and left out."""
     grid = problem.grid
     m = _mass_values(problem)
     v = _potential(problem)
     sampled = [f for f in (v, m) if f is not None]
+    folds = [fold and all(np.array_equal(f, np.flip(f, flip)) for f in sampled)
+             for flip in reversed(range(v.ndim))]   # V is indexed [y, x]
+    pt = np.iscomplexobj(v) and not any(folds) and all(
+        np.array_equal(f, np.flip(f).conj()) for f in sampled)
     hermitian = problem.potential_imag is None and problem.ordering.symmetric
+    parities = ([(PT,) * problem.dim] if pt
+                else product(*((EVEN, ODD) if f else (0,) for f in folds)))
+    blocks = []
+    for parity in parities:
+        sites = tuple(axis.M + (p == EVEN) if p in (EVEN, ODD) else axis.N
+                      for axis, p in zip(grid.axes, parity))
+        if all(sites):
+            blocks.append(eig._Block(sites, np.dtype(float) if pt else v.dtype, parity,
+                                     problem.dim > 1 and not pt,
+                                     "pt" if pt else "eigh" if hermitian else "eig"))
+    # The build holds the real N x N kinetic matrix (three such arrays while
+    # a von Roos beta != 0 is formed, two while one is symmetrized), then
+    # that matrix beside every block while one is folded, made complex or
+    # made into R (in 2D, R is made from the assembled real H).
+    T = 8 * grid.size**2 if problem.dim == 1 or pt else 0
+    ordering = problem.ordering
+    kinetic = 3 if getattr(ordering, "beta", 0.0) else 1 + (m is not None and ordering.symmetric)
+    held = sum(b.dim**2 * b.dtype.itemsize for b in blocks if not b.factored)
+    build = max(kinetic * T * (problem.dim == 1),
+                held + T * (any(folds) or pt or np.iscomplexobj(v)))
+    plan = eig._plan(blocks, grid.size, n_states, vectors, build)
+    return plan, _built(problem, plan, m, v)
+
+
+def _built(problem: ProblemDefinition, plan: eig._Plan, m: np.ndarray | None,
+           v: np.ndarray) -> Iterator[OperatorMatrix]:
+    """The blocks of the plan from the sampled mass m and potential v, each
+    built as it is drawn; the solvers draw them all before solving any."""
+    grid = problem.grid
     choices = []
-    for axis, flip in zip(grid.axes, reversed(range(v.ndim))):   # V is indexed [y, x]
+    for i, axis in enumerate(grid.axes):
         kinetic = _kinetic_1d(axis, problem.ordering, m)
-        if fold and all(np.array_equal(f, np.flip(f, flip)) for f in sampled):
+        if any(b.parity[i] in (EVEN, ODD) for b in plan.blocks):
             with np.errstate(invalid="ignore"):   # inf - inf of a non-finite kinetic matrix
                 choices.append({p: mirror_fold(kinetic, p) for p in (EVEN, ODD)})
         else:
             choices.append({0: kinetic})
     del kinetic   # a folded axis keeps only its blocks
-    if np.iscomplexobj(v) and all(0 in axis for axis in choices) and all(
-            np.array_equal(f, np.flip(f).conj()) for f in sampled):
+    if plan.blocks[0].path == "pt":
         # the kinetic matrices move into R: the block holds R alone
         R = _pt_real_form([axis.pop(0) for axis in choices], v)
-        yield OperatorMatrix(R, False, (PT,) * len(choices))
+        yield OperatorMatrix(R, False, plan.blocks[0].parity)
         return
-    for parity in product(*choices):   # the parities of each axis
+    hermitian = plan.blocks[0].path != "eig"
+    for block in plan.blocks:
+        parity = block.parity
         axis_matrices = [axis[p] for axis, p in zip(choices, parity)]
-        if len(choices) == 1:
-            # a 1D block uses its axis matrix once, and V goes into it or
-            # into a complex copy of it: drop it so the block holds H alone
-            del choices[0][parity[0]]
-        if not all(t.size for t in axis_matrices):
-            continue
         sites = tuple(mirror_sites(axis.M, p) for axis, p in zip(grid.axes, parity))
-        if len(axis_matrices) > 1:
+        if block.factored:
             yield OperatorMatrix(hermitian_hint=hermitian, parity=parity,
                                  factors=(*axis_matrices, v[sites[::-1]]))
             continue
+        # a 1D block uses its axis matrix once, and V goes into it or into a
+        # complex copy of it: drop it so the block holds H alone
+        del choices[0][parity[0]]
         H = axis_matrices.pop().astype(v.dtype, copy=False)
         H[np.diag_indices_from(H)] += v[sites]
         yield OperatorMatrix(H, hermitian, parity)

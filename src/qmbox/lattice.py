@@ -17,19 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Cap in bytes on one grid-sized array, counted as complex128 (16 bytes an
-#: entry) whatever its dtype: an axis's N x N matrix, a 2D dense matrix and
-#: the eigenvector output are checked where they are made, the contracted
-#: solve's largest matrix in its ladder plan (``eig._ladder``: fewer than
-#: two reachable rungs means dense).  It bounds single arrays, not the peak
-#: of a solve, which holds several of them and LAPACK's workspace at once.
+#: Cap in bytes on the predicted peak of one solve: the arrays that it holds
+#: at once, at their real entry sizes, from the build of its blocks to its
+#: eigenvectors on the grid, as its plan (``eig._plan``) predicts them before
+#: any matrix is built.  LAPACK's working copies and workspace inside numpy's
+#: eigensolvers are not counted: two to four more of a dense block's
+#: matrices while it is decomposed.
 MEMORY_CAP = 4 * 2**30
-
-_COMPLEX_ITEMSIZE = 16
 
 
 class GridMemoryError(MemoryError):
-    """A grid-sized array would exceed ``MEMORY_CAP``."""
+    """A solve's predicted peak would exceed ``MEMORY_CAP``."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,16 +92,6 @@ class Lattice2D:
         return np.meshgrid(self.lx.x, self.ly.x, indexing="xy")
 
 
-def _check_cap(rows: int, what: str, columns: int | None = None):
-    """Refuse a rows x columns (default square) array beyond ``MEMORY_CAP``."""
-    columns = rows if columns is None else columns
-    need = rows * columns * _COMPLEX_ITEMSIZE
-    if need > MEMORY_CAP:
-        raise GridMemoryError(
-            f"{what}: dense {rows}x{columns} array needs {need / 2**30:.2f} GiB, "
-            f"cap is {MEMORY_CAP / 2**30:.2f} GiB")
-
-
 def make_lattice(L: float, M: int) -> Lattice1D:
     """Build the odd-N symmetric periodic grid of width L with N = 2M+1 points."""
     if not 0 < L < math.inf:
@@ -116,7 +104,6 @@ def make_lattice(L: float, M: int) -> Lattice1D:
     if not (0 < a * a < math.inf and 0 < dp * dp < math.inf):
         raise ValueError(f"width L = {L} gives no finite, nonzero squared spacing and "
                          f"momentum step on {2 * M + 1} points")
-    _check_cap(2 * int(M) + 1, "make_lattice")
     return Lattice1D(M=int(M), L=float(L))
 
 

@@ -1,10 +1,11 @@
 """One-call pipeline: build the Hamiltonian, diagonalize, fix the phases.
 
 1D and 2D problems take the same path: H arrives as exact mirror-parity
-blocks (``hamiltonian_blocks``) and is diagonalized block by block
-(``diagonalize_blocks``).  Each axis along which every sampled grid function
-(the potential's real and imaginary parts, and in 1D a position-dependent
-mass) is bitwise equal to its mirror image is folded into an even and an
+blocks laid out by the solve's plan (``hamiltonian._planned``) and is
+diagonalized block by block as it says (``eig._carry_out``).  Each axis
+along which every sampled grid function (the potential's real and
+imaginary parts, and in 1D a position-dependent mass) is bitwise equal to
+its mirror image is folded into an even and an
 odd half, so H is diagonalized as 1 or 2 blocks in 1D and 1, 2 or 4 in 2D
 instead of one dense matrix, with the same spectrum.  The functions are
 tested as sampled, with no tolerance; an asymmetric problem is the one-block
@@ -17,8 +18,8 @@ of an unfolded one, or of a 2D problem, are the state indices.
 
 from __future__ import annotations
 
-from .eig import Spectrum, _fix_phases, diagonalize_blocks
-from .hamiltonian import ProblemDefinition, hamiltonian_blocks
+from .eig import Spectrum, _carry_out, _fix_phases
+from .hamiltonian import ProblemDefinition, _planned
 
 
 def solve(problem: ProblemDefinition, n_states: int | None = None) -> Spectrum:
@@ -27,10 +28,11 @@ def solve(problem: ProblemDefinition, n_states: int | None = None) -> Spectrum:
     into the one output array.
 
     ``n_states`` keeps the lowest eigenpairs (the completeness machinery
-    needs the full spectrum, so leave it None there).  A large Hermitian 2D
-    problem may then take the contracted solve of ``eig`` for all its
-    blocks, as the ladder plan (``eig._ladder``) decides, which states the
-    path rule (fewer than two reachable rungs means dense): its levels agree
+    needs the full spectrum, so leave it None there).  The solve is planned
+    first (``hamiltonian._planned``), and refused when its predicted peak is
+    over the memory cap, before any block is built.  A large Hermitian 2D
+    problem may take the contracted solve of ``eig`` for all its blocks, as
+    the plan decides (``eig._rungs`` states the path rule): its levels agree
     with the dense decomposition to within 1e-12 relative (at most 8.8e-13
     on Henon-Heiles 45^2 to 81^2), while its residuals, 1e-16 on the dense
     path, grow with ``n_states`` and are not bounded (on Henon-Heiles 81^2,
@@ -40,6 +42,7 @@ def solve(problem: ProblemDefinition, n_states: int | None = None) -> Spectrum:
     relative apart), round-off decides which member is returned, and with
     it the last state's vector and residual.
     """
-    spectrum = diagonalize_blocks(hamiltonian_blocks(problem), problem.grid, n_states)
+    plan, blocks = _planned(problem, n_states)
+    spectrum = _carry_out(list(blocks), problem.grid, plan)
     _fix_phases(spectrum.eigenvectors)   # as phase_fix, on the fresh array in place
     return spectrum

@@ -1,10 +1,10 @@
 """Contracted solves of large 2D Hermitian problems against the dense oracle.
 
-A problem to which the ladder plan (``eig._ladder``, the one statement of
-the path rule) gives rungs has every block solved in a basis of 1D
-eigenstates of its long axis (``eig._contracted_pairs``); fewer than two
-reachable rungs means dense.  The full decomposition of each assembled
-block, ``kronecker_sum`` of its factors, is the oracle.
+A problem to which its plan gives rungs (``eig._rungs``, the one statement
+of the path rule) has every block solved in a basis of 1D eigenstates of
+its long axis (``eig._contracted_pairs``); fewer than two reachable rungs
+means dense.  The full decomposition of each assembled block,
+``kronecker_sum`` of its factors, is the oracle.
 """
 
 import collections
@@ -17,10 +17,11 @@ import pytest
 import scipy.linalg
 from scipy.linalg import lapack
 
+from conftest import cached_eigh
 from qmbox import eig, operators
 from qmbox.cli import main
 from qmbox.eig import SolverError, diagonalize, diagonalize_blocks, phase_fix
-from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, build_hamiltonian,
+from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, _planned, build_hamiltonian,
                                hamiltonian_blocks)
 from qmbox.lattice import make_lattice_2d
 from qmbox.operators import OperatorMatrix, kronecker_sum
@@ -56,12 +57,14 @@ CASES = {
 }
 
 
-def dense_oracle(problem, n_states):
+def dense_oracle(problem, n_states, oracle_decompositions):
     """The full decomposition of each block, assembled as a bare dense
-    matrix, truncated to the lowest ``n_states`` pairs."""
+    matrix, truncated to the lowest ``n_states`` pairs; each distinct block
+    is decomposed once per session (``conftest.cached_eigh``)."""
     blocks = [OperatorMatrix(kronecker_sum(*b.factors), b.hermitian_hint, b.parity)
               for b in hamiltonian_blocks(problem)]
-    return phase_fix(diagonalize_blocks(blocks, problem.grid, n_states))
+    with cached_eigh(oracle_decompositions):
+        return phase_fix(diagonalize_blocks(blocks, problem.grid, n_states))
 
 
 def mean_r2(problem, spectrum):
@@ -70,7 +73,7 @@ def mean_r2(problem, spectrum):
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_contracted_solve_matches_dense_oracle(name, monkeypatch):
+def test_contracted_solve_matches_dense_oracle(name, monkeypatch, oracle_decompositions):
     make, n_states, axes = CASES[name]
     problem = make()
     blocks = list(hamiltonian_blocks(problem))
@@ -85,7 +88,7 @@ def test_contracted_solve_matches_dense_oracle(name, monkeypatch):
     monkeypatch.setattr(eig, "_contracted_pairs", spy)
     spectrum = solve(problem, n_states)
     assert contracted == [len(blocks)]   # every block, in one lockstep ladder
-    dense = dense_oracle(problem, n_states)
+    dense = dense_oracle(problem, n_states, oracle_decompositions)
 
     assert spectrum.mirror_axes == dense.mirror_axes == axes
     assert spectrum.hermitian_path and spectrum.n_states == n_states
@@ -372,7 +375,7 @@ def test_cut_through_a_doublet_across_the_blocks(N, n_states):
     (CASES["even in both, four blocks"][0], 1),
     (CASES["even in both, four blocks"][0], 3),
 ], ids=["henon-heiles 61^2, 1 state", "four blocks, 1 state", "four blocks, 3 states"])
-def test_a_block_with_no_level_below_the_cut(make, n_states, monkeypatch):
+def test_a_block_with_no_level_below_the_cut(make, n_states, monkeypatch, oracle_decompositions):
     # past the first rung a block whose lowest level lies above the merged
     # n_states-th has no level in the inverse iteration on the joined
     # tridiagonal, and takes no vector back through its reduction
@@ -394,7 +397,7 @@ def test_a_block_with_no_level_below_the_cut(make, n_states, monkeypatch):
     spectrum = solve(problem, n_states)
     assert given == [n_states]
     assert 0 in applied and sum(applied) == n_states
-    dense = dense_oracle(problem, n_states)
+    dense = dense_oracle(problem, n_states, oracle_decompositions)
     np.testing.assert_allclose(spectrum.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=0)
     assert spectrum.residuals.max() <= 1e-9
     v = spectrum.eigenvectors
@@ -410,9 +413,9 @@ def test_a_block_with_no_level_below_the_cut(make, n_states, monkeypatch):
     ({"L": 19.0}, 5, [16, 20], False),
 ], ids=["61^2, 60 states", "61^2, 10 states", "45^2 L=16, 60 states",
         "45^2 L=16, 100 states", "61^2 L=22, 60 states", "61^2 L=19, 5 states"])
-def test_rungs_visited(grid, n_states, rungs, falls_back, monkeypatch):
+def test_rungs_visited(grid, n_states, rungs, falls_back, monkeypatch, oracle_decompositions):
     problem = builtin_problem("henon_heiles", **grid)
-    reference = dense_oracle(problem, n_states) if falls_back else None
+    reference = dense_oracle(problem, n_states, oracle_decompositions) if falls_back else None
     calls, ends = [], []
     real_matrix, real_pairs = eig._contracted_matrix, eig._contracted_pairs
 
@@ -507,15 +510,15 @@ def test_full_spectra_stay_dense(monkeypatch):
     # has no rung before it to stop against
     ({"Nx": 5, "Ny": 401, "Lx": 4.0, "Ly": 20.0}, 60, [802, 1203]),
 ], ids=["45^2, 1000 states", "5x401, 60 states: one reachable rung"])
-def test_a_block_too_small_for_n_states_sends_every_block_dense(grid, n_states, sizes,
-                                                                monkeypatch):
+def test_a_block_too_small_for_n_states_sends_every_block_dense(
+        grid, n_states, sizes, monkeypatch, oracle_decompositions):
     # neither block takes the ladder, no line is decomposed for it, and the
     # spectrum is the dense oracle's bitwise
     def refuse(*args, **kwargs):
         raise AssertionError("a block took the contracted solve")
     problem = builtin_problem("henon_heiles", **grid)
     assert sorted(b.dim for b in hamiltonian_blocks(problem)) == sizes
-    reference = dense_oracle(problem, n_states)
+    reference = dense_oracle(problem, n_states, oracle_decompositions)
     monkeypatch.setattr(eig, "_contracted_pairs", refuse)
     monkeypatch.setattr(eig, "_line_basis", refuse)
     spectrum = solve(problem, n_states)
@@ -548,15 +551,20 @@ def ladder(*kept_top):
         "45^2, 1000 states: a block below n_states", "33^2: largest block 561 sites",
         "5x401, 60 states: one reachable rung"])
 def test_the_ladder_plan_from_block_shapes(make, n_states, planned):
-    # the plan reads the blocks' factors alone: no eigensolve, no matrix
-    blocks = list(hamiltonian_blocks(make()))
-    assert eig._ladder(blocks, n_states) == planned
+    # the plan reads the blocks' factors alone: no eigensolve, no matrix;
+    # the problem's own plan, made before its blocks, gives the same rungs
+    problem = make()
+    blocks = list(hamiltonian_blocks(problem))
+    plan = eig._plan([eig._block_of(b) for b in blocks], problem.size, n_states)
+    assert plan.rungs == planned == _planned(problem, n_states)[0].rungs
+    assert all((b.path == "contracted") == bool(planned) for b in plan.blocks)
     assert all("matrix" not in vars(block) for block in blocks)
 
 
-def test_unconverged_ladder_falls_back_to_full_decomposition_bitwise(monkeypatch):
+def test_unconverged_ladder_falls_back_to_full_decomposition_bitwise(monkeypatch,
+                                                                     oracle_decompositions):
     problem = builtin_problem("henon_heiles", N=47)
-    reference = dense_oracle(problem, 60)
+    reference = dense_oracle(problem, 60, oracle_decompositions)
     assembled = []
     real_sum = operators.kronecker_sum
 

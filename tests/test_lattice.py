@@ -1,14 +1,14 @@
-import importlib
 import math
 
 import numpy as np
 import pytest
 
-from qmbox import eig, lattice
-from qmbox.hamiltonian import hamiltonian_blocks
+from conftest import refuse_builds
+from qmbox import lattice
+from qmbox.eig import diagonalize
+from qmbox.hamiltonian import _planned, build_hamiltonian, hamiltonian_blocks
 from qmbox.lattice import (GridMemoryError, make_lattice, make_lattice_2d,
                            points_to_m)
-from qmbox.operators import kronecker_sum
 from qmbox.problems import builtin_problem
 from qmbox.solve import solve
 
@@ -84,8 +84,11 @@ class TestLattice1D:
             make_lattice(1.0, -1)
 
     def test_memory_cap_signals(self):
-        with pytest.raises(GridMemoryError):
-            make_lattice(1.0, 9000)  # N^2 complex entries > 4 GiB
+        # the cap bounds a solve, not a grid: the 18001-point lattice is
+        # made, and the full solve on it, over 7 GiB, is refused
+        assert make_lattice(1.0, 9000).N == 18001
+        with pytest.raises(GridMemoryError, match=r"predicted peak of 7\.\d\d GiB"):
+            solve(builtin_problem("morse", N=18001))
 
     def test_points_to_m(self):
         assert points_to_m(111) == 55
@@ -120,43 +123,55 @@ class TestLattice2D:
 
 
 class TestMemoryGuard:
-    """The cap refuses single grid-sized arrays where they are made, not grids.
-    Set just under one complex 47^2 x 47^2 matrix, it refuses every dense
-    operator on Henon-Heiles 47^2 but lets its contracted solve run."""
+    """The one guard refuses a solve whose plan predicts a peak over the
+    cap, before anything of the size of its grid is built.  Set just under
+    the real dense matrix of Henon-Heiles 47^2, the cap lets its contracted
+    solve of 10 states run and refuses every dense one."""
+
+    CAP = 2209**2 * 8 - 1
 
     @pytest.fixture(autouse=True)
     def cap(self, monkeypatch):
-        monkeypatch.setattr(lattice, "MEMORY_CAP", 2209**2 * 16 - 1)
+        monkeypatch.setattr(lattice, "MEMORY_CAP", self.CAP)
 
     def test_contracted_grid_solves(self):
         problem = builtin_problem("henon_heiles", N=47)   # x-blocks of 1128 and 1081 sites
-        assert min(b.dim for b in hamiltonian_blocks(problem)) >= eig._CONTRACTION_MIN_SIZE
+        plan, _ = _planned(problem, 10)
+        assert plan.rungs and plan.peak <= lattice.MEMORY_CAP
         spectrum = solve(problem, 10)
         assert spectrum.n_states == 10 and np.all(np.isfinite(spectrum.eigenvalues))
 
     def test_full_spectrum_refused_before_any_block(self, monkeypatch):
-        drawn = []
+        problem = builtin_problem("henon_heiles", N=47)
+        refuse_builds(monkeypatch)
+        with pytest.raises(GridMemoryError, match="predicted peak") as caught:
+            solve(problem)
+        assert f"cap of {self.CAP / 2**30:.2f} GiB" in str(caught.value)
 
-        def blocks(problem):
-            for block in hamiltonian_blocks(problem):
-                drawn.append(block)
-                yield block
-
-        # the package's ``solve`` attribute is the function, not the module
-        monkeypatch.setattr(importlib.import_module("qmbox.solve"), "hamiltonian_blocks", blocks)
-        with pytest.raises(GridMemoryError, match="2209x2209"):
-            solve(builtin_problem("henon_heiles", N=47))
-        assert drawn == []
-
-    def test_dense_2d_matrix_refused(self):
-        with pytest.raises(GridMemoryError, match="2209x2209"):
-            kronecker_sum(np.zeros((47, 47)), np.zeros((47, 47)), np.zeros((47, 47)))
+    def test_dense_2d_matrix_refused(self, monkeypatch):
+        # the full decomposition that build_hamiltonian's block is planned
+        # for assembles the dense matrix: refused before its factors exist
+        # and a block built under a higher cap is refused before its
+        # assembly by the plan of its own decomposition
+        problem = builtin_problem("henon_heiles", N=47)
+        monkeypatch.setattr(lattice, "MEMORY_CAP", 2**40)
+        op = build_hamiltonian(problem)
+        monkeypatch.setattr(lattice, "MEMORY_CAP", self.CAP)
+        refuse_builds(monkeypatch)
+        with pytest.raises(GridMemoryError, match="predicted peak"):
+            build_hamiltonian(problem)
+        with pytest.raises(GridMemoryError, match="predicted peak"):
+            list(hamiltonian_blocks(problem))
+        with pytest.raises(GridMemoryError, match="predicted peak"):
+            diagonalize(op, problem.grid)
+        assert "matrix" not in vars(op)
 
     def test_contracted_matrix_refused_before_line_basis(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the 1D bases were built")
-        # the top rung of the larger x-block holds (32 * 24)^2 entries
-        monkeypatch.setattr(lattice, "MEMORY_CAP", (32 * 24) ** 2 * 16 - 1)
-        monkeypatch.setattr(eig, "_line_basis", refuse)
-        with pytest.raises(GridMemoryError, match="768x768"):
-            solve(builtin_problem("henon_heiles", N=47), 10)
+        # the contracted plan's peak, its top rung's matrices above all, is
+        # the threshold: one byte under it refuses the solve
+        problem = builtin_problem("henon_heiles", N=47)
+        plan, _ = _planned(problem, 10)
+        monkeypatch.setattr(lattice, "MEMORY_CAP", plan.peak - 1)
+        refuse_builds(monkeypatch)
+        with pytest.raises(GridMemoryError, match="predicted peak"):
+            solve(problem, 10)
