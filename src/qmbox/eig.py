@@ -11,8 +11,8 @@ an exactly real spectrum whenever its eigenvalues are real, while a
 genuinely complex matrix shows its round-off imaginaries honestly.
 
 Every solve follows one plan (``_plan``), made before any of its matrices
-is built: each block's path, and the predicted peak of the arrays that the
-solve holds at once, the one thing that is refused against
+is built: each block's path, and the predicted peak of the solve, LAPACK's
+copies and workspace included, the one thing that is refused against
 ``lattice.MEMORY_CAP``.
 
 The third path is the contracted solve (``_contracted_pairs``) of a 2D
@@ -84,7 +84,7 @@ from typing import Iterable
 import numpy as np
 
 from . import lattice
-from .lattice import GridMemoryError, Lattice1D, Lattice2D, _integers
+from .lattice import Lattice1D, Lattice2D, _integers
 from .operators import EVEN, ODD, PT, OperatorMatrix, mirror_unfold
 
 #: Entries per pass (2 MiB of float64) when vectors are normalized, residuals
@@ -159,10 +159,9 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class _Block:
-    """A block as a plan reads it: sites per axis (x first), the dtype of
-    its matrix, parity, whether it comes as Kronecker-sum factors (2D), and
-    path: "eigh" or "contracted" if Hermitian, else "eig", or "pt" for a
-    PT real form, both by the general solver."""
+    """A block as a plan reads it: sites per axis (x first), dtype, parity,
+    whether it comes as factors, and path: "eigh", "contracted", "eig" or
+    "pt" (a PT real form)."""
 
     sites: tuple[int, ...]
     dtype: np.dtype
@@ -177,9 +176,8 @@ class _Block:
 
 @dataclass(frozen=True)
 class _Plan:
-    """One solve, decided before any of its matrices is built: every block
-    of the problem, the levels asked for (None for all), the rungs of a
-    contracted solve (``_rungs``), and the predicted peak bytes (``_peak``)."""
+    """One solve, decided before any of its matrices is built: its blocks,
+    the levels asked for (None: all), its rungs and its peak in bytes."""
 
     blocks: tuple[_Block, ...]
     n_states: int | None
@@ -187,13 +185,13 @@ class _Plan:
     peak: int
 
 
-def _plan(blocks: list[_Block], size: int, n_states: int | None, vectors: bool = True,
-          build: int = 0, ladder: bool = True) -> _Plan:
-    """The plan of solving a problem on ``size`` sites given as ``blocks``,
-    on their dense paths, for its lowest ``n_states`` pairs, or its levels
-    alone without ``vectors``; ``build`` is the peak of building the
-    blocks, and ``ladder`` off rules the contracted solve out.  The one
-    memory guard: GridMemoryError when the peak is over the cap."""
+def _plan(blocks: list[_Block], size: int, n_states: int | None, vectors: bool | None = True,
+          kinetic: int = 0, ladder: bool = True) -> _Plan:
+    """The plan of solving ``blocks``, every block of a problem on ``size``
+    sites, for its lowest ``n_states`` pairs (all when None), its levels
+    alone (``vectors`` False) or nothing (None), and of their build with
+    ``kinetic`` (``_peak``); ``ladder`` off rules the contracted solve out.
+    The one memory guard refuses it when its peak is over the cap."""
     if n_states is not None:
         (n_states,) = _integers([n_states], "n_states")
         if not 1 <= n_states <= size:
@@ -201,12 +199,8 @@ def _plan(blocks: list[_Block], size: int, n_states: int | None, vectors: bool =
     rungs = _rungs(blocks, n_states) if ladder else ()
     if rungs:
         blocks = [replace(block, path="contracted") for block in blocks]
-    # a MiB and four values per site: Python's objects and the small arrays
-    peak = max(build, _peak(blocks, size, n_states, vectors, rungs)) + 2**20 + 32 * size
-    if peak > lattice.MEMORY_CAP:
-        raise GridMemoryError(
-            f"a solve on {size} sites has a predicted peak of {peak / 2**30:.2f} GiB, "
-            f"over the memory cap of {lattice.MEMORY_CAP / 2**30:.2f} GiB")
+    peak = _peak(blocks, size, n_states or size, vectors, rungs, kinetic)
+    lattice._guard(peak, f"a {'build' if vectors is None else 'solve'} on {size} sites")
     return _Plan(tuple(blocks), n_states, rungs, peak)
 
 
@@ -237,37 +231,38 @@ def _rungs(blocks: list[_Block], n_states: int | None) -> tuple[tuple[int, tuple
     return ladder
 
 
-def _peak(blocks: list[_Block], size: int, n_states: int | None, vectors: bool,
-          rungs: tuple) -> int:
-    """Peak bytes of the arrays that solving the blocks holds at once, as
-    tracemalloc sees them: not LAPACK's copies and workspace inside numpy.
-    A dense block is held from its build until it is solved, a factored one
-    from its assembly; eigh's kept vectors are a view of all of them, and
-    eig's count complex, with H cast to complex for H v.  A chunked pass
-    holds two chunks, three to unfold.  A contracted solve holds its line
-    bases and either its top rung or the vectors and their residuals."""
-    dims = [b.dim for b in blocks]
-    held = [0 if b.factored else n * n * b.dtype.itemsize for b, n in zip(blocks, dims)]
-    if not vectors:   # the levels alone, beside a finiteness mask of each matrix
-        return sum(held) + max(n * n * (1 + b.factored * b.dtype.itemsize)
-                               for b, n in zip(blocks, dims))
-    k = n_states or size
+#: Matrices of a dense block's size that decomposing it holds at once, for
+#: its levels and its pairs: the block, LAPACK's copy and workspace inside
+#: numpy (two for ?syevd's vectors) and the output.  ?geev's pairs count as
+#: complex: a real block's vectors pass a complex buffer, 7 real matrices.
+_MATRICES = {"eigh": (2, 5), "eig": (2, 4), "pt": (2, 4)}
+
+
+def _peak(blocks: list[_Block], size: int, k: int, vectors: bool | None,
+          rungs: tuple, kinetic: int) -> int:
+    """Predicted peak bytes of building the blocks, ``kinetic`` real N x N
+    kinetic matrices at once, the last beside the dense blocks made from
+    it, then of solving their lowest ``k`` pairs block by block, beside the
+    blocks to come and the vectors kept, and of the vectors on the grid
+    with three chunks of them.  A contracted solve holds its line bases and
+    its top rung or its vectors and their residuals."""
+    T = 8 * size * size * any(not b.factored for b in blocks)
+    held = [0 if b.factored else b.dim**2 * b.dtype.itemsize for b in blocks]
+    peak, kept = max(kinetic * T, bool(kinetic) * (T + sum(held))), 0
     if rungs:
         shapes = [sorted(b.sites) for b in blocks]
         bases = sum(8 * n_s * n_l * min(n_l, _CONTRACTION_LADDER[-1]) for n_s, n_l in shapes)
-        top = [kept * n_s for kept, (n_s, _) in zip(rungs[-1][1], shapes)]
-        return bases + 8 * max(sum(n * n for n in top) + 2 * sum(top) * k, 6 * size * k)
-    peak = kept = 0
-    for j, (b, n) in enumerate(zip(blocks, dims)):
-        s, c = b.dtype.itemsize, min(k, n)
-        if b.path == "eigh":
-            work, keep = (n * n + n * c + 2 * min(_CHUNK_ENTRIES, n * c)) * s, n * n * s
-        else:
-            work, keep = 16 * (n * n + 2 * n * c + 2 * min(_CHUNK_ENTRIES, n * c)), 16 * n * c
-        peak = max(peak, sum(held[j:]) + kept + b.factored * n * n * s + work)
-        kept += keep
-    itemsize = 8 if all(b.path == "eigh" and b.dtype.kind != "c" for b in blocks) else 16
-    return max(peak, kept + (size * k + 3 * min(_CHUNK_ENTRIES, size * k)) * itemsize)
+        top = [k_c * n_s for k_c, (n_s, _) in zip(rungs[-1][1], shapes)]
+        return max(peak, bases + 8 * max(sum(n * n for n in top) + 2 * sum(top) * k, 6 * size * k))
+    for j, b in enumerate(blocks if vectors is not None else ()):
+        n, s = b.dim, 16 if vectors and b.path != "eigh" else b.dtype.itemsize
+        peak = max(peak, sum(held[j + 1:]) + kept + _MATRICES[b.path][vectors] * n * n * s)
+        kept += vectors * n * (n if b.path == "eigh" else min(k, n)) * s   # eigh's are a view
+    out = bool(vectors) * (size * k + 3 * min(_CHUNK_ENTRIES, size * k))
+    peak = max(peak, kept + out * (8 if all(b.path == "eigh" for b in blocks) else 16))
+    # BLAS's packed panels: 6 KiB a row of the largest matrix multiplied, real
+    rows = max([b.dim for b in blocks] + [size] * (kinetic == 3))
+    return peak + 768 * rows * max(b.dtype.itemsize for b in blocks)
 
 
 def _block_of(op: OperatorMatrix) -> _Block:
@@ -297,21 +292,16 @@ def diagonalize(op: OperatorMatrix, grid: Lattice1D | Lattice2D,
 def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Lattice2D,
                        n_states: int | None = None) -> Spectrum:
     """Eigendecomposition of a Hamiltonian given as mirror-parity blocks,
-    every block of the problem: the blocks are taken, planned (``_plan``)
-    and solved as their plan says (``_carry_out``)."""
-    blocks = list(blocks)
-    return _carry_out(blocks, grid, _plan([_block_of(b) for b in blocks], grid.size, n_states))
-
-
-def _carry_out(blocks: list[OperatorMatrix], grid: Lattice1D | Lattice2D, plan: _Plan) -> Spectrum:
-    """The spectrum of ``blocks``, every block of a problem, as ``plan``
-    says: each block gives its lowest min(n_states, size) pairs, from the
-    contracted solve of all of them, or else one dense pass that drops each
-    block as it is solved, so that its matrix is freed before the next one
-    is solved; a ladder that ends unconverged is planned again as dense.
+    every block of the problem: the blocks are taken and planned
+    (``_plan``), and each gives its lowest min(n_states, size) pairs, from
+    the contracted solve of all of them, or else one dense pass that drops
+    each block as it is solved, so that its matrix is freed before the next
+    one is solved; a ladder that ends unconverged is planned again as dense.
     The lowest ``n_states`` across blocks are kept in (Re, Im) order, their
     vectors scattered onto the grid and the residuals divided by
     sqrt(sum ||H_b||_F^2) = ||H||_F, as one decomposition of H would give."""
+    blocks = list(blocks)
+    plan = _plan([_block_of(b) for b in blocks], grid.size, n_states)
     n_states, parities = plan.n_states, [block.parity for block in plan.blocks]
     folded = {axis for parity in parities for axis, p in zip("xy", parity) if p in (EVEN, ODD)}
     parts = _contracted_pairs(blocks, n_states, grid.cell, plan.rungs) if plan.rungs else None

@@ -228,23 +228,21 @@ def build_hamiltonian(problem: ProblemDefinition) -> OperatorMatrix:
 
 
 def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterator[OperatorMatrix]:
-    """The Hamiltonian as mirror-parity blocks, built one at a time, after
-    the full decomposition of them has been planned (``_planned``), the
-    most that ``eig.diagonalize_blocks`` can make of them: a problem whose
-    plan is over the memory cap is refused here, before any block is built.
-    With ``fold`` off, the one block is the whole H, or its PT real form."""
-    return _planned(problem, None, fold)[1]
+    """The Hamiltonian as mirror-parity blocks, built one at a time once
+    their build is planned (``_planned``), which refuses it over the memory
+    cap: a dense block costs its bytes, factors nothing.  With ``fold``
+    off, the one block is the whole H, or its PT real form."""
+    return _planned(problem, fold=fold, vectors=None)[1]
 
 
 def _planned(problem: ProblemDefinition, n_states: int | None = None, fold: bool = True,
-             vectors: bool = True) -> tuple[eig._Plan, Iterator[OperatorMatrix]]:
-    """The plan (``eig._plan``) of solving the problem for its lowest
-    ``n_states`` pairs (all when None), or its levels alone without
-    ``vectors``, and the generator of the blocks it lays out (``_built``),
-    from the grid functions sampled once, here: nothing of the grid's size
-    is built before the plan is made.  An axis is folded when ``fold`` is
-    set and every sampled array equals its mirror image along it bitwise,
-    with no tolerance; with none folded and a complex V, arrays equal to the
+             vectors: bool | None = True) -> tuple[eig._Plan, Iterator[OperatorMatrix]]:
+    """The plan (``eig._plan``) of building the problem's blocks and solving
+    them as ``eig._plan`` reads ``n_states`` and ``vectors``, made from the
+    grid functions sampled once, before anything of the grid's size, and
+    the generator of its blocks (``_built``).  An axis is folded when
+    ``fold`` is set and every sampled array equals its mirror image along
+    it bitwise; with none folded and a complex V, arrays equal to the
     conjugate of their inversion (``np.flip`` over all axes) make the one
     block the PT real form.  Blocks run over the parities of the axes, x
     first; the odd block of a one-site axis is empty and left out."""
@@ -267,17 +265,10 @@ def _planned(problem: ProblemDefinition, n_states: int | None = None, fold: bool
             blocks.append(eig._Block(sites, np.dtype(float) if pt else v.dtype, parity,
                                      problem.dim > 1 and not pt,
                                      "pt" if pt else "eigh" if hermitian else "eig"))
-    # The build holds the real N x N kinetic matrix (three such arrays while
-    # a von Roos beta != 0 is formed, two while one is symmetrized), then
-    # that matrix beside every block while one is folded, made complex or
-    # made into R (in 2D, R is made from the assembled real H).
-    T = 8 * grid.size**2 if problem.dim == 1 or pt else 0
+    # the N x N kinetic arrays that the build holds at once (eig._peak)
     ordering = problem.ordering
     kinetic = 3 if getattr(ordering, "beta", 0.0) else 1 + (m is not None and ordering.symmetric)
-    held = sum(b.dim**2 * b.dtype.itemsize for b in blocks if not b.factored)
-    build = max(kinetic * T * (problem.dim == 1),
-                held + T * (any(folds) or pt or np.iscomplexobj(v)))
-    plan = eig._plan(blocks, grid.size, n_states, vectors, build)
+    plan = eig._plan(blocks, grid.size, n_states, vectors, kinetic)
     return plan, _built(problem, plan, m, v)
 
 

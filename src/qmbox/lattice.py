@@ -17,17 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Cap in bytes on the predicted peak of one solve: the arrays that it holds
-#: at once, at their real entry sizes, from the build of its blocks to its
-#: eigenvectors on the grid, as its plan (``eig._plan``) predicts them before
-#: any matrix is built.  LAPACK's working copies and workspace inside numpy's
-#: eigensolvers are not counted: two to four more of a dense block's
-#: matrices while it is decomposed.
+#: Cap in bytes on the predicted peak of a solve, from the build of its
+#: blocks to its eigenvectors on the grid, LAPACK's copies and workspace
+#: included, as its plan (``eig._plan``) predicts it before any matrix is
+#: built.  A lattice operator or a 2D assembly made alone is held to it too.
 MEMORY_CAP = 4 * 2**30
 
 
 class GridMemoryError(MemoryError):
-    """A solve's predicted peak would exceed ``MEMORY_CAP``."""
+    """A solve, or one grid-sized matrix, would exceed ``MEMORY_CAP``."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +88,13 @@ class Lattice2D:
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) arrays of shape (Ny, Nx); ravel() matches the compound index."""
         return np.meshgrid(self.lx.x, self.ly.x, indexing="xy")
+
+
+def _guard(peak: int, what: str) -> None:
+    """The one memory guard: refuse ``what`` if its peak bytes pass ``MEMORY_CAP``."""
+    if peak > MEMORY_CAP:
+        raise GridMemoryError(f"{what} has a predicted peak of {peak / 2**30:.2f} GiB, "
+                              f"over the memory cap of {MEMORY_CAP / 2**30:.2f} GiB")
 
 
 def make_lattice(L: float, M: int) -> Lattice1D:

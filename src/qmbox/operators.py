@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .expr import Expression
-from .lattice import Lattice1D
+from .lattice import Lattice1D, _guard
 
 GridFunction = Union[Expression, Callable, float, int]
 
@@ -101,6 +101,7 @@ def _toeplitz(c: np.ndarray) -> np.ndarray:
     """The N x N matrix [i, k] = c[i - k + N - 1] of the offset values c,
     expanded by one strided copy."""
     N = (len(c) + 1) // 2
+    _guard(N * N * c.itemsize, f"a {N} x {N} lattice operator")
     return sliding_window_view(c, N)[:, ::-1].copy()
 
 
@@ -246,6 +247,7 @@ def kronecker_sum(tx: np.ndarray, ty: np.ndarray, diagonal: np.ndarray) -> np.nd
     (nx*ny)^2 buffer, with no Kronecker-product temporaries.
     """
     nx, ny = tx.shape[0], ty.shape[0]
+    _guard((nx * ny) ** 2 * np.result_type(tx, ty, diagonal).itemsize, f"a {nx * ny}-site matrix")
     H = np.zeros((nx * ny, nx * ny), dtype=np.result_type(tx, ty, diagonal))
     H4 = H.reshape(ny, nx, ny, nx)
     H4[np.arange(ny), :, np.arange(ny), :] += tx

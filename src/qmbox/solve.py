@@ -1,11 +1,10 @@
 """One-call pipeline: build the Hamiltonian, diagonalize, fix the phases.
 
 1D and 2D problems take the same path: H arrives as exact mirror-parity
-blocks laid out by the solve's plan (``hamiltonian._planned``) and is
-diagonalized block by block as it says (``eig._carry_out``).  Each axis
-along which every sampled grid function (the potential's real and
-imaginary parts, and in 1D a position-dependent mass) is bitwise equal to
-its mirror image is folded into an even and an
+blocks (``hamiltonian._planned``) and is diagonalized block by block
+(``diagonalize_blocks``).  Each axis along which every sampled grid function
+(the potential's real and imaginary parts, and in 1D a position-dependent
+mass) is bitwise equal to its mirror image is folded into an even and an
 odd half, so H is diagonalized as 1 or 2 blocks in 1D and 1, 2 or 4 in 2D
 instead of one dense matrix, with the same spectrum.  The functions are
 tested as sampled, with no tolerance; an asymmetric problem is the one-block
@@ -18,7 +17,7 @@ of an unfolded one, or of a 2D problem, are the state indices.
 
 from __future__ import annotations
 
-from .eig import Spectrum, _carry_out, _fix_phases
+from .eig import Spectrum, _fix_phases, diagonalize_blocks
 from .hamiltonian import ProblemDefinition, _planned
 
 
@@ -42,7 +41,6 @@ def solve(problem: ProblemDefinition, n_states: int | None = None) -> Spectrum:
     relative apart), round-off decides which member is returned, and with
     it the last state's vector and residual.
     """
-    plan, blocks = _planned(problem, n_states)
-    spectrum = _carry_out(list(blocks), problem.grid, plan)
+    spectrum = diagonalize_blocks(_planned(problem, n_states)[1], problem.grid, n_states)
     _fix_phases(spectrum.eigenvectors)   # as phase_fix, on the fresh array in place
     return spectrum

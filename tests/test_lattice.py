@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,9 +86,9 @@ class TestLattice1D:
 
     def test_memory_cap_signals(self):
         # the cap bounds a solve, not a grid: the 18001-point lattice is
-        # made, and the full solve on it, over 7 GiB, is refused
+        # made, and the full solve on it, over 12 GiB, is refused
         assert make_lattice(1.0, 9000).N == 18001
-        with pytest.raises(GridMemoryError, match=r"predicted peak of 7\.\d\d GiB"):
+        with pytest.raises(GridMemoryError, match=r"predicted peak of 12\.\d\d GiB"):
             solve(builtin_problem("morse", N=18001))
 
     def test_points_to_m(self):
@@ -148,23 +149,24 @@ class TestMemoryGuard:
             solve(problem)
         assert f"cap of {self.CAP / 2**30:.2f} GiB" in str(caught.value)
 
-    def test_dense_2d_matrix_refused(self, monkeypatch):
-        # the full decomposition that build_hamiltonian's block is planned
-        # for assembles the dense matrix: refused before its factors exist
-        # and a block built under a higher cap is refused before its
-        # assembly by the plan of its own decomposition
+    def test_dense_2d_matrix_refused(self):
+        # building a 2D block costs its factors alone; its dense matrix is
+        # refused before it is assembled, by the plan of its full
+        # decomposition or by the assembly on its own
         problem = builtin_problem("henon_heiles", N=47)
-        monkeypatch.setattr(lattice, "MEMORY_CAP", 2**40)
         op = build_hamiltonian(problem)
-        monkeypatch.setattr(lattice, "MEMORY_CAP", self.CAP)
-        refuse_builds(monkeypatch)
-        with pytest.raises(GridMemoryError, match="predicted peak"):
-            build_hamiltonian(problem)
-        with pytest.raises(GridMemoryError, match="predicted peak"):
-            list(hamiltonian_blocks(problem))
+        assert len(list(hamiltonian_blocks(problem))) == 2
         with pytest.raises(GridMemoryError, match="predicted peak"):
             diagonalize(op, problem.grid)
         assert "matrix" not in vars(op)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridMemoryError, match="a 2209-site matrix has a predicted peak"):
+                op.matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_contracted_matrix_refused_before_line_basis(self, monkeypatch):
         # the contracted plan's peak, its top rung's matrices above all, is

@@ -1,8 +1,15 @@
-"""The solve plan: its predicted peak against the traced one, and the one
-memory guard, which refuses a solve, a scan or a completeness check before
-anything of the size of its grid is built."""
+"""The solve plan: its predicted peak against the resident memory that a
+solve really takes, LAPACK's copies and workspace inside numpy included,
+and the one memory guard, which refuses a solve, a scan, a completeness
+check or a lattice operator before anything of the size of its grid is
+built."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +17,15 @@ import pytest
 from conftest import refuse_builds
 from qmbox import analysis, eig
 from qmbox.cli import main
-from qmbox.hamiltonian import ConstantMass, ProblemDefinition, _planned
-from qmbox.lattice import GridMemoryError, make_lattice_2d
+from qmbox.eig import diagonalize
+from qmbox.hamiltonian import ConstantMass, ProblemDefinition, _planned, build_hamiltonian
+from qmbox.lattice import GridMemoryError, make_lattice, make_lattice_2d
+from qmbox.operators import momentum_squared_matrix
 from qmbox.problems import builtin_problem
 from qmbox.solve import solve
 
 MIB = 2**20
+TESTS = Path(__file__).resolve().parent
 
 
 def problem_2d(N, imag=None):
@@ -25,96 +35,139 @@ def problem_2d(N, imag=None):
                              potential_imag=imag, energy_unit="model")
 
 
-def traced(call, *args):
-    """The result of the call and the peak bytes that tracemalloc saw."""
-    tracemalloc.start()
-    try:
-        result = call(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def pt_2d(N):
+    return problem_2d(N, imag=lambda x, y: 0.1 * x * y * (x + y))
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm():
-    # the first solve of each path imports and caches what later ones reuse
-    for problem_id in ("morse", "nh3", "pt_oscillator", "non_pt_oscillator"):
-        solve(builtin_problem(problem_id))
-    solve(builtin_problem("henon_heiles"), 10)
-    solve(builtin_problem("henon_heiles", N=21))
+def folded_imag_2d(N):
+    return problem_2d(N, imag=lambda x, y: 0.1 * x**2)
 
 
-# Each path at a grid whose largest array, named last, holds at least 8 MiB,
-# where the chunked passes and Python's objects no longer weigh in.
+def builtin(problem_id):
+    return lambda N: builtin_problem(problem_id, N=N)
+
+
+# Each path as (problem on N points, N, n_states, the N of its warm-up solve)
+# at a grid whose largest array holds at least 8 MiB: the real N x N kinetic
+# matrix or H at N = 1025, a complex H at 725, a 2D block's vectors at 33^2,
+# and the contracted solve's top rung of 1312^2 on 81^2.
 PATHS = {
-    "morse 1025, full: eigh": (
-        lambda: builtin_problem("morse", N=1025), None, 1025**2 * 8),   # H
+    "morse 1025, full: eigh": (builtin("morse"), 1025, None, 101),
     "pdm_ho_1 1025, full: folded eigh, a three-array kinetic build": (
-        lambda: builtin_problem("pdm_ho_1", N=1025), None, 1025**2 * 8),   # the kinetic matrix
-    "nh3 1025, 10 states: folded general, real": (
-        lambda: builtin_problem("nh3", N=1025), 10, 1025**2 * 8),   # the kinetic matrix
-    "pt_oscillator 1025, full: PT real form": (
-        lambda: builtin_problem("pt_oscillator", N=1025), None, 1025**2 * 16),   # the vectors
+        builtin("pdm_ho_1"), 1025, None, 101),
+    "nh3 1025, 10 states: folded general, real": (builtin("nh3"), 1025, 10, 101),
+    "pt_oscillator 1025, 5 states: PT real form": (builtin("pt_oscillator"), 1025, 5, 101),
     "non_pt_oscillator 725, full: general, complex": (
-        lambda: builtin_problem("non_pt_oscillator", N=725), None, 725**2 * 16),   # H
+        builtin("non_pt_oscillator"), 725, None, 101),
     "henon-heiles 33^2, full: 2D blocks assembled for eigh": (
-        lambda: builtin_problem("henon_heiles", N=33), None, 1089**2 * 8),   # the vectors
-    "2D PT 33^2, full": (
-        lambda: problem_2d(33, imag=lambda x, y: 0.1 * x * y * (x + y)), None, 1089**2 * 16),
-    "2D V_imag folded 33^2, full: 2D blocks assembled for eig": (
-        lambda: problem_2d(33, imag=lambda x, y: 0.1 * x**2), None, 1089**2 * 16),
-    "henon-heiles 81^2, 60 states: contracted": (
-        lambda: builtin_problem("henon_heiles", N=81), 60, 1148**2 * 8),   # rung 28's matrix
+        builtin("henon_heiles"), 33, None, 21),
+    "2D PT 33^2, full": (pt_2d, 33, None, 21),
+    "2D V_imag folded 33^2, full: 2D blocks assembled for eig": (folded_imag_2d, 33, None, 21),
+    "henon-heiles 81^2, 60 states: contracted": (builtin("henon_heiles"), 81, 60, 55),
+    "nh3 1025, full: real vectors counted complex": (builtin("nh3"), 1025, None, 101),
 }
+LEVELS = {f"{problem_id} {N}, levels": (builtin(problem_id), N, None, 101)
+          for problem_id, N in (("morse", 1025), ("nh3", 1025), ("non_pt_oscillator", 725))}
 
 
-@pytest.mark.parametrize("name", list(PATHS))
-def test_predicted_peak_bounds_the_traced_peak(name):
-    make, n_states, largest = PATHS[name]
-    assert largest >= 8 * MIB
-    problem = make()
-    plan, _ = _planned(problem, n_states)
-    _, peak = traced(solve, problem, n_states)
-    assert 1.0 <= plan.peak / peak <= 1.5
+def _resident(field: str) -> int:
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith(field))
 
 
-@pytest.mark.parametrize("problem_id, N", [("morse", 1025), ("nh3", 1025),
-                                           ("non_pt_oscillator", 725)])
-def test_predicted_peak_of_the_levels_alone(problem_id, N):
-    # a convergence scan's grid: eigenvalues, no eigenvectors; the largest
-    # array is the kinetic matrix or H, 8 MiB
-    problem = builtin_problem(problem_id, N=N)
-    plan, blocks = _planned(problem, vectors=False)
-    _, peak = traced(eig.block_eigenvalues, blocks)
-    assert 1.0 <= plan.peak / peak <= 1.5
+def measure(name: str) -> tuple[int, int]:
+    """In a fresh process: the predicted peak of the named case and the
+    growth of the process's peak resident memory over its solve, after a
+    warm-up solve of the same path on a small grid."""
+    levels = name in LEVELS
+    make, N, n_states, warm_N = (LEVELS if levels else PATHS)[name]
+
+    def run(problem):
+        if levels:
+            return eig.block_eigenvalues(_planned(problem, vectors=False)[1])
+        return solve(problem, n_states)
+
+    run(make(warm_N))
+    problem = make(N)
+    plan, _ = _planned(problem, n_states, vectors=not levels)
+    before = _resident("VmRSS")
+    run(problem)
+    return plan.peak, _resident("VmHWM") - before
 
 
-def test_real_general_vectors_are_counted_complex():
+def measured_in_fresh_process(name: str) -> tuple[int, int]:
+    # One BLAS thread, so that the buffers that BLAS keeps per thread do
+    # not vary with the machine's cores, and a fixed mmap threshold, so
+    # that every freed array goes back to the system at once and resident
+    # memory follows the arrays held rather than the allocator's pools.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]),
+           "OPENBLAS_NUM_THREADS": "1", "MALLOC_MMAP_THRESHOLD_": str(2**17)}
+    code = "import sys; from test_plan import measure; print(*measure(sys.argv[1]))"
+    done = subprocess.run([sys.executable, "-c", code, name], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    predicted, measured = map(int, done.stdout.split())
+    return predicted, measured
+
+
+@pytest.fixture(scope="module")
+def peaks() -> dict:
+    """(predicted, measured) peak bytes of every case, two processes at a time."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip([*PATHS, *LEVELS], pool.map(measured_in_fresh_process,
+                                                     [*PATHS, *LEVELS])))
+
+
+@pytest.mark.parametrize("name", [name for name in PATHS if "counted complex" not in name]
+                         + list(LEVELS))
+def test_predicted_peak_bounds_the_measured_peak(name, peaks):
+    predicted, measured = peaks[name]
+    assert 1.0 <= predicted / measured <= 1.5
+
+
+def test_real_general_vectors_bound_the_measured_peak(peaks):
     # a real non-symmetric block's vectors are complex once one level is,
     # and numpy tells only after the decomposition: the plan counts them
-    # complex, which doubles the vectors of nh3's full spectrum, all real
-    problem = builtin_problem("nh3", N=1025)
-    plan, _ = _planned(problem)
-    spectrum, peak = traced(solve, problem, None)
-    assert not np.iscomplexobj(spectrum.eigenvectors)
-    assert 1.9 <= plan.peak / peak <= 2.5
+    # complex, so nh3's full spectrum, all real, is over-counted, but bounded
+    predicted, measured = peaks["nh3 1025, full: real vectors counted complex"]
+    assert predicted >= measured
 
 
 def test_refused_solve_allocates_nothing_grid_sized(monkeypatch):
-    # every array of pt_oscillator's full spectrum on 12001 points is under
-    # the cap, 2.15 GiB counted complex, but the solve would hold 7.5 GiB
+    # every array of pt_oscillator's 5 states on 12001 points is under the
+    # cap, but its real-form decomposition would hold eight 1 GiB matrices
     problem = builtin_problem("pt_oscillator", N=12001)
     refuse_builds(monkeypatch)
     tracemalloc.start()
     try:
         with pytest.raises(GridMemoryError) as caught:
-            solve(problem)
+            solve(problem, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(caught.value) == ("a solve on 12001 sites has a predicted peak of 7.52 GiB, "
+    assert str(caught.value) == ("a solve on 12001 sites has a predicted peak of 8.65 GiB, "
                                  "over the memory cap of 4.00 GiB")
     assert peak < MIB   # the sampled grid functions, 94 KiB each
+
+
+def test_built_2d_hamiltonian_takes_the_contracted_solve():
+    # building costs the factors alone, so the 129^2 block, whose full
+    # decomposition would pass the cap, is built and solved for 10 states
+    problem = builtin_problem("henon_heiles", N=129)
+    spectrum = diagonalize(build_hamiltonian(problem), problem.grid, 10)
+    assert spectrum.n_states == 10 and np.all(np.isfinite(spectrum.eigenvalues))
+
+
+def test_lattice_operator_over_the_cap_is_refused():
+    grid = make_lattice(1.0, 20000)   # 40001 points: p^2 would take 11.9 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridMemoryError, match="40001 x 40001 lattice operator"):
+            momentum_squared_matrix(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * MIB   # the 2N - 1 offset values and their temporaries
 
 
 def test_scan_refuses_its_last_grid_before_solving_the_first(monkeypatch):
