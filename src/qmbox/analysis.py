@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eig import Spectrum, block_eigenvalues
+from .eig import Spectrum, _levels
 from .hamiltonian import ProblemDefinition, _planned
 from .lattice import Lattice2D, _integers, make_lattice, points_to_m
 from .problems import CONSTANTS, ReferenceSpectrum
@@ -102,10 +102,10 @@ def convergence_scan(problem: ProblemDefinition, mode: str, n_list,
     fixed = grid0.L if mode == "fixed_L_vary_N" else grid0.a
     energies = np.empty((len(n_list), len(state_indices)))
     planned = [_planned(replace(problem, grid=make_lattice(
-        fixed if mode == "fixed_L_vary_N" else fixed * n, points_to_m(n))), vectors=False)[1]
+        fixed if mode == "fixed_L_vary_N" else fixed * n, points_to_m(n))), vectors=False)
         for n in n_list]
-    for i, blocks in enumerate(planned):
-        energies[i] = block_eigenvalues(blocks)[list(state_indices)].real
+    for i, (plan, blocks) in enumerate(planned):
+        energies[i] = _levels(plan, list(blocks))[list(state_indices)].real
 
     converged = energies[-10:].mean(axis=0)
     rel_errors = np.abs(energies - converged) / np.abs(converged)

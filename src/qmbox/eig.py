@@ -13,7 +13,11 @@ genuinely complex matrix shows its round-off imaginaries honestly.
 Every solve follows one plan (``_plan``), made before any of its matrices
 is built: each block's path, and the predicted peak of the solve, LAPACK's
 copies and workspace included, the one thing that is refused against
-``lattice.MEMORY_CAP``.
+``lattice.MEMORY_CAP``.  A solve, and each grid of a convergence scan, is
+planned once, before the build (``hamiltonian._planned``), and solved from
+that plan by one core, ``_solved`` for pairs and ``_levels`` for levels
+alone; ``diagonalize_blocks`` and ``block_eigenvalues`` plan the blocks
+they are handed, then call the same core.
 
 The third path is the contracted solve (``_contracted_pairs``) of a 2D
 Hamiltonian given by its Kronecker-sum factors (see ``OperatorMatrix``), for
@@ -85,7 +89,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import Lattice1D, Lattice2D, _integers
-from .operators import EVEN, ODD, PT, OperatorMatrix, mirror_unfold
+from .operators import EVEN, ODD, PT, OperatorMatrix, _diagonal, mirror_unfold
 
 #: Entries per pass (2 MiB of float64) when vectors are normalized, residuals
 #: formed, vectors unfolded or phases fixed: each pass works on a slice of
@@ -292,16 +296,23 @@ def diagonalize(op: OperatorMatrix, grid: Lattice1D | Lattice2D,
 def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Lattice2D,
                        n_states: int | None = None) -> Spectrum:
     """Eigendecomposition of a Hamiltonian given as mirror-parity blocks,
-    every block of the problem: the blocks are taken and planned
-    (``_plan``), and each gives its lowest min(n_states, size) pairs, from
-    the contracted solve of all of them, or else one dense pass that drops
-    each block as it is solved, so that its matrix is freed before the next
-    one is solved; a ladder that ends unconverged is planned again as dense.
+    every block of the problem: the blocks are taken, planned (``_plan``)
+    and solved from that plan (``_solved``), as one decomposition of H
+    would give them."""
+    blocks = list(blocks)
+    return _solved(_plan([_block_of(b) for b in blocks], grid.size, n_states), blocks, grid)
+
+
+def _solved(plan: _Plan, blocks: list[OperatorMatrix], grid: Lattice1D | Lattice2D) -> Spectrum:
+    """The spectrum of ``blocks``, every block of a problem, from their plan,
+    emptying the list: each block gives its lowest min(n_states, size)
+    pairs, from the contracted solve of all of them, or else one dense pass
+    that drops each block as it is solved, so that its matrix is freed
+    before the next one is solved; a ladder that ends unconverged is
+    planned again as dense.
     The lowest ``n_states`` across blocks are kept in (Re, Im) order, their
     vectors scattered onto the grid and the residuals divided by
     sqrt(sum ||H_b||_F^2) = ||H||_F, as one decomposition of H would give."""
-    blocks = list(blocks)
-    plan = _plan([_block_of(b) for b in blocks], grid.size, n_states)
     n_states, parities = plan.n_states, [block.parity for block in plan.blocks]
     folded = {axis for parity in parities for axis, p in zip("xy", parity) if p in (EVEN, ODD)}
     parts = _contracted_pairs(blocks, n_states, grid.cell, plan.rungs) if plan.rungs else None
@@ -504,7 +515,7 @@ def _contracted_matrix(t_short: np.ndarray, E: np.ndarray, U: np.ndarray,
     H_c = blas.dsyrk(1.0, basis.T, c=np.zeros((n, n), order="F"), lower=1, overwrite_c=1)
     rows = H_c.T   # the same memory in C order, so its reshape is a view
     rows.reshape(kept, n_s, kept, n_s)[...] *= t_short[None, :, None, :]
-    rows[np.diag_indices(n)] += E[:, :kept].T.ravel()
+    _diagonal(H_c)[...] += E[:, :kept].T.ravel()
     return H_c
 
 
@@ -656,10 +667,17 @@ def eigenvalues(op: OperatorMatrix) -> np.ndarray:
 def block_eigenvalues(blocks: Iterable[OperatorMatrix]) -> np.ndarray:
     """All eigenvalues of a Hamiltonian given as mirror-parity blocks, every
     block of the problem, without eigenvectors, merged in the order and
-    dtype of ``diagonalize_blocks``: the blocks are taken and planned
-    (``_plan``), and each is dropped as it is solved."""
+    dtype of ``diagonalize_blocks``: the blocks are taken, planned
+    (``_plan``) and solved from that plan (``_levels``)."""
     blocks = list(blocks)
     plan = _plan([_block_of(b) for b in blocks], sum(b.dim for b in blocks), None, vectors=False)
+    return _levels(plan, blocks)
+
+
+def _levels(plan: _Plan, blocks: list[OperatorMatrix]) -> np.ndarray:
+    """The levels of ``blocks``, every block of a problem, from their plan of
+    levels alone, merged in (Re, Im) order; each block is dropped from the
+    list as it is solved."""
     w, order = _merged([_eigenpairs(blocks.pop(0), b.path, vectors=False)[0] for b in plan.blocks])
     return w[order]
 

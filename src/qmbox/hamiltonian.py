@@ -46,7 +46,7 @@ import numpy as np
 from . import eig
 from .lattice import Lattice1D, Lattice2D
 from .operators import (EVEN, ODD, PT, GridFunction, GridValueError, OperatorMatrix,
-                        grid_values, kronecker_sum, mirror_fold, mirror_sites,
+                        _diagonal, grid_values, kronecker_sum, mirror_fold, mirror_sites,
                         momentum_ip, momentum_squared_matrix)
 
 
@@ -304,7 +304,7 @@ def _built(problem: ProblemDefinition, plan: eig._Plan, m: np.ndarray | None,
         # complex copy of it: drop it so the block holds H alone
         del choices[0][parity[0]]
         H = axis_matrices.pop().astype(v.dtype, copy=False)
-        H[np.diag_indices_from(H)] += v[sites]
+        _diagonal(H)[...] += v[sites]
         yield OperatorMatrix(H, hermitian, parity)
         del H
 
@@ -330,7 +330,7 @@ def _pt_real_form(kinetic: list[np.ndarray], v: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite R is the solver's error
         if len(kinetic) == 1:
             re = kinetic.pop()
-            re[np.diag_indices_from(re)] += v.real
+            _diagonal(re)[...] += v.real
         else:
             re = kronecker_sum(*kinetic, v.real)   # refuses a grid over the cap before R
         R = np.zeros((v.size, v.size))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,6 @@ class Lattice1D:
     N: int = field(init=False)
     a: float = field(init=False)
     x: np.ndarray = field(init=False, repr=False)
-    p: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         N = 2 * self.M + 1
@@ -43,9 +43,15 @@ class Lattice1D:
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "x", a * np.arange(-self.M, self.M + 1))
-        object.__setattr__(self, "p", (2 * np.pi / self.L) * np.arange(-self.M, self.M + 1))
         self.x.setflags(write=False)
-        self.p.setflags(write=False)
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        """The conjugate momenta p_k = (2 pi/L)(k - M), read-only, made on
+        first use."""
+        p = (2 * np.pi / self.L) * np.arange(-self.M, self.M + 1)
+        p.setflags(write=False)
+        return p
 
     @property
     def size(self) -> int:

@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .expr import Expression
 from .lattice import Lattice1D, _guard
@@ -102,7 +102,8 @@ def _toeplitz(c: np.ndarray) -> np.ndarray:
     expanded by one strided copy."""
     N = (len(c) + 1) // 2
     _guard(N * N * c.itemsize, f"a {N} x {N} lattice operator")
-    return sliding_window_view(c, N)[:, ::-1].copy()
+    step = c.strides[0]   # row i starts at c[N - 1 + i] and runs back along c
+    return as_strided(c[N - 1:], (N, N), (step, -step)).copy()
 
 
 def momentum_ip(grid: Lattice1D) -> np.ndarray:
@@ -252,5 +253,11 @@ def kronecker_sum(tx: np.ndarray, ty: np.ndarray, diagonal: np.ndarray) -> np.nd
     H4 = H.reshape(ny, nx, ny, nx)
     H4[np.arange(ny), :, np.arange(ny), :] += tx
     H4[:, np.arange(nx), :, np.arange(nx)] += ty
-    H[np.diag_indices_from(H)] += np.ravel(diagonal)
+    _diagonal(H)[...] += np.ravel(diagonal)
     return H
+
+
+def _diagonal(H: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonal of the square matrix H, contiguous
+    or not, so that a write to it writes H."""
+    return np.einsum("ii->i", H)

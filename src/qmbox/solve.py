@@ -17,7 +17,7 @@ of an unfolded one, or of a 2D problem, are the state indices.
 
 from __future__ import annotations
 
-from .eig import Spectrum, _fix_phases, diagonalize_blocks
+from .eig import Spectrum, _fix_phases, _solved
 from .hamiltonian import ProblemDefinition, _planned
 
 
@@ -28,7 +28,7 @@ def solve(problem: ProblemDefinition, n_states: int | None = None) -> Spectrum:
 
     ``n_states`` keeps the lowest eigenpairs (the completeness machinery
     needs the full spectrum, so leave it None there).  The solve is planned
-    first (``hamiltonian._planned``), and refused when its predicted peak is
+    once (``hamiltonian._planned``) and refused when its predicted peak is
     over the memory cap, before any block is built.  A large Hermitian 2D
     problem may take the contracted solve of ``eig`` for all its blocks, as
     the plan decides (``eig._rungs`` states the path rule): its levels agree
@@ -41,6 +41,7 @@ def solve(problem: ProblemDefinition, n_states: int | None = None) -> Spectrum:
     relative apart), round-off decides which member is returned, and with
     it the last state's vector and residual.
     """
-    spectrum = diagonalize_blocks(_planned(problem, n_states)[1], problem.grid, n_states)
+    plan, blocks = _planned(problem, n_states)
+    spectrum = _solved(plan, list(blocks), problem.grid)
     _fix_phases(spectrum.eigenvectors)   # as phase_fix, on the fresh array in place
     return spectrum

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -29,6 +30,13 @@ class TestLattice1D:
     def test_momentum_values(self):
         lat = make_lattice(3.0, 1)
         np.testing.assert_allclose(lat.p, [-2 * np.pi / 3, 0.0, 2 * np.pi / 3])
+
+    def test_momenta_are_made_on_first_use_and_read_only(self):
+        lat = make_lattice(3.0, 1)
+        assert "p" not in vars(lat)   # no solve reads them
+        assert lat.p is lat.p and not lat.p.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lat.p = np.zeros(3)
 
     def test_center_is_exactly_zero(self):
         for M in (1, 5, 50):

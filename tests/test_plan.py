@@ -172,17 +172,48 @@ def test_lattice_operator_over_the_cap_is_refused():
 
 def test_scan_refuses_its_last_grid_before_solving_the_first(monkeypatch):
     solved = []
-    real = analysis.block_eigenvalues
+    real = analysis._levels
 
-    def spy(blocks):
+    def spy(plan, blocks):
         solved.append(blocks)
-        return real(blocks)
+        return real(plan, blocks)
 
-    monkeypatch.setattr(analysis, "block_eigenvalues", spy)
+    monkeypatch.setattr(analysis, "_levels", spy)
     grids = [41 + 2 * i for i in range(11)] + [30001]
     with pytest.raises(GridMemoryError, match="a solve on 30001 sites"):
         analysis.convergence_scan(builtin_problem("morse"), "fixed_L_vary_N", grids)
     assert solved == []
+
+
+FALLBACK = "henon-heiles 47^2, 60 states: the ladder falls back"
+# Each run and whether each plan it makes takes the ladder: one plan per
+# solve and per scan grid, made before the build and solved from, and a
+# second, dense, only where the ladder ends unconverged.
+PLANNED = {
+    "nh3 solve": (lambda: solve(builtin_problem("nh3"), 10), [False]),
+    "henon-heiles 55^2, 60 states: the ladder converges": (
+        lambda: solve(builtin_problem("henon_heiles", N=55), 60), [True]),
+    "12-grid scan": (lambda: analysis.convergence_scan(builtin_problem("pdm_ho_1"), "fixed_L_vary_N",
+                                                       [41 + 2 * i for i in range(12)]), [False] * 12),
+    FALLBACK: (lambda: solve(builtin_problem("henon_heiles", N=47), 60), [True, False]),
+}
+
+
+@pytest.mark.parametrize("name", PLANNED)
+def test_each_solve_and_scan_grid_is_planned_once(name, monkeypatch):
+    run, ladders = PLANNED[name]
+    if name == FALLBACK:
+        monkeypatch.setattr(eig, "_CONTRACTION_TOL", 0)   # no rung can stop the ladder
+    plans = []
+    real = eig._plan
+
+    def spy(*args, **kwargs):
+        plans.append(real(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(eig, "_plan", spy)
+    run()
+    assert [bool(plan.rungs) for plan in plans] == ladders
 
 
 def test_completeness_over_the_cap_is_exit_2(monkeypatch, capsys):
