@@ -190,7 +190,7 @@ class _Plan:
 
 
 def _plan(blocks: list[_Block], size: int, n_states: int | None, vectors: bool | None = True,
-          kinetic: int = 0, ladder: bool = True) -> _Plan:
+          kinetic: float = 0, ladder: bool = True) -> _Plan:
     """The plan of solving ``blocks``, every block of a problem on ``size``
     sites, for its lowest ``n_states`` pairs (all when None), its levels
     alone (``vectors`` False) or nothing (None), and of their build with
@@ -243,16 +243,18 @@ _MATRICES = {"eigh": (2, 5), "eig": (2, 4), "pt": (2, 4)}
 
 
 def _peak(blocks: list[_Block], size: int, k: int, vectors: bool | None,
-          rungs: tuple, kinetic: int) -> int:
+          rungs: tuple, kinetic: float) -> int:
     """Predicted peak bytes of building the blocks, ``kinetic`` real N x N
     kinetic matrices at once, the last beside the dense blocks made from
-    it, then of solving their lowest ``k`` pairs block by block, beside the
+    it (a build at half size holds its fraction of one beside its blocks),
+    then of solving their lowest ``k`` pairs block by block, beside the
     blocks to come and the vectors kept, and of the vectors on the grid
     with three chunks of them.  A contracted solve holds its line bases and
     its top rung or its vectors and their residuals."""
     T = 8 * size * size * any(not b.factored for b in blocks)
     held = [0 if b.factored else b.dim**2 * b.dtype.itemsize for b in blocks]
-    peak, kept = max(kinetic * T, bool(kinetic) * (T + sum(held))), 0
+    peak = int(max(kinetic * T, bool(kinetic) * (min(kinetic, 1) * T + sum(held))))
+    kept = 0
     if rungs:
         shapes = [sorted(b.sites) for b in blocks]
         bases = sum(8 * n_s * n_l * min(n_l, _CONTRACTION_LADDER[-1]) for n_s, n_l in shapes)

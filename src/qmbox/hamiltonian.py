@@ -20,10 +20,14 @@ when the mass is even, so H splits into exact mirror-parity blocks whenever
 the sampled mass and potentials are even, in 1D as in 2D, as the plan of a
 solve lays them out (``_planned``); ``build_hamiltonian`` is the unfolded
 one-block case.  The fold is decided on the sampled functions, not on H:
-the beta != 0 product A (m^beta A) makes H mirror-symmetric only to
-round-off.  Each axis is folded the same way, its half-axis numbered from
-the box edge inward, and the potential is added after the fold, on the
-block's sites.
+on the whole axis the beta != 0 product A (m^beta A) is mirror-symmetric
+only to round-off.  A folded axis never forms that product: A = i p is
+off-diagonal in the mirror basis, so each parity block of p m^beta p is a
+half-size product of A's even-odd block (``mirror_momentum_ip``), scaled
+by m^alpha and m^gamma on the block's own sites; every other kinetic term
+is built on the whole axis and folded.  Each axis is folded the same way,
+its half-axis numbered from the box edge inward, and the potential is
+added after the fold, on the block's sites.
 
 PT symmetry is decided there too, on the same arrays: with no axis folded,
 sampled functions that are PT under the inversion of the grid make the one
@@ -46,8 +50,8 @@ import numpy as np
 from . import eig
 from .lattice import Lattice1D, Lattice2D
 from .operators import (EVEN, ODD, PT, GridFunction, GridValueError, OperatorMatrix,
-                        _diagonal, grid_values, kronecker_sum, mirror_fold, mirror_sites,
-                        momentum_ip, momentum_squared_matrix)
+                        _diagonal, grid_values, kronecker_sum, mirror_fold, mirror_momentum_ip,
+                        mirror_sites, momentum_ip, momentum_squared_matrix)
 
 
 # --- Kinetic orderings -------------------------------------------------------
@@ -186,10 +190,15 @@ def build_kinetic(problem: ProblemDefinition) -> OperatorMatrix:
     return build_hamiltonian(replace(problem, potential_real=0.0, potential_imag=None))
 
 
-def _kinetic_1d(grid: Lattice1D, ordering: KineticOrdering,
-                m: np.ndarray | None) -> np.ndarray:
+def _kinetic_1d(grid: Lattice1D, ordering: KineticOrdering, m: np.ndarray | None,
+                fold: bool) -> dict[int, np.ndarray]:
     """The 1D kinetic matrix of ``ordering`` from the sampled mass ``m``,
-    scaled in place; it is Hermitian exactly when ``ordering.symmetric`` is.
+    scaled in place, as {0: T}, or with ``fold`` as its mirror blocks
+    {EVEN: T_e, ODD: T_o}; it is Hermitian exactly when ``ordering.symmetric``
+    is.  A von Roos product p m^beta p (beta != 0) on a folded axis is built
+    block by block at half size (``mirror_momentum_ip``), its m^alpha and
+    m^gamma on each block's own sites; every other kinetic term is built on
+    the whole axis and folded with ``mirror_fold``.
 
     A mass power or a product that leaves float range (a zero mass, an
     extreme exponent or mu) is computed silently: the eigensolver rejects
@@ -199,22 +208,41 @@ def _kinetic_1d(grid: Lattice1D, ordering: KineticOrdering,
         if isinstance(ordering, ConstantMass):
             T = momentum_squared_matrix(grid)
             T /= 2.0 * ordering.mu
-            return T
-
-        if ordering.beta == 0.0:
-            # the closed-form p^2 costs O(N^2), the product below O(N^3)
-            X = momentum_squared_matrix(grid)
+            blocks = {0: T}
         else:
-            # p m^beta p = -(A m^beta A) since p = -i A and A is real
-            A = momentum_ip(grid)
-            X = A @ (_mass_power(m, ordering.beta)[:, None] * A)
-            np.negative(X, out=X)
-        X *= _mass_power(m, ordering.alpha)[:, None]   # m^alpha p m^beta p m^gamma
-        X *= _mass_power(m, ordering.gamma)[None, :]
-        if ordering.symmetric:
-            X += X.T   # numpy reads the overlapping X.T as if copied first
-        X *= 0.25 if ordering.symmetric else 0.5
-        return X
+            if ordering.beta == 0.0:
+                # the closed-form p^2 costs O(N^2), a product O(N^3)
+                blocks = {0: momentum_squared_matrix(grid)}
+            elif fold:
+                # p m^beta p = -(A m^beta A) since p = -i A and A is real; in
+                # the mirror basis A = [[0, A_eo], [-A_eo^T, 0]], and m^beta
+                # is diagonal with its values on the pair sites, then the
+                # centre, which the even block alone holds; in each block
+                # the two minus signs cancel
+                A = mirror_momentum_ip(grid)
+                b = _mass_power(m[:grid.M + 1], ordering.beta)
+                blocks = {EVEN: (A * b[:-1]) @ A.T, ODD: A.T @ (b[:, None] * A)}
+                del A   # before the symmetrization's copy of X.T and ufunc buffer
+            else:
+                A = momentum_ip(grid)
+                X = A @ (_mass_power(m, ordering.beta)[:, None] * A)
+                np.negative(X, out=X)
+                blocks = {0: X}
+            for parity, X in blocks.items():   # m^alpha p m^beta p m^gamma
+                sites = m[mirror_sites(grid.M, parity)]
+                # a zero exponent scales by ones: skipped, bitwise the same
+                if ordering.alpha:
+                    X *= _mass_power(sites, ordering.alpha)[:, None]
+                if ordering.gamma:
+                    X *= _mass_power(sites, ordering.gamma)[None, :]
+                if ordering.symmetric:
+                    X += X.T   # numpy reads the overlapping X.T as if copied first
+                X *= 0.25 if ordering.symmetric else 0.5
+    if fold and 0 in blocks:
+        T = blocks.pop(0)   # a folded axis keeps only its blocks
+        with np.errstate(invalid="ignore"):   # inf - inf of a non-finite kinetic matrix
+            blocks = {p: mirror_fold(T, p) for p in (EVEN, ODD)}
+    return blocks
 
 
 def build_hamiltonian(problem: ProblemDefinition) -> OperatorMatrix:
@@ -265,9 +293,13 @@ def _planned(problem: ProblemDefinition, n_states: int | None = None, fold: bool
             blocks.append(eig._Block(sites, np.dtype(float) if pt else v.dtype, parity,
                                      problem.dim > 1 and not pt,
                                      "pt" if pt else "eigh" if hermitian else "eig"))
-    # the N x N kinetic arrays that the build holds at once (eig._peak)
+    # the N x N kinetic arrays that the build holds at once (eig._peak); a
+    # folded beta != 0 product holds A_eo and one operand, a quarter each
     ordering = problem.ordering
-    kinetic = 3 if getattr(ordering, "beta", 0.0) else 1 + (m is not None and ordering.symmetric)
+    if not getattr(ordering, "beta", 0.0):
+        kinetic = 1 + (m is not None and ordering.symmetric)
+    else:
+        kinetic = 0.5 if any(folds) else 3
     plan = eig._plan(blocks, grid.size, n_states, vectors, kinetic)
     return plan, _built(problem, plan, m, v)
 
@@ -275,17 +307,13 @@ def _planned(problem: ProblemDefinition, n_states: int | None = None, fold: bool
 def _built(problem: ProblemDefinition, plan: eig._Plan, m: np.ndarray | None,
            v: np.ndarray) -> Iterator[OperatorMatrix]:
     """The blocks of the plan from the sampled mass m and potential v, each
-    built as it is drawn; the solvers draw them all before solving any."""
+    built as it is drawn; the solvers draw them all before solving any.
+    Each axis's kinetic term comes folded when a block folds that axis
+    (``_kinetic_1d``), so a folded beta != 0 axis is built at half size."""
     grid = problem.grid
-    choices = []
-    for i, axis in enumerate(grid.axes):
-        kinetic = _kinetic_1d(axis, problem.ordering, m)
-        if any(b.parity[i] in (EVEN, ODD) for b in plan.blocks):
-            with np.errstate(invalid="ignore"):   # inf - inf of a non-finite kinetic matrix
-                choices.append({p: mirror_fold(kinetic, p) for p in (EVEN, ODD)})
-        else:
-            choices.append({0: kinetic})
-    del kinetic   # a folded axis keeps only its blocks
+    choices = [_kinetic_1d(axis, problem.ordering, m,
+                           any(b.parity[i] in (EVEN, ODD) for b in plan.blocks))
+               for i, axis in enumerate(grid.axes)]
     if plan.blocks[0].path == "pt":
         # the kinetic matrices move into R: the block holds R alone
         R = _pt_real_form([axis.pop(0) for axis in choices], v)

@@ -106,13 +106,35 @@ def _toeplitz(c: np.ndarray) -> np.ndarray:
     return as_strided(c[N - 1:], (N, N), (step, -step)).copy()
 
 
-def momentum_ip(grid: Lattice1D) -> np.ndarray:
-    """Real antisymmetric matrix of i*p; entries (pi/L)(-1)^j / sin(pi j/N)."""
+def _momentum_ip_offsets(grid: Lattice1D) -> np.ndarray:
+    """The 2N-1 offset values of i*p, (pi/L)(-1)^j / sin(pi j/N), 0 at j = 0."""
     j = _signed_offsets(grid.N)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = (np.pi / grid.L) * (-1.0) ** j / np.sin(np.pi * j / grid.N)
     c[grid.N - 1] = 0.0
-    return _toeplitz(c)
+    return c
+
+
+def momentum_ip(grid: Lattice1D) -> np.ndarray:
+    """Real antisymmetric matrix of i*p; entries (pi/L)(-1)^j / sin(pi j/N)."""
+    return _toeplitz(_momentum_ip_offsets(grid))
+
+
+def mirror_momentum_ip(grid: Lattice1D) -> np.ndarray:
+    """The (M+1) x M even-odd block A_eo of A = i*p in the mirror basis Q
+    (``mirror_sites``).  A anticommutes with the reflection, so
+    Q^T A Q = [[0, A_eo], [-A_eo^T, 0]].  A pair row i reads
+    A[i, j] - A[i, N-1-j] = c(i - j) - c(i + j + 1 - N), a Toeplitz minus a
+    Hankel matrix of ``momentum_ip``'s offset values c, each a strided view;
+    the centre row, not a pair, is scaled by sqrt(1/2)."""
+    N, M = grid.N, grid.M
+    c = _momentum_ip_offsets(grid)
+    _guard((M + 1) * M * c.itemsize, f"a {M + 1} x {M} lattice operator")
+    step = c.strides[0]
+    block = np.subtract(as_strided(c[N - 1:], (M + 1, M), (step, -step)),
+                        as_strided(c, (M + 1, M), (step, step)))
+    block[M:] *= np.sqrt(0.5)
+    return block
 
 
 def momentum_squared_matrix(grid: Lattice1D) -> np.ndarray:
@@ -211,7 +233,9 @@ def mirror_fold(t: np.ndarray, parity: int, out: np.ndarray | None = None) -> np
     Exact when ``t`` commutes with the index reversal, t[::-1, ::-1] == t,
     as every symmetric Toeplitz matrix does (the closed-form p^2 among them)
     and so does a 1D kinetic matrix, Hermitian or not, whose mass is
-    mirror-even.
+    mirror-even.  A product p m^beta p on such an axis is built folded
+    instead, at half size (``mirror_momentum_ip``); this fold of it is
+    what that build reproduces to round-off.
     """
     M = t.shape[0] // 2
     s = mirror_sites(M, parity)

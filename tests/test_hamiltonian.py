@@ -3,13 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qmbox import hamiltonian
 from qmbox.eig import diagonalize
 from qmbox.hamiltonian import (ORDERING_NAMES, ConstantMass, ProblemDefinition,
-                               VonRoos, build_hamiltonian, build_kinetic,
-                               hamiltonian_blocks, ordering_from_name)
+                               VonRoos, _kinetic_1d, _mass_values, build_hamiltonian,
+                               build_kinetic, hamiltonian_blocks, ordering_from_name)
 from qmbox.lattice import make_lattice, make_lattice_2d
-from qmbox.operators import PT, GridValueError, momentum_ip
+from qmbox.operators import EVEN, ODD, PT, GridValueError, mirror_fold, momentum_ip
 from qmbox.problems import builtin_problem, nh3_mass, nh3_potential
+from qmbox.solve import solve
 
 #: The fixed named orderings and the von Roos points they stand for.
 NAMED = {
@@ -194,6 +196,8 @@ class TestHamiltonian1D:
     @pytest.mark.parametrize("problem_id, overrides, arrays", [
         ("morse", {"N": 401, "L": 140, "r_e": -60.0}, 1.25),   # p^2 becomes H in place
         ("nh3", {}, 2.5),   # the kinetic matrix and its two half-size folds
+        # the two blocks of p m^beta p, A_eo and one operand, a quarter each
+        ("pdm_ho_1", {}, 1.1),
         # Re H and R, the folds written into R (2.07; numpy's ufunc buffer is the rest)
         ("pt_oscillator", {"N": 601}, 2.1),
     ])
@@ -209,6 +213,53 @@ class TestHamiltonian1D:
         finally:
             tracemalloc.stop()
         assert peak <= arrays * problem.size**2 * 8
+
+    @pytest.mark.parametrize("N", [3, 5, 41, 201])
+    @pytest.mark.parametrize("problem_id, ordering", [
+        ("pdm_ho_1", None), ("pdm_ho_2", None),   # the mass sandwich by default
+        ("nh3", NAMED["mass-sandwich"]), ("nd3", NAMED["mass-sandwich"]),
+        ("pdm_ho_1", VonRoos(-0.25, -0.25)),
+        ("pdm_ho_1", VonRoos(-0.5, 0.0, symmetric=False)),   # one-sided, beta = -0.5
+    ], ids=["pdm_ho_1", "pdm_ho_2", "nh3 sandwich", "nd3 sandwich", "pdm_ho_1 von-roos",
+            "pdm_ho_1 one-sided"])
+    def test_folded_product_blocks_are_the_fold_of_the_product(self, problem_id, ordering, N):
+        # a folded beta != 0 axis is built block by block at half size; each
+        # block is the mirror fold of the whole-axis product to round-off
+        overrides = {"N": N} if ordering is None else {"N": N, "ordering": ordering}
+        problem = builtin_problem(problem_id, **overrides)
+        m = _mass_values(problem)
+        (whole,) = _kinetic_1d(problem.grid, problem.ordering, m, fold=False).values()
+        blocks = _kinetic_1d(problem.grid, problem.ordering, m, fold=True)
+        assert list(blocks) == [EVEN, ODD]
+        for parity, block in blocks.items():
+            want = mirror_fold(whole, parity)
+            assert block.shape == want.shape
+            assert np.abs(block - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_uneven_mass_takes_the_whole_axis_product(self, monkeypatch):
+        # a mass that is not even folds nothing: H is the product on the
+        # whole grid, -(A m^-1 A) symmetrized, with V on its diagonal
+        def refuse(grid):
+            raise AssertionError("an unfolded axis built a half-size product")
+
+        monkeypatch.setattr(hamiltonian, "mirror_momentum_ip", refuse)
+        grid = make_lattice(20.0, 30)
+        mass = lambda x: 1.0 + x**2 + 0.1 * x
+        (block,) = hamiltonian_blocks(problem_1d(grid, NAMED["mass-sandwich"],
+                                                 lambda x: 0.5 * x**2, mass=mass))
+        A = momentum_ip(grid)
+        X = -(A @ ((1.0 / mass(grid.x))[:, None] * A))
+        assert block.parity == (0,)
+        np.testing.assert_array_equal(block.matrix, 0.25 * (X + X.T) + np.diag(0.5 * grid.x**2))
+
+    def test_fractional_power_of_a_folded_product_raises_as_the_whole(self):
+        # the nh3 mass is negative beyond its pole: m^beta is refused before
+        # m^alpha, on the half axis as on the whole one
+        problem = builtin_problem("nh3", ordering=ordering_from_name("von-roos", -0.5, -0.25))
+        with pytest.raises(GridValueError) as err:
+            solve(problem)
+        assert str(err.value) == ("mass power m^-0.25 is undefined on this grid "
+                                  "(fractional power of a non-positive mass value)")
 
     def test_real_paths_stay_real(self):
         for problem_id in ("nh3", "nd3", "morse", "pdm_ho_1", "pdm_ho_2"):

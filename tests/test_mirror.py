@@ -19,8 +19,8 @@ from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, VonRoos,
                                build_hamiltonian, hamiltonian_blocks,
                                ordering_from_name)
 from qmbox.lattice import make_lattice, make_lattice_2d
-from qmbox.operators import (EVEN, ODD, PT, mirror_fold, mirror_unfold,
-                             momentum_squared_matrix)
+from qmbox.operators import (EVEN, ODD, PT, mirror_fold, mirror_momentum_ip, mirror_unfold,
+                             momentum_ip, momentum_squared_matrix)
 from qmbox.problems import BUILTIN_IDS, builtin_problem
 from qmbox.solve import solve
 
@@ -180,6 +180,23 @@ def test_fold_is_an_orthogonal_change_of_basis(M):
     np.testing.assert_allclose(folded[M + 1:, M + 1:], mirror_fold(P, ODD),
                                rtol=0, atol=1e-14 * scale)
     np.testing.assert_allclose(folded[:M + 1, M + 1:], 0.0, rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("M", [0, 1, 4, 20])
+def test_momentum_in_the_mirror_basis_is_one_off_diagonal_block(M):
+    # i p anticommutes with the reflection: Q^T A Q = [[0, A_eo], [-A_eo^T, 0]]
+    lat = make_lattice(7.0, M)
+    A = momentum_ip(lat)
+    Q = np.hstack([mirror_unfold(np.eye(M + 1), EVEN, axis=0),
+                   mirror_unfold(np.eye(M), ODD, axis=0)])
+    folded = Q.T @ A @ Q
+    A_eo = mirror_momentum_ip(lat)
+    scale = np.abs(A).max()
+    assert A_eo.shape == (M + 1, M)
+    np.testing.assert_allclose(folded[:M + 1, M + 1:], A_eo, rtol=0, atol=1e-14 * scale)
+    np.testing.assert_allclose(folded[M + 1:, :M + 1], -A_eo.T, rtol=0, atol=1e-14 * scale)
+    np.testing.assert_allclose(folded[:M + 1, :M + 1], 0.0, rtol=0, atol=1e-14 * scale)
+    np.testing.assert_allclose(folded[M + 1:, M + 1:], 0.0, rtol=0, atol=1e-14 * scale)
 
 
 def pt_2d():
