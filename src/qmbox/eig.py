@@ -17,7 +17,8 @@ copies and workspace included, the one thing that is refused against
 planned once, before the build (``hamiltonian._planned``), and solved from
 that plan by one core, ``_solved`` for pairs and ``_levels`` for levels
 alone; ``diagonalize_blocks`` and ``block_eigenvalues`` plan the blocks
-they are handed, then call the same core.
+they are handed, then call the same core.  A spectrum carries the plan its
+solve carried out (``Spectrum.plan``), the one record of which path ran.
 
 The third path is the contracted solve (``_contracted_pairs``) of a 2D
 Hamiltonian given by its Kronecker-sum factors (see ``OperatorMatrix``), for
@@ -38,9 +39,10 @@ vectors of the upper levels carry residuals far above the dense path's 1e-16
 of ||H||_F: convergence in the basis size is algebraic, so they grow with
 ``n_states`` and have no bound (figures at ``solve.solve``).  Should the
 ladder end unconverged, the blocks are planned again as dense, assembled
-once and decomposed in full, like every block on the dense paths.  Every
-LAPACK routine that the contracted solve calls directly goes through
-``_lapack``, the one place that reads its status.
+once and decomposed in full, like every block on the dense paths, and the
+spectrum carries that dense plan marked as the ladder's fallback (see
+``_Plan``).  Every LAPACK routine that the contracted solve calls directly
+goes through ``_lapack``, the one place that reads its status.
 
 The general path has one real form: the builder gives a PT-symmetric
 problem as the real matrix R similar to its complex H, a block tagged PT
@@ -60,8 +62,9 @@ block through the same solver choice, merges the lowest levels, and scatters
 the vectors back onto the full grid one axis at a time (a folded axis runs
 from the box edge inward in 1D and 2D alike, see ``operators.mirror_sites``),
 so the Spectrum has the same layout, normalization and residual definition
-as one dense decomposition; ``Spectrum.mirror_axes`` records which axes were
-folded.  A single whole matrix is the one-block case.
+as one dense decomposition; the blocks' parities on ``Spectrum.plan`` say
+which axes were folded, and ``Spectrum.mirror_axes`` names them.  A single
+whole matrix is the one-block case.
 
 On a 1D grid each level takes the parity of the block that owns it: "s"
 from the even block, "a" from the odd one, "none" from a whole-grid or PT
@@ -134,15 +137,29 @@ class Spectrum:
     Eigenvalues ascend by real part (ties by imaginary part); eigenvectors
     are columns normalized to weight * sum |psi_i|^2 = 1, the discrete
     version of the unit continuum norm, with weight a in 1D and ax*ay in 2D.
+    ``plan`` is the plan the solve carried out (``_Plan``, read-only): each
+    block's sites, parity and path, the ladder's rungs and the predicted
+    peak.  ``hermitian_path`` and ``mirror_axes`` are read off its blocks.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column n belongs to eigenvalues[n]
     residuals: np.ndarray     # ||H v - lambda v||_2 / ||H||_F per pair
-    hermitian_path: bool
+    plan: _Plan               # the plan the solve carried out
     grid: Lattice1D | Lattice2D
     parity: tuple[str, ...] | None = None         # "s" | "a" | "none" per 1D state
-    mirror_axes: tuple[str, ...] = ()             # axes folded by mirror symmetry
+
+    @property
+    def hermitian_path(self) -> bool:
+        """Whether every block went through the symmetric solver (dense or
+        contracted), so that the levels are exactly real."""
+        return all(b.path in ("eigh", "contracted") for b in self.plan.blocks)
+
+    @property
+    def mirror_axes(self) -> tuple[str, ...]:
+        """The axes folded by mirror symmetry, x first: () when none is.
+        Every block of a plan folds the same axes, so its first names them."""
+        return tuple(a for a, p in zip("xy", self.plan.blocks[0].parity) if p in (EVEN, ODD))
 
     @property
     def n_states(self) -> int:
@@ -163,9 +180,11 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class _Block:
-    """A block as a plan reads it: sites per axis (x first), dtype, parity,
+    """A block as a plan reads it: sites per axis (x first), dtype, parity
+    per axis (0 unfolded, ``EVEN``, ``ODD``, or ``PT`` on every axis),
     whether it comes as factors, and path: "eigh", "contracted", "eig" or
-    "pt" (a PT real form)."""
+    "pt" (a PT real form).  A read-only result type: a spectrum reports its
+    blocks so (``Spectrum.plan``)."""
 
     sites: tuple[int, ...]
     dtype: np.dtype
@@ -181,7 +200,14 @@ class _Block:
 @dataclass(frozen=True)
 class _Plan:
     """One solve, decided before any of its matrices is built: its blocks,
-    the levels asked for (None: all), its rungs and its peak in bytes."""
+    the levels asked for (None: all), its rungs and its peak in bytes.
+
+    A read-only result type: a spectrum carries the plan its solve carried
+    out (``Spectrum.plan``).  Rungs with "contracted" blocks are a ladder
+    that converged; no rungs, a dense solve from the start.  A ladder that
+    ends unconverged is planned again as dense, and that re-plan is marked
+    as its fallback: it keeps the ladder's rungs while its blocks say
+    "eigh", and its peak is the dense one."""
 
     blocks: tuple[_Block, ...]
     n_states: int | None
@@ -311,17 +337,18 @@ def _solved(plan: _Plan, blocks: list[OperatorMatrix], grid: Lattice1D | Lattice
     pairs, from the contracted solve of all of them, or else one dense pass
     that drops each block as it is solved, so that its matrix is freed
     before the next one is solved; a ladder that ends unconverged is
-    planned again as dense.
+    planned again as dense, with the ladder's rungs kept as the mark of its
+    fallback (``_Plan``).
     The lowest ``n_states`` across blocks are kept in (Re, Im) order, their
     vectors scattered onto the grid and the residuals divided by
-    sqrt(sum ||H_b||_F^2) = ||H||_F, as one decomposition of H would give."""
+    sqrt(sum ||H_b||_F^2) = ||H||_F, as one decomposition of H would give.
+    The spectrum carries the plan that was carried out."""
     n_states, parities = plan.n_states, [block.parity for block in plan.blocks]
-    folded = {axis for parity in parities for axis, p in zip("xy", parity) if p in (EVEN, ODD)}
     parts = _contracted_pairs(blocks, n_states, grid.cell, plan.rungs) if plan.rungs else None
     if parts is None:   # dense or not converged: one block at a time, freed once solved
-        if plan.rungs:
-            plan = _plan([replace(b, path="eigh") for b in plan.blocks], grid.size, n_states,
-                         ladder=False)
+        if plan.rungs:   # the fallback: dense blocks and their peak, the ladder's rungs kept
+            plan = replace(_plan([replace(b, path="eigh") for b in plan.blocks], grid.size,
+                                 n_states, ladder=False), rungs=plan.rungs)
         parts = [_dense_pairs(blocks.pop(0), b.path, n_states, grid.cell) for b in plan.blocks]
 
     values, vectors, residuals, norms_sq = (list(column) for column in zip(*parts))
@@ -343,9 +370,7 @@ def _solved(plan: _Plan, blocks: list[OperatorMatrix], grid: Lattice1D | Lattice
     # a 1D level has its block's parity: s, a, or none for the whole grid and PT
     parity = None if isinstance(grid, Lattice2D) else tuple(
         {(EVEN,): "s", (ODD,): "a"}.get(parities[b], "none") for b in owner)
-    return Spectrum(eigenvalues=w, eigenvectors=out, residuals=residuals,
-                    hermitian_path=all(b.path in ("eigh", "contracted") for b in plan.blocks),
-                    grid=grid, parity=parity, mirror_axes=tuple(a for a in "xy" if a in folded))
+    return Spectrum(w, out, residuals, plan, grid, parity)
 
 
 @contextlib.contextmanager

@@ -434,6 +434,7 @@ def test_rungs_visited(grid, n_states, rungs, falls_back, monkeypatch, oracle_de
     assert [k for k, _ in itertools.groupby(calls)] == rungs
     assert len(calls) == 2 * len(rungs)   # both blocks on every rung
     assert ends == [falls_back]
+    assert {b.path for b in spectrum.plan.blocks} == {"eigh" if falls_back else "contracted"}
     if falls_back:   # the full decomposition, bitwise the dense oracle's
         for name in ("eigenvalues", "eigenvectors", "residuals"):
             np.testing.assert_array_equal(getattr(spectrum, name), getattr(reference, name))
@@ -576,6 +577,8 @@ def test_unconverged_ladder_falls_back_to_full_decomposition_bitwise(monkeypatch
     monkeypatch.setattr(operators, "kronecker_sum", counting)
     spectrum = solve(problem, 60)
     assert len(assembled) == 2   # each block once, after the ladder
+    # the result carries the dense re-plan, marked by the ladder's rungs
+    assert spectrum.plan.rungs and [b.path for b in spectrum.plan.blocks] == ["eigh", "eigh"]
     for name in ("eigenvalues", "eigenvectors", "residuals"):
         np.testing.assert_array_equal(getattr(spectrum, name), getattr(reference, name))
 

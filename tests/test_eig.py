@@ -9,7 +9,7 @@ import pytest
 from conftest import complex_hamiltonian
 
 import qmbox
-from qmbox.eig import (SolverError, Spectrum, classify_parity, diagonalize,
+from qmbox.eig import (SolverError, Spectrum, _Block, _Plan, classify_parity, diagonalize,
                        diagonalize_blocks, eigenvalues, phase_fix)
 from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, VonRoos, build_hamiltonian,
                                hamiltonian_blocks, ordering_from_name)
@@ -17,6 +17,14 @@ from qmbox.lattice import make_lattice, make_lattice_2d
 from qmbox.operators import PT, OperatorMatrix
 from qmbox.problems import BUILTIN_IDS, builtin_problem, pt_exact_level
 from qmbox.solve import solve
+
+
+def whole_grid_plan(grid, hermitian):
+    """The plan of one unfolded dense block over a 1D grid, for a Spectrum
+    made by hand."""
+    block = _Block((grid.size,), np.dtype(float if hermitian else complex), (0,), False,
+                   "eigh" if hermitian else "eig")
+    return _Plan((block,), None, (), 0)
 
 
 def det_sign_eigenvalues(A, samples=4001, iterations=80):
@@ -406,7 +414,7 @@ class TestParity:
     def test_labels_count_each_parity_class(self):
         grid = make_lattice(5.0, 2)
         s = Spectrum(eigenvalues=np.arange(5, dtype=float), eigenvectors=np.eye(5),
-                     residuals=np.zeros(5), hermitian_path=True, grid=grid,
+                     residuals=np.zeros(5), plan=whole_grid_plan(grid, True), grid=grid,
                      parity=("s", "a", "a", "none", "s"))
         assert s.labels == ("0s", "0a", "1a", "3", "1s")
         assert replace(s, parity=None).labels == ("0", "1", "2", "3", "4")
@@ -427,7 +435,7 @@ class TestPhaseFix:
         grid = make_lattice(float(vectors.shape[0]), (vectors.shape[0] - 1) // 2)
         return Spectrum(eigenvalues=np.arange(vectors.shape[1], dtype=float),
                         eigenvectors=vectors, residuals=np.zeros(vectors.shape[1]),
-                        hermitian_path=True, grid=grid)
+                        plan=whole_grid_plan(grid, True), grid=grid)
 
     def test_sign_flip_real(self):
         s = self._spectrum(np.array([[0.0], [-1.0], [0.0]]))
@@ -444,7 +452,7 @@ class TestPhaseFix:
         v = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
         grid = make_lattice(5.0, 2)
         s = Spectrum(eigenvalues=np.arange(4, dtype=float), eigenvectors=v,
-                     residuals=np.zeros(4), hermitian_path=False, grid=grid)
+                     residuals=np.zeros(4), plan=whole_grid_plan(grid, False), grid=grid)
         once = phase_fix(s)
         twice = phase_fix(once)
         np.testing.assert_array_equal(once.eigenvectors, twice.eigenvectors)
@@ -455,7 +463,7 @@ class TestPhaseFix:
         for _ in range(200):
             v = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
             s = Spectrum(eigenvalues=np.arange(3, dtype=float), eigenvectors=v,
-                         residuals=np.zeros(3), hermitian_path=False, grid=grid)
+                         residuals=np.zeros(3), plan=whole_grid_plan(grid, False), grid=grid)
             once = phase_fix(s)
             np.testing.assert_array_equal(phase_fix(once).eigenvectors, once.eigenvectors)
 
@@ -467,7 +475,7 @@ class TestPhaseFix:
             c, d = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             v = np.array([[c], [0.1 * abs(c) * d / abs(d)], [-c]])
             s = Spectrum(eigenvalues=np.zeros(1), eigenvectors=v, residuals=np.zeros(1),
-                         hermitian_path=False, grid=grid)
+                         plan=whole_grid_plan(grid, False), grid=grid)
             once = phase_fix(s)
             assert once.eigenvectors[0, 0].imag == 0.0 and once.eigenvectors[0, 0].real > 0
             np.testing.assert_array_equal(phase_fix(once).eigenvectors, once.eigenvectors)

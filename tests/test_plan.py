@@ -216,6 +216,41 @@ def test_each_solve_and_scan_grid_is_planned_once(name, monkeypatch):
     assert [bool(plan.rungs) for plan in plans] == ladders
 
 
+LADDER = [16, 20, 24, 28, 32]
+# Each solve as (problem, n_states, its blocks' paths on the result, the n_c
+# of its planned rungs, hermitian_path, mirror_axes); rungs with "eigh"
+# blocks mark the dense re-plan of a ladder that ended unconverged
+RECORDS = {
+    "nh3: two general blocks, x folded": (
+        lambda: builtin_problem("nh3"), None, ["eig", "eig"], [], False, ("x",)),
+    "pt_oscillator: one PT block": (
+        lambda: builtin_problem("pt_oscillator"), None, ["pt"], [], False, ()),
+    "morse: one whole-grid block": (lambda: builtin_problem("morse"), None, ["eigh"], [], True, ()),
+    "henon_heiles 55^2, 60 states: a converged ladder": (
+        lambda: builtin_problem("henon_heiles", N=55), 60, ["contracted"] * 2, LADDER, True, ("x",)),
+    "henon_heiles 45^2 L=16, 100 states: the ladder's fallback": (
+        lambda: builtin_problem("henon_heiles", N=45, L=16.0), 100, ["eigh"] * 2, LADDER, True,
+        ("x",)),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_the_result_carries_the_plan_it_carried_out(name):
+    make, n_states, paths, rungs, hermitian, axes = RECORDS[name]
+    problem = make()
+    planned = _planned(problem, n_states)[0]
+    spectrum = solve(problem, n_states)
+    plan = spectrum.plan
+    assert [b.path for b in plan.blocks] == paths and plan.n_states == n_states
+    assert [n_c for n_c, _ in plan.rungs] == rungs
+    assert (spectrum.hermitian_path, spectrum.mirror_axes) == (hermitian, axes)
+    if "fallback" in name:   # the dense re-plan: the same blocks, sized as dense
+        assert plan.rungs == planned.rungs and plan.peak > planned.peak
+        assert [b.sites for b in plan.blocks] == [b.sites for b in planned.blocks]
+    else:
+        assert plan == planned
+
+
 def test_completeness_over_the_cap_is_exit_2(monkeypatch, capsys):
     refuse_builds(monkeypatch)
     assert main(["completeness", "--problem", "morse", "--N", "18001"]) == 2
