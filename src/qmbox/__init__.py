@@ -9,8 +9,8 @@ non-Hermitian, and complex-potential forms in one and two dimensions.
 from .analysis import (ComparisonReport, ConvergenceScan, compare_to_reference,
                        completeness_error, convergence_scan, exponential_fit,
                        labeled_levels, shift_to_ground, to_wavenumbers)
-from .eig import (SolverError, Spectrum, classify_parity, diagonalize,
-                  eigenvalues, phase_fix)
+from .eig import (Block, Plan, SolverError, Spectrum, classify_parity,
+                  diagonalize, eigenvalues, phase_fix)
 from .expr import Expression, ExpressionError, parse
 from .hamiltonian import (ConstantMass, KineticOrdering, ProblemDefinition,
                           VonRoos, build_hamiltonian, build_kinetic,
@@ -33,10 +33,10 @@ __version__ = "0.1.0"
 MassSandwich = VonRoos
 
 __all__ = [
-    "BUILTIN_IDS", "CONSTANTS", "ComparisonReport", "ConstantMass",
+    "BUILTIN_IDS", "Block", "CONSTANTS", "ComparisonReport", "ConstantMass",
     "ConvergenceScan", "Expression", "ExpressionError", "GridMemoryError",
     "GridValueError", "KineticOrdering", "Lattice1D", "Lattice2D",
-    "OperatorMatrix", "PhysicalConstants", "ProblemDefinition",
+    "OperatorMatrix", "PhysicalConstants", "Plan", "ProblemDefinition",
     "ReferenceSpectrum", "SolverError", "Spectrum", "VonRoos",
     "build_hamiltonian", "build_kinetic", "builtin_problem", "classify_parity",
     "compare_to_reference", "completeness_error", "constant_reduced_mass",

@@ -16,9 +16,10 @@ copies and workspace included, the one thing that is refused against
 ``lattice.MEMORY_CAP``.  A solve, and each grid of a convergence scan, is
 planned once, before the build (``hamiltonian._planned``), and solved from
 that plan by one core, ``_solved`` for pairs and ``_levels`` for levels
-alone; ``diagonalize_blocks`` and ``block_eigenvalues`` plan the blocks
-they are handed, then call the same core.  A spectrum carries the plan its
-solve carried out (``Spectrum.plan``), the one record of which path ran.
+alone; ``diagonalize`` and ``eigenvalues`` plan the one block they are
+handed, then call the same core.  A spectrum carries the plan its solve
+carried out (``Spectrum.plan``, a ``Plan`` of ``Block``s), the one record
+of which path ran.
 
 The third path is the contracted solve (``_contracted_pairs``) of a 2D
 Hamiltonian given by its Kronecker-sum factors (see ``OperatorMatrix``), for
@@ -41,7 +42,7 @@ of ||H||_F: convergence in the basis size is algebraic, so they grow with
 ladder end unconverged, the blocks are planned again as dense, assembled
 once and decomposed in full, like every block on the dense paths, and the
 spectrum carries that dense plan marked as the ladder's fallback (see
-``_Plan``).  Every LAPACK routine that the contracted solve calls directly
+``Plan``).  Every LAPACK routine that the contracted solve calls directly
 goes through ``_lapack``, the one place that reads its status.
 
 The general path has one real form: the builder gives a PT-symmetric
@@ -57,9 +58,9 @@ from its entries.
 A Hamiltonian may also arrive as mirror-parity blocks (see
 ``hamiltonian._planned``): a problem whose grid functions equal
 their mirror image bitwise along an axis splits H exactly into an even and
-an odd block of about half the size.  ``diagonalize_blocks`` sends each
-block through the same solver choice, merges the lowest levels, and scatters
-the vectors back onto the full grid one axis at a time (a folded axis runs
+an odd block of about half the size.  ``_solved`` sends each block
+through the same solver choice, merges the lowest levels, and scatters the
+vectors back onto the full grid one axis at a time (a folded axis runs
 from the box edge inward in 1D and 2D alike, see ``operators.mirror_sites``),
 so the Spectrum has the same layout, normalization and residual definition
 as one dense decomposition; the blocks' parities on ``Spectrum.plan`` say
@@ -73,10 +74,9 @@ state index), so a problem with no mirror symmetry never gets a parity
 label.  ``classify_parity`` is the overlap oracle that reads parity off the
 eigenvectors instead.
 
-``block_eigenvalues`` runs the same dispatch without eigenvectors and
-merges the blocks' levels in the same order, for callers that read the
-eigenvalues alone, such as convergence scans; ``eigenvalues`` is its
-one-block case.
+``_levels`` runs the same dispatch without eigenvectors and merges the
+blocks' levels in the same order, for callers that read the eigenvalues
+alone, such as convergence scans; ``eigenvalues`` is its one-block case.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count
-from typing import Iterable
 
 import numpy as np
 
@@ -137,7 +136,7 @@ class Spectrum:
     Eigenvalues ascend by real part (ties by imaginary part); eigenvectors
     are columns normalized to weight * sum |psi_i|^2 = 1, the discrete
     version of the unit continuum norm, with weight a in 1D and ax*ay in 2D.
-    ``plan`` is the plan the solve carried out (``_Plan``, read-only): each
+    ``plan`` is the plan the solve carried out (``Plan``, read-only): each
     block's sites, parity and path, the ladder's rungs and the predicted
     peak.  ``hermitian_path`` and ``mirror_axes`` are read off its blocks.
     """
@@ -145,7 +144,7 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column n belongs to eigenvalues[n]
     residuals: np.ndarray     # ||H v - lambda v||_2 / ||H||_F per pair
-    plan: _Plan               # the plan the solve carried out
+    plan: Plan                # the plan the solve carried out
     grid: Lattice1D | Lattice2D
     parity: tuple[str, ...] | None = None         # "s" | "a" | "none" per 1D state
 
@@ -179,7 +178,7 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class _Block:
+class Block:
     """A block as a plan reads it: sites per axis (x first), dtype, parity
     per axis (0 unfolded, ``EVEN``, ``ODD``, or ``PT`` on every axis),
     whether it comes as factors, and path: "eigh", "contracted", "eig" or
@@ -198,7 +197,7 @@ class _Block:
 
 
 @dataclass(frozen=True)
-class _Plan:
+class Plan:
     """One solve, decided before any of its matrices is built: its blocks,
     the levels asked for (None: all), its rungs and its peak in bytes.
 
@@ -209,14 +208,14 @@ class _Plan:
     as its fallback: it keeps the ladder's rungs while its blocks say
     "eigh", and its peak is the dense one."""
 
-    blocks: tuple[_Block, ...]
+    blocks: tuple[Block, ...]
     n_states: int | None
     rungs: tuple[tuple[int, tuple[int, ...]], ...]
     peak: int
 
 
-def _plan(blocks: list[_Block], size: int, n_states: int | None, vectors: bool | None = True,
-          kinetic: float = 0, ladder: bool = True) -> _Plan:
+def _plan(blocks: list[Block], size: int, n_states: int | None, vectors: bool | None = True,
+          kinetic: float = 0, ladder: bool = True) -> Plan:
     """The plan of solving ``blocks``, every block of a problem on ``size``
     sites, for its lowest ``n_states`` pairs (all when None), its levels
     alone (``vectors`` False) or nothing (None), and of their build with
@@ -231,10 +230,10 @@ def _plan(blocks: list[_Block], size: int, n_states: int | None, vectors: bool |
         blocks = [replace(block, path="contracted") for block in blocks]
     peak = _peak(blocks, size, n_states or size, vectors, rungs, kinetic)
     lattice._guard(peak, f"a {'build' if vectors is None else 'solve'} on {size} sites")
-    return _Plan(tuple(blocks), n_states, rungs, peak)
+    return Plan(tuple(blocks), n_states, rungs, peak)
 
 
-def _rungs(blocks: list[_Block], n_states: int | None) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _rungs(blocks: list[Block], n_states: int | None) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The rungs that the contracted solve climbs for all of a problem's
     blocks, each as (n_c, the basis functions per short-axis site that each
     block keeps, min(n_c, long sites)), or () for the dense path: the path
@@ -268,7 +267,7 @@ def _rungs(blocks: list[_Block], n_states: int | None) -> tuple[tuple[int, tuple
 _MATRICES = {"eigh": (2, 5), "eig": (2, 4), "pt": (2, 4)}
 
 
-def _peak(blocks: list[_Block], size: int, k: int, vectors: bool | None,
+def _peak(blocks: list[Block], size: int, k: int, vectors: bool | None,
           rungs: tuple, kinetic: float) -> int:
     """Predicted peak bytes of building the blocks, ``kinetic`` real N x N
     kinetic matrices at once, the last beside the dense blocks made from
@@ -297,12 +296,12 @@ def _peak(blocks: list[_Block], size: int, k: int, vectors: bool | None,
     return peak + 768 * rows * max(b.dtype.itemsize for b in blocks)
 
 
-def _block_of(op: OperatorMatrix) -> _Block:
+def _block_of(op: OperatorMatrix) -> Block:
     """A built block as a plan reads it."""
     factors = op.factors or (op.matrix,)
     path = "eigh" if op.hermitian_hint else "pt" if PT in op.parity else "eig"
-    return _Block(tuple(f.shape[0] for f in factors[:2]), np.result_type(*factors), op.parity,
-                  op.factors is not None, path)
+    return Block(tuple(f.shape[0] for f in factors[:2]), np.result_type(*factors), op.parity,
+                 op.factors is not None, path)
 
 
 def diagonalize(op: OperatorMatrix, grid: Lattice1D | Lattice2D,
@@ -318,27 +317,17 @@ def diagonalize(op: OperatorMatrix, grid: Lattice1D | Lattice2D,
     """
     if op.dim != grid.size:
         raise ValueError("operator dimension does not match the grid")
-    return diagonalize_blocks([op], grid, n_states)
+    return _solved(_plan([_block_of(op)], grid.size, n_states), [op], grid)
 
 
-def diagonalize_blocks(blocks: Iterable[OperatorMatrix], grid: Lattice1D | Lattice2D,
-                       n_states: int | None = None) -> Spectrum:
-    """Eigendecomposition of a Hamiltonian given as mirror-parity blocks,
-    every block of the problem: the blocks are taken, planned (``_plan``)
-    and solved from that plan (``_solved``), as one decomposition of H
-    would give them."""
-    blocks = list(blocks)
-    return _solved(_plan([_block_of(b) for b in blocks], grid.size, n_states), blocks, grid)
-
-
-def _solved(plan: _Plan, blocks: list[OperatorMatrix], grid: Lattice1D | Lattice2D) -> Spectrum:
+def _solved(plan: Plan, blocks: list[OperatorMatrix], grid: Lattice1D | Lattice2D) -> Spectrum:
     """The spectrum of ``blocks``, every block of a problem, from their plan,
     emptying the list: each block gives its lowest min(n_states, size)
     pairs, from the contracted solve of all of them, or else one dense pass
     that drops each block as it is solved, so that its matrix is freed
     before the next one is solved; a ladder that ends unconverged is
     planned again as dense, with the ladder's rungs kept as the mark of its
-    fallback (``_Plan``).
+    fallback (``Plan``).
     The lowest ``n_states`` across blocks are kept in (Re, Im) order, their
     vectors scattered onto the grid and the residuals divided by
     sqrt(sum ||H_b||_F^2) = ||H||_F, as one decomposition of H would give.
@@ -688,20 +677,10 @@ def eigenvalues(op: OperatorMatrix) -> np.ndarray:
     """All eigenvalues of a built Hamiltonian, without eigenvectors, in the
     order and dtype of ``diagonalize``: ascending and real on the Hermitian
     hint, otherwise sorted by (Re, Im)."""
-    return block_eigenvalues([op])
+    return _levels(_plan([_block_of(op)], op.dim, None, vectors=False), [op])
 
 
-def block_eigenvalues(blocks: Iterable[OperatorMatrix]) -> np.ndarray:
-    """All eigenvalues of a Hamiltonian given as mirror-parity blocks, every
-    block of the problem, without eigenvectors, merged in the order and
-    dtype of ``diagonalize_blocks``: the blocks are taken, planned
-    (``_plan``) and solved from that plan (``_levels``)."""
-    blocks = list(blocks)
-    plan = _plan([_block_of(b) for b in blocks], sum(b.dim for b in blocks), None, vectors=False)
-    return _levels(plan, blocks)
-
-
-def _levels(plan: _Plan, blocks: list[OperatorMatrix]) -> np.ndarray:
+def _levels(plan: Plan, blocks: list[OperatorMatrix]) -> np.ndarray:
     """The levels of ``blocks``, every block of a problem, from their plan of
     levels alone, merged in (Re, Im) order; each block is dropped from the
     list as it is solved."""
@@ -812,7 +791,7 @@ def classify_parity(spectrum: Spectrum) -> Spectrum:
     The overlap o = a * sum_i psi(-x_i) psi(x_i)* is +1 for an even state and
     -1 for an odd one on a symmetric grid; a state in between is "none" when
     |o| <= 0.9.  Being a threshold, it can call a state of a problem with no
-    symmetry s or a, which the blocks (``diagonalize_blocks``) never do.
+    symmetry s or a, which the blocks of a solve (``_solved``) never do.
     """
     if isinstance(spectrum.grid, Lattice2D):
         raise ValueError("parity classification is defined for 1D spectra only")

@@ -247,24 +247,17 @@ def _kinetic_1d(grid: Lattice1D, ordering: KineticOrdering, m: np.ndarray | None
 
 def build_hamiltonian(problem: ProblemDefinition) -> OperatorMatrix:
     """H = T + diag(V_real) + i diag(V_imag) on the problem's grid, as one
-    block: the unfolded case of ``hamiltonian_blocks`` (in 2D its factors,
-    with the dense matrix assembled on first use).  A PT-symmetric problem
-    gives its real form R, with H's spectrum, which ``diagonalize`` maps
-    back onto the grid."""
-    (block,) = hamiltonian_blocks(problem, fold=False)
+    unfolded block (in 2D its factors, with the dense matrix assembled on
+    first use), built once its build is planned (``_planned``), which
+    refuses it over the memory cap: a dense block costs its bytes, factors
+    nothing.  A PT-symmetric problem gives its real form R, with H's
+    spectrum, which ``diagonalize`` maps back onto the grid."""
+    (block,) = _planned(problem, fold=False, vectors=None)[1]
     return block
 
 
-def hamiltonian_blocks(problem: ProblemDefinition, fold: bool = True) -> Iterator[OperatorMatrix]:
-    """The Hamiltonian as mirror-parity blocks, built one at a time once
-    their build is planned (``_planned``), which refuses it over the memory
-    cap: a dense block costs its bytes, factors nothing.  With ``fold``
-    off, the one block is the whole H, or its PT real form."""
-    return _planned(problem, fold=fold, vectors=None)[1]
-
-
 def _planned(problem: ProblemDefinition, n_states: int | None = None, fold: bool = True,
-             vectors: bool | None = True) -> tuple[eig._Plan, Iterator[OperatorMatrix]]:
+             vectors: bool | None = True) -> tuple[eig.Plan, Iterator[OperatorMatrix]]:
     """The plan (``eig._plan``) of building the problem's blocks and solving
     them as ``eig._plan`` reads ``n_states`` and ``vectors``, made from the
     grid functions sampled once, before anything of the grid's size, and
@@ -290,9 +283,9 @@ def _planned(problem: ProblemDefinition, n_states: int | None = None, fold: bool
         sites = tuple(axis.M + (p == EVEN) if p in (EVEN, ODD) else axis.N
                       for axis, p in zip(grid.axes, parity))
         if all(sites):
-            blocks.append(eig._Block(sites, np.dtype(float) if pt else v.dtype, parity,
-                                     problem.dim > 1 and not pt,
-                                     "pt" if pt else "eigh" if hermitian else "eig"))
+            blocks.append(eig.Block(sites, np.dtype(float) if pt else v.dtype, parity,
+                                    problem.dim > 1 and not pt,
+                                    "pt" if pt else "eigh" if hermitian else "eig"))
     # the N x N kinetic arrays that the build holds at once (eig._peak); a
     # folded beta != 0 product holds A_eo and one operand, a quarter each
     ordering = problem.ordering
@@ -304,7 +297,7 @@ def _planned(problem: ProblemDefinition, n_states: int | None = None, fold: bool
     return plan, _built(problem, plan, m, v)
 
 
-def _built(problem: ProblemDefinition, plan: eig._Plan, m: np.ndarray | None,
+def _built(problem: ProblemDefinition, plan: eig.Plan, m: np.ndarray | None,
            v: np.ndarray) -> Iterator[OperatorMatrix]:
     """The blocks of the plan from the sampled mass m and potential v, each
     built as it is drawn; the solvers draw them all before solving any.

@@ -20,7 +20,7 @@ into an even and an odd mirror block (``mirror_fold``); the inverse map
 scatters block vectors back onto the whole axis (``mirror_unfold``).  One
 convention serves 1D and 2D alike: a folded axis is numbered from the box
 edge inward, with the centre site last in the even block (``mirror_sites``).
-The real form of a PT-symmetric Hamiltonian (``hamiltonian.hamiltonian_blocks``)
+The real form of a PT-symmetric Hamiltonian (``hamiltonian._pt_real_form``)
 is built in the same basis, taken over the whole grid.
 """
 

@@ -1,8 +1,9 @@
 """Shared pytest plumbing: collects acceptance-criterion verdicts so they
 print as a summary section, one PASS/FAIL line per criterion, regardless of
-output capture; the complex-Hamiltonian oracle of the PT tests; the
-session's cache of the dense oracle's decompositions; and a spy that
-refuses every builder of a grid-sized matrix."""
+output capture; the complex-Hamiltonian oracle of the PT tests; a
+problem's mirror-parity blocks and their spectrum by the cores of every
+solve; the session's cache of the dense oracle's decompositions; and a spy
+that refuses every builder of a grid-sized matrix."""
 
 import contextlib
 import hashlib
@@ -41,6 +42,22 @@ def complex_hamiltonian(problem) -> np.ndarray:
         return kinetic.matrix + np.diag(v)
     tx, ty, _ = kinetic.factors
     return kronecker_sum(tx, ty, v)
+
+
+def built_blocks(problem):
+    """The problem's Hamiltonian as the mirror-parity blocks of its solve,
+    built one at a time once their build is planned
+    (``hamiltonian._planned``), which refuses it over the memory cap."""
+    return hamiltonian._planned(problem, vectors=None)[1]
+
+
+def solved_blocks(blocks, grid, n_states=None):
+    """The spectrum of ``blocks``, every block of a problem, planned from the
+    blocks as built (``eig._plan``) and solved by the core of every solve
+    (``eig._solved``), as one decomposition of H would give it."""
+    blocks = list(blocks)
+    return eig._solved(eig._plan([eig._block_of(b) for b in blocks], grid.size, n_states),
+                       blocks, grid)
 
 
 @pytest.fixture(scope="session")

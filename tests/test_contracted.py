@@ -17,12 +17,11 @@ import pytest
 import scipy.linalg
 from scipy.linalg import lapack
 
-from conftest import cached_eigh
+from conftest import built_blocks, cached_eigh, solved_blocks
 from qmbox import eig, operators
 from qmbox.cli import main
-from qmbox.eig import SolverError, diagonalize, diagonalize_blocks, phase_fix
-from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, _planned, build_hamiltonian,
-                               hamiltonian_blocks)
+from qmbox.eig import SolverError, diagonalize, phase_fix
+from qmbox.hamiltonian import ConstantMass, ProblemDefinition, _planned, build_hamiltonian
 from qmbox.lattice import make_lattice_2d
 from qmbox.operators import OperatorMatrix, kronecker_sum
 from qmbox.problems import builtin_problem, henon_heiles_well_radius_sq
@@ -62,9 +61,9 @@ def dense_oracle(problem, n_states, oracle_decompositions):
     matrix, truncated to the lowest ``n_states`` pairs; each distinct block
     is decomposed once per session (``conftest.cached_eigh``)."""
     blocks = [OperatorMatrix(kronecker_sum(*b.factors), b.hermitian_hint, b.parity)
-              for b in hamiltonian_blocks(problem)]
+              for b in built_blocks(problem)]
     with cached_eigh(oracle_decompositions):
-        return phase_fix(diagonalize_blocks(blocks, problem.grid, n_states))
+        return phase_fix(solved_blocks(blocks, problem.grid, n_states))
 
 
 def mean_r2(problem, spectrum):
@@ -76,7 +75,7 @@ def mean_r2(problem, spectrum):
 def test_contracted_solve_matches_dense_oracle(name, monkeypatch, oracle_decompositions):
     make, n_states, axes = CASES[name]
     problem = make()
-    blocks = list(hamiltonian_blocks(problem))
+    blocks = list(built_blocks(problem))
     assert max(b.dim for b in blocks) >= eig._CONTRACTION_MIN_SIZE
     contracted = []
     real_pairs = eig._contracted_pairs
@@ -125,8 +124,8 @@ def test_no_dense_block_on_success_and_every_caller(monkeypatch):
         raise AssertionError("a dense block was assembled")
     problem = builtin_problem("henon_heiles", N=47)
     monkeypatch.setattr(operators, "kronecker_sum", refuse)
-    blocks = list(hamiltonian_blocks(problem))
-    folded = diagonalize_blocks(iter(blocks), problem.grid, 60)
+    blocks = list(built_blocks(problem))
+    folded = solved_blocks(iter(blocks), problem.grid, 60)
     # build_hamiltonian's single unfolded block takes the same path
     op = build_hamiltonian(problem)
     whole = diagonalize(op, problem.grid, 60)
@@ -341,7 +340,7 @@ def test_only_the_rungs_that_can_stop_are_bisected(monkeypatch):
 def test_count_stop_test_agrees_with_the_levels():
     # the count form of the stop test against the bisected levels of both
     # rungs' joined tridiagonals: 81^2 does not stop at 24 and stops at 28
-    blocks = list(hamiltonian_blocks(builtin_problem("henon_heiles", N=81, L=19.0)))
+    blocks = list(built_blocks(builtin_problem("henon_heiles", N=81, L=19.0)))
     lines = [eig._line_basis(*block.factors, {}) for block in blocks]
     rungs = {k: eig._joined([eig._tridiagonal(eig._contracted_matrix(*line[:3], k))[1:3]
                              for line in lines])
@@ -361,7 +360,7 @@ def test_cut_through_a_doublet_across_the_blocks(N, n_states):
     # one member in each parity block, split by 2e-15 to 3e-13 relative
     problem = builtin_problem("henon_heiles", N=N)
     dense = np.sort(np.concatenate([np.linalg.eigvalsh(b.matrix)
-                                    for b in hamiltonian_blocks(problem)]))
+                                    for b in built_blocks(problem)]))
     assert dense[n_states] - dense[n_states - 1] <= 3e-13 * dense[n_states]
     spectrum = solve(problem, n_states)
     assert spectrum.n_states == n_states
@@ -444,7 +443,7 @@ def test_back_transform_is_blocked_and_reads_q_in_place(monkeypatch):
     # the 1148- and 1120-row rungs of the 81^2 Henon-Heiles blocks at 28 per
     # line, joined, with the cut at the 40th of their 60 lowest levels
     lines = [eig._line_basis(*block.factors, {})
-             for block in hamiltonian_blocks(builtin_problem("henon_heiles", N=81))]
+             for block in built_blocks(builtin_problem("henon_heiles", N=81))]
     rungs = [eig._tridiagonal(eig._contracted_matrix(*line[:3], 28)) for line in lines]
     assert [q.shape for q, _, _, _ in rungs] == [(1148, 1148), (1120, 1120)]
     d, e = eig._joined([rung[1:3] for rung in rungs])
@@ -518,7 +517,7 @@ def test_a_block_too_small_for_n_states_sends_every_block_dense(
     def refuse(*args, **kwargs):
         raise AssertionError("a block took the contracted solve")
     problem = builtin_problem("henon_heiles", **grid)
-    assert sorted(b.dim for b in hamiltonian_blocks(problem)) == sizes
+    assert sorted(b.dim for b in built_blocks(problem)) == sizes
     reference = dense_oracle(problem, n_states, oracle_decompositions)
     monkeypatch.setattr(eig, "_contracted_pairs", refuse)
     monkeypatch.setattr(eig, "_line_basis", refuse)
@@ -555,7 +554,7 @@ def test_the_ladder_plan_from_block_shapes(make, n_states, planned):
     # the plan reads the blocks' factors alone: no eigensolve, no matrix;
     # the problem's own plan, made before its blocks, gives the same rungs
     problem = make()
-    blocks = list(hamiltonian_blocks(problem))
+    blocks = list(built_blocks(problem))
     plan = eig._plan([eig._block_of(b) for b in blocks], problem.size, n_states)
     assert plan.rungs == planned == _planned(problem, n_states)[0].rungs
     assert all((b.path == "contracted") == bool(planned) for b in plan.blocks)
@@ -585,7 +584,7 @@ def test_unconverged_ladder_falls_back_to_full_decomposition_bitwise(monkeypatch
 
 def test_peak_memory_below_one_dense_block():
     problem = builtin_problem("henon_heiles", N=55)
-    smallest = min(b.dim for b in hamiltonian_blocks(problem))
+    smallest = min(b.dim for b in built_blocks(problem))
     tracemalloc.start()
     try:
         solve(problem, 60)
@@ -596,7 +595,7 @@ def test_peak_memory_below_one_dense_block():
 
 
 def test_closed_form_norm_matches_dense():
-    for block in hamiltonian_blocks(builtin_problem("henon_heiles", N=45)):
+    for block in built_blocks(builtin_problem("henon_heiles", N=45)):
         dense = np.linalg.norm(block.matrix)
         assert math.sqrt(eig._kronecker_norm_sq(*block.factors)) == pytest.approx(dense, rel=1e-14)
 

@@ -6,13 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import complex_hamiltonian
+from conftest import built_blocks, complex_hamiltonian, solved_blocks
 
 import qmbox
-from qmbox.eig import (SolverError, Spectrum, _Block, _Plan, classify_parity, diagonalize,
-                       diagonalize_blocks, eigenvalues, phase_fix)
+from qmbox.eig import (Block, Plan, SolverError, Spectrum, classify_parity, diagonalize,
+                       eigenvalues, phase_fix)
 from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, VonRoos, build_hamiltonian,
-                               hamiltonian_blocks, ordering_from_name)
+                               ordering_from_name)
 from qmbox.lattice import make_lattice, make_lattice_2d
 from qmbox.operators import PT, OperatorMatrix
 from qmbox.problems import BUILTIN_IDS, builtin_problem, pt_exact_level
@@ -22,9 +22,9 @@ from qmbox.solve import solve
 def whole_grid_plan(grid, hermitian):
     """The plan of one unfolded dense block over a 1D grid, for a Spectrum
     made by hand."""
-    block = _Block((grid.size,), np.dtype(float if hermitian else complex), (0,), False,
-                   "eigh" if hermitian else "eig")
-    return _Plan((block,), None, (), 0)
+    block = Block((grid.size,), np.dtype(float if hermitian else complex), (0,), False,
+                  "eigh" if hermitian else "eig")
+    return Plan((block,), None, (), 0)
 
 
 def det_sign_eigenvalues(A, samples=4001, iterations=80):
@@ -187,7 +187,7 @@ class TestVectorsWrittenOnce:
         overrides = {"N": 41} if problem_id == "henon_heiles" else {}
         problem = builtin_problem(problem_id, **overrides)
         spectrum = solve(problem)
-        reference = phase_fix(diagonalize_blocks(hamiltonian_blocks(problem), problem.grid))
+        reference = phase_fix(solved_blocks(built_blocks(problem), problem.grid))
         for name in ("eigenvalues", "eigenvectors", "residuals"):
             got, want = getattr(spectrum, name), getattr(reference, name)
             assert got.dtype == want.dtype

@@ -2,12 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import built_blocks
 
 from qmbox import hamiltonian
 from qmbox.eig import diagonalize
 from qmbox.hamiltonian import (ORDERING_NAMES, ConstantMass, ProblemDefinition,
                                VonRoos, _kinetic_1d, _mass_values, build_hamiltonian,
-                               build_kinetic, hamiltonian_blocks, ordering_from_name)
+                               build_kinetic, ordering_from_name)
 from qmbox.lattice import make_lattice, make_lattice_2d
 from qmbox.operators import EVEN, ODD, PT, GridValueError, mirror_fold, momentum_ip
 from qmbox.problems import builtin_problem, nh3_mass, nh3_potential
@@ -186,7 +187,7 @@ class TestHamiltonian1D:
         problem = builtin_problem(problem_id, N=601)
         tracemalloc.start()
         try:
-            blocks = hamiltonian_blocks(problem)
+            blocks = built_blocks(problem)
             block = next(blocks)
             held, _ = tracemalloc.get_traced_memory()
         finally:
@@ -208,7 +209,7 @@ class TestHamiltonian1D:
         problem = builtin_problem(problem_id, **overrides)
         tracemalloc.start()
         try:
-            list(hamiltonian_blocks(problem))
+            list(built_blocks(problem))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -245,8 +246,8 @@ class TestHamiltonian1D:
         monkeypatch.setattr(hamiltonian, "mirror_momentum_ip", refuse)
         grid = make_lattice(20.0, 30)
         mass = lambda x: 1.0 + x**2 + 0.1 * x
-        (block,) = hamiltonian_blocks(problem_1d(grid, NAMED["mass-sandwich"],
-                                                 lambda x: 0.5 * x**2, mass=mass))
+        (block,) = built_blocks(problem_1d(grid, NAMED["mass-sandwich"],
+                                           lambda x: 0.5 * x**2, mass=mass))
         A = momentum_ip(grid)
         X = -(A @ ((1.0 / mass(grid.x))[:, None] * A))
         assert block.parity == (0,)

@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import refuse_builds
+from conftest import built_blocks, refuse_builds
 from qmbox import lattice
 from qmbox.eig import diagonalize
-from qmbox.hamiltonian import _planned, build_hamiltonian, hamiltonian_blocks
+from qmbox.hamiltonian import _planned, build_hamiltonian
 from qmbox.lattice import (GridMemoryError, make_lattice, make_lattice_2d,
                            points_to_m)
 from qmbox.problems import builtin_problem
@@ -163,7 +163,7 @@ class TestMemoryGuard:
         # decomposition or by the assembly on its own
         problem = builtin_problem("henon_heiles", N=47)
         op = build_hamiltonian(problem)
-        assert len(list(hamiltonian_blocks(problem))) == 2
+        assert len(list(built_blocks(problem))) == 2
         with pytest.raises(GridMemoryError, match="predicted peak"):
             diagonalize(op, problem.grid)
         assert "matrix" not in vars(op)

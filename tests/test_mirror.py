@@ -11,13 +11,12 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import complex_hamiltonian
+from conftest import built_blocks, complex_hamiltonian
 
 from qmbox import eig, operators
 from qmbox.eig import classify_parity, diagonalize, phase_fix
 from qmbox.hamiltonian import (ConstantMass, ProblemDefinition, VonRoos,
-                               build_hamiltonian, hamiltonian_blocks,
-                               ordering_from_name)
+                               build_hamiltonian, ordering_from_name)
 from qmbox.lattice import make_lattice, make_lattice_2d
 from qmbox.operators import (EVEN, ODD, PT, mirror_fold, mirror_momentum_ip, mirror_unfold,
                              momentum_ip, momentum_squared_matrix)
@@ -151,7 +150,7 @@ def test_block_solve_matches_dense_oracle(name):
                                   "1D complex, mirror-even imaginary part"])
 def test_block_norms_add_up_to_dense_norm(name):
     problem = CASES[name][0]()
-    blocks = list(hamiltonian_blocks(problem))
+    blocks = list(built_blocks(problem))
     assert sum(b.dim for b in blocks) == problem.size
     block_norm_sq = sum(np.linalg.norm(b.matrix) ** 2 for b in blocks)
     dense_norm = np.linalg.norm(build_hamiltonian(problem).matrix)
@@ -160,10 +159,10 @@ def test_block_norms_add_up_to_dense_norm(name):
 
 def test_one_site_axis_has_no_odd_block():
     problem = CASES["one-site x axis"][0]()
-    parities = [b.parity for b in hamiltonian_blocks(problem)]
+    parities = [b.parity for b in built_blocks(problem)]
     assert parities == [(EVEN, EVEN), (EVEN, ODD)]
     problem = CASES["1D one site"][0]()
-    assert [b.parity for b in hamiltonian_blocks(problem)] == [(EVEN,)]
+    assert [b.parity for b in built_blocks(problem)] == [(EVEN,)]
 
 
 @pytest.mark.parametrize("M", [0, 1, 4])
@@ -211,7 +210,7 @@ def test_pt_block_is_similar_to_the_complex_h(make):
     """The PT block R satisfies Q S R S^-1 Q^T = H: Q the mirror basis of the
     flattened grid, S = diag(I, i I) on its even and odd halves."""
     problem = make()
-    (block,) = hamiltonian_blocks(problem)
+    (block,) = built_blocks(problem)
     assert block.parity == (PT,) * problem.dim and block.matrix.dtype == np.float64
     H = complex_hamiltonian(problem)
     M = problem.size // 2
@@ -229,7 +228,7 @@ def test_folded_blocks_run_from_the_box_edge(problem_id, overrides):
     """Both problems fold x alone; a block's x index runs fastest."""
     problem = builtin_problem(problem_id, **overrides)
     H = build_hamiltonian(problem).matrix
-    even, odd = (b.matrix for b in hamiltonian_blocks(problem))
+    even, odd = (b.matrix for b in built_blocks(problem))
     lx = problem.grid.axes[0]
     rows = problem.size // lx.N
     assert even.shape[0] == (lx.M + 1) * rows and odd.shape[0] == lx.M * rows

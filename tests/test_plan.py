@@ -84,7 +84,8 @@ def measure(name: str) -> tuple[int, int]:
 
     def run(problem):
         if levels:
-            return eig.block_eigenvalues(_planned(problem, vectors=False)[1])
+            plan, blocks = _planned(problem, vectors=False)
+            return eig._levels(plan, list(blocks))
         return solve(problem, n_states)
 
     run(make(warm_N))
