@@ -8,7 +8,7 @@ import numpy as np
 
 from .eig import Spectrum, _levels
 from .hamiltonian import ProblemDefinition, _planned
-from .lattice import Lattice2D, _integers, make_lattice, points_to_m
+from .lattice import Lattice1D, Lattice2D, _integers, make_lattice, points_to_m
 from .problems import CONSTANTS, ReferenceSpectrum
 
 SCAN_MODES = ("fixed_L_vary_N", "fixed_a_vary_N")
@@ -142,6 +142,17 @@ def exponential_fit(scan: ConvergenceScan, state: int):
 
 # --- Completeness of the discretized spectrum --------------------------------
 
+def _require_completeness(grid: Lattice1D | Lattice2D, ground: int) -> None:
+    """Raise ValueError unless the completeness check is defined on
+    ``grid`` from state ``ground``: a 1D grid, and a ground state among its
+    N levels.  Both are read off the problem, so the command line refuses a
+    bad input before it solves anything."""
+    if isinstance(grid, Lattice2D):
+        raise ValueError("completeness check is defined for 1D spectra")
+    if not 0 <= ground <= grid.N - 1:
+        raise ValueError(f"ground must be in 0..{grid.N - 1}, got {ground}")
+
+
 def completeness_error(spectrum: Spectrum, ground: int = 0) -> np.ndarray:
     """Relative truncation error of sum_n <0|x|n><n|x|0> against <0|x^2|0>,
     as the whole curve over n_max = 0..N-1.
@@ -149,13 +160,10 @@ def completeness_error(spectrum: Spectrum, ground: int = 0) -> np.ndarray:
     Needs the full spectrum: the identity only resolves once the discretized
     continuum states are included.
     """
-    if isinstance(spectrum.grid, Lattice2D):
-        raise ValueError("completeness check is defined for 1D spectra")
+    _require_completeness(spectrum.grid, ground)
     n_states = spectrum.n_states
     if spectrum.eigenvectors.shape[1] != n_states or n_states != spectrum.grid.N:
         raise ValueError("completeness check needs the full spectrum")
-    if not 0 <= ground <= n_states - 1:
-        raise ValueError(f"ground must be in 0..{n_states - 1}, got {ground}")
     a = spectrum.weight
     x = spectrum.grid.x
     psi0 = spectrum.eigenvectors[:, ground]

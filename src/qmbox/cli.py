@@ -310,6 +310,7 @@ def _cmd_converge(args) -> int:
 
 def _cmd_completeness(args) -> int:
     problem = _make_problem(args)
+    analysis._require_completeness(problem.grid, args.ground)
     spectrum = solve_problem(problem)
     curve = analysis.completeness_error(spectrum, ground=args.ground)
     rows = [{"n_max": n, "epsilon": float(curve[n])} for n in range(len(curve))]

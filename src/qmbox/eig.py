@@ -43,7 +43,10 @@ ladder end unconverged, the blocks are planned again as dense, assembled
 once and decomposed in full, like every block on the dense paths, and the
 spectrum carries that dense plan marked as the ladder's fallback (see
 ``Plan``).  Every LAPACK routine that the contracted solve calls directly
-goes through ``_lapack``, the one place that reads its status.
+goes through ``_lapack``, the one place that reads its status.  Its LAPACK
+and BLAS routines come from scipy's two compiled wrapper modules, which
+``_wrapper`` loads on the first contracted solve without the scipy.linalg
+package; no other path loads any part of scipy.
 
 The general path has one real form: the builder gives a PT-symmetric
 problem as the real matrix R similar to its complex H, a block tagged PT
@@ -82,7 +85,11 @@ alone, such as convergence scans; ``eigenvalues`` is its one-block case.
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import math
+import sys
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count
@@ -444,13 +451,19 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
     on rungs 24 and 28, and 2 + 60 counts of the stop rule.
 
     Every BLAS and LAPACK call of the ladder, from the line bases to the
-    bisections and counts, goes to scipy's OpenBLAS.  numpy bundles a
-    second copy with its own thread pool, and alternating between the two
-    pools in the ladder kept them competing for the cores: an 81^2
-    Henon-Heiles solve took 0.95 s that way, against 0.62 to 0.71 s on
-    scipy's alone (2 cores).  After the ladder, the vectors are formed by
-    numpy's matmul, and the residuals (``_kronecker_residuals``) take one
-    numpy product beside scipy's.
+    bisections and counts, goes to scipy's OpenBLAS, through its compiled
+    wrapper modules alone (``_wrapper``).  numpy bundles a second copy with
+    its own thread pool, and alternating between the two pools in the
+    ladder kept them competing for the cores: an 81^2 Henon-Heiles solve
+    took 0.95 s that way, against 0.62 to 0.71 s on scipy's alone (2
+    cores).  The pools compete across calls too: numpy's idle threads
+    keep spinning for a while after numpy's own BLAS work, so a 61^2
+    solve at 60 states right after a 400 x 400 numpy product took 250 ms
+    (median of 40, IQR 230-267), against 178 ms (165-192) with nothing
+    before it and 185 ms (173-194) after a 60 x 3721 product with a
+    vector (2 cores, 2 BLAS threads).  After the ladder, the vectors are
+    formed by numpy's matmul, and the residuals (``_kronecker_residuals``)
+    take one numpy product beside scipy's.
     """
     decomposed = {}   # one ?syevd per distinct line of this solve
     lines = [_line_basis(*block.factors, decomposed) for block in blocks]
@@ -524,11 +537,10 @@ def _contracted_matrix(t_short: np.ndarray, E: np.ndarray, U: np.ndarray,
     H_c[(k, i), (l, j)] = T_short[i, j] (U_i^T U_j)[k, l] + delta_ij delta_kl E_i[k]
     (Bacic & Light, Annu. Rev. Phys. Chem. 40, 469 (1989)).  Returned in
     Fortran order with its lower triangle set, as ``_tridiagonal`` reads it."""
-    from scipy.linalg import blas
     n_s, n_l, _ = U.shape
     n = kept * n_s
     basis = U[:, :, :kept].transpose(1, 2, 0).reshape(n_l, n)   # column k n_s + i
-    H_c = blas.dsyrk(1.0, basis.T, c=np.zeros((n, n), order="F"), lower=1, overwrite_c=1)
+    H_c = _wrapper("_fblas").dsyrk(1.0, basis.T, c=np.zeros((n, n), order="F"), lower=1, overwrite_c=1)
     rows = H_c.T   # the same memory in C order, so its reshape is a view
     rows.reshape(kept, n_s, kept, n_s)[...] *= t_short[None, :, None, :]
     _diagonal(H_c)[...] += E[:, :kept].T.ravel()
@@ -638,13 +650,40 @@ def _lapack(name: str, *args, **kwargs):
     """scipy's LAPACK routine d<name> on the arguments, its outputs without
     the trailing status: one output alone, several as a tuple.  A nonzero
     status raises LinAlgError naming ?<name>, which ``_solver_errors``
-    words as a SolverError.  scipy is imported here, by the contracted
-    solve alone, and the routine looked up on each call."""
-    from scipy.linalg import lapack
-    *out, info = getattr(lapack, "d" + name)(*args, **kwargs)
+    words as a SolverError.  The routine is looked up on each call in
+    scipy's compiled LAPACK wrapper module (``_wrapper``), which the
+    contracted solve alone loads."""
+    *out, info = getattr(_wrapper("_flapack"), "d" + name)(*args, **kwargs)
     if info:
         raise np.linalg.LinAlgError(f"?{name} info {info}")
     return out[0] if len(out) == 1 else tuple(out)
+
+
+_LOADING = threading.Lock()
+
+
+def _wrapper(name: str):
+    """scipy's compiled wrapper module scipy.linalg.<name>, ``_flapack`` or
+    ``_fblas``, whose routines scipy.linalg.lapack and .blas re-export,
+    loaded from scipy's linalg directory on first use without running the
+    scipy.linalg package: importing that package costs about 0.3 s and
+    27 MiB per process, mostly its array-API layer, and the two modules
+    alone about 20 ms and 5 MiB.  Each is loaded by importlib's recipe for
+    a module file and registered in sys.modules under scipy's name, so a
+    module already there is reused, and a later ``import scipy.linalg``
+    takes the same module objects (though it does not bind them as
+    attributes of the package); the lock lets one thread load a module
+    while another waits for it, as ``import`` does."""
+    fullname = "scipy.linalg." + name
+    with _LOADING:
+        module = sys.modules.get(fullname)
+        if module is None:
+            linalg = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+            spec = importlib.machinery.PathFinder.find_spec(fullname, linalg)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[fullname] = module
+            spec.loader.exec_module(module)
+    return module
 
 
 def _kronecker_residuals(tx: np.ndarray, ty: np.ndarray, v: np.ndarray,
@@ -652,11 +691,10 @@ def _kronecker_residuals(tx: np.ndarray, ty: np.ndarray, v: np.ndarray,
     """||H psi - w psi||_2 per column for H = kron(I, tx) + kron(ty, I) +
     diag(v), matrix-free: on psi as a [y, x] array, H psi = ty psi + psi
     tx^T + v psi."""
-    from scipy.linalg import blas
     ny, nx = v.shape
     psi = vectors.reshape(ny, nx, -1)
     # ty psi as (psi^T ty^T)^T, so that every operand is already in Fortran order
-    r = blas.dgemm(1.0, psi.reshape(ny, -1).T, ty.T).T.reshape(psi.shape)
+    r = _wrapper("_fblas").dgemm(1.0, psi.reshape(ny, -1).T, ty.T).T.reshape(psi.shape)
     r += np.matmul(tx, psi)
     r += (v[:, :, None] - w) * psi
     return np.linalg.norm(r.reshape(ny * nx, w.size), axis=0)

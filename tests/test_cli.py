@@ -641,6 +641,21 @@ class TestCompleteness:
         assert f"ground must be in 0..110, got {ground}" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--problem", "henon_heiles", "--N", "41"], "completeness check is defined for 1D spectra"),
+        (["--problem", "morse", "--ground", "500"], "ground must be in 0..110, got 500"),
+    ], ids=["2D", "ground 500"])
+    def test_bad_input_is_refused_before_the_solve(self, capsys, monkeypatch, argv, message):
+        # the checks read the problem alone: a 41^2 grid's dense spectrum,
+        # or a 1D one with a ground state it cannot hold, is never solved
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the inputs were checked")
+        monkeypatch.setattr(cli, "solve_problem", refuse)
+        code, out, err = run(["completeness"] + argv, capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == ""
+
     def test_one_point_grid_exit_code(self, capsys):
         # <x^2> = 0 on the one site x = 0: the relative error would be 0/0
         with warnings.catch_warnings(record=True) as caught:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -206,6 +207,18 @@ class TestVectorsWrittenOnce:
         assert peak <= 2 * spectrum.eigenvectors.nbytes
 
 
+def fresh_python(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter that
+    imports this qmbox, which must exit 0."""
+    src = os.path.dirname(os.path.dirname(qmbox.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_1d_solves_and_scans_import_no_scipy():
     # scipy serves the contracted 2D solve alone; importing it would cost a
     # 1D caller's first solve about 0.3 s
@@ -214,13 +227,54 @@ def test_1d_solves_and_scans_import_no_scipy():
             "qmbox.convergence_scan(qmbox.builtin_problem('nh3'), 'fixed_L_vary_N',\n"
             "                       range(31, 152, 10), (0, 7))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = os.path.dirname(os.path.dirname(qmbox.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert fresh_python(code) == "[]\n"
+
+
+def test_contracted_solve_loads_two_wrapper_modules_not_scipy_linalg():
+    # the contracted solve loads scipy's compiled LAPACK and BLAS wrappers
+    # alone, not the scipy.linalg package (about 0.3 s and 27 MiB), and a
+    # later import of that package takes the very modules it loaded
+    code = ("import json, sys\n"
+            "import numpy as np\n"
+            "import qmbox\n"
+            "names = ['scipy.linalg._flapack', 'scipy.linalg._fblas']\n"
+            "qmbox.solve(qmbox.builtin_problem('morse'), 8)\n"
+            "checks = {'1D loads neither': not any(m in sys.modules for m in names)}\n"
+            "spectrum = qmbox.solve(qmbox.builtin_problem('henon_heiles'), 10)\n"
+            "checks['contracted'] = spectrum.plan.blocks[0].path == 'contracted'\n"
+            "checks['no scipy.linalg'] = 'scipy.linalg' not in sys.modules\n"
+            "flapack, fblas = (sys.modules[m] for m in names)\n"
+            "import scipy.linalg\n"
+            "checks['same modules'] = [sys.modules[m] for m in names] == [flapack, fblas]\n"
+            "called = [(scipy.linalg.lapack, flapack, r) for r in ('syevd', 'sytrd', 'stebz', 'stein', 'ormqr')]\n"
+            "called += [(scipy.linalg.blas, fblas, r) for r in ('syrk', 'gemm')]\n"
+            "checks['same routines'] = all(getattr(public, 'd' + r) is getattr(loaded, 'd' + r)\n"
+            "                              for public, loaded, r in called)\n"
+            "w = scipy.linalg.eigh(np.array([[2.0, 1.0], [1.0, 2.0]]), eigvals_only=True)\n"
+            "checks['eigh'] = np.allclose(w, [1.0, 3.0])\n"
+            "print(json.dumps(checks))\n")
+    checks = json.loads(fresh_python(code))
+    assert checks == dict.fromkeys(checks, True) and len(checks) == 6
+
+
+def test_threads_racing_to_load_a_wrapper_module_share_one():
+    # four threads with a short switch interval ask for both modules at once
+    # in a process that has loaded neither: every thread gets the one module
+    # registered in sys.modules under each name
+    code = ("import sys, threading\n"
+            "from qmbox import eig\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "start, got = threading.Barrier(4), []\n"
+            "def load():\n"
+            "    start.wait(timeout=30)\n"
+            "    got.append((eig._wrapper('_flapack'), eig._wrapper('_fblas')))\n"
+            "threads = [threading.Thread(target=load) for _ in range(4)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(timeout=60)\n"
+            "loaded = (sys.modules['scipy.linalg._flapack'], sys.modules['scipy.linalg._fblas'])\n"
+            "print(not any(t.is_alive() for t in threads), len(got),\n"
+            "      all(pair[0] is loaded[0] and pair[1] is loaded[1] for pair in got))\n")
+    assert fresh_python(code) == "True 4 True\n"
 
 
 class TestEigenvaluesOnly:
