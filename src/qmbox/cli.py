@@ -27,9 +27,8 @@ from . import analysis, expr
 from .bench import run_benchmarks
 from .eig import SolverError, Spectrum
 from .hamiltonian import (ConstantMass, KineticOrdering, ProblemDefinition,
-                          ordering_from_name)
-from .lattice import (GridMemoryError, Lattice2D, make_lattice,
-                      make_lattice_2d, points_to_m)
+                          _coordinate_arrays, ordering_from_name)
+from .lattice import GridMemoryError, make_lattice, make_lattice_2d, points_to_m
 from .operators import GridValueError
 from .problems import BUILTIN_IDS, builtin_problem
 from .solve import solve as solve_problem
@@ -172,16 +171,13 @@ def _parse_ordering(spec: str) -> KineticOrdering:
 # --- Output helpers ----------------------------------------------------------
 
 def _spectrum_rows(spectrum: Spectrum, unit: str, shift: bool):
-    values = spectrum.eigenvalues
-    real = values.real.copy()
-    imag = values.imag.copy()
-    if shift:
-        real = real - real[0]
+    """One row per level; labels are unique, so the levels keep their order."""
+    levels = analysis.labeled_levels(spectrum, unit=unit, shifted=shift)
+    imag = spectrum.eigenvalues.imag
     if unit == "cm-1":
-        real = analysis.to_wavenumbers(real)
         imag = analysis.to_wavenumbers(imag)
-    return [{"state": label, "energy": float(re), "imag": float(im), "residual": float(res)}
-            for label, re, im, res in zip(spectrum.labels, real, imag, spectrum.residuals)]
+    return [{"state": label, "energy": energy, "imag": float(im), "residual": float(res)}
+            for (label, energy), im, res in zip(levels.items(), imag, spectrum.residuals)]
 
 
 def _emit(rows, header, args):
@@ -272,14 +268,11 @@ def _cmd_solve(args) -> int:
 
 def _dump_wavefunctions(problem, spectrum, args):
     """One row per site: its coordinates, then Re and Im of each state."""
-    n = spectrum.n_states
-    if isinstance(problem.grid, Lattice2D):
-        names, coords = "x y", [c.ravel() for c in problem.grid.meshgrid()]
-    else:
-        names, coords = "x", [problem.grid.x]
+    coords = _coordinate_arrays(problem.grid)
     psi = spectrum.eigenvectors.astype(complex)
-    table = np.column_stack(coords + [psi.view(float)])   # re0 im0 re1 im1 ...
-    header = " ".join([names] + [f"re_psi{k} im_psi{k}" for k in range(n)])
+    # x [y] re0 im0 re1 im1 ...
+    table = np.column_stack([c.ravel() for c in coords.values()] + [psi.view(float)])
+    header = " ".join([*coords] + [f"re_psi{k} im_psi{k}" for k in range(spectrum.n_states)])
     with _writing(args.dump_wavefunctions):
         np.savetxt(args.dump_wavefunctions, table, fmt="%.12g", header=header)
 

@@ -100,11 +100,18 @@ from . import lattice
 from .lattice import Lattice1D, Lattice2D, _integers
 from .operators import EVEN, ODD, PT, OperatorMatrix, _diagonal, mirror_unfold
 
-#: Entries per pass (2 MiB of float64) when vectors are normalized, residuals
-#: formed, vectors unfolded or phases fixed: each pass works on a slice of
-#: whole columns, so no temporary is the size of a large eigenvector matrix,
-#: while a matrix that fits (every 1D grid up to 511 points) is one pass over
-#: contiguous memory, which strided slices are not.
+#: Entries per pass (2 MiB of float64) when residuals are formed, vectors
+#: unfolded or phases fixed: each pass works on a slice of whole columns, so
+#: no temporary is the size of a large eigenvector matrix, while a matrix
+#: that fits (every 1D grid up to 511 points) is one pass over contiguous
+#: memory, which strided slices are not.  Each of the three lowers a peak
+#: measured in a fresh process: as one whole-array pass, the residuals take
+#: a full 61^2 Henon-Heiles solve from 250 to 274 MiB peak RSS (two BLAS
+#: threads); the unfold takes the peak RSS growth of pdm_ho_1's full
+#: spectrum at N = 1025 from 18.0 to 20.1 MiB and of a full 2D PT 33^2 from
+#: 64.5 to 73.6 MiB; the phase fix takes pdm_ho_1 to 26.1 MiB and a full
+#: Henon-Heiles 33^2 from 18.2 to 28.1 MiB.  Normalization sets no peak and
+#: is one whole-array pass.
 _CHUNK_ENTRIES = 2**18
 
 #: The size of a 2D problem's largest block from which the lowest levels of
@@ -404,8 +411,7 @@ def _dense_pairs(block: OperatorMatrix, path: str, n_states: int | None, cell: f
 
 def _normalize(v: np.ndarray, cell: float) -> None:
     """Scale the columns of v in place to cell * sum |v_i|^2 = 1."""
-    for c in _column_chunks(*v.shape):
-        v[:, c] /= np.sqrt(cell * np.sum(np.abs(v[:, c]) ** 2, axis=0))
+    v /= np.sqrt(cell * np.sum(np.abs(v) ** 2, axis=0))
 
 
 @_solver_errors()
@@ -798,24 +804,18 @@ def phase_fix(spectrum: Spectrum) -> Spectrum:
 
 
 def _fix_phases(v: np.ndarray) -> None:
-    """``phase_fix`` in place on the columns of v, one column chunk at a time."""
+    """``phase_fix`` in place on the columns of v, one column chunk at a time,
+    so that no |v| temporary is the size of a large eigenvector matrix."""
     for c in _column_chunks(*v.shape):
         chunk = v[:, c]
-        cols = np.arange(chunk.shape[1])
+        cols, size = np.arange(chunk.shape[1]), np.abs(chunk)
         if not np.iscomplexobj(v):
-            # the first site of largest |v|, from the extremes without an |v| array:
-            # +a and -a tie, and the first of their sites wins, as in argmax(|v|);
-            # one transposed copy makes both scans contiguous
-            sites = np.ascontiguousarray(chunk.T)
-            top, bottom = sites.argmax(axis=1), sites.argmin(axis=1)
-            high, low = sites[cols, top], -sites[cols, bottom]
-            pivots = np.where(high == low, np.minimum(top, bottom), np.where(high > low, top, bottom))
-            lead = chunk[pivots, cols]
+            # a sign flip: +a and -a tie, and argmax takes the first of their sites
+            lead = chunk[np.argmax(size, axis=0), cols]
             chunk *= np.where(lead != 0, np.sign(lead), 1.0)
             continue
         # A rotation moves |.| by round-off, which can reorder exact ties such as
         # mirror-image sites; the first near-maximal site is a stable pivot.
-        size = np.abs(chunk)
         pivots = np.argmax(size >= (1.0 - 1e-12) * size.max(axis=0), axis=0)
         lead = chunk[pivots, cols]
         chunk *= np.exp(-1j * np.angle(lead))   # exactly 1 once the pivot is real positive

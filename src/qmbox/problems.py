@@ -207,72 +207,44 @@ def builtin_problem(problem_id: str, **overrides) -> ProblemDefinition:
         raise ValueError(f"unknown problem id {problem_id!r}; known: {', '.join(BUILTIN_IDS)}")
     ov = dict(overrides)
     ordering = ov.pop("ordering", None)
-
+    # each problem sets its grid, default ordering, V and whichever of the
+    # mass, V_imag and unit it does not leave at these defaults
+    mass = v_imag = None
+    unit = "model"
     if problem_id in ("nh3", "nd3"):
-        grid = _grid_1d((4.0, 111), ov)
+        grid, default = _grid_1d((4.0, 111), ov), ordering_from_name("mass-left")
         m_amu = CONSTANTS.m_H if problem_id == "nh3" else CONSTANTS.m_D
-        problem = ProblemDefinition(
-            name=problem_id,
-            grid=grid,
-            ordering=ordering if ordering is not None else ordering_from_name("mass-left"),
-            potential_real=nh3_potential,
-            mass=lambda x, m_amu=m_amu: nh3_mass(x, m_amu),
-            energy_unit="hartree",
-        )
+        v_real, mass, unit = nh3_potential, lambda x: nh3_mass(x, m_amu), "hartree"
     elif problem_id == "morse":
         r_e = float(ov.pop("r_e", -35.0))
-        grid = _grid_1d((90.0, 111), ov)
-        problem = ProblemDefinition(
-            name=problem_id,
-            grid=grid,
-            ordering=ordering if ordering is not None else ConstantMass(1.0),
-            potential_real=lambda x: morse_potential(x, R_e=r_e),
-            energy_unit="model",
-        )
+        grid, default = _grid_1d((90.0, 111), ov), ConstantMass(1.0)
+        v_real = lambda x: morse_potential(x, R_e=r_e)
     elif problem_id in ("pdm_ho_1", "pdm_ho_2"):
-        grid = _grid_1d((20.0, 201), ov)
+        grid, default = _grid_1d((20.0, 201), ov), ordering_from_name("mass-sandwich")
+        v_real = lambda x: 0.5 * x**2
         if problem_id == "pdm_ho_1":
             mass = lambda x: 1.0 + x**2
         else:
             mass = lambda x: ((2.0 + x**2) / (1.0 + x**2)) ** 2
-        problem = ProblemDefinition(
-            name=problem_id,
-            grid=grid,
-            ordering=ordering if ordering is not None else ordering_from_name("mass-sandwich"),
-            potential_real=lambda x: 0.5 * x**2,
-            mass=mass,
-            energy_unit="model",
-        )
     elif problem_id in ("pt_oscillator", "non_pt_oscillator"):
-        grid = _grid_1d((25.0, 101), ov)
+        # T = p^2 with unit coefficient, expressed as mu = 1/2
+        grid, default = _grid_1d((25.0, 101), ov), ConstantMass(0.5)
         if problem_id == "pt_oscillator":
             v_real = lambda x: x**2
         else:
             v_real = lambda x: x**2 - x
-        problem = ProblemDefinition(
-            name=problem_id,
-            grid=grid,
-            # T = p^2 with unit coefficient, expressed as mu = 1/2
-            ordering=ordering if ordering is not None else ConstantMass(0.5),
-            potential_real=v_real,
-            potential_imag=lambda x: x,
-            energy_unit="model",
-        )
+        v_imag = lambda x: x
     else:  # henon_heiles
         Nx, Ny = _grid_2d_axes(ov, "N", 61)
         Lx, Ly = _grid_2d_axes(ov, "L", 20.0)
         grid = make_lattice_2d(float(Lx), points_to_m(Nx), float(Ly), points_to_m(Ny))
-        problem = ProblemDefinition(
-            name=problem_id,
-            grid=grid,
-            ordering=ordering if ordering is not None else ConstantMass(1.0),
-            potential_real=lambda x, y: 0.5 * (x**2 + y**2) + _HH_LAMBDA * (x**2 * y - y**3 / 3.0),
-            energy_unit="model",
-        )
+        default = ConstantMass(1.0)
+        v_real = lambda x, y: 0.5 * (x**2 + y**2) + _HH_LAMBDA * (x**2 * y - y**3 / 3.0)
 
     if ov:
         raise ValueError(f"invalid override(s) for {problem_id!r}: {', '.join(sorted(ov))}")
-    return problem
+    return ProblemDefinition(problem_id, grid, ordering if ordering is not None else default,
+                             v_real, mass=mass, potential_imag=v_imag, energy_unit=unit)
 
 
 def pt_exact_level(n: int) -> complex:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmbox.analysis import (compare_to_reference, completeness_error,
+from qmbox.analysis import (ConvergenceScan, compare_to_reference, completeness_error,
                             convergence_scan, exponential_fit, labeled_levels,
                             shift_to_ground, to_wavenumbers)
 from qmbox.hamiltonian import ConstantMass, ProblemDefinition, ordering_from_name
@@ -24,6 +24,10 @@ class TestUnits:
         shifted = shift_to_ground(np.array([-0.25, 0.5, 1.0]))
         assert shifted[0] == 0.0
         np.testing.assert_allclose(shifted, [0.0, 0.75, 1.25])
+
+    def test_unknown_unit_rejected(self):
+        with pytest.raises(ValueError, match="unknown unit 'furlong'"):
+            labeled_levels(solve(builtin_problem("morse"), 3), unit="furlong")
 
     def test_shift_invariant_under_potential_offset(self):
         grid = make_lattice(20.0, 50)
@@ -83,6 +87,18 @@ class TestConvergenceScan:
         assert slope < 0
         assert corr < -0.95
         assert npts >= 3
+
+    @pytest.mark.parametrize("first, second, sign", [(2e-3, 1e-9, -1.0), (1e-9, 2e-3, 1.0)],
+                             ids=["falling", "rising"])
+    def test_two_pre_plateau_grids_correlate_exactly(self, first, second, sign):
+        # np.corrcoef gives -+0.9999999999999998 on these two points, not -+1
+        n_list = tuple(range(41, 152, 10))
+        errors = np.array([[first], [second]] + [[1e-13]] * 10)
+        scan = ConvergenceScan(problem="made", mode="fixed_L_vary_N", fixed_value=1.0,
+                               n_list=n_list, state_indices=(0,), energies=1.0 + errors,
+                               converged=np.ones(1), rel_errors=errors)
+        slope, corr, npts = exponential_fit(scan, 0)
+        assert (np.sign(slope), corr, npts) == (sign, sign, 2)
 
     def test_pre_plateau_monotone_within_noise(self, ho_scan):
         errs = ho_scan.rel_errors[:, 0]

@@ -130,6 +130,17 @@ class TestDiagonalize:
         with pytest.raises(SolverError, match="non-finite"):
             diagonalize(OperatorMatrix(A, hermitian_hint=True), grid)
 
+    @pytest.mark.parametrize("n_states", [0, 32])
+    def test_n_states_outside_one_to_the_grid_size_rejected(self, n_states):
+        with pytest.raises(ValueError) as caught:
+            solve(builtin_problem("morse", N=31), n_states)
+        assert str(caught.value) == f"n_states must be in 1..31, got {n_states}"
+
+    def test_operator_of_another_size_than_the_grid_rejected(self):
+        op = build_hamiltonian(builtin_problem("morse", N=31))
+        with pytest.raises(ValueError, match="operator dimension does not match the grid"):
+            diagonalize(op, make_lattice(90.0, 16))
+
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_zero_hamiltonian_has_zero_residuals(self, hermitian):
         # ||H||_F = 0: every pair is exact, and the relative residual must not be 0/0
@@ -553,6 +564,27 @@ class TestPhaseFix:
         fixed = phase_fix(self._spectrum(v)).eigenvectors
         np.testing.assert_array_equal(fixed[:, 0], -v[:, 0])
         np.testing.assert_array_equal(fixed[:, 1], v[:, 1])
+
+    def test_real_mirror_ties_take_the_first_site_and_zero_stays(self):
+        a = 0.625
+        v = np.array([[a, -a, 0.0], [0.0, 0.0, 0.0], [-a, a, 0.0]])
+        fixed = phase_fix(self._spectrum(v)).eigenvectors
+        np.testing.assert_array_equal(fixed, [[a, a, 0.0], [0.0, 0.0, 0.0], [-a, -a, 0.0]])
+
+    def test_real_pivot_over_several_chunks_matches_each_column_alone(self):
+        # 1001 x 800 is four passes; mirror-image columns tie +a and -a at
+        # mirror sites, so a pivot taken from the wrong site flips the sign
+        rng = np.random.default_rng(17)
+        v = np.round(rng.standard_normal((1001, 800)), 2)
+        v[:, 1::3] = v[:, 1::3] - v[::-1, 1::3]   # odd: v(-x) = -v(x)
+        v[:, 2::3] = v[:, 2::3] + v[::-1, 2::3]   # even, ties of one sign
+        v[:, 400] = 0.0
+        assert v.size > 3 * 2**18
+        want = np.empty_like(v)
+        for j, column in enumerate(v.T):
+            lead = column[np.argmax(np.abs(column))]
+            want[:, j] = column * (np.sign(lead) if lead else 1.0)
+        np.testing.assert_array_equal(phase_fix(self._spectrum(v)).eigenvectors, want)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_many_columns_match_whole_array_rule(self, dtype):

@@ -204,10 +204,30 @@ class TestDiagonal:
         lat = make_lattice(4.0, 3)
         np.testing.assert_array_equal(grid_values(2.5, {"x": lat.x}), np.full(lat.N, 2.5))
 
+    def test_expression_over_an_undeclared_variable_rejected(self):
+        lat = make_lattice(3.0, 1)
+        with pytest.raises(GridValueError) as caught:
+            grid_values(parse("x + y", {"x", "y"}), {"x": lat.x}, what="mass function")
+        assert str(caught.value) == "mass function uses undeclared variables ['y']"
+
     def test_nonfinite_reports_grid_point(self):
         lat = make_lattice(3.0, 1)
         with pytest.raises(GridValueError, match="x=0"):
             grid_values(lambda x: 1.0 / x, {"x": lat.x})
+
+
+class TestOperatorMatrix:
+    @pytest.mark.parametrize("given", [{}, {"dense": np.eye(4), "factors": (np.eye(2),) * 3}],
+                             ids=["neither", "both"])
+    def test_takes_a_dense_matrix_or_its_factors(self, given):
+        with pytest.raises(ValueError, match="either a dense matrix or its factors"):
+            OperatorMatrix(**given)
+
+    @pytest.mark.parametrize("dense", [np.zeros((2, 3)), np.zeros(4)], ids=["2x3", "1D"])
+    def test_dense_matrix_must_be_square(self, dense):
+        with pytest.raises(ValueError) as caught:
+            OperatorMatrix(dense)
+        assert str(caught.value) == f"operator matrix must be square, got shape {dense.shape}"
 
 
 class TestEmbed2D:
