@@ -8,7 +8,12 @@ Grammar (standard precedence, tightest first):
     addsub: ``+`` ``-``
 
 Allowed atoms are numeric literals, the declared grid variables, and the
-one-argument functions sin, cos, exp, sqrt, abs, tanh.  Expressions are
+one-argument functions sin, cos, exp, sqrt, abs, tanh.  Tokens may be
+separated by whitespace.  A number is digits with an optional point and
+fraction, or a point and digits (``2``, ``5.``, ``.5``, ``2.5``), with an
+optional exponent (``1e-3``, ``5.E+2``); a name starts with a letter or
+``_`` and goes on with letters, digits and ``_``; the operators are
+``+ - * / ^ ( ) ,``.  Anything else is an error.  Expressions are
 immutable after parsing and evaluation is reentrant, so a parsed potential
 can be shared freely between threads and grids.
 """
@@ -16,6 +21,8 @@ can be shared freely between threads and grids.
 from __future__ import annotations
 
 import contextlib
+import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
@@ -98,172 +105,103 @@ class Expression:
             return _eval(self.root, bindings)
 
 
-# --- Tokenizer -------------------------------------------------------------
-
-_OPS = set("+-*/^(),")
-
-
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    """Return (kind, text, position) triples; kind in {num, ident, op}."""
-    tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            seen_dot = seen_exp = False
-            while j < n:
-                d = source[j]
-                if d.isdigit():
-                    j += 1
-                elif d == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif d in "eE" and j > i and not seen_exp and source[i:j] not in (".",):
-                    # exponent must be followed by digits, optionally signed
-                    k = j + 1
-                    if k < n and source[k] in "+-":
-                        k += 1
-                    if k < n and source[k].isdigit():
-                        seen_exp = True
-                        j = k
-                    else:
-                        break
-                else:
-                    break
-            text = source[i:j]
-            try:
-                float(text)
-            except ValueError:
-                raise ExpressionError(f"malformed number {text!r}", i)
-            tokens.append(("num", text, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("ident", source[i:j], i))
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
-
-
 # --- Parser ----------------------------------------------------------------
 
+# One token after optional whitespace: an operator, a number (a lone "." is
+# a malformed one), a name, or any other character, which is refused.
+_TOKEN = re.compile(r"\s*(?:(?P<op>[-+*/^(),])|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|\.)"
+                    r"|(?P<name>\w+)|(?P<bad>\S))")
+#: The binary operators left-associative from the loosest level in, each
+#: level's operands binding tighter; unary minus and ``^`` bind tightest.
+_LEVELS = ("+-", "*/")
+
+
 class _Parser:
+    """Recursive descent over the tokens of ``source``, recording the
+    variables it meets."""
+
     def __init__(self, source: str, allowed_vars: frozenset[str]):
-        self.source = source
         self.allowed = allowed_vars
-        self.tokens = _tokenize(source)
-        self.pos = 0
+        self.variables: set[str] = set()
+        self.tokens = []
+        for match in _TOKEN.finditer(source):
+            kind = match.lastgroup
+            text, at = match[kind], match.start(kind)
+            if text == ".":
+                raise ExpressionError("malformed number '.'", at)
+            # \w also holds numerals such as "½": a name starts with a letter or "_"
+            if kind == "bad" or kind == "name" and not (text[0].isalpha() or text[0] == "_"):
+                raise ExpressionError(f"unexpected character {text[0]!r}", at)
+            self.tokens.append((kind, text, at))
+        self.tokens.append(("end", "", len(source)))
+        self.at = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, text: str):
-        kind, tok, at = self.peek()
-        if kind != "op" or tok != text:
-            raise ExpressionError(f"expected {text!r}", at)
-        return self.advance()
+    def take(self, ops: str | None = None):
+        """Consume the next token and return it; with ``ops``, only an
+        operator among them, else return None."""
+        token = self.tokens[self.at]
+        if ops is None or token[0] == "op" and token[1] in ops:
+            self.at += 1
+            return token
+        return None
 
     def parse(self) -> Node:
-        node = self.expr()
-        kind, tok, at = self.peek()
+        node = self.binary()
+        kind, text, at = self.take()
         if kind != "end":
-            raise ExpressionError(f"unexpected trailing {tok!r}", at)
+            raise ExpressionError(f"unexpected trailing {text!r}", at)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, tok, _ = self.peek()
-            if kind == "op" and tok in "+-":
-                self.advance()
-                node = BinOp(tok, node, self.term())
-            else:
-                return node
+    def binary(self, level: int = 0) -> Node:
+        """A left-associative chain of the operators of ``_LEVELS[level]``
+        over operands that bind tighter."""
+        if level == len(_LEVELS):
+            return self.unary()
+        node = self.binary(level + 1)
+        while op := self.take(_LEVELS[level]):
+            node = BinOp(op[1], node, self.binary(level + 1))
+        return node
 
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            kind, tok, _ = self.peek()
-            if kind == "op" and tok in "*/":
-                self.advance()
-                node = BinOp(tok, node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Node:
-        kind, tok, _ = self.peek()
-        if kind == "op" and tok == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Node:
+    def unary(self) -> Node:
+        if self.take("-"):
+            return Neg(self.unary())
         base = self.atom()
-        kind, tok, _ = self.peek()
-        if kind == "op" and tok == "^":
-            self.advance()
-            return BinOp("^", base, self.factor())
+        if self.take("^"):
+            return BinOp("^", base, self.unary())
         return base
 
     def atom(self) -> Node:
-        kind, tok, at = self.advance()
+        kind, text, at = self.take()
         if kind == "num":
-            return Num(float(tok))
-        if kind == "ident":
-            k, nxt, _ = self.peek()
-            if k == "op" and nxt == "(":
-                if tok not in FUNCTIONS:
-                    raise ExpressionError(f"unknown function {tok!r}", at)
-                self.advance()
-                args = [self.expr()]
-                while True:
-                    k, nxt, _ = self.peek()
-                    if k == "op" and nxt == ",":
-                        self.advance()
-                        args.append(self.expr())
-                    else:
-                        break
-                self.expect_op(")")
-                if len(args) != 1:
-                    raise ExpressionError(
-                        f"function {tok!r} takes 1 argument, got {len(args)}", at)
-                return Call(tok, args[0])
-            if tok not in self.allowed:
-                raise ExpressionError(f"unknown identifier {tok!r}", at)
-            return Var(tok)
-        if kind == "op" and tok == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"expected a value, got {tok!r}" if tok else "unexpected end of input", at)
+            return Num(float(text))
+        if kind == "name" and not self.take("("):
+            if text not in self.allowed:
+                raise ExpressionError(f"unknown identifier {text!r}", at)
+            self.variables.add(text)
+            return Var(text)
+        if kind == "name" and text not in FUNCTIONS:
+            raise ExpressionError(f"unknown function {text!r}", at)
+        if kind != "name" and text != "(":
+            raise ExpressionError(f"expected a value, got {text!r}" if text else "unexpected end of input", at)
+        # a parenthesized expression, or a call with its one argument
+        args = [self.binary()]
+        while kind == "name" and self.take(","):
+            args.append(self.binary())
+        if not self.take(")"):
+            raise ExpressionError("expected ')'", self.tokens[self.at][2])
+        if len(args) != 1:
+            raise ExpressionError(f"function {text!r} takes 1 argument, got {len(args)}", at)
+        return Call(text, args[0]) if kind == "name" else args[0]
 
 
 def parse(source: str, allowed_vars) -> Expression:
     """Parse ``source`` into an Expression over the given variable names."""
     if not isinstance(source, str) or not source.strip():
         raise ExpressionError("empty expression")
-    allowed = frozenset(allowed_vars)
     with _depth_guard():
-        root = _Parser(source, allowed).parse()
-        return Expression(root=root, source=source, variables=_collect_vars(root))
+        parser = _Parser(source, frozenset(allowed_vars))
+        root = parser.parse()
+    return Expression(root=root, source=source, variables=frozenset(parser.variables))
 
 
 @contextlib.contextmanager
@@ -274,18 +212,6 @@ def _depth_guard():
         yield
     except RecursionError:
         raise ExpressionError("expression nested too deeply") from None
-
-
-def _collect_vars(node: Node) -> frozenset[str]:
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Neg):
-        return _collect_vars(node.operand)
-    if isinstance(node, BinOp):
-        return _collect_vars(node.left) | _collect_vars(node.right)
-    if isinstance(node, Call):
-        return _collect_vars(node.arg)
-    return frozenset()
 
 
 # --- Evaluation ------------------------------------------------------------
@@ -299,21 +225,19 @@ def _eval(node: Node, point: Mapping[str, float]):
         return -_eval(node.operand, point)
     if isinstance(node, Call):
         return FUNCTIONS[node.func](_eval(node.arg, point))
-    left = _eval(node.left, point)
-    right = _eval(node.right, point)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return np.divide(left, right)
-    # power: reject fractional exponents of negative bases
-    if np.any((np.asarray(left) < 0) & (np.asarray(right) != np.round(right))):
+    return _BINARY[node.op](_eval(node.left, point), _eval(node.right, point))
+
+
+def _power(base, exponent):
+    """base^exponent, refusing a fractional power of a negative base rather
+    than taking a complex branch."""
+    if np.any((np.asarray(base) < 0) & (np.asarray(exponent) != np.round(exponent))):
         raise ExpressionError("fractional power of a negative base")
     # |b|^n, negated for odd integer n: exactly even or odd in b, which
     # np.power(b, n) is not for every n; unchanged for b >= 0
-    magnitude = np.power(np.abs(left), right)
-    odd = np.abs(np.fmod(right, 2)) == 1
-    return np.where(odd, np.copysign(magnitude, left), magnitude)[()]
+    magnitude = np.power(np.abs(base), exponent)
+    odd = np.abs(np.fmod(exponent, 2)) == 1
+    return np.where(odd, np.copysign(magnitude, base), magnitude)[()]
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.divide, "^": _power}

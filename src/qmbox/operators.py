@@ -33,7 +33,7 @@ from typing import Callable, Union
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .expr import Expression
+from .expr import Expression, ExpressionError
 from .lattice import Lattice1D, _guard
 
 GridFunction = Union[Expression, Callable, float, int]
@@ -173,7 +173,8 @@ def grid_values(f: GridFunction, point_arrays: dict[str, np.ndarray],
     Callables receive positional arrays in variable order (x[, y]).  A
     non-finite result raises GridValueError naming the offending point,
     which is how a mass-function pole inside the box gets caught before it
-    silently corrupts a spectrum.
+    silently corrupts a spectrum.  An expression that fails on the grid (a
+    fractional power of a negative base) raises GridValueError too.
     """
     names = sorted(point_arrays)  # "x" or ("x", "y")
     shape = np.broadcast(*point_arrays.values()).shape
@@ -182,7 +183,10 @@ def grid_values(f: GridFunction, point_arrays: dict[str, np.ndarray],
             extra = f.variables - set(names)
             if extra:
                 raise GridValueError(f"{what} uses undeclared variables {sorted(extra)}")
-            values = f(**point_arrays)
+            try:
+                values = f(**point_arrays)
+            except ExpressionError as err:
+                raise GridValueError(f"{what}: {err}") from None
         elif callable(f):
             values = f(*(point_arrays[n] for n in names))
         else:

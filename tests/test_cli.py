@@ -297,6 +297,17 @@ class TestConfig:
         assert not caught and "Warning" not in err
         assert err == "numerical failure: Hamiltonian contains non-finite entries\n"
 
+    @pytest.mark.parametrize("key, what", [("potential_real", "potential"),
+                                           ("mass", "mass function")])
+    def test_fractional_power_of_a_negative_base_exit_code(self, tmp_path, capsys, key, what):
+        # x^1.5 on a box through 0 fails on the grid as sqrt(x) does: exit 2
+        entries = {"potential_real": "0.5*x^2", "mass": "1", key: "1 + x^1.5"}
+        cfg = self.write(tmp_path, "dimension = 1\nN = 41\nL = 10\n"
+                         + "".join(f"{k} = {v}\n" for k, v in entries.items()))
+        code, out, err = run(["solve", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err == f"numerical failure: {what}: fractional power of a negative base\n"
+
     @pytest.mark.parametrize("grid, potential", [
         ("dimension = 1\nN = 41\nL = 10\n", "1e308"),
         # even in x alone: blocks of 1128 and 1081 sites take the contracted solve

@@ -586,9 +586,31 @@ class TestPhaseFix:
             want[:, j] = column * (np.sign(lead) if lead else 1.0)
         np.testing.assert_array_equal(phase_fix(self._spectrum(v)).eigenvectors, want)
 
+    def test_complex_pivot_over_several_chunks_matches_each_column_alone(self):
+        # 1001 x 600 is three passes; each column gets a rotated copy of its
+        # largest entry at another site, shrunk by 0 (a tie up to round-off),
+        # 1e-13 (inside the 1e-12 window) or 1e-11 (outside it)
+        rng = np.random.default_rng(19)
+        v = rng.standard_normal((1001, 600)) + 1j * rng.standard_normal((1001, 600))
+        cols = np.arange(v.shape[1])
+        top = np.argmax(np.abs(v), axis=0)
+        sites = (top + rng.integers(1, v.shape[0], v.shape[1])) % v.shape[0]
+        shrink = rng.choice([0.0, 1e-13, 1e-11], v.shape[1])
+        v[sites, cols] = v[top, cols] * np.exp(2j * np.pi * rng.random(v.shape[1])) * (1 - shrink)
+        v[:, 300] = 0.0
+        assert v.size > 2 * 2**18
+        want = np.empty_like(v)
+        for j, column in enumerate(v.T):
+            size = np.abs(column)
+            pivot = np.flatnonzero(size >= (1.0 - 1e-12) * size.max())[0]
+            want[:, j] = column * np.exp(-1j * np.angle(column[pivot]))
+            want[pivot, j] = size[pivot]
+        np.testing.assert_array_equal(phase_fix(self._spectrum(v)).eigenvectors, want)
+
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_many_columns_match_whole_array_rule(self, dtype):
-        # more columns than one pass takes, with exact ties among them
+        # one pass of _column_chunks (the tests above cross chunk
+        # boundaries), with exact ties among the columns
         rng = np.random.default_rng(13)
         v = np.round(rng.standard_normal((7, 301)), 1).astype(dtype)
         if dtype is complex:

@@ -139,6 +139,42 @@ class TestParseErrors:
             deep(x=1.0)
 
 
+# Token rules, each input with its value at x = 2, or its error message and
+# position; a None message pins the rejection and its position only.
+_TOKEN_RULES = [
+    pytest.param(".", {"x"}, ("malformed number '.'", 0), id="lone-dot"),
+    pytest.param("1.2.3", {"x"}, ("unexpected trailing '.3'", 3), id="two-dots"),
+    pytest.param("1e+", {"x"}, ("unexpected trailing 'e'", 1), id="exponent-without-digits"),
+    pytest.param("1e5e5", {"x"}, ("unexpected trailing 'e5'", 3), id="two-exponents"),
+    pytest.param("5.e-3", {"x"}, 0.005, id="dot-then-exponent"),
+    pytest.param(".5", {"x"}, 0.5, id="leading-dot"),
+    pytest.param("1_0", {"x"}, ("unexpected trailing '_0'", 1), id="digit-separator"),
+    pytest.param("1 e5", {"x"}, ("unexpected trailing 'e5'", 2), id="spaced-exponent"),
+    pytest.param("x\t+\n1", {"x"}, 3.0, id="tab-and-newline"),
+    pytest.param("٣", {"x"}, 3.0, id="arabic-indic-three"),
+    pytest.param("²", {"x"}, (None, 0), id="superscript-two"),
+    pytest.param("½", {"x"}, (None, 0), id="one-half"),
+    pytest.param("½", {"x", "½"}, (None, 0), id="one-half-declared"),
+    pytest.param("sin(x,)", {"x"}, ("expected a value, got ')'", 6), id="trailing-comma"),
+    pytest.param("+x", {"x"}, ("expected a value, got '+'", 0), id="unary-plus"),
+    pytest.param("x**2", {"x"}, ("expected a value, got '*'", 2), id="double-star"),
+    pytest.param("2(x)", {"x"}, ("unexpected trailing '('", 1), id="juxtaposition"),
+]
+
+
+@pytest.mark.parametrize("source, allowed, outcome", _TOKEN_RULES)
+def test_token_rules(source, allowed, outcome):
+    if not isinstance(outcome, tuple):
+        assert parse(source, allowed)(x=2.0) == outcome
+        return
+    message, position = outcome
+    with pytest.raises(ExpressionError) as err:
+        parse(source, allowed)
+    assert err.value.position == position
+    if message is not None:
+        assert str(err.value) == f"{message} (at position {position})"
+
+
 # --- Property tests ----------------------------------------------------------
 
 _leaves = st.one_of(
