@@ -80,6 +80,8 @@ def load_config(path: str) -> ProblemDefinition:
                 entries[key] = value
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: {err}")
 
     def require(key: str) -> str:
         if key not in entries:

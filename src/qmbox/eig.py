@@ -42,11 +42,14 @@ of ||H||_F: convergence in the basis size is algebraic, so they grow with
 ladder end unconverged, the blocks are planned again as dense, assembled
 once and decomposed in full, like every block on the dense paths, and the
 spectrum carries that dense plan marked as the ladder's fallback (see
-``Plan``).  Every LAPACK routine that the contracted solve calls directly
-goes through ``_lapack``, the one place that reads its status.  Its LAPACK
-and BLAS routines come from scipy's two compiled wrapper modules, which
-``_wrapper`` loads on the first contracted solve without the scipy.linalg
-package; no other path loads any part of scipy.
+``Plan``).  The line bases are numpy's ``eigh`` and the residuals numpy
+products; the five routines that numpy's linalg does not offer (?syrk,
+?sytrd, ?stebz, ?stein, ?ormqr) are called through one small ``ctypes``
+binding (``_openblas``) to the OpenBLAS that numpy itself has loaded, and
+every LAPACK one of them through ``_lapack``, the one place that reads a
+status.  So a solve, and the caller's own numpy work, run on one BLAS and
+one thread pool, and no path loads any part of scipy.  Where numpy's
+LAPACK does not export those routines (``_symbol``), the plan goes dense.
 
 The general path has one real form: the builder gives a PT-symmetric
 problem as the real matrix R similar to its complex H, a block tagged PT
@@ -85,16 +88,14 @@ alone, such as convergence scans; ``eigenvalues`` is its one-block case.
 from __future__ import annotations
 
 import contextlib
-import importlib.machinery
-import importlib.util
+import ctypes
 import math
-import sys
-import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import count
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import lattice
 from .lattice import Lattice1D, Lattice2D, _integers
@@ -256,7 +257,8 @@ def _rungs(blocks: list[Block], n_states: int | None) -> tuple[tuple[int, tuple[
     ladder or none does.  It takes a problem of which only the lowest
     ``n_states`` levels are asked for, fewer than any block holds, whose
     blocks are all Hermitian and given by real factors, and whose largest
-    block has at least ``_CONTRACTION_MIN_SIZE`` sites.  A rung is
+    block has at least ``_CONTRACTION_MIN_SIZE`` sites, where numpy's
+    LAPACK exports the routines of the binding (``_symbol``).  A rung is
     reachable when every block holds ``n_states`` levels on it, kept times
     short sites, since a very thin block's lower rungs cannot converge.
     The reachable rungs are the top of ``_CONTRACTION_LADDER``, and fewer
@@ -269,7 +271,8 @@ def _rungs(blocks: list[Block], n_states: int | None) -> tuple[tuple[int, tuple[
     rungs = [(n_c, tuple(min(n_c, n_l) for _, n_l in shapes)) for n_c in _CONTRACTION_LADDER]
     ladder = tuple((n_c, kept) for n_c, kept in rungs
                    if min(k * n_s for k, (n_s, _) in zip(kept, shapes)) >= n_states)
-    if len(ladder) < 2 or max(n_s * n_l for n_s, n_l in shapes) < _CONTRACTION_MIN_SIZE:
+    if (len(ladder) < 2 or max(n_s * n_l for n_s, n_l in shapes) < _CONTRACTION_MIN_SIZE
+            or not all(map(_symbol, _ROUTINES))):
         return ()
     return ladder
 
@@ -456,22 +459,18 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
     rung 20 or let 24 and 28 through, 2 bisections of the 60 lowest levels,
     on rungs 24 and 28, and 2 + 60 counts of the stop rule.
 
-    Every BLAS and LAPACK call of the ladder, from the line bases to the
-    bisections and counts, goes to scipy's OpenBLAS, through its compiled
-    wrapper modules alone (``_wrapper``).  numpy bundles a second copy with
-    its own thread pool, and alternating between the two pools in the
-    ladder kept them competing for the cores: an 81^2 Henon-Heiles solve
-    took 0.95 s that way, against 0.62 to 0.71 s on scipy's alone (2
-    cores).  The pools compete across calls too: numpy's idle threads
-    keep spinning for a while after numpy's own BLAS work, so a 61^2
-    solve at 60 states right after a 400 x 400 numpy product took 250 ms
-    (median of 40, IQR 230-267), against 178 ms (165-192) with nothing
-    before it and 185 ms (173-194) after a 60 x 3721 product with a
-    vector (2 cores, 2 BLAS threads).  After the ladder, the vectors are
-    formed by numpy's matmul, and the residuals (``_kronecker_residuals``)
-    take one numpy product beside scipy's.
+    Every BLAS and LAPACK call of the solve, the ladder's through the
+    binding (``_openblas``), the line bases, the vectors and the residuals
+    through numpy, runs on numpy's OpenBLAS and its one thread pool.  The
+    ladder used to call scipy's bundled copy, which has a pool of its own,
+    and the two pools competed for the cores: an 81^2 Henon-Heiles solve took
+    0.95 s when it alternated between them, and a 61^2 solve at 60 states
+    took 325 ms (median of 40, IQR 308-349) right after a 400 x 400 numpy
+    product, against 257 ms (239-287) with nothing before it.  On numpy's
+    pool alone the same solve takes 250 ms (242-277) after the product and
+    255 ms (246-269) without it (2 cores, 2 BLAS threads).
     """
-    decomposed = {}   # one ?syevd per distinct line of this solve
+    decomposed = {}   # one eigh per distinct line of this solve
     lines = [_line_basis(*block.factors, decomposed) for block in blocks]
     eps = np.finfo(float).eps
     last = None   # the last rung's joined (d, e) and its n_states-th level
@@ -529,8 +528,7 @@ def _line_basis(tx: np.ndarray, ty: np.ndarray, v: np.ndarray, decomposed: dict)
         if key in decomposed:
             E[i], U[i] = decomposed[key]
             continue
-        line = t_long + np.diag(v_lines[i])
-        w, z = _lapack("syevd", line.T, lower=1, overwrite_a=1)   # line.T is line
+        w, z = np.linalg.eigh(t_long + np.diag(v_lines[i]))
         E[i], U[i] = w[:top], z[:, :top]
         decomposed[key] = E[i], U[i]
     return t_short, E, U, x_short
@@ -546,7 +544,9 @@ def _contracted_matrix(t_short: np.ndarray, E: np.ndarray, U: np.ndarray,
     n_s, n_l, _ = U.shape
     n = kept * n_s
     basis = U[:, :, :kept].transpose(1, 2, 0).reshape(n_l, n)   # column k n_s + i
-    H_c = _wrapper("_fblas").dsyrk(1.0, basis.T, c=np.zeros((n, n), order="F"), lower=1, overwrite_c=1)
+    H_c = np.zeros((n, n), order="F")
+    # the lower triangle of basis^T basis; basis is a view of U when n_s is 1
+    _openblas("syrk", "L", "N", n, n_l, 1.0, basis.T, basis.strides[0] // 8, 0.0, H_c, n)
     rows = H_c.T   # the same memory in C order, so its reshape is a view
     rows.reshape(kept, n_s, kept, n_s)[...] *= t_short[None, :, None, :]
     _diagonal(H_c)[...] += E[:, :kept].T.ravel()
@@ -559,8 +559,9 @@ def _tridiagonal(H: np.ndarray):
     which is overwritten: ?sytrd reduces H to tridiagonal form T = Q^T H Q
     in H's own memory.  T's levels come from ``_bisect`` and the vectors of
     H from ``_kept_vectors``, with no second reduction."""
-    work = _lapack("sytrd_lwork", H.shape[0], lower=1)
-    return _lapack("sytrd", H, lower=1, lwork=int(work), overwrite_a=1)
+    d, (e, tau) = np.empty(len(H)), np.empty((2, len(H) - 1))
+    _queried("sytrd", "L", len(H), H, len(H), d, e, tau)
+    return H, d, e, tau
 
 
 def _joined(tridiagonals: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -574,22 +575,24 @@ def _joined(tridiagonals: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarr
 
 
 def _bisect(d: np.ndarray, e: np.ndarray, index: tuple[int, int] | None = None,
-            upto: float | None = None):
+            upto: float | None = None, abstol: float = 0.0):
     """(levels, iblock, isplit) of the tridiagonal T with diagonal d and
     off-diagonal e by bisection (?stebz, Demmel, Applied Numerical Linear
     Algebra, SIAM 1997, sec. 5.3): the levels of 1-based indices
     index[0]..index[1], or else those at or below ``upto``, to ?stebz's
-    default absolute accuracy.  They come grouped by the blocks into which T
+    default absolute accuracy (or ``abstol``).  They come grouped by the blocks into which T
     splits, ascending within each, and ``iblock`` and ``isplit`` say which
     block holds each, as ?stein reads them.  By index, ?stebz brackets the
     levels asked for with Sturm counts of all of T and then bisects each
     block inside the bracket, so the n-th level of a joined tridiagonal
     (``_joined``) is the n-th of its blocks' levels merged, one member of
     a multiple level included."""
-    il, iu = index or (0, 0)
-    m, w, iblock, isplit = _lapack("stebz", d, e, 2 if index else 1, -np.inf,
-                                   0.0 if index else upto, il, iu, 0.0, "B")
-    return w[:m], iblock[:m], isplit
+    n, (il, iu) = d.size, index or (0, 0)
+    m, nsplit = np.zeros((2, 1), np.int64)
+    w, iblock, isplit = np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
+    _lapack("stebz", "I" if index else "V", "B", n, -np.inf, 0.0 if index else upto, il, iu,
+            abstol, d, e, m, nsplit, w, iblock, isplit, np.empty(4 * n), np.empty(3 * n, np.int64))
+    return w[:m[0]], iblock[:m[0]], isplit
 
 
 def _counts(d: np.ndarray, e: np.ndarray, sigma: float) -> int:
@@ -597,7 +600,7 @@ def _counts(d: np.ndarray, e: np.ndarray, sigma: float) -> int:
     Sturm counts: ?stebz over (-inf, sigma] with an infinite absolute
     tolerance, which takes every interval as converged and bisects none,
     returns the count alone."""
-    return _lapack("stebz", d, e, 1, -np.inf, sigma, 0, 0, np.inf, "B")[0]
+    return _bisect(d, e, upto=sigma, abstol=np.inf)[0].size
 
 
 def _settled(d: np.ndarray, e: np.ndarray, merged: np.ndarray, tol: float) -> bool:
@@ -626,7 +629,9 @@ def _kept_vectors(rungs: list[tuple], d: np.ndarray, e: np.ndarray, w: np.ndarra
     keep = w <= cut
     w, blocks = w[keep], np.zeros_like(isplit)
     blocks[:w.size] = iblock[keep]   # ?stein reads the first w.size of n entries
-    z = _lapack("stein", d, e, w, blocks, isplit)
+    z = np.empty((d.size, w.size), order="F")
+    _lapack("stein", d.size, d, e, w.size, w, blocks, isplit, z, d.size, np.empty(5 * d.size),
+            np.empty(d.size, np.int64), np.empty(w.size, np.int64))
     # a level belongs to the block whose rows hold the last row of its split
     ends = np.cumsum([q.shape[0] for q, _, _, _ in rungs])
     owner = np.searchsorted(ends, isplit[blocks[:w.size] - 1])
@@ -635,61 +640,75 @@ def _kept_vectors(rungs: list[tuple], d: np.ndarray, e: np.ndarray, w: np.ndarra
     pairs = []
     for b, (q, _, _, tau) in enumerate(rungs):
         n, mine = q.shape[0], owner == b
-        c = z[ends[b] - n:ends[b], mine]   # a copy: the block's rows and levels
-        # ?ormqr's A is q[1:, :-1], which is not contiguous, so f2py would
-        # copy all of it.  The Fortran-contiguous (n, n - 1) view of q's
-        # memory from q[1, 0] holds the same columns at q's leading dimension
-        # n; its last row is q[0] of the next column, and ?ormqr never reads
-        # it, as the reflectors span the n - 1 rows of c[1:] only.
-        reflectors = q.ravel(order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
-        # The workspace comes from a query: the blocked path needs count * nb
-        # + 4160 entries since LAPACK 3.7 (its T factor lives in the
-        # workspace), and with less, such as 64 * count, ?ormqr silently runs
-        # the unblocked ?orm2r, five times slower on a 1148-row rung.
-        _, work = _lapack("ormqr", "L", "N", reflectors, tau, c[1:], lwork=-1)
-        c[1:], _ = _lapack("ormqr", "L", "N", reflectors, tau, c[1:], lwork=int(work[0]))
+        c = np.asfortranarray(z[ends[b] - n:ends[b], mine])   # a copy: the block's rows and levels
+        # ?ormqr reads the reflectors as q[1:, :-1] in q's own memory, at q's
+        # leading dimension n, and writes rows 1.. of c in place
+        _queried("ormqr", "L", "N", n - 1, c.shape[1], n - 1, q[1:, :-1], n, tau, c[1:], n)
         pairs.append((w[mine], c))
     return pairs
 
 
-def _lapack(name: str, *args, **kwargs):
-    """scipy's LAPACK routine d<name> on the arguments, its outputs without
-    the trailing status: one output alone, several as a tuple.  A nonzero
-    status raises LinAlgError naming ?<name>, which ``_solver_errors``
-    words as a SolverError.  The routine is looked up on each call in
-    scipy's compiled LAPACK wrapper module (``_wrapper``), which the
-    contracted solve alone loads."""
-    *out, info = getattr(_wrapper("_flapack"), "d" + name)(*args, **kwargs)
-    if info:
-        raise np.linalg.LinAlgError(f"?{name} info {info}")
-    return out[0] if len(out) == 1 else tuple(out)
+def _queried(name: str, *args) -> None:
+    """LAPACK's d<name> (``_lapack``) on the arguments followed by WORK and
+    LWORK, of the size that a workspace query (LWORK = -1) returns.  The
+    blocked paths need that size:
+    ?ormqr needs count * nb + 4160 entries since LAPACK 3.7 (its T factor
+    lives in the workspace), and with less, such as 64 * count, it silently
+    runs the unblocked ?orm2r, five times slower on a 1148-row rung."""
+    work = np.empty(1)
+    _lapack(name, *args, work, -1)
+    work = np.empty(int(work[0]))
+    _lapack(name, *args, work, work.size)
 
 
-_LOADING = threading.Lock()
+def _lapack(name: str, *args) -> None:
+    """LAPACK's d<name> through the binding (``_openblas``) on the
+    arguments and its trailing status, the outputs written into the arrays
+    given.  A nonzero status raises LinAlgError naming ?<name>, which
+    ``_solver_errors`` words as a SolverError."""
+    info = np.zeros(1, np.int64)
+    _openblas(name, *args, info)
+    if info[0]:
+        raise np.linalg.LinAlgError(f"?{name} info {info[0]}")
 
 
-def _wrapper(name: str):
-    """scipy's compiled wrapper module scipy.linalg.<name>, ``_flapack`` or
-    ``_fblas``, whose routines scipy.linalg.lapack and .blas re-export,
-    loaded from scipy's linalg directory on first use without running the
-    scipy.linalg package: importing that package costs about 0.3 s and
-    27 MiB per process, mostly its array-API layer, and the two modules
-    alone about 20 ms and 5 MiB.  Each is loaded by importlib's recipe for
-    a module file and registered in sys.modules under scipy's name, so a
-    module already there is reused, and a later ``import scipy.linalg``
-    takes the same module objects (though it does not bind them as
-    attributes of the package); the lock lets one thread load a module
-    while another waits for it, as ``import`` does."""
-    fullname = "scipy.linalg." + name
-    with _LOADING:
-        module = sys.modules.get(fullname)
-        if module is None:
-            linalg = importlib.util.find_spec("scipy.linalg").submodule_search_locations
-            spec = importlib.machinery.PathFinder.find_spec(fullname, linalg)
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[fullname] = module
-            spec.loader.exec_module(module)
-    return module
+#: The routines that the contracted solve calls through the binding, those
+#: that numpy's own linalg does not offer.
+_ROUTINES = ("syrk", "sytrd", "stebz", "stein", "ormqr")
+
+
+@cache
+def _symbol(name: str):
+    """The routine d<name> of the OpenBLAS that numpy's LAPACK module links,
+    or None where that library does not export it.  numpy 2 wheels from
+    PyPI bundle OpenBLAS with 64-bit integers and the symbols
+    scipy_d<name>_64_; conda's builds, numpy on Accelerate and numpy 1
+    name them otherwise, and there the plan goes dense (``_rungs``)."""
+    return getattr(ctypes.CDLL(_umath_linalg.__file__), f"scipy_d{name}_64_", None)
+
+
+def _openblas(name: str, *args) -> None:
+    """Call the routine d<name> (``_symbol``) with Fortran's arguments in
+    Fortran's order, each by reference: an int as a 64-bit integer, a float
+    as a double, a str as its characters with its length appended after
+    the last argument (gfortran's hidden length), and an array as its first
+    element, written in place.  An array must be float64 or int64 with a
+    unit-stride first axis (Fortran's columns); the caller passes its
+    leading dimension; any other array raises before the call.  A Fortran
+    subroutine returns nothing, so ctypes' default int result is dropped."""
+    pointers, lengths = [], []
+    for arg in args:
+        if isinstance(arg, np.ndarray):
+            if arg.dtype not in (np.float64, np.int64) or arg.size and arg.strides[0] != arg.itemsize:
+                raise ValueError(f"?{name} takes float64 or int64 arrays with a unit-stride "
+                                 f"first axis, got {arg.dtype} with strides {arg.strides}")
+            pointers.append(ctypes.c_void_p(arg.ctypes.data))
+        elif isinstance(arg, str):
+            pointers.append(ctypes.c_char_p(arg.encode()))
+            lengths.append(ctypes.c_size_t(len(arg)))
+        else:
+            pointers.append(ctypes.byref((ctypes.c_double if isinstance(arg, float) else ctypes.c_int64)(arg)))
+    _symbol(name)(*pointers, *lengths)
 
 
 def _kronecker_residuals(tx: np.ndarray, ty: np.ndarray, v: np.ndarray,
@@ -699,8 +718,7 @@ def _kronecker_residuals(tx: np.ndarray, ty: np.ndarray, v: np.ndarray,
     tx^T + v psi."""
     ny, nx = v.shape
     psi = vectors.reshape(ny, nx, -1)
-    # ty psi as (psi^T ty^T)^T, so that every operand is already in Fortran order
-    r = _wrapper("_fblas").dgemm(1.0, psi.reshape(ny, -1).T, ty.T).T.reshape(psi.shape)
+    r = (ty @ psi.reshape(ny, -1)).reshape(psi.shape)
     r += np.matmul(tx, psi)
     r += (v[:, :, None] - w) * psi
     return np.linalg.norm(r.reshape(ny * nx, w.size), axis=0)

@@ -436,6 +436,14 @@ class TestConfig:
         code, out, err = run(["solve", "--config", cfg], capsys)
         assert (code, out, err) == (1, "", f"error: {cfg}: {message}\n")
 
+    def test_non_utf8_config_names_its_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xffdimension = 1\n")
+        code, out, err = run(["solve", "--config", str(cfg)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {cfg}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                       "invalid start byte\n")
+
     def test_missing_dimension_names_key(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "N = 41\nL = 10\nmass = 1\npotential_real = x^2\n")
         code, _, err = run(["solve", "--config", cfg], capsys)

@@ -14,7 +14,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import built_blocks, cached_eigh, solved_blocks
 from qmbox import eig, operators
@@ -26,9 +25,17 @@ from qmbox.operators import OperatorMatrix, kronecker_sum
 from qmbox.problems import builtin_problem, henon_heiles_well_radius_sq
 from qmbox.solve import solve
 
-#: The LAPACK wrapper module whose routines the contracted solve calls, so
-#: that a spy set on it sees every call.
-lapack = eig._wrapper("_flapack")
+def spy_on_binding(monkeypatch, record):
+    """Pass every call of the binding to numpy's OpenBLAS (``eig._openblas``,
+    its one entry point) on to ``record(name, args)`` once it returns, with
+    Fortran's arguments in Fortran's order, the status last."""
+    real = eig._openblas
+
+    def spy(name, *args):
+        real(name, *args)
+        record(name, args)
+
+    monkeypatch.setattr(eig, "_openblas", spy)
 
 
 def problem_2d(potential, N, L, imag=None):
@@ -52,6 +59,10 @@ CASES = {
         lambda: builtin_problem("henon_heiles", N=45, L=16.0), 40, ("x",)),
     "isotropic oscillator 65^2: the cut inside an exact doublet of one block": (
         lambda: problem_2d(lambda x, y: 0.5 * (x**2 + y**2), (65, 65), 14.0), 12, ("x", "y")),
+    # a short axis of one site: the odd block's basis is a strided view of
+    # its line vectors, whose leading dimension is the ladder's top
+    "one-site-thin odd block, 5 states": (
+        lambda: problem_2d(lambda x, y: 0.05 * x**2 + 0.5 * (y - 0.3)**2, (3, 513), 14.0), 5, ("x",)),
     # blocks of 1024, 992, 992 and 961 sites: only the largest reaches the size
     **{f"even in both 63^2, {n} states": (
         lambda: problem_2d(lambda x, y: 0.5 * (x**2 + 1.2 * y**2) + 0.05 * x**2 * y**2,
@@ -90,6 +101,7 @@ def test_contracted_solve_matches_dense_oracle(name, monkeypatch, oracle_decompo
     monkeypatch.setattr(eig, "_contracted_pairs", spy)
     spectrum = solve(problem, n_states)
     assert contracted == [len(blocks)]   # every block, in one lockstep ladder
+    assert {b.path for b in spectrum.plan.blocks} == {"contracted"}   # and it converged
     dense = dense_oracle(problem, n_states, oracle_decompositions)
 
     assert spectrum.mirror_axes == dense.mirror_axes == axes
@@ -148,13 +160,13 @@ def test_no_dense_block_on_success_and_every_caller(monkeypatch):
 def test_each_distinct_line_is_decomposed_once(make, n_states, decompositions, monkeypatch):
     problem = make()
     calls = []
-    real_syevd = lapack.dsyevd
+    real_eigh = np.linalg.eigh
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real_syevd(*args, **kwargs)
+    def counting(a):   # the line bases alone, on the contracted path
+        calls.append(a.shape)
+        return real_eigh(a)
 
-    monkeypatch.setattr(lapack, "dsyevd", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     spectrum = solve(problem, n_states)
     assert len(calls) == decompositions
     assert spectrum.residuals.max() <= 1e-9
@@ -163,22 +175,16 @@ def test_each_distinct_line_is_decomposed_once(make, n_states, decompositions, m
 def test_levels_by_bisection_and_vectors_for_the_kept_levels_alone(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("all levels of a rung, or a second bisection")
-    monkeypatch.setattr(lapack, "dsterf", refuse)
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     given, applied = [], []
-    real_stein, real_ormqr = lapack.dstein, lapack.dormqr
 
-    def spy_stein(d, e, w, iblock, isplit):
-        given.append((d.size, len(w)))
-        return real_stein(d, e, w, iblock, isplit)
+    def record(name, args):
+        if name == "stein":   # N, D, E, M, W, ...
+            given.append((args[0], args[3]))
+        if name == "ormqr" and args[-2] != -1:   # C, not in the workspace query
+            applied.append(args[8].shape)
 
-    def spy_ormqr(side, trans, a, tau, c, lwork):
-        if lwork != -1:   # not the workspace query
-            applied.append(c.shape)
-        return real_ormqr(side, trans, a, tau, c, lwork=lwork)
-
-    monkeypatch.setattr(lapack, "dstein", spy_stein)
-    monkeypatch.setattr(lapack, "dormqr", spy_ormqr)
+    spy_on_binding(monkeypatch, record)
     spectrum = solve(builtin_problem("henon_heiles", N=81, L=19.0), 60)
     # one inverse iteration on rung 28's joined tridiagonal of 1148 + 1120
     # rows, for the 60 merged levels alone; the even block takes back the
@@ -306,14 +312,12 @@ def test_only_the_rungs_that_can_stop_are_bisected(monkeypatch):
     # at or below their own 60th level.  Every other ?stebz call counts,
     # with an infinite tolerance, or bisects a single level by index.
     calls = []
-    real_stebz = lapack.dstebz
 
-    def spy(d, e, range_, vl, vu, il, iu, abstol, order):
-        out = real_stebz(d, e, range_, vl, vu, il, iu, abstol, order)
-        calls.append((d.size, math.isfinite(abstol), out[0]))
-        return out
+    def record(name, args):
+        if name == "stebz":   # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, ...
+            calls.append((args[2], math.isfinite(args[7]), args[10][0]))
 
-    monkeypatch.setattr(lapack, "dstebz", spy)
+    spy_on_binding(monkeypatch, record)
     spectrum = solve(builtin_problem("henon_heiles", N=81, L=19.0), 60)
     assert spectrum.n_states == 60 and spectrum.residuals.max() <= 1e-9
     bisected = [(n, m) for n, finite, m in calls if finite and m > 1]
@@ -382,19 +386,14 @@ def test_a_block_with_no_level_below_the_cut(make, n_states, monkeypatch, oracle
     # n_states-th has no level in the inverse iteration on the joined
     # tridiagonal, and takes no vector back through its reduction
     given, applied = [], []
-    real_stein, real_ormqr = lapack.dstein, lapack.dormqr
 
-    def spy_stein(d, e, w, iblock, isplit):
-        given.append(len(w))
-        return real_stein(d, e, w, iblock, isplit)
+    def record(name, args):
+        if name == "stein":   # N, D, E, M, ...
+            given.append(args[3])
+        if name == "ormqr" and args[-2] != -1:   # N, not in the workspace query
+            applied.append(args[3])
 
-    def spy_ormqr(side, trans, a, tau, c, lwork):
-        if lwork != -1:   # not the workspace query
-            applied.append(c.shape[1])
-        return real_ormqr(side, trans, a, tau, c, lwork=lwork)
-
-    monkeypatch.setattr(lapack, "dstein", spy_stein)
-    monkeypatch.setattr(lapack, "dormqr", spy_ormqr)
+    spy_on_binding(monkeypatch, record)
     problem = make()
     spectrum = solve(problem, n_states)
     assert given == [n_states]
@@ -453,30 +452,35 @@ def test_back_transform_is_blocked_and_reads_q_in_place(monkeypatch):
     w_all, iblock, isplit = eig._bisect(d, e, index=(1, 60))
     cut = np.sort(w_all)[39]
     keep = w_all <= cut
+    n = d.size
     blocks = np.zeros_like(isplit)   # ?stein reads 40 of its 2268 entries
     blocks[:40] = iblock[keep]
-    z_old, info = lapack.dstein(d, e, w_all[keep], blocks, isplit)
-    assert not info
+    z_old = np.empty((n, 40), order="F")
+    eig._lapack("stein", n, d, e, 40, w_all[keep], blocks, isplit, z_old, n, np.empty(5 * n),
+                np.empty(n, np.int64), np.empty(40, np.int64))
     order = np.argsort(w_all[keep], kind="stable")
     w_old, z_old = w_all[keep][order], z_old[:, order]
-    real_ormqr = lapack.dormqr
     expected, start = [], 0
     for q, _, _, tau in rungs:
         rows = slice(start, start + q.shape[0])
         start = rows.stop
         mine = np.any(z_old[rows] != 0, axis=0)   # ?stein zeroes every other block's rows
-        c = z_old[rows][:, mine]
-        query = int(real_ormqr("L", "N", q[1:, :-1], tau, c[1:], lwork=-1)[1][0])
-        # the copy-based call on q[1:, :-1] with the full workspace
-        c[1:] = real_ormqr("L", "N", q[1:, :-1], tau, c[1:], lwork=query)[0]
+        c = np.asfortranarray(z_old[rows][:, mine])
+        # the copy-based call: the reflectors as a contiguous copy of q[1:, :-1]
+        a, m = np.asfortranarray(q[1:, :-1]), q.shape[0] - 1
+        args = ("L", "N", m, c.shape[1], m, a, m, tau, c[1:], m + 1)
+        work = np.empty(1)
+        eig._lapack("ormqr", *args, work, -1)
+        query = int(work[0])
+        eig._lapack("ormqr", *args, np.empty(query), query)   # with the full workspace
         expected.append((w_old[mine], c, query))
     given = []
 
-    def spy(*args, lwork):
-        given.append(lwork)
-        return real_ormqr(*args, lwork=lwork)
+    def record(name, args):
+        if name == "ormqr":
+            given.append(args[-2])   # LWORK
 
-    monkeypatch.setattr(lapack, "dormqr", spy)
+    spy_on_binding(monkeypatch, record)
     tracemalloc.start()
     try:
         pairs = eig._kept_vectors(rungs, d, e, w_all, iblock, isplit, cut)
@@ -603,17 +607,49 @@ def test_closed_form_norm_matches_dense():
         assert math.sqrt(eig._kronecker_norm_sq(*block.factors)) == pytest.approx(dense, rel=1e-14)
 
 
+def test_binding_refuses_arrays_it_cannot_pass():
+    # a float32 array, or a matrix whose columns are not contiguous, raises
+    # before the routine runs, which leaves the output untouched
+    a, c = np.ones((3, 2)), np.zeros((3, 3), order="F")
+    for bad, expected in ((np.asfortranarray(a, np.float32), "float32"), (a, r"\(16, 8\)")):
+        with pytest.raises(ValueError, match=expected):
+            eig._openblas("syrk", "L", "N", 3, 2, 1.0, bad, 3, 0.0, c, 3)
+        assert not c.any()
+    eig._openblas("syrk", "L", "N", 3, 2, 1.0, np.asfortranarray(a), 3, 0.0, c, 3)
+    np.testing.assert_array_equal(c, np.tril(np.full((3, 3), 2.0)))
+
+
+def test_dense_where_the_binding_is_missing(monkeypatch, oracle_decompositions):
+    # a numpy whose LAPACK does not export the routines (conda's, or
+    # Accelerate's) plans the dense path
+    monkeypatch.setattr(eig, "_symbol", lambda name: None)
+    problem = builtin_problem("henon_heiles")
+    dense = dense_oracle(problem, 10, oracle_decompositions)
+    with cached_eigh(oracle_decompositions):   # the blocks that the oracle decomposed
+        spectrum = solve(problem, 10)
+    assert spectrum.plan.rungs == ()
+    assert {b.path for b in spectrum.plan.blocks} == {"eigh"}
+    np.testing.assert_allclose(spectrum.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("routine", ["syevd", "sytrd", "stebz", "stein", "ormqr"])
 def test_lapack_failure_is_solver_error(routine, monkeypatch, capsys):
     # every status the contracted solve reads: a nonzero one is a numerical
-    # failure, in the library and at the entry point alike
-    real = getattr(lapack, "d" + routine)
+    # failure, in the library and at the entry point alike.  The line bases
+    # (?syevd) go through numpy's eigh, which raises on its own status.
+    if routine == "syevd":
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def failing(*args, **kwargs):
-        return (*real(*args, **kwargs)[:-1], 1)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        message = "eigensolver did not converge: Eigenvalues did not converge"
+    else:
+        def record(name, args):
+            if name == routine:
+                args[-1][0] = 1   # INFO
 
-    monkeypatch.setattr(lapack, "d" + routine, failing)
-    message = f"eigensolver did not converge: ?{routine} info 1"
+        spy_on_binding(monkeypatch, record)
+        message = f"eigensolver did not converge: ?{routine} info 1"
     with pytest.raises(SolverError) as caught:
         solve(builtin_problem("henon_heiles"), 10)
     assert str(caught.value) == message

@@ -218,21 +218,26 @@ class TestVectorsWrittenOnce:
         assert peak <= 2 * spectrum.eigenvectors.nbytes
 
 
+def fresh_env(**variables: str) -> dict:
+    """The environment of a fresh interpreter that imports this qmbox, with
+    ``variables`` set."""
+    src = os.path.dirname(os.path.dirname(qmbox.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **variables)
+
+
 def fresh_python(code: str) -> str:
     """The standard output of ``code`` run in a fresh interpreter that
     imports this qmbox, which must exit 0."""
-    src = os.path.dirname(os.path.dirname(qmbox.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=fresh_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 def test_1d_solves_and_scans_import_no_scipy():
-    # scipy serves the contracted 2D solve alone; importing it would cost a
-    # 1D caller's first solve about 0.3 s
+    # no path of the library imports scipy, which would cost a 1D caller's
+    # first solve about 0.3 s
     code = ("import sys, qmbox\n"
             "qmbox.solve(qmbox.builtin_problem('nh3'))\n"
             "qmbox.convergence_scan(qmbox.builtin_problem('nh3'), 'fixed_L_vary_N',\n"
@@ -241,51 +246,47 @@ def test_1d_solves_and_scans_import_no_scipy():
     assert fresh_python(code) == "[]\n"
 
 
-def test_contracted_solve_loads_two_wrapper_modules_not_scipy_linalg():
-    # the contracted solve loads scipy's compiled LAPACK and BLAS wrappers
-    # alone, not the scipy.linalg package (about 0.3 s and 27 MiB), and a
-    # later import of that package takes the very modules it loaded
-    code = ("import json, sys\n"
-            "import numpy as np\n"
-            "import qmbox\n"
-            "names = ['scipy.linalg._flapack', 'scipy.linalg._fblas']\n"
+def test_solves_scans_and_contracted_solves_import_no_scipy():
+    # the contracted solve calls numpy's bundled OpenBLAS, so no path of the
+    # library loads any part of scipy
+    code = ("import sys, qmbox\n"
             "qmbox.solve(qmbox.builtin_problem('morse'), 8)\n"
-            "checks = {'1D loads neither': not any(m in sys.modules for m in names)}\n"
+            "qmbox.convergence_scan(qmbox.builtin_problem('nh3'), 'fixed_L_vary_N',\n"
+            "                       range(31, 152, 10), (0, 7))\n"
             "spectrum = qmbox.solve(qmbox.builtin_problem('henon_heiles'), 10)\n"
-            "checks['contracted'] = spectrum.plan.blocks[0].path == 'contracted'\n"
-            "checks['no scipy.linalg'] = 'scipy.linalg' not in sys.modules\n"
-            "flapack, fblas = (sys.modules[m] for m in names)\n"
-            "import scipy.linalg\n"
-            "checks['same modules'] = [sys.modules[m] for m in names] == [flapack, fblas]\n"
-            "called = [(scipy.linalg.lapack, flapack, r) for r in ('syevd', 'sytrd', 'stebz', 'stein', 'ormqr')]\n"
-            "called += [(scipy.linalg.blas, fblas, r) for r in ('syrk', 'gemm')]\n"
-            "checks['same routines'] = all(getattr(public, 'd' + r) is getattr(loaded, 'd' + r)\n"
-            "                              for public, loaded, r in called)\n"
-            "w = scipy.linalg.eigh(np.array([[2.0, 1.0], [1.0, 2.0]]), eigvals_only=True)\n"
-            "checks['eigh'] = np.allclose(w, [1.0, 3.0])\n"
-            "print(json.dumps(checks))\n")
-    checks = json.loads(fresh_python(code))
-    assert checks == dict.fromkeys(checks, True) and len(checks) == 6
+            "print(sorted({b.path for b in spectrum.plan.blocks}),\n"
+            "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert fresh_python(code) == "['contracted'] []\n"
 
 
-def test_threads_racing_to_load_a_wrapper_module_share_one():
-    # four threads with a short switch interval ask for both modules at once
-    # in a process that has loaded neither: every thread gets the one module
-    # registered in sys.modules under each name
-    code = ("import sys, threading\n"
-            "from qmbox import eig\n"
-            "sys.setswitchinterval(1e-6)\n"
-            "start, got = threading.Barrier(4), []\n"
-            "def load():\n"
-            "    start.wait(timeout=30)\n"
-            "    got.append((eig._wrapper('_flapack'), eig._wrapper('_fblas')))\n"
-            "threads = [threading.Thread(target=load) for _ in range(4)]\n"
-            "for t in threads: t.start()\n"
-            "for t in threads: t.join(timeout=60)\n"
-            "loaded = (sys.modules['scipy.linalg._flapack'], sys.modules['scipy.linalg._fblas'])\n"
-            "print(not any(t.is_alive() for t in threads), len(got),\n"
-            "      all(pair[0] is loaded[0] and pair[1] is loaded[1] for pair in got))\n")
-    assert fresh_python(code) == "True 4 True\n"
+def test_contracted_solves_by_blas_thread_count():
+    # Henon-Heiles on the ladder, twice in fresh processes at each of 1 and
+    # 2 BLAS threads: bitwise equal at one count, and levels within 1e-12
+    # relative across counts
+    code = ("import hashlib, json, qmbox\n"
+            "out = []\n"
+            "for grid, n in (({}, 10), ({'N': 45, 'L': 16.0}, 40)):\n"
+            "    s = qmbox.solve(qmbox.builtin_problem('henon_heiles', **grid), n)\n"
+            "    digest = hashlib.sha256()\n"
+            "    for a in (s.eigenvalues, s.eigenvectors, s.residuals):\n"
+            "        digest.update(a.tobytes())\n"
+            "    out.append([[b.path for b in s.plan.blocks], digest.hexdigest(), s.eigenvalues.tolist()])\n"
+            "print(json.dumps(out))\n")
+    runs = {"1": [], "2": []}
+    for _ in range(2):   # one process at each count at a time: three threads in all
+        procs = {threads: subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                           stderr=subprocess.PIPE, text=True,
+                                           env=fresh_env(OPENBLAS_NUM_THREADS=threads))
+                 for threads in runs}
+        for threads, proc in procs.items():
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            runs[threads].append(json.loads(out))
+    for first, second in runs.values():
+        assert first == second
+    for (paths, _, one), (_, _, two) in zip(runs["1"][0], runs["2"][0]):
+        assert set(paths) == {"contracted"}
+        np.testing.assert_allclose(two, one, rtol=1e-12, atol=0)
 
 
 class TestEigenvaluesOnly:
