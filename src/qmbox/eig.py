@@ -35,7 +35,12 @@ matrix-free.  Every rung takes the same step, by bisection and Sturm counts
 on the blocks' tridiagonals joined into one, and the vectors are formed
 once, at the last rung, by inverse iteration (Demmel, Applied
 Numerical Linear Algebra, SIAM 1997, sec. 5.3; see ``_contracted_pairs``).
-The levels agree with the dense path to within 1e-12 relative, while the
+The levels agree with the dense path to within 8.8e-13 relative on
+Henon-Heiles 45^2 to 81^2, as measured; no bound holds in general, as the
+stop rule bounds the last rung's move alone, by 64 eps ||H_c||_2, and both
+paths carry round-off of the order of eps ||H||_2, the ladder through its
+line bases, the same on every rung (on a 3 x 513 grid with ||H||_2 near
+1e4 and ||H_c||_2 near 20, 1.1e-12 absolute, 2.2e-12 relative).  The
 vectors of the upper levels carry residuals far above the dense path's 1e-16
 of ||H||_F: convergence in the basis size is algebraic, so they grow with
 ``n_states`` and have no bound (figures at ``solve.solve``).  Should the
@@ -43,8 +48,8 @@ ladder end unconverged, the blocks are planned again as dense, assembled
 once and decomposed in full, like every block on the dense paths, and the
 spectrum carries that dense plan marked as the ladder's fallback (see
 ``Plan``).  The line bases are numpy's ``eigh`` and the residuals numpy
-products; the five routines that numpy's linalg does not offer (?syrk,
-?sytrd, ?stebz, ?stein, ?ormqr) are called through one small ``ctypes``
+products; the six routines that numpy's linalg does not offer (?syrk,
+?sytrd, ?stebz, ?stein, ?ormqr, ?ormql) are called through one small ``ctypes``
 binding (``_openblas``) to the OpenBLAS that numpy itself has loaded, and
 every LAPACK one of them through ``_lapack``, the one place that reads a
 status.  So a solve, and the caller's own numpy work, run on one BLAS and
@@ -138,6 +143,10 @@ _CONTRACTION_LADDER = (16, 20, 24, 28, 32)
 #: absolute from rung to rung (1.1 to 2.3 eps * ||H_c||_2, folded or not), a
 #: floor well below this.
 _CONTRACTION_TOL = 64
+
+#: Rows of a pair's buffer above its lower block on each rung of the
+#: contracted solve (``_rung``): 8 doubles, 64 bytes.
+_PAIR_OFFSET = 8
 
 
 class SolverError(RuntimeError):
@@ -292,7 +301,8 @@ def _peak(blocks: list[Block], size: int, k: int, vectors: bool | None,
     then of solving their lowest ``k`` pairs block by block, beside the
     blocks to come and the vectors kept, and of the vectors on the grid
     with three chunks of them.  A contracted solve holds its line bases and
-    its top rung or its vectors and their residuals."""
+    its top rung, one buffer of (m + 8) m doubles per pair of blocks, m the
+    larger block's size (``_rung``), or its vectors and their residuals."""
     T = 8 * size * size * any(not b.factored for b in blocks)
     held = [0 if b.factored else b.dim**2 * b.dtype.itemsize for b in blocks]
     peak = int(max(kinetic * T, bool(kinetic) * (min(kinetic, 1) * T + sum(held))))
@@ -301,7 +311,9 @@ def _peak(blocks: list[Block], size: int, k: int, vectors: bool | None,
         shapes = [sorted(b.sites) for b in blocks]
         bases = sum(8 * n_s * n_l * min(n_l, _CONTRACTION_LADDER[-1]) for n_s, n_l in shapes)
         top = [k_c * n_s for k_c, (n_s, _) in zip(rungs[-1][1], shapes)]
-        return max(peak, bases + 8 * max(sum(n * n for n in top) + 2 * sum(top) * k, 6 * size * k))
+        pairs = [max(top[a:a + 2]) for a in range(0, len(top), 2)]   # as ``_rung`` pairs them
+        buffers = sum((m + _PAIR_OFFSET) * m for m in pairs)
+        return max(peak, bases + 8 * max(buffers + 2 * sum(top) * k, 6 * size * k))
     for j, b in enumerate(blocks if vectors is not None else ()):
         n, s = b.dim, 16 if vectors and b.path != "eigh" else b.dtype.itemsize
         peak = max(peak, sum(held[j + 1:]) + kept + _MATRICES[b.path][vectors] * n * n * s)
@@ -435,25 +447,27 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
     decomposes 41 lines on 81^2, not 81.  The record of decompositions
     lives in this call alone.
 
-    The blocks climb the planned rungs in lockstep, and every rung takes
-    the same step.  Each block's contracted matrix, a leading
-    submatrix of the next rung's, is built from the 1D bases and reduced to
-    tridiagonal form once, in place, and the blocks' tridiagonals are
-    joined into one (``_joined``), whose levels are the rung's merged
-    across the blocks.  Three bisections by index (``_bisect``) give its
-    lowest and top levels, the larger magnitude of which is ||H_c||_2 and
-    sets the stop tolerance, ``_CONTRACTION_TOL`` eps ||H_c||_2, and its
-    own ``n_states``-th level.  The contracted spaces nest, so these Ritz
-    values only fall: a rung with ``n_states`` levels at or below the last
-    rung's ``n_states``-th less the tolerance cannot stop the ladder, which
-    one Sturm count (``_counts``) shows.  Any other rung bisects its levels
-    at or below its own ``n_states``-th plus the tolerance, at least
+    The blocks climb the planned rungs in lockstep, and every rung takes the
+    same step.  Each block's contracted matrix, a leading submatrix of the
+    next rung's, is built from the 1D bases and reduced to tridiagonal form
+    once, in place, in one triangle of a buffer that it shares with the
+    other block of its pair (``_rung``), and the blocks' tridiagonals are
+    joined into one (``_joined``), whose levels are the rung's merged across
+    the blocks.  Three bisections by index (``_bisect``) give its lowest and
+    top levels, the larger magnitude of which is ||H_c||_2 and sets the stop
+    tolerance, ``_CONTRACTION_TOL`` eps ||H_c||_2, and its own
+    ``n_states``-th level.  The contracted spaces nest, so these Ritz values
+    only fall: a rung with ``n_states`` levels at or below the last rung's
+    ``n_states``-th less the tolerance cannot stop the ladder, which one
+    Sturm count (``_counts``) shows.  Any other rung bisects its levels at
+    or below its own ``n_states``-th plus the tolerance, at least
     ``n_states`` of them, in one call, and stops the ladder when the last
     rung holds j + 1 levels at or below its j-th plus the tolerance for
     every j (``_settled``, up to ``n_states`` counts): no level moved by
     more.  One inverse iteration on that rung's joined tridiagonal then
     gives the vectors of the levels that the merge keeps, and each block
-    takes its own back through its reduction (``_kept_vectors``).  On 81^2
+    takes its own back through its reduction (``_kept_vectors``), by ?ormqr
+    for a pair's lower block and ?ormql for its upper one.  On 81^2
     Henon-Heiles at 60 states (L = 19) the ladder visits rungs 16 to 28 and
     calls ?stebz 79 times: 12 bisections by index, 3 counts that rule out
     rung 20 or let 24 and 28 through, 2 bisections of the 60 lowest levels,
@@ -475,8 +489,8 @@ def _contracted_pairs(blocks: list[OperatorMatrix], n_states: int, cell: float,
     eps = np.finfo(float).eps
     last = None   # the last rung's joined (d, e) and its n_states-th level
     for _, kept in ladder:
-        rungs = None   # release the last rung's reductions before the next ones
-        rungs = [_tridiagonal(_contracted_matrix(*line[:3], k)) for line, k in zip(lines, kept)]
+        rungs = None   # release the last rung's buffers before the next ones
+        rungs = _rung(lines, kept)
         d, e = _joined([rung[1:3] for rung in rungs])
         low, top, nth = (_bisect(d, e, index=(i, i))[0][0] for i in (1, d.size, n_states))
         tol = _CONTRACTION_TOL * eps * max(abs(low), abs(top))   # ||H_c||_2
@@ -534,34 +548,76 @@ def _line_basis(tx: np.ndarray, ty: np.ndarray, v: np.ndarray, decomposed: dict)
     return t_short, E, U, x_short
 
 
+def _rung(lines: list[tuple], kept: tuple[int, ...]) -> list[tuple]:
+    """The reductions (``_tridiagonal``) of the blocks' contracted matrices
+    on one rung, each block keeping ``kept`` basis functions per site of
+    its line basis (``_line_basis``), in block order.
+
+    The blocks pair up in plan order, (0, 1), (2, 3), ..., a lone last
+    block being a pair without a partner, and each pair shares one Fortran
+    buffer of m + 8 rows and m columns, m the size of its larger block (the
+    first on a tie).  The larger block lives in the lower triangle of the
+    m x m view that starts 8 rows down, its partner in the upper triangle
+    of the top-left view; ?syrk and ?sytrd reference their own triangle
+    alone, so the two never meet.  The 8 rows keep the lower block's
+    columns at the buffer's own alignment, each 64 bytes past the buffer's
+    column start: at a leading dimension of m + 1, ?sytrd read about 10%
+    slower.  A pair so holds about m^2 doubles, not two m^2: on 81^2
+    Henon-Heiles, rung 28 holds 10.1 MiB for its 1148- and 1120-row
+    blocks, not 20.5."""
+    sizes = [k * line[1].shape[0] for line, k in zip(lines, kept)]   # kept times short sites
+    views = []
+    for a in range(0, len(sizes), 2):
+        pair = sizes[a:a + 2]
+        m = max(pair)
+        buffer = np.empty((m + _PAIR_OFFSET, m), order="F")
+        lower = pair.index(m)
+        views += [(buffer[_PAIR_OFFSET:], "L") if b == lower else (buffer[:n, :n], "U")
+                  for b, n in enumerate(pair)]
+    return [_tridiagonal(_contracted_matrix(*line[:3], k, H, uplo), uplo)
+            for line, k, (H, uplo) in zip(lines, kept, views)]
+
+
 def _contracted_matrix(t_short: np.ndarray, E: np.ndarray, U: np.ndarray,
-                       kept: int) -> np.ndarray:
+                       kept: int, H: np.ndarray, uplo: str) -> np.ndarray:
     """H in the basis |i> (x) U_i[:, k], k < kept, numbered k-major so that
     a smaller ``kept`` gives a leading submatrix:
     H_c[(k, i), (l, j)] = T_short[i, j] (U_i^T U_j)[k, l] + delta_ij delta_kl E_i[k]
-    (Bacic & Light, Annu. Rev. Phys. Chem. 40, 469 (1989)).  Returned in
-    Fortran order with its lower triangle set, as ``_tridiagonal`` reads it."""
+    (Bacic & Light, Annu. Rev. Phys. Chem. 40, 469 (1989)).  Written into
+    the ``uplo`` triangle ("L" or "U") of H, an n x n Fortran-order view at
+    any leading dimension, as ``_tridiagonal`` reads it, and returned; the
+    other triangle, which a partner block may hold (``_rung``), is left
+    bitwise as it was."""
     n_s, n_l, _ = U.shape
     n = kept * n_s
     basis = U[:, :, :kept].transpose(1, 2, 0).reshape(n_l, n)   # column k n_s + i
-    H_c = np.zeros((n, n), order="F")
-    # the lower triangle of basis^T basis; basis is a view of U when n_s is 1
-    _openblas("syrk", "L", "N", n, n_l, 1.0, basis.T, basis.strides[0] // 8, 0.0, H_c, n)
-    rows = H_c.T   # the same memory in C order, so its reshape is a view
-    rows.reshape(kept, n_s, kept, n_s)[...] *= t_short[None, :, None, :]
-    _diagonal(H_c)[...] += E[:, :kept].T.ravel()
-    return H_c
+    # the uplo triangle of basis^T basis; basis is a view of U when n_s is 1
+    _openblas("syrk", uplo, "N", n, n_l, 1.0, basis.T, basis.strides[0] // 8, 0.0,
+              H, H.strides[1] // 8)
+    # H's columns as rows: tiles[l, j, k, i] is H[(k, i), (l, j)], a view
+    tiles = H.T.reshape(kept, n_s, kept, n_s, copy=False)
+    # each diagonal k-tile straddles the two triangles: T_short scales the
+    # owned entries alone, and the partner's are never read or written
+    lower = uplo == "L"
+    owned = (np.triu if lower else np.tril)(np.ones((n_s, n_s), bool))   # [j, i]
+    for l in range(kept):
+        np.multiply(tiles[l, :, l], t_short, out=tiles[l, :, l], where=owned)
+        tiles[l, :, slice(l + 1, None) if lower else slice(l)] *= t_short[:, None, :]
+    _diagonal(H)[...] += E[:, :kept].T.ravel()
+    return H
 
 
-def _tridiagonal(H: np.ndarray):
+def _tridiagonal(H: np.ndarray, uplo: str):
     """The reduction (Householder vectors q, diagonal d, off-diagonal e,
-    tau) of a symmetric H given by its lower triangle in Fortran order,
-    which is overwritten: ?sytrd reduces H to tridiagonal form T = Q^T H Q
-    in H's own memory.  T's levels come from ``_bisect`` and the vectors of
-    H from ``_kept_vectors``, with no second reduction."""
+    tau, ``uplo``) of a symmetric H given by its ``uplo`` triangle in
+    Fortran order at any leading dimension, which is overwritten: ?sytrd
+    reduces H to tridiagonal form T = Q^T H Q in that triangle's own
+    memory and leaves the other as it was.  T's levels come from
+    ``_bisect`` and the vectors of H from ``_kept_vectors``, with no second
+    reduction."""
     d, (e, tau) = np.empty(len(H)), np.empty((2, len(H) - 1))
-    _queried("sytrd", "L", len(H), H, len(H), d, e, tau)
-    return H, d, e, tau
+    _queried("sytrd", uplo, len(H), H, H.strides[1] // 8, d, e, tau)
+    return H, d, e, tau, uplo
 
 
 def _joined(tridiagonals: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -622,10 +678,13 @@ def _kept_vectors(rungs: list[tuple], d: np.ndarray, e: np.ndarray, w: np.ndarra
     gave them.  One inverse iteration (?stein) forms the vectors of the
     joined T for the levels at or below the cut alone; each block takes its
     own rows and levels of them and takes them back through its Householder
-    reflectors below q's subdiagonal (?ormtr's lower case, which is ?ormqr
-    on rows 1.. of q and of the vectors), by LAPACK's blocked code and
-    reading q in place.  The vectors are formed once, after the ladder
-    stops, for the levels that the merge across blocks keeps."""
+    reflectors, by LAPACK's blocked code and reading q in place at its
+    leading dimension (?ormtr's two cases): a lower block's lie below q's
+    subdiagonal, and ?ormqr applies them as q[1:, :-1] to rows 1.. of the
+    vectors; an upper block's lie above q's superdiagonal, and ?ormql
+    applies them as q[:-1, 1:] to rows ..n - 2.  The vectors are formed
+    once, after the ladder stops, for the levels that the merge across
+    blocks keeps."""
     keep = w <= cut
     w, blocks = w[keep], np.zeros_like(isplit)
     blocks[:w.size] = iblock[keep]   # ?stein reads the first w.size of n entries
@@ -633,17 +692,20 @@ def _kept_vectors(rungs: list[tuple], d: np.ndarray, e: np.ndarray, w: np.ndarra
     _lapack("stein", d.size, d, e, w.size, w, blocks, isplit, z, d.size, np.empty(5 * d.size),
             np.empty(d.size, np.int64), np.empty(w.size, np.int64))
     # a level belongs to the block whose rows hold the last row of its split
-    ends = np.cumsum([q.shape[0] for q, _, _, _ in rungs])
+    ends = np.cumsum([rung[0].shape[0] for rung in rungs])
     owner = np.searchsorted(ends, isplit[blocks[:w.size] - 1])
     order = np.argsort(w, kind="stable")   # from T's splits to ascending order
     w, z, owner = w[order], z[:, order], owner[order]
     pairs = []
-    for b, (q, _, _, tau) in enumerate(rungs):
+    for b, (q, _, _, tau, uplo) in enumerate(rungs):
         n, mine = q.shape[0], owner == b
         c = np.asfortranarray(z[ends[b] - n:ends[b], mine])   # a copy: the block's rows and levels
-        # ?ormqr reads the reflectors as q[1:, :-1] in q's own memory, at q's
-        # leading dimension n, and writes rows 1.. of c in place
-        _queried("ormqr", "L", "N", n - 1, c.shape[1], n - 1, q[1:, :-1], n, tau, c[1:], n)
+        # the reflectors in q's own memory, at its leading dimension, onto
+        # rows 1.. (lower) or ..n - 2 (upper) of c in place
+        name, reflectors, rows = (("ormqr", q[1:, :-1], c[1:]) if uplo == "L"
+                                  else ("ormql", q[:-1, 1:], c[:-1]))
+        _queried(name, "L", "N", n - 1, c.shape[1], n - 1, reflectors, q.strides[1] // 8, tau,
+                 rows, n)
         pairs.append((w[mine], c))
     return pairs
 
@@ -674,7 +736,7 @@ def _lapack(name: str, *args) -> None:
 
 #: The routines that the contracted solve calls through the binding, those
 #: that numpy's own linalg does not offer.
-_ROUTINES = ("syrk", "sytrd", "stebz", "stein", "ormqr")
+_ROUTINES = ("syrk", "sytrd", "stebz", "stein", "ormqr", "ormql")
 
 
 @cache

@@ -35,8 +35,10 @@ def solve(problem: ProblemDefinition, n_states: int | None = None) -> Spectrum:
     over the memory cap, before any block is built.  A large Hermitian 2D
     problem may take the contracted solve of ``eig`` for all its blocks, as
     the plan decides (``eig._rungs`` states the path rule): its levels agree
-    with the dense decomposition to within 1e-12 relative (at most 8.8e-13
-    on Henon-Heiles 45^2 to 81^2), while its residuals, 1e-16 on the dense
+    with the dense decomposition to within 8.8e-13 relative on Henon-Heiles
+    45^2 to 81^2, and in general to within the stop rule's 64 eps ||H_c||_2
+    and the two paths' round-off, of the order of eps ||H||_2 (see
+    ``eig``), while its residuals, 1e-16 on the dense
     path, grow with ``n_states`` and are not bounded (on Henon-Heiles 81^2,
     1.3e-11 at 60 states and 6.8e-9 at 100).  Where ``n_states`` cuts
     through a doublet split across the parity blocks by less than

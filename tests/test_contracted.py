@@ -181,16 +181,17 @@ def test_levels_by_bisection_and_vectors_for_the_kept_levels_alone(monkeypatch):
     def record(name, args):
         if name == "stein":   # N, D, E, M, W, ...
             given.append((args[0], args[3]))
-        if name == "ormqr" and args[-2] != -1:   # C, not in the workspace query
-            applied.append(args[8].shape)
+        if name in ("ormqr", "ormql") and args[-2] != -1:   # C, not in the workspace query
+            applied.append((name, args[8].shape))
 
     spy_on_binding(monkeypatch, record)
     spectrum = solve(builtin_problem("henon_heiles", N=81, L=19.0), 60)
     # one inverse iteration on rung 28's joined tridiagonal of 1148 + 1120
-    # rows, for the 60 merged levels alone; the even block takes back the
-    # 33 that it owns, the odd block its 27
+    # rows, for the 60 merged levels alone; the even block, the lower one of
+    # the pair's buffer, takes back the 33 that it owns by ?ormqr, the odd
+    # block, the upper one, its 27 by ?ormql
     assert given == [(2268, 60)]
-    assert applied == [(1147, 33), (1119, 27)]
+    assert applied == [("ormqr", (1147, 33)), ("ormql", (1119, 27))]
     assert spectrum.n_states == 60 and spectrum.residuals.max() <= 1e-9
 
 
@@ -349,8 +350,7 @@ def test_count_stop_test_agrees_with_the_levels():
     # rungs' joined tridiagonals: 81^2 does not stop at 24 and stops at 28
     blocks = list(built_blocks(builtin_problem("henon_heiles", N=81, L=19.0)))
     lines = [eig._line_basis(*block.factors, {}) for block in blocks]
-    rungs = {k: eig._joined([eig._tridiagonal(eig._contracted_matrix(*line[:3], k))[1:3]
-                             for line in lines])
+    rungs = {k: eig._joined([rung[1:3] for rung in eig._rung(lines, (k, k))])
              for k in (20, 24, 28)}
     eps = np.finfo(float).eps
     for last, k, stops in ((20, 24, False), (24, 28, True)):
@@ -384,20 +384,24 @@ def test_cut_through_a_doublet_across_the_blocks(N, n_states):
 def test_a_block_with_no_level_below_the_cut(make, n_states, monkeypatch, oracle_decompositions):
     # past the first rung a block whose lowest level lies above the merged
     # n_states-th has no level in the inverse iteration on the joined
-    # tridiagonal, and takes no vector back through its reduction
+    # tridiagonal, and takes no vector back through its reduction: the
+    # lower block of each pair's buffer by ?ormqr, the upper by ?ormql
     given, applied = [], []
 
     def record(name, args):
         if name == "stein":   # N, D, E, M, ...
             given.append(args[3])
-        if name == "ormqr" and args[-2] != -1:   # N, not in the workspace query
-            applied.append(args[3])
+        if name in ("ormqr", "ormql") and args[-2] != -1:   # N, not in the workspace query
+            applied.append((name, args[3]))
 
     spy_on_binding(monkeypatch, record)
     problem = make()
     spectrum = solve(problem, n_states)
     assert given == [n_states]
-    assert 0 in applied and sum(applied) == n_states
+    names = ["ormqr", "ormql"] * (len(spectrum.plan.blocks) // 2)
+    assert [name for name, _ in applied] == names
+    counts = [count for _, count in applied]
+    assert 0 in counts and sum(counts) == n_states
     dense = dense_oracle(problem, n_states, oracle_decompositions)
     np.testing.assert_allclose(spectrum.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=0)
     assert spectrum.residuals.max() <= 1e-9
@@ -443,11 +447,15 @@ def test_rungs_visited(grid, n_states, rungs, falls_back, monkeypatch, oracle_de
 
 def test_back_transform_is_blocked_and_reads_q_in_place(monkeypatch):
     # the 1148- and 1120-row rungs of the 81^2 Henon-Heiles blocks at 28 per
-    # line, joined, with the cut at the 40th of their 60 lowest levels
+    # line, the lower and upper triangles of one buffer of 1156 rows,
+    # joined, with the cut at the 40th of their 60 lowest levels
     lines = [eig._line_basis(*block.factors, {})
              for block in built_blocks(builtin_problem("henon_heiles", N=81))]
-    rungs = [eig._tridiagonal(eig._contracted_matrix(*line[:3], 28)) for line in lines]
-    assert [q.shape for q, _, _, _ in rungs] == [(1148, 1148), (1120, 1120)]
+    rungs = eig._rung(lines, (28, 28))
+    assert [(q.shape, uplo) for q, _, _, _, uplo in rungs] == [((1148, 1148), "L"),
+                                                               ((1120, 1120), "U")]
+    assert [q.strides[1] for q, *_ in rungs] == [8 * 1156] * 2
+    assert np.shares_memory(rungs[0][0], rungs[1][0])
     d, e = eig._joined([rung[1:3] for rung in rungs])
     w_all, iblock, isplit = eig._bisect(d, e, index=(1, 60))
     cut = np.sort(w_all)[39]
@@ -461,24 +469,27 @@ def test_back_transform_is_blocked_and_reads_q_in_place(monkeypatch):
     order = np.argsort(w_all[keep], kind="stable")
     w_old, z_old = w_all[keep][order], z_old[:, order]
     expected, start = [], 0
-    for q, _, _, tau in rungs:
+    for q, _, _, tau, uplo in rungs:
         rows = slice(start, start + q.shape[0])
         start = rows.stop
         mine = np.any(z_old[rows] != 0, axis=0)   # ?stein zeroes every other block's rows
         c = np.asfortranarray(z_old[rows][:, mine])
-        # the copy-based call: the reflectors as a contiguous copy of q[1:, :-1]
-        a, m = np.asfortranarray(q[1:, :-1]), q.shape[0] - 1
-        args = ("L", "N", m, c.shape[1], m, a, m, tau, c[1:], m + 1)
+        # the copy-based call: the reflectors as a contiguous copy of
+        # q[1:, :-1] onto c[1:] (lower), or of q[:-1, 1:] onto c[:-1] (upper)
+        name, a, below = (("ormqr", q[1:, :-1], c[1:]) if uplo == "L"
+                          else ("ormql", q[:-1, 1:], c[:-1]))
+        m = q.shape[0] - 1
+        args = ("L", "N", m, c.shape[1], m, np.asfortranarray(a), m, tau, below, m + 1)
         work = np.empty(1)
-        eig._lapack("ormqr", *args, work, -1)
+        eig._lapack(name, *args, work, -1)
         query = int(work[0])
-        eig._lapack("ormqr", *args, np.empty(query), query)   # with the full workspace
+        eig._lapack(name, *args, np.empty(query), query)   # with the full workspace
         expected.append((w_old[mine], c, query))
     given = []
 
     def record(name, args):
-        if name == "ormqr":
-            given.append(args[-2])   # LWORK
+        if name in ("ormqr", "ormql"):
+            given.append((name, args[-2]))   # LWORK
 
     spy_on_binding(monkeypatch, record)
     tracemalloc.start()
@@ -487,9 +498,9 @@ def test_back_transform_is_blocked_and_reads_q_in_place(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    applied = [lwork for lwork in given if lwork != -1]   # not the workspace queries
-    assert len(applied) == 2
-    assert all(lwork >= query for lwork, (_, _, query) in zip(applied, expected))   # never ?orm2r
+    applied = [(name, lwork) for name, lwork in given if lwork != -1]   # not the workspace queries
+    assert [name for name, _ in applied] == ["ormqr", "ormql"]
+    assert all(lwork >= query for (_, lwork), (_, _, query) in zip(applied, expected))   # never ?orm2r
     assert peak < rungs[1][0].nbytes / 4   # no copy of the reflectors
     assert [w.size for w, _ in pairs] == [22, 18]
     for (w, z), (w_ref, z_ref, _) in zip(pairs, expected):
@@ -601,6 +612,49 @@ def test_peak_memory_below_one_dense_block():
     assert peak < smallest**2 * np.dtype(float).itemsize
 
 
+def test_a_rung_pair_shares_one_buffer_in_memory():
+    # 81^2 Henon-Heiles at 60 states (L = 19) stops at rung 28, whose two
+    # blocks of 1148 and 1120 rows share one buffer of 1156 x 1148 doubles,
+    # 10.1 MiB: the solve peaks at 14.2 MiB, against 23.7 MiB when each
+    # block held a matrix of its own (20.5 MiB for the pair)
+    problem = builtin_problem("henon_heiles", N=81, L=19.0)
+    tracemalloc.start()
+    try:
+        spectrum = solve(problem, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {b.path for b in spectrum.plan.blocks} == {"contracted"}
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("L, c", [(10.0, 0.001), (12.0, 0.001), (12.0, 0.01)])
+def test_thin_grid_levels_within_the_stop_tolerance_and_dense_round_off(L, c, monkeypatch):
+    # On 3 x 513 the long axis's kinetic term gives ||H||_2 near 1e4 while
+    # the rung's ||H_c||_2 is near 20, and both solvers carry round-off of
+    # the order of eps ||H||_2, the ladder through its line bases: its
+    # levels differ from the dense levels of the unfolded H by up to
+    # 1.1e-12 (2.2e-12 relative), 2 to 4 times the stop tolerance
+    # 64 eps ||H_c||_2, and within it plus eps ||H||_2
+    problem = problem_2d(lambda x, y: 0.5 * (y - 0.3)**2 + c * x**2, (3, 513), L)
+    joined = []
+    real_joined = eig._joined
+
+    def spy(tridiagonals):
+        joined.append(real_joined(tridiagonals))
+        return joined[-1]
+
+    monkeypatch.setattr(eig, "_joined", spy)
+    spectrum = solve(problem, 5)
+    assert {b.path for b in spectrum.plan.blocks} == {"contracted"}
+    d, e = joined[-1]   # the rung that stopped the ladder
+    norm_c = max(abs(eig._bisect(d, e, index=(i, i))[0][0]) for i in (1, d.size))
+    dense = np.linalg.eigvalsh(build_hamiltonian(problem).matrix)
+    eps = np.finfo(float).eps
+    tol = eig._CONTRACTION_TOL * eps * norm_c + eps * np.abs(dense).max()
+    np.testing.assert_allclose(spectrum.eigenvalues, dense[:5], rtol=0, atol=tol)
+
+
 def test_closed_form_norm_matches_dense():
     for block in built_blocks(builtin_problem("henon_heiles", N=45)):
         dense = np.linalg.norm(block.matrix)
@@ -632,7 +686,7 @@ def test_dense_where_the_binding_is_missing(monkeypatch, oracle_decompositions):
     np.testing.assert_allclose(spectrum.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("routine", ["syevd", "sytrd", "stebz", "stein", "ormqr"])
+@pytest.mark.parametrize("routine", ["syevd", "sytrd", "stebz", "stein", "ormqr", "ormql"])
 def test_lapack_failure_is_solver_error(routine, monkeypatch, capsys):
     # every status the contracted solve reads: a nonzero one is a numerical
     # failure, in the library and at the entry point alike.  The line bases

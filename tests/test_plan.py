@@ -50,7 +50,8 @@ def builtin(problem_id):
 # Each path as (problem on N points, N, n_states, the N of its warm-up solve)
 # at a grid whose largest array holds at least 8 MiB: the real N x N kinetic
 # matrix or H at N = 1025, a complex H at 725, a 2D block's vectors at 33^2,
-# and the contracted solve's top rung of 1312^2 on 81^2.
+# and the contracted solve's top-rung buffer of 1320 x 1312 on 81^2, which
+# its two blocks share.
 PATHS = {
     "morse 1025, full: eigh": (builtin("morse"), 1025, None, 101),
     "pdm_ho_1 1025, full: folded eigh, a three-array kinetic build": (
